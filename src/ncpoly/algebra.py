@@ -9,6 +9,8 @@ All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 

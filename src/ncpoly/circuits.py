@@ -12,7 +12,6 @@ original polynomial, which the tests enforce term for term.
 """
 
 from dataclasses import dataclass
-from typing import Union
 
 from .algebra import (
     DEFAULT_TERM_BUDGET,
@@ -44,9 +43,6 @@ class Add:
 class Mul:
     left: int
     right: int
-
-
-Gate = Union[Input, Const, Add, Mul]
 
 
 class Circuit:
@@ -99,10 +95,6 @@ class Circuit:
     def syntactic_degree(self) -> int:
         degs = self.degree_sets()[self.output]
         return max(degs) if degs else -1
-
-    def is_per_gate_homogeneous(self) -> bool:
-        degs = self.degree_sets()
-        return all(len(degs[g]) <= 1 for g in self.reachable())
 
     def muls_have_homogeneous_children(self) -> bool:
         """True when every reachable product multiplies homogeneous operands.

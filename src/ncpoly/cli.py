@@ -49,7 +49,6 @@ class WorkspaceConfig:
     field: Field
     term_budget: int
     state_budget: int
-    seed: int
     fmt: str
 
 
@@ -171,19 +170,19 @@ def _resolve_source(spec: str | None, embedded, r, cfg: WorkspaceConfig) -> Fami
             return FamilyInstance.from_poly("circuit", expand(circuit, term_budget=cfg.term_budget))
         if spec.startswith("poly:"):
             return FamilyInstance.from_poly("poly", parse_poly(Path(spec[5:]).read_text(), table))
-        return make_family(spec, cfg.field)
+        return make_family(spec, cfg.field, term_budget=cfg.term_budget)
     if embedded is not None:
         return FamilyInstance.from_poly("embedded", embedded)
-    return make_family(r.source, cfg.field)
+    return make_family(r.source, cfg.field, term_budget=cfg.term_budget)
 
 
 def cmd_verify(args, cfg: WorkspaceConfig) -> int:
     r, embedded = parse_reduction(Path(args.reduction).read_text(), cfg.field)
     source = _resolve_source(args.source, embedded, r, cfg)
-    target = make_family(args.target or r.target, cfg.field)
+    target = make_family(args.target or r.target, cfg.field, term_budget=cfg.term_budget)
     if target.table != r.substitution.input_table:
         raise UsageError("target family alphabet does not match the reduction")
-    verdict = verify_reduction(r, source, target)
+    verdict = verify_reduction(r, source, target, term_budget=cfg.term_budget)
     print(verdict)
     return 0 if verdict.passed else 1
 
@@ -236,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--field", default="q", help="coefficient field: q or p=<prime>")
     parser.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET)
     parser.add_argument("--state-budget", type=int, default=10**5)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized helpers")
     parser.add_argument("--format", dest="fmt", choices=["text", "structured"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -311,7 +309,6 @@ def main(argv=None) -> int:
             field=field_from_spec(args.field),
             term_budget=args.term_budget,
             state_budget=args.state_budget,
-            seed=args.seed,
             fmt=args.fmt,
         )
         return COMMANDS[args.command](args, cfg)

@@ -7,21 +7,26 @@ variable of the target polynomial and reads the source off the (1, q)
 entry of the evaluated target.
 
 Applying a matrix substitution to an explicitly expanded target is a
-termwise sparse product.  For the structured targets used by the
-completeness constructions (balanced-word and palindrome families, whose
-supports are exponentially large) the application instead walks target
-support and matrix entries jointly, following only nonzero cells; that
-path sum computes exactly the same defining sum and is what makes
-verification tractable at full size.  The two routes are cross-checked on
-small instances in the test suite.
+termwise sparse product.  The structured targets used by the completeness
+constructions (balanced-word and palindrome families, whose supports are
+exponentially large) are instead read as grammars, S -> 1 | o S c S by
+first return and P_n = sum_x x P_(n-1) x, and applied through one
+memoized inside sum over the product of grammar and automaton.  Its memo
+keys are (start state, half-length[, depth budget]) reached through
+nonzero cells, so the cost follows the reachable keys times their
+intermediate terms rather than the number of parse trees.  The termwise
+route stays as the independent oracle, and the two are cross-checked in
+the test suite.
 """
 
 import time
 from dataclasses import dataclass, field as dc_field
 
 from ..algebra import (
+    DEFAULT_TERM_BUDGET,
     NCPoly,
     TableMismatchError,
+    TermBudgetError,
     Var,
     VarTable,
     Word,
@@ -177,105 +182,154 @@ def apply_abp_reduction(r: AbpReduction, g: NCPoly) -> NCPoly:
     return out
 
 
-def _pathsum_dyck(
-    sub: MatrixSubstitution, pairs, degree: int, depth_cap: int | None = None
+def _add_product(acc: dict, left: dict, right: dict | None, term_budget: int) -> None:
+    """acc += left * right on {word: coefficient} maps; right=None is 1.
+
+    Raises TermBudgetError once acc holds more than term_budget nonzero
+    terms, so an exponential sum stops at the budget.
+    """
+    if right is None:
+        for w, c in left.items():
+            s = acc.get(w)
+            acc[w] = c if s is None else s + c
+    else:
+        for w1, c1 in left.items():
+            for w2, c2 in right.items():
+                w = w1 + w2
+                s = acc.get(w)
+                acc[w] = c1 * c2 if s is None else s + c1 * c2
+            if len(acc) > term_budget:
+                _prune_or_raise(acc, term_budget)
+    if len(acc) > term_budget:
+        _prune_or_raise(acc, term_budget)
+
+
+def _prune_or_raise(acc: dict, term_budget: int) -> None:
+    for w in [w for w, c in acc.items() if c == 0]:
+        del acc[w]
+    if len(acc) > term_budget:
+        raise TermBudgetError(f"structured apply exceeded {term_budget} terms")
+
+
+def _inside_sum(
+    sub: MatrixSubstitution,
+    pairs,
+    half: int,
+    with_tail: bool,
+    depth_cap: int | None,
+    term_budget: int,
 ) -> NCPoly:
-    """Sum of extractions over all balanced target words, walked jointly
-    with the nonzero matrix cells so only live branches are explored."""
-    field = sub.input_table.field
-    accept = sub.dim - 1
-    acc: dict[Word, object] = {}
-    stack: list[int] = []
-    pieces: list[Word] = []
+    """Inside sum of a bracket grammar through the substitution's automaton.
 
-    def rec(pos: int, col: int, coeff):
-        if pos == degree:
-            if col == accept and not stack:
-                word = tuple(x for p in pieces for x in p)
-                acc[word] = acc.get(word, field.zero) + coeff
-            return
-        remaining = degree - pos
-        if len(stack) + 1 <= remaining - 1 and (depth_cap is None or len(stack) < depth_cap):
-            for o, c in pairs:
-                for col2, cf, w in sub.rows(o).get(col, ()):
-                    stack.append(c)
-                    pieces.append(w)
-                    rec(pos + 1, col2, coeff * cf)
-                    pieces.pop()
-                    stack.pop()
-        if stack:
-            c = stack.pop()
-            for col2, cf, w in sub.rows(c).get(col, ()):
-                pieces.append(w)
-                rec(pos + 1, col2, coeff * cf)
-                pieces.pop()
-            stack.append(c)
-
-    rec(0, 0, field.one)
-    out = NCPoly.zero(sub.output_table)
-    out.terms.update({w: c for w, c in acc.items() if c != 0})
-    return out
-
-
-def _pathsum_pal(sub: MatrixSubstitution, letters, half: int) -> NCPoly:
-    """Extraction sum over palindrome words u.reverse(u): the first half
-    branches over nonzero cells, the second half is forced letterwise."""
-    field = sub.input_table.field
-    accept = sub.dim - 1
-    acc: dict[Word, object] = {}
-    prefix: list[int] = []
-    pieces: list[Word] = []
-
-    def mirror(pos: int, col: int, coeff):
-        if pos == half:
-            if col == accept:
-                word = tuple(x for p in pieces for x in p)
-                acc[word] = acc.get(word, field.zero) + coeff
-            return
-        v = prefix[half - 1 - pos]
-        for col2, cf, w in sub.rows(v).get(col, ()):
-            pieces.append(w)
-            mirror(pos + 1, col2, coeff * cf)
-            pieces.pop()
-
-    def forward(pos: int, col: int, coeff):
-        if pos == half:
-            mirror(0, col, coeff)
-            return
-        for v in letters:
-            for col2, cf, w in sub.rows(v).get(col, ()):
-                prefix.append(v)
-                pieces.append(w)
-                forward(pos + 1, col2, coeff * cf)
-                pieces.pop()
-                prefix.pop()
-
-    forward(0, 0, field.one)
-    out = NCPoly.zero(sub.output_table)
-    out.terms.update({w: c for w, c in acc.items() if c != 0})
-    return out
+    The target is the grammar S_m = sum over pairs (o, c) and m1 < m of
+    o S_m1 c S_(m-1-m1), with S_0 = 1 (first return: the balanced words
+    of length 2m).  with_tail=False fixes m1 = m-1 and drops the tail,
+    which gives the palindromes P_n = sum_x x P_(n-1) x.  A memo key
+    (start state, half-length, depth budget) maps each end state to the
+    exact polynomial summed over all target words of that shape and all
+    nonzero-cell paths between the two states; zero coefficients are
+    dropped, so cancelling terms vanish.  The depth budget is None unless
+    the target caps nesting.  Keys are reached from the start state
+    through nonzero cells only and are ordered by an explicit stack, so
+    the cost follows the reachable keys times their terms, and no target
+    length depends on Python's recursion limit.
+    """
+    one = sub.input_table.field.one
+    # state -> [(state after o, coefficient, word, rows of the matching c)]
+    opens: dict[int, list] = {}
+    for o, c in pairs:
+        crow = sub.rows(c)
+        for i, cells in sub.rows(o).items():
+            opens.setdefault(i, []).extend((k, co, wo, crow) for k, co, wo in cells)
+    memo: dict[tuple, dict] = {}
+    # key -> {(tail length, state after c): sum of o S_m1 c}, kept while the
+    # key waits for its tails
+    lefts: dict[tuple, dict] = {}
+    root = (0, half, depth_cap)
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        i, m, b = key
+        if m == 0 or b == 0:
+            memo[key] = {i: {(): one}} if m == 0 else {}
+            stack.pop()
+            continue
+        inner_b = None if b is None else b - 1
+        splits = range(m) if with_tail else (m - 1,)
+        cells = opens.get(i, ())
+        left = lefts.get(key)
+        if left is None:
+            missing = [
+                (k, m1, inner_b)
+                for k, _, _, _ in cells
+                for m1 in splits
+                if (k, m1, inner_b) not in memo
+            ]
+            if missing:
+                stack.extend(missing)
+                continue
+            left = lefts[key] = {}
+            for k, co, wo, crow in cells:
+                for m1 in splits:
+                    for j1, inner in memo[(k, m1, inner_b)].items():
+                        for k2, cc, wc in crow.get(j1, ()):
+                            scale = co * cc
+                            acc = left.setdefault((m - 1 - m1, k2), {})
+                            for w, c in inner.items():
+                                w = wo + w + wc
+                                s = acc.get(w)
+                                acc[w] = c * scale if s is None else s + c * scale
+                            if len(acc) > term_budget:
+                                _prune_or_raise(acc, term_budget)
+        missing = [(k2, t, b) for t, k2 in left if t and (k2, t, b) not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        del lefts[key]
+        out: dict[int, dict] = {}
+        for (t, k2), lpoly in left.items():
+            tails = memo[(k2, t, b)] if t else {k2: None}
+            for j, tpoly in tails.items():
+                _add_product(out.setdefault(j, {}), lpoly, tpoly, term_budget)
+        entry = {}
+        for j, acc in out.items():
+            clean = {w: c for w, c in acc.items() if c != 0}
+            if clean:
+                entry[j] = clean
+        memo[key] = entry
+        stack.pop()
+    result = NCPoly.zero(sub.output_table)
+    result.terms.update(memo[root].get(sub.dim - 1, {}))
+    return result
 
 
 def apply_to_instance(
-    r: AbpReduction, target: FamilyInstance, force_expand: bool = False
+    r: AbpReduction,
+    target: FamilyInstance,
+    force_expand: bool = False,
+    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> NCPoly:
     """Apply a matrix substitution to a family instance.
 
-    Balanced-word and palindrome targets use the joint path sum and never
-    realize the instance; everything else expands and applies termwise.
+    Balanced-word (``dyck``, ``dyckdepth``) and palindrome (``pal``)
+    targets go through the memoized inside sum of their grammar and are
+    never realized; its cost follows the reachable (state, length[, depth])
+    keys times their intermediate terms, and it raises TermBudgetError when
+    an intermediate polynomial exceeds term_budget.  Every other target,
+    and every target under force_expand, is expanded and applied termwise.
     """
-    if not force_expand:
-        if target.name == "dyck":
-            return _pathsum_dyck(r.substitution, target.meta["pairs"], target.params["d"])
-        if target.name == "dyckdepth":
-            return _pathsum_dyck(
-                r.substitution,
-                target.meta["pairs"],
-                2 * target.params["n"],
-                depth_cap=target.meta["depth"],
-            )
+    if not force_expand and target.name in ("dyck", "dyckdepth", "pal"):
+        meta, params = target.meta, target.params
         if target.name == "pal":
-            return _pathsum_pal(r.substitution, target.meta["letters"], target.params["n"])
+            pairs = [(x, x) for x in meta["letters"]]
+            return _inside_sum(r.substitution, pairs, params["n"], False, None, term_budget)
+        half = params["d"] // 2 if target.name == "dyck" else params["n"]
+        return _inside_sum(
+            r.substitution, meta["pairs"], half, True, meta.get("depth"), term_budget
+        )
     return apply_abp_reduction(r, target.poly)
 
 
@@ -310,13 +364,18 @@ class Verdict:
         return "\n".join(lines)
 
 
-def verify_reduction(r, source: FamilyInstance, target: FamilyInstance) -> Verdict:
+def verify_reduction(
+    r,
+    source: FamilyInstance,
+    target: FamilyInstance,
+    term_budget: int = DEFAULT_TERM_BUDGET,
+) -> Verdict:
     """Apply a reduction to the target instance and compare with the source
     term for term.  A mismatch is a verdict carrying the first offending
-    word, never an exception."""
+    word, never an exception; term_budget bounds the structured apply."""
     t0 = time.perf_counter()
     if isinstance(r, AbpReduction):
-        applied = apply_to_instance(r, target)
+        applied = apply_to_instance(r, target, term_budget=term_budget)
     elif isinstance(r, IProjMap):
         applied = apply_iproj(r, target.poly)
     elif isinstance(r, ProjMap):

@@ -231,3 +231,42 @@ def test_per_chi_over_prime_field(tmp_path, capsys):
     chi.write_text("1 2 -> 11\n2 1 -> 3\n")
     code, _, err = run(capsys, "--field", "p=11", "reduce", "per-chi", "n=2", f"chi={chi}", "--out", str(red))
     assert code == 2 and "zero" in err
+
+
+def test_verify_over_budget_exits_2(tmp_path, capsys):
+    # pal:n=600 has 2^600 terms; the structured apply stops at the budget
+    # instead of recursing 1200 levels deep or filling memory
+    red = tmp_path / "r.txt"
+    assert run(capsys, "reduce", "pal-d2", "n=600", "--out", str(red))[0] == 0
+    code, out, err = run(capsys, "--term-budget", "4096", "verify", str(red))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "4096" in err
+
+
+def test_reimport_releases_the_previous_generation():
+    # a harness that imports the package afresh must not keep old copies
+    # alive through module-level caches
+    import gc
+    import importlib
+    import sys
+    import weakref
+
+    saved = {k: v for k, v in sys.modules.items() if k == "ncpoly" or k.startswith("ncpoly.")}
+
+    def fresh():
+        for name in [k for k in sys.modules if k == "ncpoly" or k.startswith("ncpoly.")]:
+            del sys.modules[name]
+        importlib.import_module("ncpoly.cli")
+        return sys.modules["ncpoly.algebra"]
+
+    try:
+        first = weakref.ref(fresh().NCPoly)
+        fresh()
+        gc.collect()
+        assert first() is None
+    finally:
+        for name in [k for k in sys.modules if k == "ncpoly" or k.startswith("ncpoly.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)

@@ -5,9 +5,9 @@ import pytest
 
 import corpus
 from ncpoly.abp import abp_eval, bounded_depth_dyck_abp
-from ncpoly.algebra import NCPoly, Var, VarTable
+from ncpoly.algebra import NCPoly, TermBudgetError, Var, VarTable
 from ncpoly.automata import MatrixSubstitution
-from ncpoly.circuits import expand
+from ncpoly.circuits import expand, parse_circuit
 from ncpoly.families import (
     ChiTable,
     FamilyInstance,
@@ -26,6 +26,7 @@ from ncpoly.families import (
 )
 from ncpoly.fields import PrimeField, QQ
 from ncpoly.reductions import (
+    AbpReduction,
     IProjMap,
     ProjMap,
     apply_abp_reduction,
@@ -243,6 +244,189 @@ def test_pathsum_matches_termwise_on_medium_circuit_target():
     tgt = make_family(r.target)
     assert tgt.poly.num_terms() == 33614
     assert apply_to_instance(r, tgt) == apply_to_instance(r, tgt, force_expand=True)
+
+
+def live_target(r, target):
+    """The target realized on its live words only: the words of the target's
+    shape that have a nonzero-cell path from the start to the accept state.
+    Every other target word maps to zero, so the termwise route on this
+    instance must agree with the inside sum on the full target.  Words are
+    enumerated one by one with the set of reachable states, not by paths."""
+    sub = r.substitution
+    accept = sub.dim - 1
+    words = []
+
+    def step(states, v):
+        rows = sub.rows(v)
+        return frozenset(col for s in states for col, _, _ in rows.get(s, ()))
+
+    if target.name == "pal":
+        half = target.params["n"]
+
+        def grow(prefix, states):
+            if not states:
+                return
+            if len(prefix) == half:
+                for v in reversed(prefix):
+                    states = step(states, v)
+                if accept in states:
+                    words.append(tuple(prefix) + tuple(reversed(prefix)))
+                return
+            for v in target.meta["letters"]:
+                grow(prefix + [v], step(states, v))
+
+        grow([], frozenset([0]))
+    else:
+        length = target.params["d"] if target.name == "dyck" else 2 * target.params["n"]
+        cap = target.meta.get("depth")
+
+        def grow(prefix, stack, states):
+            if not states:
+                return
+            if len(prefix) == length:
+                if accept in states:
+                    words.append(tuple(prefix))
+                return
+            room = length - len(prefix) - 1
+            if len(stack) + 1 <= room and (cap is None or len(stack) < cap):
+                for o, c in target.meta["pairs"]:
+                    grow(prefix + [o], stack + [c], step(states, o))
+            if stack:
+                grow(prefix + [stack[-1]], stack[:-1], step(states, stack[-1]))
+
+        grow([], [], frozenset([0]))
+    poly = NCPoly(target.table, {w: target.table.field.one for w in words})
+    return FamilyInstance(target.name, target.params, target.table, dict(target.meta), _poly=poly)
+
+
+def assert_inside_matches_termwise(r, source_poly):
+    target = make_family(r.target, r.substitution.input_table.field)
+    live = live_target(r, target)
+    inside = apply_to_instance(r, target)
+    assert inside == apply_to_instance(r, live, force_expand=True)
+    assert inside == source_poly
+    return live
+
+
+def circuit_from(text, field=QQ):
+    return parse_circuit(text, VarTable(field=field))
+
+
+AFFINE = "g0 input x\ng1 const 2\ng2 const 3\ng3 mul g2 g0\ng4 add g1 g3\n"
+
+
+def test_live_target_agrees_with_the_full_target():
+    # the restricted oracle drops only words that map to zero
+    for r in (pal_to_d2_reduction(3), dyck_depth_reduction(1, 2, 4), dk_to_d2_reduction(3, 2)):
+        target = make_family(r.target)
+        live = live_target(r, target)
+        assert 0 < live.poly.num_terms() <= target.poly.num_terms()
+        assert apply_abp_reduction(r, live.poly) == apply_abp_reduction(r, target.poly)
+
+
+@pytest.mark.parametrize("right", [False, True])
+def test_inside_matches_termwise_on_affine_chains(right):
+    # (2 + 3x)^4 as a left or right chain: many parse trees per monomial
+    lines = AFFINE
+    cur = 4
+    for _ in range(3):
+        gid = cur + 1
+        lines += f"g{gid} mul g4 g{cur}\n" if right else f"g{gid} mul g{cur} g4\n"
+        cur = gid
+    c = circuit_from(lines + f"output g{cur}\n")
+    r = dyck_completeness_reduction(c)
+    live = assert_inside_matches_termwise(r, expand(c))
+    assert expand(c).num_terms() == 5
+    assert live.poly.num_terms() > 5
+
+
+def test_inside_matches_termwise_on_repeated_squaring():
+    c = circuit_from("g0 input x\ng1 const 2\ng2 add g1 g0\ng3 mul g2 g2\ng4 mul g3 g3\noutput g4\n")
+    assert_inside_matches_termwise(dyck_completeness_reduction(c), expand(c))
+
+
+def test_inside_matches_termwise_on_skew_chain():
+    # p <- p + x*p six times from p = 3, reduced to a palindrome target
+    lines = "g0 const 3\ng1 input x\n"
+    cur = 0
+    for gid in range(2, 14, 2):
+        lines += f"g{gid} mul g1 g{cur}\ng{gid + 1} add g{cur} g{gid}\n"
+        cur = gid + 1
+    c = circuit_from(lines + f"output g{cur}\n")
+    r = pal_vsk_reduction(c)
+    assert make_family(r.target).name == "pal"
+    assert_inside_matches_termwise(r, expand(c))
+    assert expand(c).num_terms() == 7
+
+
+@pytest.mark.parametrize("k2", [1, 2, 3])
+def test_inside_matches_termwise_on_depth_caps(k2):
+    # the identity chain does not bound nesting, so only the target's cap
+    # keeps deeper words out
+    target = gen_dyck_depth(k2, 5)
+    r = identity_reduction(target.table, 10, target="dyckdepth")
+    inside = apply_to_instance(r, target)
+    assert inside == apply_to_instance(r, target, force_expand=True) == target.poly
+    for k1 in range(1, k2 + 1):
+        r = dyck_depth_reduction(k1, k2, 5)
+        target = make_family(r.target)
+        assert target.meta["depth"] == k2
+        inside = apply_to_instance(r, target)
+        assert inside == apply_to_instance(r, target, force_expand=True)
+        assert inside == gen_dyck_depth(k1, 5).poly
+
+
+def test_inside_matches_termwise_over_prime_field():
+    # (1 + x)^3 over GF(3) is 1 + x^3: the middle binomials vanish mod 3
+    f3 = PrimeField(3)
+    c = circuit_from(
+        "g0 input x\ng1 const 1\ng2 add g1 g0\ng3 mul g2 g2\ng4 mul g3 g2\noutput g4\n", f3
+    )
+    source = expand(c)
+    assert source.num_terms() == 2
+    assert_inside_matches_termwise(dyck_completeness_reduction(c), source)
+    r = pal_to_d2_reduction(3, PrimeField(5))
+    assert_inside_matches_termwise(r, gen_pal(3, 2, PrimeField(5)).poly)
+
+
+def test_inside_drops_cancelled_terms():
+    # (1 + x)(1 - x) = 1 - x^2: the x terms cancel inside the memo
+    c = circuit_from(
+        "g0 input x\ng1 const 1\ng2 add g1 g0\ng3 const -1\ng4 mul g3 g0\n"
+        "g5 add g1 g4\ng6 mul g2 g5\noutput g6\n"
+    )
+    r = dyck_completeness_reduction(c)
+    assert_inside_matches_termwise(r, expand(c))
+    applied = apply_to_instance(r, make_family(r.target))
+    x = c.table.var("x").id
+    assert (x,) not in applied.terms
+    assert applied.terms == {(): 1, (x, x): -1}
+
+
+def test_inside_sum_is_iterative_on_long_targets():
+    # one state and the scalar 1 on every letter: the image of dyck:k=1,d=2m
+    # counts the balanced words, Catalan(m) mod p, and pal:n=m,k=1 has one word;
+    # targets of length 2m = 1040 are deeper than the default recursion limit
+    from math import comb
+
+    m, p = 520, 1000003
+    for target in (gen_dyck(1, 2 * m, PrimeField(p)), gen_pal(m, 1, PrimeField(p))):
+        one = target.table.field.one
+        entries = {v.id: {(0, 0): (one, ())} for v in target.table.vars()}
+        sub = MatrixSubstitution(target.table, VarTable(), 1, entries)
+        r = AbpReduction(sub, "count", target.spec_string)
+        got = apply_to_instance(r, target)
+        count = comb(2 * m, m) // (m + 1) if target.name == "dyck" else 1
+        assert got.terms == {(): one * (count % p)}
+
+
+def test_inside_sum_respects_the_term_budget():
+    r = pal_to_d2_reduction(40)
+    target = make_family(r.target)
+    with pytest.raises(TermBudgetError):
+        apply_to_instance(r, target, term_budget=1000)
+    small = pal_to_d2_reduction(5)
+    assert apply_to_instance(small, make_family(small.target), term_budget=32).num_terms() == 32
 
 
 # -- composition ---------------------------------------------------------------

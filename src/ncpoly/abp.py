@@ -125,20 +125,26 @@ def transition_matrices(p: Abp) -> dict:
 
 @dataclass(frozen=True)
 class HankelBlock:
-    """Coefficient block at a cut: entry (u, v) is the coefficient of uv."""
+    """Coefficient block at a cut: entry (u, v) is the coefficient of uv.
+
+    Rows and columns are numbered in the order they first occur in the
+    polynomial's terms, so row 0 holds column 0.
+    """
 
     cut: int
-    rows: tuple  # occurring prefixes of length cut
-    cols: tuple  # occurring suffixes
-    matrix: tuple  # row-major entries
+    rows: tuple  # occurring prefixes of length cut, first-seen order
+    cols: tuple  # occurring suffixes, first-seen order
+    matrix: tuple  # one sparse row per prefix: {column index: coefficient}
 
 
 def hankel_block(f: NCPoly, cut: int) -> HankelBlock:
     """Build the coefficient block of a homogeneous polynomial at a cut.
 
-    Rows and columns are restricted to the prefixes and suffixes that occur
-    in the support; that drops only all-zero rows and columns, so the rank
-    is unchanged and the block stays small.
+    One pass over the terms files each coefficient under its prefix's row
+    and its suffix's column.  Rows and columns are restricted to the
+    prefixes and suffixes that occur in the support; that drops only
+    all-zero rows and columns, so the rank is unchanged.  Each row stores
+    only its nonzero entries.
     """
     if not f.is_homogeneous():
         raise ValueError("Hankel blocks are defined for homogeneous polynomials")
@@ -147,11 +153,12 @@ def hankel_block(f: NCPoly, cut: int) -> HankelBlock:
         return HankelBlock(cut, (), (), ())
     if not 0 <= cut <= d:
         raise ValueError(f"cut {cut} outside 0..{d}")
-    rows = tuple(sorted({w[:cut] for w in f.terms}))
-    cols = tuple(sorted({w[cut:] for w in f.terms}))
-    zero = f.table.field.zero
-    matrix = tuple(tuple(f.terms.get(u + v, zero) for v in cols) for u in rows)
-    return HankelBlock(cut, rows, cols, matrix)
+    rows: dict = {}
+    cols: dict = {}
+    for w, c in f.terms.items():
+        row = rows.setdefault(w[:cut], {})
+        row[cols.setdefault(w[cut:], len(cols))] = c
+    return HankelBlock(cut, tuple(rows), tuple(cols), tuple(rows.values()))
 
 
 def hankel_rank(f: NCPoly, cut: int) -> int:
@@ -280,8 +287,13 @@ def parse_abp(text: str, table: VarTable | None = None) -> Abp:
             layers = [0] * (len(tokens) - 1)
             for tok in tokens[1:]:
                 i, _, n = tok.partition(":")
+                if not 0 <= int(i) < len(layers):
+                    raise ValueError(f"layer {tok!r} outside 0..{len(layers) - 1}")
                 layers[int(i)] = int(n)
         elif tokens[0] == "edge":
+            # edge <gap> <u> <v>, then (<coeff> <var>) or (+ <constant>) pairs
+            if len(tokens) < 4 or len(tokens) % 2:
+                raise ValueError(f"bad ABP line {line!r}")
             gap, u, v = int(tokens[1]), int(tokens[2]), int(tokens[3])
             rest = tokens[4:]
             coeffs: dict[int, object] = {}
@@ -303,5 +315,7 @@ def parse_abp(text: str, table: VarTable | None = None) -> Abp:
         raise ValueError("missing layers line")
     edges: list[list] = [[] for _ in range(len(layers) - 1)]
     for gap, u, v, form in raw_edges:
+        if not 0 <= gap < len(edges):
+            raise ValueError(f"edge gap {gap} outside 0..{len(edges) - 1}")
         edges[gap].append((u, v, form))
     return Abp(table, layers, edges)

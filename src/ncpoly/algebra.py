@@ -381,34 +381,45 @@ def mat_scale(a: PolyMatrix, c) -> PolyMatrix:
 # Exact rank of scalar matrices
 
 
-def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the field via exact Gaussian elimination.
+def exact_rank(rows: Iterable[Mapping | Sequence]) -> int:
+    """Rank over the field via exact sparse elimination.
 
-    Accepts any rectangular list-of-lists of scalars (Fraction or ModInt).
+    Each row maps a column to a scalar (Fraction or ModInt); a plain
+    sequence is read as ``enumerate(row)``, and zero entries may be present
+    or absent.  Zero rows and rows equal to an earlier row are dropped
+    first, which leaves the rank unchanged.  Every remaining row is reduced
+    against the pivot rows found so far, keyed by leading (least) column,
+    until it vanishes or becomes a new pivot row.  Pivot rows are scaled to
+    leading coefficient one.
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
+    by_support: dict = {}  # column set -> distinct rows with that support
+    pivots: dict = {}
+    for row in rows:
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        r = {j: x for j, x in items if x != 0}
+        if not r:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, nrows):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        same_support = by_support.setdefault(frozenset(r), [])
+        if r in same_support:
+            continue
+        same_support.append(r)
+        r = dict(r)
+        while r:
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                pv = r[lead]
+                pivots[lead] = {j: x / pv for j, x in r.items()}
+                break
+            factor = r[lead]
+            for j, x in p.items():
+                y = r.get(j)
+                y = -factor * x if y is None else y - factor * x
+                if y != 0:
+                    r[j] = y
+                else:
+                    del r[j]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -377,11 +377,14 @@ def parse_substitution(
     dim = None
     entries: dict[int, dict] = {}
     current: int | None = None
+    min_tokens = {"dim": 2, "var": 2, "entry": 4}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line or line == "substitution":
             continue
         tokens = line.split()
+        if len(tokens) < min_tokens.get(tokens[0], 1):
+            raise ValueError(f"short substitution line {line!r}")
         if tokens[0] == "dim":
             dim = int(tokens[1])
         elif tokens[0] == "input-vars":

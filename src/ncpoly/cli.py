@@ -188,7 +188,7 @@ def cmd_verify(args, cfg: WorkspaceConfig) -> int:
 
 
 def cmd_rank(args, cfg: WorkspaceConfig) -> int:
-    inst = make_family(args.spec, cfg.field)
+    inst = make_family(args.spec, cfg.field, term_budget=cfg.term_budget)
     poly = inst.poly
     if not poly.is_homogeneous():
         raise UsageError("Hankel ranks need a homogeneous family")

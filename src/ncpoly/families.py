@@ -9,6 +9,7 @@ structure, never expanded.
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from math import factorial
 from pathlib import Path
 
 from .abp import dyck_pairs, dyck_table
@@ -313,13 +314,16 @@ class ChiTable:
         return "\n".join(lines) + "\n"
 
 
-def gen_per(n: int, field: Field = QQ) -> FamilyInstance:
+def gen_per(
+    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
+) -> FamilyInstance:
     """Permutation words x_{1,s(1)} ... x_{n,s(n)}, coefficient 1."""
     if n < 1:
         raise ValueError("need n >= 1")
     table = per_table(n, field)
 
     def build():
+        _check_count(factorial(n), term_budget)
         one = field.one
         return NCPoly(
             table,
@@ -347,11 +351,14 @@ def gen_per_chi(n: int, chi: ChiTable, field: Field = QQ) -> FamilyInstance:
     return _instance("perchi", {"n": n}, table, build, chi=chi)
 
 
-def gen_per_star(n: int, field: Field = QQ) -> FamilyInstance:
+def gen_per_star(
+    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
+) -> FamilyInstance:
     """Each permutation word repeated n times, coefficient 1."""
     table = per_table(n, field)
 
     def build():
+        _check_count(factorial(n), term_budget)
         one = field.one
         return NCPoly(
             table,
@@ -625,11 +632,11 @@ def make_family(
     if name == "idstar":
         return gen_id_star(num("n"), field, term_budget)
     if name == "per":
-        return gen_per(num("n"), field)
+        return gen_per(num("n"), field, term_budget)
     if name == "perchi":
         return gen_per_chi(num("n"), chi_arg(num("n")), field)
     if name == "perstar":
-        return gen_per_star(num("n"), field)
+        return gen_per_star(num("n"), field, term_budget)
     if name == "perstarchi":
         return gen_per_star_chi(num("n"), chi_arg(num("n")), field)
     if name == "hier":

@@ -276,24 +276,17 @@ def set_multilinear_rank1_split(f: NCPoly, max_degree: int = 12) -> SplitVerdict
         if tags != list(range(1, d + 1)):
             raise ValueError("polynomial is not set-multilinear over positions 1..d")
     positions = list(range(2, d + 1))
-    zero = f.table.field.zero
     checked = 0
     for size in range(0, d - 1):
         for extra in itertools.combinations(positions, size):
             part = frozenset((1,) + extra)
             checked += 1
-            cells: dict = {}
             rows: dict = {}
             cols: dict = {}
             for w, c in f.terms.items():
                 left = tuple(sorted((v for v in w if pos_of[v][1] in part), key=lambda v: pos_of[v][1]))
                 right = tuple(sorted((v for v in w if pos_of[v][1] not in part), key=lambda v: pos_of[v][1]))
-                rows.setdefault(left, len(rows))
-                cols.setdefault(right, len(cols))
-                cells[(rows[left], cols[right])] = c
-            matrix = [[zero] * len(cols) for _ in range(len(rows))]
-            for (ri, ci), c in cells.items():
-                matrix[ri][ci] = c
-            if exact_rank(matrix) == 1:
+                rows.setdefault(left, {})[cols.setdefault(right, len(cols))] = c
+            if exact_rank(rows.values()) == 1:
                 return SplitVerdict(tuple(sorted(part)), checked)
     return SplitVerdict(None, checked)

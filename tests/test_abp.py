@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -17,6 +18,7 @@ from ncpoly.abp import (
     transition_matrices,
 )
 from ncpoly.algebra import NCPoly, VarTable
+from ncpoly.families import make_family
 
 
 def lf(table, **coeffs):
@@ -160,7 +162,7 @@ def test_hankel_pal2_middle():
     assert block.cut == 2 and len(block.rows) == len(block.cols) == 4
     for i, u in enumerate(block.rows):
         for j, v in enumerate(block.cols):
-            assert block.matrix[i][j] == (1 if v == tuple(reversed(u)) else 0)
+            assert block.matrix[i].get(j, 0) == (1 if v == tuple(reversed(u)) else 0)
 
 
 def test_hankel_single_row():
@@ -195,6 +197,31 @@ def test_hankel_pal_id_powers_of_two():
     for n in range(1, 5):
         assert hankel_rank(pal(t, n), n) == 2**n
         assert hankel_rank(ident(t, n), n) == 2**n
+
+
+def test_hankel_ranks_match_closed_forms():
+    # dyck: one independent row per unmatched stack of height h = cut mod 2
+    k, d, cut = 2, 14, 7
+    f = make_family(f"dyck:k={k},d={d}").poly
+    assert hankel_rank(f, cut) == sum(k**h for h in range(cut % 2, min(cut, d - cut) + 1, 2)) == 170
+    # per: one independent row per set of values used by the prefix
+    n, cut = 8, 4
+    assert hankel_rank(make_family(f"per:n={n}").poly, cut) == comb(n, cut) == 70
+    # pal: the block is the permutation u -> reverse(u) of all k^n prefixes
+    n, k = 6, 3
+    assert hankel_rank(make_family(f"pal:n={n},k={k}").poly, n) == k**n == 729
+
+
+def test_hankel_block_rows_are_sparse_first_seen():
+    t = xy()
+    f = NCPoly(t, {t.word("x1", "x0"): Fraction(2), t.word("x0", "x0"): Fraction(3), t.word("x1", "x1"): Fraction(5)})
+    from ncpoly.abp import hankel_block
+
+    block = hankel_block(f, 1)
+    assert block.rows == (t.word("x1"), t.word("x0"))
+    assert block.cols == (t.word("x0"), t.word("x1"))
+    assert block.matrix == ({0: 2, 1: 5}, {0: 3})
+    assert hankel_rank(f, 1) == 2
 
 
 def test_nisan_inequality_on_random_abps():

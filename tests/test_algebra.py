@@ -298,6 +298,38 @@ def test_rank_matches_minor_oracle():
         assert exact_rank(rows) == minor_rank(rows)
 
 
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x != 0} for r in rows]
+
+
+def test_rank_sparse_rows_match_minor_oracle():
+    # mapping rows with repeated and all-zero rows mixed in, over Q and GF(5)
+    rng = random.Random(7)
+    gf5 = PrimeField(5)
+    for scalar in (Fraction, gf5.from_int):
+        for _ in range(25):
+            ncols = rng.randint(1, 5)
+            rows = [[scalar(rng.randint(-2, 2)) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+            rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 2))]
+            rows.insert(rng.randint(0, len(rows)), [scalar(0)] * ncols)
+            rng.shuffle(rows)
+            expected = minor_rank(rows)
+            assert exact_rank(rows) == expected
+            assert exact_rank(_sparse(rows)) == expected
+
+
+def test_rank_sparse_rows_edge_cases():
+    # explicit zeros in mapping rows are ignored
+    rows = [{0: Fraction(1), 1: Fraction(0)}, {1: Fraction(0), 0: Fraction(2)}, {3: Fraction(0)}]
+    assert exact_rank(rows) == minor_rank([[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]]) == 1
+    # equal rows with keys inserted in another order are duplicates
+    a = {2: Fraction(1), 0: Fraction(3)}
+    b = {0: Fraction(3), 2: Fraction(1)}
+    assert exact_rank([a, b, {1: Fraction(1)}]) == 2
+    assert exact_rank([]) == 0
+    assert exact_rank([{}, {}]) == 0
+
+
 def test_rank_prime_field():
     f = PrimeField(5)
     rows = [[f.from_int(2), f.from_int(4)], [f.from_int(1), f.from_int(2)]]

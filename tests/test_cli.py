@@ -245,6 +245,41 @@ def test_verify_over_budget_exits_2(tmp_path, capsys):
     assert "4096" in err
 
 
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rank_honours_term_budget(capsys):
+    for argv in (
+        ("--term-budget", "10", "rank", "dyck:k=2,d=8", "--cut", "4"),
+        ("--term-budget", "100", "rank", "per:n=6", "--cut", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert _one_error_line(err)
+
+
+def test_hadamard_abp_edge_gap_out_of_range_exits_2(tmp_path, capsys):
+    circ = tmp_path / "c.txt"
+    circ.write_text("g0 input x0\ng1 input x1\ng2 add g0 g1\ng3 mul g2 g2\noutput g3\n")
+    abp = tmp_path / "g.txt"
+    abp.write_text("layers 0:1 1:2 2:1\nedge 5 0 0 1 x0\n")
+    code, out, err = run(capsys, "hadamard", "--circuit", str(circ), "--abp", str(abp))
+    assert code == 2 and out == ""
+    assert _one_error_line(err)
+
+
+def test_verify_short_entry_line_exits_2(tmp_path, capsys):
+    red = tmp_path / "r.txt"
+    assert run(capsys, "reduce", "pal-d2", "n=1", "--out", str(red))[0] == 0
+    text = red.read_text()
+    assert "entry 1 2 1 x0\n" in text
+    red.write_text(text.replace("entry 1 2 1 x0\n", "entry 1\n", 1))
+    code, out, err = run(capsys, "verify", str(red))
+    assert code == 2 and out == ""
+    assert _one_error_line(err)
+
+
 def test_reimport_releases_the_previous_generation():
     # a harness that imports the package afresh must not keep old copies
     # alive through module-level caches

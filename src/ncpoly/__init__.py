@@ -1,18 +1,19 @@
 """Exact workbench for noncommutative polynomials and their reductions.
 
-Modules: algebra (words, sparse polynomials, matrices, exact rank),
-circuits (DAG IR, expansion, bracketing transforms), abp (branching
-programs, transition matrices, Hankel rank), automata (substitution
-automata and their matrix compilation), families (generators for the
-named polynomial families), reductions (projection, indexed-projection
-and matrix-substitution reducibilities plus every concrete construction),
-cli (command-line front end).
+Modules: algebra (words, sparse polynomials, exact rank), circuits (DAG
+IR, expansion, bracketing transforms), abp (branching programs, transition
+matrices, Hankel rank), automata (substitution automata, their matrix
+compilation, and the sparse row-vector product that evaluates polynomials
+and circuits on those matrices), families (generators for the named
+polynomial families), reductions (projection, indexed-projection and
+matrix-substitution reducibilities plus every concrete construction), cli
+(command-line front end).
 """
 
 from .fields import QQ, Field, FieldError, ModInt, PrimeField, field_from_spec
 from .algebra import (
     NCPoly,
-    PolyMatrix,
+    StateBudgetError,
     TableMismatchError,
     TermBudgetError,
     Var,

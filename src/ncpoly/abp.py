@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .algebra import (
     DEFAULT_TERM_BUDGET,
     NCPoly,
+    StateBudgetError,
     TermBudgetError,
     VarTable,
     exact_rank,
@@ -238,7 +239,7 @@ def bounded_depth_dyck_abp(
         layers_states.append(ordered)
         count += len(ordered)
         if count > state_budget:
-            raise RuntimeError(f"state budget {state_budget} exceeded")
+            raise StateBudgetError(f"state budget {state_budget} exceeded")
         transitions.append(gap)
 
     one = table.field.one

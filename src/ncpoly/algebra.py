@@ -12,7 +12,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .fields import QQ, Field
 
@@ -27,6 +27,10 @@ class TableMismatchError(ValueError):
 
 class TermBudgetError(RuntimeError):
     """An expansion exceeded the configured number of terms."""
+
+
+class StateBudgetError(RuntimeError):
+    """A construction exceeded the configured number of automaton states."""
 
 
 @dataclass(frozen=True)
@@ -266,22 +270,26 @@ def hadamard_bruteforce(a: NCPoly, b: NCPoly) -> NCPoly:
     return out
 
 
-def substitute_letters(f: NCPoly, mapping: Mapping[int, object], out_table: VarTable) -> NCPoly:
+def substitute_letters(
+    f: NCPoly, image: Callable[[int, int], object], out_table: VarTable
+) -> NCPoly:
     """Replace each letter by a variable (Var) or scalar, combining like terms.
 
-    Scalars multiply into the coefficient and vanish from the word.  Every
-    letter occurring in ``f`` must be mapped.
+    ``image(position, variable id)`` gives the image of the letter at that
+    1-based position and raises KeyError where it is undefined; the error
+    is re-raised naming the variable and the position.  Scalars multiply
+    into the coefficient and vanish from the word.
     """
     out = NCPoly.zero(out_table)
     for w, c in f.terms.items():
         coeff = c
         letters = []
-        for vid in w:
+        for pos, vid in enumerate(w, 1):
             try:
-                img = mapping[vid]
+                img = image(pos, vid)
             except KeyError:
                 raise KeyError(
-                    f"no image for variable {f.table.name(vid)!r}"
+                    f"no image for variable {f.table.name(vid)!r} at position {pos}"
                 ) from None
             if isinstance(img, Var):
                 letters.append(img.id)
@@ -299,82 +307,6 @@ def substitute_letters(f: NCPoly, mapping: Mapping[int, object], out_table: VarT
         else:
             out.terms[word] = s
     return out
-
-
-# ---------------------------------------------------------------------------
-# Matrices with polynomial entries
-
-
-class PolyMatrix:
-    """Square matrix of NCPoly entries sharing one variable table."""
-
-    __slots__ = ("table", "dim", "entries")
-
-    def __init__(self, table: VarTable, entries: Sequence[Sequence[NCPoly]]):
-        self.table = table
-        self.dim = len(entries)
-        for row in entries:
-            if len(row) != self.dim:
-                raise ValueError("matrix must be square")
-            for e in row:
-                if e.table is not table and e.table != table:
-                    raise TableMismatchError("entry uses a foreign variable table")
-        self.entries = [list(row) for row in entries]
-
-    @classmethod
-    def zeros(cls, table: VarTable, dim: int) -> "PolyMatrix":
-        return cls(table, [[NCPoly.zero(table) for _ in range(dim)] for _ in range(dim)])
-
-    @classmethod
-    def identity(cls, table: VarTable, dim: int) -> "PolyMatrix":
-        m = cls.zeros(table, dim)
-        one = table.field.one
-        for i in range(dim):
-            m.entries[i][i] = NCPoly.const(table, one)
-        return m
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r][c]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-
-def mat_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")
-    return PolyMatrix(
-        a.table,
-        [[a.entries[i][j] + b.entries[i][j] for j in range(a.dim)] for i in range(a.dim)],
-    )
-
-
-def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Matrix product; entry products keep A's entry on the left."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")
-    n = a.dim
-    out = PolyMatrix.zeros(a.table, n)
-    for i in range(n):
-        arow = a.entries[i]
-        for k in range(n):
-            e = arow[k]
-            if not e:
-                continue
-            brow = b.entries[k]
-            for j in range(n):
-                if brow[j]:
-                    out.entries[i][j] = out.entries[i][j] + e * brow[j]
-    return out
-
-
-def mat_scale(a: PolyMatrix, c) -> PolyMatrix:
-    return PolyMatrix(a.table, [[e.scale(c) for e in row] for row in a.entries])
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,18 @@ interior in breadth-first order) and the (i, j) entry is the output of the
 transition i --x--> j.  Evaluating a polynomial on those matrices and
 reading the (start, accept) entry realizes automaton-filtered substitution,
 and with the transition matrices of a branching program re-attached to
-their variables it computes Hadamard products.
+their variables it computes Hadamard products.  One sparse row-vector
+product, row_times_matrix, does every such evaluation.
 """
 
 from .abp import Abp, transition_matrices
 from .algebra import (
+    DEFAULT_TERM_BUDGET,
     NCPoly,
-    PolyMatrix,
     TableMismatchError,
+    TermBudgetError,
     VarTable,
     Word,
-    mat_add,
-    mat_mul,
 )
 
 MAX_ENTRY_DEGREE = 3
@@ -163,7 +163,7 @@ class MatrixSubstitution:
         self._rows_cache: dict = {}
 
     def rows(self, vid: int) -> dict:
-        """Row-indexed adjacency for fast sparse products."""
+        """Row-indexed adjacency: row -> sorted (column, coefficient, word) cells."""
         if vid not in self._rows_cache:
             adj: dict[int, list] = {}
             for (r, c), (coeff, word) in self.entries.get(vid, {}).items():
@@ -182,12 +182,65 @@ class MatrixSubstitution:
         entries.setdefault(vid, {})[(r, c)] = (coeff, tuple(word))
         return MatrixSubstitution(self.input_table, self.output_table, self.dim, entries)
 
-    def poly_matrix(self, vid: int) -> PolyMatrix:
-        """Materialize one variable's matrix with polynomial entries."""
-        m = PolyMatrix.zeros(self.output_table, self.dim)
-        for (r, c), (coeff, word) in self.entries.get(vid, {}).items():
-            m.entries[r][c] = NCPoly.monomial(self.output_table, word, coeff)
-        return m
+    def evaluate(self, g: NCPoly) -> NCPoly:
+        """The (start, accept) entry of g evaluated on these matrices.
+
+        Each term starts as its coefficient at the start state and passes
+        through row_times_matrix once per letter, so like words merge per
+        column and the cost follows the (column, word) pairs, not the
+        automaton paths.  Variables without a matrix act as zero matrices
+        and kill their words.
+        """
+        accept = self.dim - 1
+        out = NCPoly.zero(self.output_table)
+        acc = out.terms
+        for w, coeff in g.terms.items():
+            vec = {0: {(): coeff}}
+            for vid in w:
+                vec = row_times_matrix(vec, self.rows(vid))
+                if not vec:
+                    break
+            for word, x in vec.get(accept, {}).items():
+                s = acc.get(word)
+                s = x if s is None else s + x
+                if s:
+                    acc[word] = s
+                else:
+                    del acc[word]
+        return out
+
+
+def row_times_matrix(vec: dict, rows: dict) -> dict:
+    """Sparse row vector times sparse matrix, like words merged per column.
+
+    vec maps a column to its polynomial entry {word: nonzero coefficient};
+    rows is a matrix in the MatrixSubstitution.rows form, row -> list of
+    (column, coefficient, word) cells, where several cells may share a
+    column.  Each entry of vec is multiplied on the right by the monomials
+    of its row, and the products landing in one column are summed word by
+    word, so the result holds one coefficient per (column, word) and no
+    zeros.  The coefficients lie in a field, so a product of nonzero
+    scalars is nonzero and only sums can cancel.
+    """
+    out: dict[int, dict] = {}
+    cancelled = False
+    for r, poly in vec.items():
+        for c, cf, piece in rows.get(r, ()):
+            acc = out.get(c)
+            if acc is None:
+                out[c] = acc = {}
+            for w, x in poly.items():
+                w += piece
+                s = acc.get(w)
+                s = x * cf if s is None else s + x * cf
+                if s:
+                    acc[w] = s
+                else:
+                    del acc[w]
+                    cancelled = True
+    if cancelled:
+        out = {c: acc for c, acc in out.items() if acc}
+    return out
 
 
 def automaton_to_substitution(a: SubstAutomaton) -> MatrixSubstitution:
@@ -236,12 +289,33 @@ def _reattached_matrices(g: Abp) -> dict:
     return out
 
 
-def hadamard_via_matrices(f, g: Abp) -> NCPoly:
+def _row_vector(cells) -> dict:
+    """Cells of the rows form as a row vector, like cells summed."""
+    vec: dict[int, dict] = {}
+    for c, x, w in cells:
+        acc = vec.setdefault(c, {})
+        acc[w] = acc[w] + x if w in acc else x
+    return vec
+
+
+def _row_cells(vec: dict) -> list:
+    """A row vector as cells of the rows form, zero coefficients dropped."""
+    return [(c, x, w) for c, poly in vec.items() for w, x in poly.items() if x]
+
+
+def hadamard_via_matrices(f, g: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> NCPoly:
     """Coefficientwise product of f (circuit or polynomial) with abp_eval(g).
 
     Every variable of f is evaluated at the corresponding transition matrix
     of g with the variable re-attached; the (source, sink) entry of the
     result is the Hadamard product.  g must be homogeneous.
+
+    A polynomial goes through MatrixSubstitution.evaluate term by term.  A
+    circuit keeps one sparse matrix per gate in the rows form: an input is
+    its re-attached matrix, a constant a scaled identity, a sum merges the
+    rows of its arguments, and a product sends each row of the left matrix
+    through row_times_matrix.  TermBudgetError is raised once a gate's
+    matrix holds more than term_budget terms.
     """
     from .circuits import Add, Circuit, Const, Input
 
@@ -252,39 +326,34 @@ def hadamard_via_matrices(f, g: Abp) -> NCPoly:
         raise TableMismatchError("circuit and branching program tables differ")
     q = g.size
     sub = MatrixSubstitution(table, table, q, _reattached_matrices(g))
+    if not isinstance(f, Circuit):
+        return sub.evaluate(f)
 
-    if isinstance(f, Circuit):
-        mats: dict[int, PolyMatrix] = {}
-        for gid in f.reachable():
-            gate = f.gates[gid]
-            if isinstance(gate, Input):
-                mats[gid] = sub.poly_matrix(gate.var)
-            elif isinstance(gate, Const):
-                ident = PolyMatrix.identity(table, q)
-                mats[gid] = PolyMatrix(
-                    table, [[e.scale(gate.value) for e in row] for row in ident.entries]
-                )
-            elif isinstance(gate, Add):
-                mats[gid] = mat_add(mats[gate.left], mats[gate.right])
-            else:
-                mats[gid] = mat_mul(mats[gate.left], mats[gate.right])
-        return mats[f.output][0, q - 1]
-
+    mats: dict[int, dict] = {}
+    for gid in f.reachable():
+        gate = f.gates[gid]
+        if isinstance(gate, Input):
+            m = sub.rows(gate.var)
+        elif isinstance(gate, Const):
+            m = {i: [(i, gate.value, ())] for i in range(q)} if gate.value != 0 else {}
+        elif isinstance(gate, Add):
+            a, b = mats[gate.left], mats[gate.right]
+            m = {
+                r: _row_cells(_row_vector(a.get(r, []) + b.get(r, [])))
+                for r in a.keys() | b.keys()
+            }
+        else:
+            a, b = mats[gate.left], mats[gate.right]
+            m = {
+                r: _row_cells(row_times_matrix(_row_vector(cells), b))
+                for r, cells in a.items()
+            }
+        m = {r: cells for r, cells in m.items() if cells}
+        if sum(map(len, m.values())) > term_budget:
+            raise TermBudgetError(f"gate g{gid} matrix holds more than {term_budget} terms")
+        mats[gid] = m
     out = NCPoly.zero(table)
-    for w, coeff in f.terms.items():
-        vec = {0: NCPoly.const(table, coeff)}
-        for vid in w:
-            rows = sub.rows(vid)
-            nxt: dict[int, NCPoly] = {}
-            for r, poly in vec.items():
-                for c, cf, word in rows.get(r, ()):  # entries are coeff * variable
-                    piece = poly * NCPoly.monomial(table, word, cf)
-                    nxt[c] = nxt.get(c, NCPoly.zero(table)) + piece
-            vec = nxt
-            if not vec:
-                break
-        if q - 1 in vec:
-            out = out + vec[q - 1]
+    out.terms.update({w: x for c, x, w in mats[f.output].get(0, ()) if c == q - 1})
     return out
 
 

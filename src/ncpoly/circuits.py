@@ -263,7 +263,8 @@ class BracketedCircuit:
 
     def recover(self, f: NCPoly) -> NCPoly:
         """Apply the recovery substitution to an expansion of the circuit."""
-        return substitute_letters(f, self.recovery_map(), self.source_table)
+        images = self.recovery_map()
+        return substitute_letters(f, lambda _pos, vid: images[vid], self.source_table)
 
 
 def _const_key(table: VarTable, value) -> str:

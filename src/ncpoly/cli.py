@@ -3,7 +3,7 @@
 Subcommands: family, expand, reduce, verify, rank, hadamard, compose.
 All outputs are deterministic (identical inputs give byte-identical
 files) and written atomically.  Exit codes: 0 success, 1 a verification
-found a mismatch, 2 usage or parse errors.
+found a mismatch, 2 usage, parse or budget errors.
 """
 
 import argparse
@@ -16,6 +16,7 @@ from pathlib import Path
 from .abp import abp_eval, hankel_rank, parse_abp
 from .algebra import (
     DEFAULT_TERM_BUDGET,
+    StateBudgetError,
     TermBudgetError,
     VarTable,
     format_poly,
@@ -106,11 +107,11 @@ def _build_reduction(kind: str, params: dict, cfg: WorkspaceConfig):
     field = cfg.field
     if kind == "dyck-complete":
         circuit = parse_circuit(Path(_need(params, "circuit")).read_text(), VarTable(field=field))
-        r = dyck_completeness_reduction(circuit)
+        r = dyck_completeness_reduction(circuit, state_budget=cfg.state_budget)
         return r, expand(circuit, term_budget=cfg.term_budget)
     if kind == "pal-vsk":
         circuit = parse_circuit(Path(_need(params, "circuit")).read_text(), VarTable(field=field))
-        r = pal_vsk_reduction(circuit)
+        r = pal_vsk_reduction(circuit, state_budget=cfg.state_budget)
         return r, expand(circuit, term_budget=cfg.term_budget)
     if kind == "pal-d2":
         return pal_to_d2_reduction(int(_need(params, "n")), field), None
@@ -214,7 +215,7 @@ def cmd_hadamard(args, cfg: WorkspaceConfig) -> int:
     else:
         f = parse_poly(Path(args.poly).read_text(), table)
     g = parse_abp(Path(args.abp).read_text(), table)
-    result = hadamard_via_matrices(f, g)
+    result = hadamard_via_matrices(f, g, term_budget=cfg.term_budget)
     _write_atomic(args.out, format_poly(result))
     return 0
 
@@ -317,6 +318,7 @@ def main(argv=None) -> int:
         FieldError,
         CircuitFormatError,
         TermBudgetError,
+        StateBudgetError,
         ValueError,
         KeyError,
         OSError,

@@ -60,35 +60,46 @@ def _balanced_words(pairs, length: int, depth_cap: int | None = None, limit: int
 
     The search keeps the invariant stack height <= letters remaining (with
     matching parity), so every branch completes and no filtering is needed.
+    Words come in depth-first order, each opener in pair order before the
+    closer, and each is found from the previous one without recursion:
+    undo letters back to the last position that has a later move, take
+    that move, and complete the word with the first move at each position.
     A limit aborts the enumeration as soon as it is exceeded.
     """
+    if length % 2 or (length and depth_cap is not None and depth_cap < 1):
+        return []
+    rank = {o: k for k, (o, _c) in enumerate(pairs)}
     out: list[Word] = []
     word: list[int] = []
-    stack: list[int] = []
-
-    def rec(pos: int):
-        if pos == length:
-            if limit is not None and len(out) >= limit:
-                raise TermBudgetError(f"balanced-word enumeration exceeded {limit} terms")
-            out.append(tuple(word))
-            return
-        remaining = length - pos
-        if len(stack) + 1 <= remaining - 1 and (depth_cap is None or len(stack) < depth_cap):
-            for o, c in pairs:
-                word.append(o)
-                stack.append(c)
-                rec(pos + 1)
-                stack.pop()
-                word.pop()
-        if stack:
-            c = stack.pop()
-            word.append(c)
-            rec(pos + 1)
-            word.pop()
-            stack.append(c)
-
-    rec(0)
-    return out
+    stack: list[int] = []  # closers of the unmatched openers
+    while True:
+        while len(word) < length:
+            if len(stack) + 2 <= length - len(word) and (
+                depth_cap is None or len(stack) < depth_cap
+            ):
+                word.append(pairs[0][0])
+                stack.append(pairs[0][1])
+            else:
+                word.append(stack.pop())
+        if limit is not None and len(out) >= limit:
+            raise TermBudgetError(f"balanced-word enumeration exceeded {limit} terms")
+        out.append(tuple(word))
+        while word:
+            v = word.pop()
+            k = rank.get(v)
+            if k is None:  # a closer, whose position has no later move
+                stack.append(v)
+                continue
+            stack.pop()
+            if k + 1 < len(pairs):
+                word.append(pairs[k + 1][0])
+                stack.append(pairs[k + 1][1])
+                break
+            if stack:
+                word.append(stack.pop())
+                break
+        else:
+            return out
 
 
 # ---------------------------------------------------------------------------

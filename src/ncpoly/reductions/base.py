@@ -29,7 +29,7 @@ from ..algebra import (
     TermBudgetError,
     Var,
     VarTable,
-    Word,
+    substitute_letters,
 )
 from ..automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution
 from ..families import FamilyInstance
@@ -65,61 +65,13 @@ def apply_proj(m: ProjMap, g: NCPoly) -> NCPoly:
     for vid in g.var_ids():
         if vid not in m.mapping:
             raise KeyError(f"projection undefined on {g.table.name(vid)!r}")
-    out = NCPoly.zero(m.output_table)
-    for w, c in g.terms.items():
-        coeff = c
-        letters = []
-        for vid in w:
-            img = m.mapping[vid]
-            if isinstance(img, Var):
-                letters.append(img.id)
-            else:
-                coeff = coeff * img
-                if coeff == 0:
-                    break
-        if coeff == 0:
-            continue
-        word = tuple(letters)
-        s = out.terms.get(word)
-        s = coeff if s is None else s + coeff
-        if s == 0:
-            out.terms.pop(word, None)
-        else:
-            out.terms[word] = s
-    return out
+    return substitute_letters(g, lambda _pos, vid: m.mapping[vid], m.output_table)
 
 
 def apply_iproj(m: IProjMap, g: NCPoly) -> NCPoly:
     if g.table != m.input_table:
         raise TableMismatchError("polynomial is not over the map's input table")
-    out = NCPoly.zero(m.output_table)
-    for w, c in g.terms.items():
-        coeff = c
-        letters = []
-        for i, vid in enumerate(w):
-            try:
-                img = m.mapping[(i + 1, vid)]
-            except KeyError:
-                raise KeyError(
-                    f"indexed projection undefined at position {i + 1} on "
-                    f"{g.table.name(vid)!r}"
-                ) from None
-            if isinstance(img, Var):
-                letters.append(img.id)
-            else:
-                coeff = coeff * img
-                if coeff == 0:
-                    break
-        if coeff == 0:
-            continue
-        word = tuple(letters)
-        s = out.terms.get(word)
-        s = coeff if s is None else s + coeff
-        if s == 0:
-            out.terms.pop(word, None)
-        else:
-            out.terms[word] = s
-    return out
+    return substitute_letters(g, lambda pos, vid: m.mapping[(pos, vid)], m.output_table)
 
 
 # ---------------------------------------------------------------------------
@@ -148,38 +100,14 @@ class AbpReduction:
 def apply_abp_reduction(r: AbpReduction, g: NCPoly) -> NCPoly:
     """Evaluate g termwise on the matrices and extract the (1, q) entry.
 
+    See MatrixSubstitution.evaluate: each term passes through one sparse
+    row-vector product per letter, with like words merged per column.
     Variables without a matrix act as zero matrices and kill their words.
     """
     sub = r.substitution
     if g.table != sub.input_table:
         raise TableMismatchError("polynomial is not over the substitution's alphabet")
-    table = sub.output_table
-    field = table.field
-    accept = sub.dim - 1
-    acc: dict[Word, object] = {}
-    for w, coeff in g.terms.items():
-        vec = {0: [(coeff, ())]}  # column -> list of (scalar, word) contributions
-        for vid in w:
-            rows = sub.rows(vid)
-            nxt: dict[int, list] = {}
-            for r0, contribs in vec.items():
-                for c0, cf, piece in rows.get(r0, ()):
-                    bucket = nxt.setdefault(c0, [])
-                    for sc, word in contribs:
-                        bucket.append((sc * cf, word + piece))
-            vec = nxt
-            if not vec:
-                break
-        for sc, word in vec.get(accept, ()):
-            s = acc.get(word)
-            s = sc if s is None else s + sc
-            if s == 0:
-                acc.pop(word, None)
-            else:
-                acc[word] = s
-    out = NCPoly.zero(table)
-    out.terms.update({w: c for w, c in acc.items() if c != 0})
-    return out
+    return sub.evaluate(g)
 
 
 def _add_product(acc: dict, left: dict, right: dict | None, term_budget: int) -> None:

@@ -18,6 +18,7 @@ the test suite, for every corpus circuit.
 
 from collections import deque
 
+from ..algebra import StateBudgetError
 from ..automata import SubstAutomaton, automaton_to_substitution
 from ..circuits import (
     Add,
@@ -210,7 +211,7 @@ def dyck_completeness_reduction(c: Circuit, state_budget: int = 10**5) -> AbpRed
                 _o, cl = gate_pair[h]
                 a.add_transition(name, enc[cl], push("E", c.gates[h].right, pos + 1))
         if len(a.states) > state_budget:
-            raise RuntimeError(f"state budget {state_budget} exceeded")
+            raise StateBudgetError(f"state budget {state_budget} exceeded")
 
     sub = automaton_to_substitution(a)
     return AbpReduction(sub, "circuit", target.spec_string, kind="dyck-complete", automaton=a)
@@ -298,7 +299,7 @@ def pal_vsk_reduction(c: Circuit, state_budget: int = 10**5) -> AbpReduction:
         gid, pos = queue.popleft()
         name = f"W{gid}@{pos}"
         if len(a.states) > state_budget:
-            raise RuntimeError(f"state budget {state_budget} exceeded")
+            raise StateBudgetError(f"state budget {state_budget} exceeded")
         if pos > r:
             continue
         center_vars: dict = {}  # letter -> (total coeff, payload word)

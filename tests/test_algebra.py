@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from ncpoly.algebra import (
     NCPoly,
-    PolyMatrix,
     TableMismatchError,
     VarTable,
     exact_rank,
     format_poly,
     hadamard_bruteforce,
-    mat_add,
-    mat_mul,
-    mat_scale,
     parse_poly,
     poly_add,
     poly_mul,
@@ -195,53 +191,9 @@ def test_substitute_letters_scalars_and_vars():
     t = VarTable(["a", "b"])
     out = VarTable(["x"])
     f = NCPoly(t, {t.word("a", "b"): Fraction(1), t.word("b", "b"): Fraction(2)})
-    g = substitute_letters(f, {t.var("a").id: out.var("x"), t.var("b").id: Fraction(3)}, out)
+    images = {t.var("a").id: out.var("x"), t.var("b").id: Fraction(3)}
+    g = substitute_letters(f, lambda _pos, vid: images[vid], out)
     assert g.terms == {out.word("x"): 3, (): 18}
-
-
-# -- matrices ---------------------------------------------------------------
-
-
-def test_identity_matmul():
-    t = xy_table()
-    a = PolyMatrix(
-        t,
-        [
-            [NCPoly.variable(t, "x0"), NCPoly.zero(t)],
-            [NCPoly.zero(t), NCPoly.variable(t, "x1")],
-        ],
-    )
-    assert mat_mul(PolyMatrix.identity(t, 2), a) == a
-
-
-def test_diagonal_square():
-    t = xy_table()
-    a = PolyMatrix(
-        t,
-        [
-            [NCPoly.variable(t, "x0"), NCPoly.zero(t)],
-            [NCPoly.zero(t), NCPoly.variable(t, "x1")],
-        ],
-    )
-    sq = mat_mul(a, a)
-    assert sq[0, 0].terms == {t.word("x0", "x0"): 1}
-    assert sq[1, 1].terms == {t.word("x1", "x1"): 1}
-    assert not sq[0, 1] and not sq[1, 0]
-
-
-def test_hand_multiplied_2x2_order():
-    t = xy_table()
-    x0, x1 = NCPoly.variable(t, "x0"), NCPoly.variable(t, "x1")
-    z = NCPoly.zero(t)
-    a = PolyMatrix(t, [[x0, x1], [z, x0]])
-    b = PolyMatrix(t, [[x1, z], [x0, x1]])
-    prod = mat_mul(a, b)
-    # hand computation: entry (0,0) = x0*x1 + x1*x0 in that order
-    assert prod[0, 0].terms == {t.word("x0", "x1"): 1, t.word("x1", "x0"): 1}
-    assert prod[0, 1].terms == {t.word("x1", "x1"): 1}
-    assert prod[1, 0].terms == {t.word("x0", "x0"): 1}
-    assert prod[1, 1].terms == {t.word("x0", "x1"): 1}
-    assert mat_add(a, a) == mat_scale(a, Fraction(2))
 
 
 # -- exact rank -------------------------------------------------------------

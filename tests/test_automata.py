@@ -6,6 +6,7 @@ import corpus
 from ncpoly.abp import Abp, LinearForm
 from ncpoly.algebra import NCPoly, VarTable, hadamard_bruteforce, poly_mul
 from ncpoly.automata import (
+    MatrixSubstitution,
     NondeterminismError,
     SubstAutomaton,
     automaton_to_substitution,
@@ -254,6 +255,44 @@ def test_hadamard_matches_bruteforce_on_random_pairs():
         assert hadamard_via_matrices(c, g) == expected
         assert hadamard_via_matrices(expand(c), g) == expected
     assert rng  # keep the seeded generator convention visible
+
+
+def test_termwise_apply_on_a_complete_width3_abp_matches_bruteforce():
+    # every vertex of a layer feeds every vertex of the next, so three paths
+    # reach each column after each letter and their words must merge
+    from itertools import product
+
+    from ncpoly.abp import abp_eval, transition_matrices
+    from ncpoly.reductions.base import AbpReduction, apply_abp_reduction
+
+    rng = random.Random(31)
+    t = xy()
+    layers = [1, 3, 3, 3, 3, 1]
+
+    def form():
+        return LinearForm.make(t, {v: Fraction(rng.randint(-2, 2)) for v in (0, 1)})
+
+    edges = [
+        [(u, v, form()) for u in range(a) for v in range(b)]
+        for a, b in zip(layers, layers[1:])
+    ]
+    g = Abp(t, layers, edges)
+    cells = {
+        vid: {
+            (i, j): (c, (vid,))
+            for i, row in enumerate(rows)
+            for j, c in enumerate(row)
+            if c != 0
+        }
+        for vid, rows in transition_matrices(g).items()
+    }
+    r = AbpReduction(MatrixSubstitution(t, t, g.size, cells), "", "")
+    f = NCPoly(t, {w: Fraction(rng.randint(-3, 3)) for w in product((0, 1), repeat=5)})
+    f = f + NCPoly(t, {w: Fraction(1) for w in product((0, 1), repeat=3)})
+    expected = hadamard_bruteforce(f, abp_eval(g))
+    assert len(expected.terms) > 16
+    assert apply_abp_reduction(r, f) == expected
+    assert hadamard_via_matrices(f, g) == expected
 
 
 def test_hadamard_rejects_inhomogeneous_abp():

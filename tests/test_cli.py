@@ -259,6 +259,49 @@ def test_rank_honours_term_budget(capsys):
         assert _one_error_line(err)
 
 
+def test_long_balanced_words_exit_2_without_recursion(capsys):
+    # each word has 2400 letters; enumerating them once recursed per letter
+    for argv in (
+        ("--term-budget", "10", "family", "dyck:k=1,d=2400"),
+        ("--term-budget", "10", "rank", "dyckdepth:k=2,n=1200", "--cut", "1200"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert _one_error_line(err)
+
+
+def test_reduce_state_budget_is_checked_during_the_build(tmp_path, capsys):
+    circ = tmp_path / "c.txt"
+    circ.write_text("g0 const 3\ng1 input x1\ng2 mul g0 g1\noutput g2\n")
+    red = tmp_path / "r.txt"
+    for kind in ("dyck-complete", "pal-vsk"):
+        argv = ("--state-budget", "3", "reduce", kind, f"circuit={circ}", "--out", str(red))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "state budget 3 exceeded" in err
+    assert not red.exists()
+
+
+def test_hadamard_circuit_honours_term_budget(tmp_path, capsys):
+    circ = tmp_path / "c.txt"
+    circ.write_text("g0 input x0\ng1 input x1\ng2 add g0 g1\ng3 mul g2 g2\noutput g3\n")
+    abp = tmp_path / "g.txt"
+    abp.write_text(
+        "layers 0:1 1:2 2:1\n"
+        "edge 0 0 0 1 x0\n"
+        "edge 0 0 1 1 x1\n"
+        "edge 1 0 0 1 x0\n"
+        "edge 1 1 0 1 x1\n"
+    )
+    out = tmp_path / "h.txt"
+    argv = ("hadamard", "--circuit", str(circ), "--abp", str(abp), "--out", str(out))
+    code, _, err = run(capsys, "--term-budget", "3", *argv)
+    assert code == 2 and _one_error_line(err) and "3 terms" in err
+    assert not out.exists()
+    assert run(capsys, "--term-budget", "4", *argv)[0] == 0
+    assert out.read_text() == "1 x0 x0\n1 x1 x1\n"
+
+
 def test_hadamard_abp_edge_gap_out_of_range_exits_2(tmp_path, capsys):
     circ = tmp_path / "c.txt"
     circ.write_text("g0 input x0\ng1 input x1\ng2 add g0 g1\ng3 mul g2 g2\noutput g3\n")

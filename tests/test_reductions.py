@@ -5,7 +5,7 @@ import pytest
 
 import corpus
 from ncpoly.abp import abp_eval, bounded_depth_dyck_abp
-from ncpoly.algebra import NCPoly, TermBudgetError, Var, VarTable
+from ncpoly.algebra import NCPoly, StateBudgetError, TermBudgetError, Var, VarTable
 from ncpoly.automata import MatrixSubstitution
 from ncpoly.circuits import expand, parse_circuit
 from ncpoly.families import (
@@ -113,6 +113,14 @@ def test_apply_proj_requires_totality():
     m = ProjMap(t, t, {t.var("a").id: t.var("a")})
     with pytest.raises(KeyError):
         apply_proj(m, f)
+
+
+def test_apply_iproj_error_names_the_position():
+    t = VarTable(["a", "b"])
+    f = NCPoly(t, {t.word("a", "b"): Fraction(1)})
+    m = IProjMap(t, t, {(1, t.var("a").id): t.var("a")})
+    with pytest.raises(KeyError, match="'b' at position 2"):
+        apply_iproj(m, f)
 
 
 def test_monotonicity_of_term_counts():
@@ -512,6 +520,16 @@ def test_pal_vsk_spec_examples():
     for c in (chain, scalar, two):
         r = pal_vsk_reduction(c)
         assert verify_reduction(r, instance_of(c), make_family(r.target)).passed
+
+
+def test_constructions_raise_state_budget_error():
+    c = corpus.hand_skew_circuits()[3]
+    with pytest.raises(StateBudgetError, match="state budget 3"):
+        dyck_completeness_reduction(c, state_budget=3)
+    with pytest.raises(StateBudgetError, match="state budget 3"):
+        pal_vsk_reduction(c, state_budget=3)
+    with pytest.raises(StateBudgetError, match="state budget 3"):
+        bounded_depth_dyck_abp(2, 3, state_budget=3)
 
 
 def test_pal_vsk_rejects_non_skew():

@@ -361,28 +361,43 @@ def exact_rank(rows: Iterable[Mapping | Sequence]) -> int:
 
 def format_poly(f: NCPoly) -> str:
     fmt = f.table.field.format
+    names = f.table._names
     lines = []
     for w in sorted(f.terms):
         if w:
-            lines.append(fmt(f.terms[w]) + " " + " ".join(f.table.word_names(w)))
+            lines.append(fmt(f.terms[w]) + " " + " ".join([names[v] for v in w]))
         else:
             lines.append(fmt(f.terms[w]) + " 1")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_poly(text: str, table: VarTable) -> NCPoly:
-    """Parse the text format; unknown variable names are added to the table."""
+    """Parse the text format; unknown variable names are added to the table.
+
+    Known names cost one lookup in the table's name -> id dict, and only a
+    line holding a new name goes through ``get_or_add``, which validates
+    names and numbers them in first-seen order.  Each distinct coefficient
+    literal is parsed once per call.
+    """
     out = NCPoly.zero(table)
+    ids = table._ids
+    parse = table.field.parse
+    scalars: dict[str, object] = {}
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        coeff = table.field.parse(tokens[0])
-        if tokens[1:] == ["1"]:
+        coeff = scalars.get(tokens[0])
+        if coeff is None:
+            coeff = scalars[tokens[0]] = parse(tokens[0])
+        names = tokens[1:]
+        if names == ["1"]:
             word: Word = ()
         else:
-            word = tuple(table.get_or_add(t).id for t in tokens[1:])
+            try:
+                word = tuple([ids[t] for t in names])
+            except KeyError:
+                word = tuple(table.get_or_add(t).id for t in names)
         s = out.terms.get(word)
         s = coeff if s is None else s + coeff
         if s == 0:

@@ -10,7 +10,9 @@ transition i --x--> j.  Evaluating a polynomial on those matrices and
 reading the (start, accept) entry realizes automaton-filtered substitution,
 and with the transition matrices of a branching program re-attached to
 their variables it computes Hadamard products.  One sparse row-vector
-product, row_times_matrix, does every such evaluation.
+product, row_times_matrix, does every such evaluation; on a polynomial it
+runs once per distinct prefix of the support, since terms that share a
+prefix share its row vector.
 """
 
 from .abp import Abp, transition_matrices
@@ -185,22 +187,43 @@ class MatrixSubstitution:
     def evaluate(self, g: NCPoly) -> NCPoly:
         """The (start, accept) entry of g evaluated on these matrices.
 
-        Each term starts as its coefficient at the start state and passes
-        through row_times_matrix once per letter, so like words merge per
-        column and the cost follows the (column, word) pairs, not the
+        The terms are walked in sorted word order over a stack of row
+        vectors, entry i being the start row times the first i letters of
+        the previous word.  Each word keeps the stack up to its longest
+        common prefix with the previous one and pushes one row_times_matrix
+        product per remaining letter, so the kernel runs once per distinct
+        prefix of the support (once per node of its trie), not once per
+        letter of each term.  A dead prefix stays on the stack as an empty
+        vector, so the words sharing it cost no product.  The walk starts
+        from one, and each term's coefficient multiplies the accept column
+        at the end; scalars commute, so this is exact.  Like words merge
+        per column, so the cost follows the (column, word) pairs, not the
         automaton paths.  Variables without a matrix act as zero matrices
         and kill their words.
         """
         accept = self.dim - 1
         out = NCPoly.zero(self.output_table)
         acc = out.terms
-        for w, coeff in g.terms.items():
-            vec = {0: {(): coeff}}
-            for vid in w:
-                vec = row_times_matrix(vec, self.rows(vid))
-                if not vec:
+        stack = [{0: {(): self.input_table.field.one}}]
+        prev: Word = ()
+        for w in sorted(g.terms):
+            n = 0
+            for a, b in zip(w, prev):
+                if a != b:
                     break
-            for word, x in vec.get(accept, {}).items():
+                n += 1
+            del stack[n + 1 :]
+            vec = stack[n]
+            for vid in w[n:]:
+                if vec:
+                    vec = row_times_matrix(vec, self.rows(vid))
+                stack.append(vec)
+            prev = w
+            if accept not in vec:
+                continue
+            coeff = g.terms[w]
+            for word, x in vec[accept].items():
+                x = x * coeff
                 s = acc.get(word)
                 s = x if s is None else s + x
                 if s:
@@ -310,7 +333,8 @@ def hadamard_via_matrices(f, g: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> 
     of g with the variable re-attached; the (source, sink) entry of the
     result is the Hadamard product.  g must be homogeneous.
 
-    A polynomial goes through MatrixSubstitution.evaluate term by term.  A
+    A polynomial goes through MatrixSubstitution.evaluate, which shares
+    the row vector of each prefix among the terms that start with it.  A
     circuit keeps one sparse matrix per gate in the rows form: an input is
     its re-attached matrix, a constant a scaled identity, a sum merges the
     rows of its arguments, and a product sends each row of the left matrix

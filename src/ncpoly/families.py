@@ -281,11 +281,13 @@ class ChiTable:
     max_distinct: int | None = None
 
     def __post_init__(self):
-        perms = set(itertools.permutations(range(1, self.n + 1)))
-        missing = perms - set(self.values)
+        # checked key by key, so a short table for a large n is refused
+        # without enumerating the n! permutations
+        identity = tuple(range(1, self.n + 1))
+        extra = [s for s in self.values if tuple(sorted(s)) != identity]
+        missing = factorial(self.n) - (len(self.values) - len(extra))
         if missing:
-            raise ValueError(f"chi table misses {len(missing)} permutations")
-        extra = set(self.values) - perms
+            raise ValueError(f"chi table misses {missing} permutations")
         if extra:
             raise ValueError(f"chi table has non-permutation keys: {sorted(extra)[:3]}")
         for sigma, v in self.values.items():
@@ -347,10 +349,13 @@ def gen_per(
     return _instance("per", {"n": n}, table, build)
 
 
-def gen_per_chi(n: int, chi: ChiTable, field: Field = QQ) -> FamilyInstance:
+def gen_per_chi(
+    n: int, chi: ChiTable, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
+) -> FamilyInstance:
     table = per_table(n, field)
 
     def build():
+        _check_count(factorial(n), term_budget)
         return NCPoly(
             table,
             {
@@ -382,10 +387,13 @@ def gen_per_star(
     return _instance("perstar", {"n": n}, table, build)
 
 
-def gen_per_star_chi(n: int, chi: ChiTable, field: Field = QQ) -> FamilyInstance:
+def gen_per_star_chi(
+    n: int, chi: ChiTable, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
+) -> FamilyInstance:
     table = per_table(n, field)
 
     def build():
+        _check_count(factorial(n), term_budget)
         return NCPoly(
             table,
             {
@@ -645,11 +653,11 @@ def make_family(
     if name == "per":
         return gen_per(num("n"), field, term_budget)
     if name == "perchi":
-        return gen_per_chi(num("n"), chi_arg(num("n")), field)
+        return gen_per_chi(num("n"), chi_arg(num("n")), field, term_budget)
     if name == "perstar":
         return gen_per_star(num("n"), field, term_budget)
     if name == "perstarchi":
-        return gen_per_star_chi(num("n"), chi_arg(num("n")), field)
+        return gen_per_star_chi(num("n"), chi_arg(num("n")), field, term_budget)
     if name == "hier":
         return gen_hierarchy(num("i"), num("n"), field, term_budget)
     if name == "prodsums":

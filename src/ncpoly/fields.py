@@ -170,13 +170,12 @@ class PrimeField(Field):
         return ModInt(n % self.p, self.p)
 
     def parse(self, text: str) -> ModInt:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return self.from_int(int(num)) / self.from_int(int(den))
+        num, slash, den = text.partition("/")
         try:
-            return self.from_int(int(text))
-        except ValueError as exc:
-            raise FieldError(f"bad scalar literal {text!r}") from exc
+            value = self.from_int(int(num))
+            return value / self.from_int(int(den)) if slash else value
+        except (ValueError, FieldError) as exc:
+            raise FieldError(f"bad scalar literal {text!r}: {exc}") from exc
 
     def format(self, x: ModInt) -> str:
         return str(x.value)

@@ -100,8 +100,8 @@ class AbpReduction:
 def apply_abp_reduction(r: AbpReduction, g: NCPoly) -> NCPoly:
     """Evaluate g termwise on the matrices and extract the (1, q) entry.
 
-    See MatrixSubstitution.evaluate: each term passes through one sparse
-    row-vector product per letter, with like words merged per column.
+    See MatrixSubstitution.evaluate: one sparse row-vector product per
+    distinct prefix of the support, with like words merged per column.
     Variables without a matrix act as zero matrices and kill their words.
     """
     sub = r.substitution

@@ -18,7 +18,7 @@ from ncpoly.algebra import (
     poly_mul,
     substitute_letters,
 )
-from ncpoly.fields import FieldError, PrimeField
+from ncpoly.fields import QQ, FieldError, PrimeField
 
 
 def xy_table():
@@ -338,3 +338,102 @@ def test_parse_skips_comments_and_blanks():
 
 def test_format_empty_poly():
     assert format_poly(NCPoly.zero(xy_table())) == ""
+
+
+# -- text format properties -------------------------------------------------
+
+NAME_POOL = ("x0", "x1", "y_2", "(1", ")1", "a@3")
+TEXT_FIELDS = (QQ, PrimeField(2), PrimeField(5), PrimeField(1000003))
+
+
+@st.composite
+def literals(draw, field):
+    """(text, value) of a coefficient literal, the value computed without
+    the field's parser."""
+    num = draw(st.integers(-40, 40))
+    den = draw(st.integers(1, 12))
+    if isinstance(field, PrimeField):
+        if den % field.p == 0:
+            den = 1
+        value = field.from_int(num * pow(den, -1, field.p))
+    else:
+        value = Fraction(num, den)
+    text = str(num) if den == 1 and draw(st.booleans()) else f"{num}/{den}"
+    return text, value
+
+
+def first_seen_names(text):
+    seen = []
+    for line in text.splitlines():
+        names = line.split()[1:]
+        if names != ["1"]:
+            seen.extend(n for n in names if n not in seen)
+    return seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_format_parse_roundtrip(data):
+    field = data.draw(st.sampled_from(TEXT_FIELDS))
+    t = VarTable(NAME_POOL, field)
+    words = st.lists(st.integers(0, len(NAME_POOL) - 1), max_size=4).map(tuple)
+    scalars = literals(field).map(lambda pair: pair[1])
+    f = NCPoly(t, data.draw(st.dictionaries(words, scalars, max_size=8)))
+    text = format_poly(f)
+    back = parse_poly(text, VarTable(NAME_POOL, field))
+    assert back == f
+    assert format_poly(back) == text
+    # parsed into an empty table, names are numbered in first-seen order
+    fresh = VarTable(field=field)
+    g = parse_poly(text, fresh)
+    assert list(fresh.names) == first_seen_names(text)
+    assert {fresh.word_names(w): c for w, c in g.terms.items()} == {
+        t.word_names(w): c for w, c in f.terms.items()
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_parse_merges_repeated_words_and_drops_cancelled_ones(data):
+    field = data.draw(st.sampled_from(TEXT_FIELDS))
+    known = data.draw(st.lists(st.sampled_from(NAME_POOL), unique=True, max_size=3))
+    table = VarTable(known, field)
+    terms = data.draw(
+        st.lists(
+            st.tuples(literals(field), st.lists(st.sampled_from(NAME_POOL), max_size=3)),
+            max_size=10,
+        )
+    )
+    lines, expected, seen = [], {}, list(known)
+    for (literal, value), names in terms:
+        copies = [(literal, value)]
+        if data.draw(st.booleans()):  # the same word again, negated
+            copies.append(("-" + literal if literal[0] != "-" else literal[1:], -value))
+        for literal, value in copies:
+            if names:
+                word_text = " ".join(names)
+            else:
+                word_text = data.draw(st.sampled_from(["1", ""]))
+            lines.append(f"{literal} {word_text}" + data.draw(st.sampled_from(["", "  # z9"])))
+            lines.append(data.draw(st.sampled_from(["", "# z9 q8", "   "])))
+            key = tuple(names)
+            expected[key] = expected.get(key, 0) + value
+            seen.extend(n for n in names if n not in seen)
+    f = parse_poly("\n".join(lines), table)
+    assert {table.word_names(w): c for w, c in f.terms.items()} == {
+        k: v for k, v in expected.items() if v != 0
+    }
+    assert list(table.names) == seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_parse_rejects_a_bad_coefficient_literal(data):
+    field = data.draw(st.sampled_from(TEXT_FIELDS))
+    p = field.p if isinstance(field, PrimeField) else 0
+    bad = data.draw(st.sampled_from(["x", "1/0", f"2/{p}", "1/", "/2", "--1", "1//2", "0x1"]))
+    good = data.draw(st.lists(literals(field).map(lambda pair: pair[0]), max_size=4))
+    lines = [f"{lit} x0" for lit in good]
+    lines.insert(data.draw(st.integers(0, len(lines))), f"{bad} x1")
+    with pytest.raises(FieldError, match="literal"):
+        parse_poly("\n".join(lines), VarTable(field=field))

@@ -19,6 +19,7 @@ from ncpoly.automata import (
 )
 from ncpoly.circuits import Add, Circuit, Input, Mul, expand
 from ncpoly.families import gen_pal
+from ncpoly.fields import QQ, PrimeField
 
 
 def xy():
@@ -156,6 +157,166 @@ def test_compiled_matches_run_simulation():
         if sub.dim - 1 in vec:
             applied = applied + vec[sub.dim - 1]
     assert applied == total
+
+
+# -- prefix-shared evaluation against independent oracles ----------------------
+
+
+def run_oracle(a, g):
+    """Sum over the terms of g of SubstAutomaton.run, one word at a time."""
+    out = {}
+    for w, coeff in g.terms.items():
+        accepted, c, word = a.run(w)
+        if accepted:
+            out[word] = out.get(word, 0) + coeff * c
+    return NCPoly(a.output_table, out)
+
+
+def reinserted(g, reverse):
+    """g with its terms inserted in sorted or reverse sorted word order."""
+    h = NCPoly.zero(g.table)
+    h.terms.update(sorted(g.terms.items(), reverse=reverse))
+    return h
+
+
+def evaluate_both_orders(sub, g):
+    return [sub.evaluate(reinserted(g, reverse)) for reverse in (False, True)]
+
+
+def prefix_automaton(t):
+    """x0 reaches accept; from there x1 loops, emitting x1 x1 times 2.
+
+    x0 x0 is dead after its first letter, so it is a dead prefix followed
+    by the live sibling x0 x1.
+    """
+    x0, x1 = t.var("x0").id, t.var("x1").id
+    a = SubstAutomaton(t, t)
+    a.add_state("s", start=True)
+    a.add_state("t", accept=True)
+    a.add_transition("s", x0, "t", t.field.from_int(3), (x0,))
+    a.add_transition("t", x1, "t", t.field.from_int(2), (x1, x1))
+    return a
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "GF5"])
+def test_evaluate_matches_run_on_prefixes_dead_prefixes_and_the_empty_word(field):
+    t = VarTable(["x0", "x1"], field=field)
+    a = prefix_automaton(t)
+    sub = automaton_to_substitution(a)
+    c = field.from_int
+    g = NCPoly(
+        t,
+        {
+            (): c(7),  # start != accept, so the empty word is rejected
+            t.word("x0"): c(2),  # a prefix of the next three words
+            t.word("x0", "x1"): c(-1),
+            t.word("x0", "x1", "x1"): c(4),
+            t.word("x0", "x0", "x1"): c(9),  # dead after x0 x0 ...
+            t.word("x0", "x1", "x0"): c(6),  # ... and dead after x0 x1 x0
+            t.word("x1", "x0"): c(5),  # dead at the first letter
+        },
+    )
+    expected = run_oracle(a, g)
+    assert expected.terms == {
+        t.word("x0"): c(6),
+        t.word("x0", "x1", "x1"): c(-6),
+        t.word("x0", "x1", "x1", "x1", "x1"): c(48),
+    }
+    assert evaluate_both_orders(sub, g) == [expected, expected]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_evaluate_matches_run_when_images_merge_and_cancel(field):
+    # one state, start and accept: x0 emits x0 times 2, x1 emits nothing
+    # times 3, so the image of a word is x0^(number of x0) and the empty
+    # word maps to its own coefficient
+    t = VarTable(["x0", "x1"], field=field)
+    x0, x1 = t.var("x0").id, t.var("x1").id
+    a = SubstAutomaton(t, t)
+    a.add_state("q", start=True, accept=True)
+    a.add_transition("q", x0, "q", field.from_int(2), (x0,))
+    a.add_transition("q", x1, "q", field.from_int(3), ())
+    sub = automaton_to_substitution(a)
+    assert sub.dim == 1
+    c = field.from_int
+    g = NCPoly(
+        t,
+        {
+            t.word("x1", "x0"): c(1),  # x1 x0 - x0 x1 has image 6 x0 - 6 x0 = 0
+            t.word("x0", "x1"): c(-1),
+            t.word("x1", "x1", "x0", "x0"): c(1),  # 36 x0 x0, merging with ...
+            t.word("x0", "x0"): c(2),  # ... 8 x0 x0
+            (): c(5),  # 5, merging with ...
+            t.word("x1"): c(-1),  # ... -3
+        },
+    )
+    expected = run_oracle(a, g)
+    assert t.word("x0") not in expected.terms
+    assert expected.terms[t.word("x0", "x0")] == c(4 * 9 + 2 * 4)
+    assert expected.terms[()] == c(2)
+    assert evaluate_both_orders(sub, g) == [expected, expected]
+
+
+def test_evaluate_matches_run_on_random_polynomials_over_q_and_gf3():
+    from itertools import product
+
+    rng = random.Random(41)
+    for field in (QQ, PrimeField(3)):
+        t = VarTable(["x0", "x1"], field=field)
+        for _ in range(20):
+            a = SubstAutomaton(t, t)
+            states = ["q0", "q1", "q2", "q3"]
+            a.add_state("q0", start=True)
+            # the compiled form reads (start, accept), so they must differ
+            # unless the automaton has one state
+            a.add_state(rng.choice(states[1:]), accept=True)
+            for state in states:
+                for v in (0, 1):
+                    if rng.random() < 0.75:
+                        word = tuple(rng.choice((0, 1)) for _ in range(rng.randint(0, 2)))
+                        coeff = field.from_int(rng.randint(1, 4))
+                        a.add_transition(state, v, rng.choice(states), coeff, word)
+            sub = automaton_to_substitution(a)
+            words = [w for d in range(5) for w in product((0, 1), repeat=d)]
+            g = NCPoly(t, {w: field.from_int(rng.randint(-3, 3)) for w in rng.sample(words, 12)})
+            expected = run_oracle(a, g)
+            assert evaluate_both_orders(sub, g) == [expected, expected]
+
+
+def test_hadamard_poly_branch_matches_bruteforce_over_q_and_gf5():
+    from itertools import product
+
+    from ncpoly.abp import abp_eval
+
+    rng = random.Random(43)
+    for field in (QQ, PrimeField(5)):
+        t = VarTable(["x0", "x1", "x2"], field=field)
+        for trial in range(12):
+            depth = rng.randint(1, 4)
+            layers = [1] + [rng.randint(1, 3) for _ in range(depth - 1)] + [1]
+            edges = []
+            for gap in range(depth):
+                gap_edges = []
+                for u in range(layers[gap]):
+                    for v in range(layers[gap + 1]):
+                        # each edge carries one or two variables, so some
+                        # letters are dead from some vertices
+                        vids = rng.sample(range(3), rng.randint(1, 2))
+                        coeffs = {vid: field.from_int(rng.choice([-2, -1, 1, 2])) for vid in vids}
+                        gap_edges.append((u, v, LinearForm.make(t, coeffs)))
+                edges.append(gap_edges)
+            g = Abp(t, layers, edges)
+            # words of every length up to depth + 1, the empty word included,
+            # so words that are prefixes of others and words that end before
+            # or run past the sink both occur
+            words = [w for d in range(depth + 2) for w in product(range(3), repeat=d)]
+            f = NCPoly(
+                t,
+                {w: field.from_int(rng.randint(-4, 4)) for w in rng.sample(words, min(len(words), 40))},
+            )
+            expected = hadamard_bruteforce(f, abp_eval(g))
+            for reverse in (False, True):
+                assert hadamard_via_matrices(reinserted(f, reverse), g) == expected, (field, trial)
 
 
 # -- filtering -----------------------------------------------------------------

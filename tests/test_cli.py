@@ -259,6 +259,49 @@ def test_rank_honours_term_budget(capsys):
         assert _one_error_line(err)
 
 
+def test_weighted_permanent_families_honour_term_budget(tmp_path, capsys):
+    from itertools import permutations
+
+    chi = tmp_path / "chi.txt"
+    chi.write_text("".join(" ".join(map(str, s)) + " -> 2\n" for s in permutations((1, 2, 3, 4))))
+    out = tmp_path / "f.txt"
+    for family in ("perchi", "perstarchi"):
+        argv = ("family", f"{family}:n=4,chi={chi}", "--out", str(out))
+        code, stdout, err = run(capsys, "--term-budget", "5", *argv)
+        assert code == 2 and stdout == ""
+        assert _one_error_line(err) and "24 terms" in err
+        assert not out.exists()
+        assert run(capsys, "--term-budget", "24", *argv)[0] == 0
+        assert len(out.read_text().splitlines()) == 24
+        out.unlink()
+
+
+def test_short_chi_table_for_a_large_n_is_refused_without_enumerating(tmp_path, capsys):
+    # 12! = 479001600 permutations: the count is checked key by key
+    chi = tmp_path / "chi.txt"
+    chi.write_text("1 2 3 4 5 6 7 8 9 10 11 12 -> 1\n")
+    code, out, err = run(capsys, "family", f"perchi:n=12,chi={chi}")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "misses 479001599 permutations" in err
+
+
+def test_bad_coefficient_literal_exits_2(tmp_path, capsys):
+    red = tmp_path / "r.txt"
+    assert run(capsys, "reduce", "pal-d2", "n=1", "--out", str(red))[0] == 0
+    poly = tmp_path / "p.txt"
+    abp = tmp_path / "g.txt"
+    abp.write_text("layers 0:1 1:1 2:1\nedge 0 0 0 1 x0\nedge 1 0 0 1 x0\n")
+    for field, literal in (("q", "1/0"), ("q", "two"), ("p=5", "1/5"), ("p=5", "x")):
+        poly.write_text(f"1 x0 x0\n{literal} x1 x1\n")
+        for argv in (
+            ("verify", str(red), "--source", f"poly:{poly}"),
+            ("hadamard", "--poly", str(poly), "--abp", str(abp)),
+        ):
+            code, out, err = run(capsys, "--field", field, *argv)
+            assert code == 2 and out == "", (field, literal, argv)
+            assert _one_error_line(err) and literal in err, (field, literal, err)
+
+
 def test_long_balanced_words_exit_2_without_recursion(capsys):
     # each word has 2400 letters; enumerating them once recursed per letter
     for argv in (

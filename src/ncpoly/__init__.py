@@ -17,6 +17,7 @@ from .algebra import (
     TableMismatchError,
     TermBudgetError,
     Var,
+    VarNameError,
     VarTable,
     Word,
     exact_rank,

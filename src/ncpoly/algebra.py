@@ -11,6 +11,7 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -33,6 +34,19 @@ class StateBudgetError(RuntimeError):
     """A construction exceeded the configured number of automaton states."""
 
 
+class VarNameError(ValueError):
+    """A variable name that the text formats cannot write and read back."""
+
+
+# Every scalar literal that Q (fractions.Fraction) or a prime field
+# (int, then an optional /int) parses, without evaluating it.
+_SCALAR_LITERAL = re.compile(
+    r"[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)"
+    r"(?:/[-+]?\d+(?:_\d+)*|(?:\.(?:\d*|\d+(?:_\d+)*))?(?:e[-+]?\d+(?:_\d+)*)?)",
+    re.IGNORECASE,
+)
+
+
 @dataclass(frozen=True)
 class Var:
     id: int
@@ -50,9 +64,16 @@ class VarTable:
             self.add(n)
 
     def add(self, name: str) -> Var:
-        # '#' starts a comment in every text format, so names must avoid it
-        if not name or "#" in name or any(ch.isspace() for ch in name):
-            raise ValueError(f"bad variable name {name!r}")
+        # '#' starts a comment and whitespace separates tokens in every text
+        # format, and a name that reads as a scalar (the constant term's
+        # word is written `1`) would not round-trip
+        if (
+            not name
+            or "#" in name
+            or any(ch.isspace() for ch in name)
+            or _SCALAR_LITERAL.fullmatch(name)
+        ):
+            raise VarNameError(f"bad variable name {name!r}")
         if name in self._ids:
             raise ValueError(f"duplicate variable name {name!r}")
         vid = len(self._names)

@@ -6,10 +6,13 @@ transition, a scalar times a short word over an output alphabet; undefined
 monomials get killed.  Compiling the automaton yields one sparse matrix per
 input variable: rows and columns are states (start first, accept last,
 interior in breadth-first order) and the (i, j) entry is the output of the
-transition i --x--> j.  Evaluating a polynomial on those matrices and
-reading the (start, accept) entry realizes automaton-filtered substitution,
-and with the transition matrices of a branching program re-attached to
-their variables it computes Hadamard products.  One sparse row-vector
+transition i --x--> j.  A start state that also accepts is split in two,
+since the start must be row 1 and the accept state column q; the empty
+word it accepts cannot be read off the identity, so a constant term is
+refused.  Evaluating a polynomial on those matrices and reading the
+(start, accept) entry realizes automaton-filtered substitution, and with
+the transition matrices of a branching program re-attached to their
+variables it computes Hadamard products.  One sparse row-vector
 product, row_times_matrix, does every such evaluation; on a polynomial it
 runs once per distinct prefix of the support, since terms that share a
 prefix share its row vector.
@@ -117,7 +120,8 @@ class SubstAutomaton:
         return self.layer_map() is not None
 
     def state_order(self) -> list[str]:
-        """Start first, accept last, interior states in BFS order."""
+        """Start first, accept last unless it is the start, interior states
+        in BFS order."""
         if self.start is None or self.accept is None:
             raise ValueError("automaton needs designated start and accept states")
         adjacency: dict[str, list] = {}
@@ -137,18 +141,33 @@ class SubstAutomaton:
             if s not in seen:
                 order.append(s)
                 seen.add(s)
-        order.remove(self.accept)
-        order.append(self.accept)
+        if self.accept != self.start:
+            order.remove(self.accept)
+            order.append(self.accept)
         return order
 
 
 class MatrixSubstitution:
-    """One sparse q x q matrix per input variable; extraction at (1, q)."""
+    """One sparse q x q matrix per input variable; extraction at (1, q).
 
-    def __init__(self, input_table: VarTable, output_table: VarTable, dim: int, entries: dict):
+    The empty word evaluates to the identity, whose (1, q) entry is zero
+    when q > 1.  accepts_empty marks a substitution compiled from an
+    automaton that accepts the empty word although q > 1; evaluating a
+    constant term on it raises ValueError instead of dropping the term.
+    """
+
+    def __init__(
+        self,
+        input_table: VarTable,
+        output_table: VarTable,
+        dim: int,
+        entries: dict,
+        accepts_empty: bool = False,
+    ):
         self.input_table = input_table
         self.output_table = output_table
         self.dim = dim
+        self.accepts_empty = accepts_empty and dim > 1
         self.entries = {}
         for vid, cells in entries.items():
             clean = {}
@@ -182,7 +201,17 @@ class MatrixSubstitution:
         """Copy with one cell replaced; used by negative controls."""
         entries = {v: dict(cells) for v, cells in self.entries.items()}
         entries.setdefault(vid, {})[(r, c)] = (coeff, tuple(word))
-        return MatrixSubstitution(self.input_table, self.output_table, self.dim, entries)
+        return MatrixSubstitution(
+            self.input_table, self.output_table, self.dim, entries, self.accepts_empty
+        )
+
+    def check_empty_word(self, has_constant: bool) -> None:
+        """Raise ValueError when a constant term meets accepts_empty."""
+        if has_constant and self.accepts_empty:
+            raise ValueError(
+                "the automaton accepts the empty word, but a "
+                f"{self.dim} x {self.dim} matrix substitution maps it to 0"
+            )
 
     def evaluate(self, g: NCPoly) -> NCPoly:
         """The (start, accept) entry of g evaluated on these matrices.
@@ -199,8 +228,10 @@ class MatrixSubstitution:
         at the end; scalars commute, so this is exact.  Like words merge
         per column, so the cost follows the (column, word) pairs, not the
         automaton paths.  Variables without a matrix act as zero matrices
-        and kill their words.
+        and kill their words.  A constant term raises ValueError when
+        accepts_empty is set.
         """
+        self.check_empty_word(() in g.terms)
         accept = self.dim - 1
         out = NCPoly.zero(self.output_table)
         acc = out.terms
@@ -243,7 +274,8 @@ def row_times_matrix(vec: dict, rows: dict) -> dict:
     of its row, and the products landing in one column are summed word by
     word, so the result holds one coefficient per (column, word) and no
     zeros.  The coefficients lie in a field, so a product of nonzero
-    scalars is nonzero and only sums can cancel.
+    scalars is nonzero and only sums can cancel.  A cell whose coefficient
+    is one adds its entry's coefficients without multiplying.
     """
     out: dict[int, dict] = {}
     cancelled = False
@@ -252,10 +284,13 @@ def row_times_matrix(vec: dict, rows: dict) -> dict:
             acc = out.get(c)
             if acc is None:
                 out[c] = acc = {}
+            unit = cf == 1
             for w, x in poly.items():
                 w += piece
+                if not unit:
+                    x = x * cf
                 s = acc.get(w)
-                s = x * cf if s is None else s + x * cf
+                s = x if s is None else s + x
                 if s:
                     acc[w] = s
                 else:
@@ -267,12 +302,24 @@ def row_times_matrix(vec: dict, rows: dict) -> dict:
 
 
 def automaton_to_substitution(a: SubstAutomaton) -> MatrixSubstitution:
+    """One matrix per input variable over the states in state_order.
+
+    When the start state is also the accept state and there are other
+    states, the state is split: a fresh last state receives a copy of every
+    transition into the start, so the (start, accept) entry sums the
+    nonempty accepted words, and the result is marked accepts_empty.
+    """
     order = a.state_order()
     index = {s: i for i, s in enumerate(order)}
+    split = a.start == a.accept and len(order) > 1
+    dim = len(order) + split
     entries: dict[int, dict] = {}
     for (frm, var), (to, coeff, word) in a.transitions.items():
-        entries.setdefault(var, {})[(index[frm], index[to])] = (coeff, word)
-    return MatrixSubstitution(a.input_table, a.output_table, len(order), entries)
+        cells = entries.setdefault(var, {})
+        cells[(index[frm], index[to])] = (coeff, word)
+        if split and to == a.start:
+            cells[(index[frm], dim - 1)] = (coeff, word)
+    return MatrixSubstitution(a.input_table, a.output_table, dim, entries, split)
 
 
 def filter_by_automaton(f: NCPoly, a: SubstAutomaton) -> NCPoly:
@@ -444,6 +491,8 @@ def format_substitution(sub: MatrixSubstitution) -> str:
         "input-vars " + " ".join(sub.input_table.names),
         "output-vars " + " ".join(sub.output_table.names),
     ]
+    if sub.accepts_empty:
+        lines.append("accepts-empty")
     for vid in sorted(sub.entries):
         cells = sub.entries[vid]
         if not cells:
@@ -461,15 +510,25 @@ def format_substitution(sub: MatrixSubstitution) -> str:
 def parse_substitution(
     text: str, input_table: VarTable | None = None, output_table: VarTable | None = None
 ) -> MatrixSubstitution:
+    """Parse the substitution text format; unknown names are added.
+
+    As in parse_poly, known names cost one lookup in the table's name -> id
+    dict, only a line holding a new name goes through ``get_or_add``, and
+    each distinct coefficient literal is parsed once per call.
+    """
     from .fields import QQ
 
     if input_table is None:
         input_table = VarTable(field=QQ)
     if output_table is None:
         output_table = VarTable(field=input_table.field)
+    in_ids, out_ids = input_table._ids, output_table._ids
+    parse = input_table.field.parse
+    scalars: dict[str, object] = {}
     dim = None
+    accepts_empty = False
     entries: dict[int, dict] = {}
-    current: int | None = None
+    current: dict | None = None
     min_tokens = {"dim": 2, "var": 2, "entry": 4}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -478,7 +537,24 @@ def parse_substitution(
         tokens = line.split()
         if len(tokens) < min_tokens.get(tokens[0], 1):
             raise ValueError(f"short substitution line {line!r}")
-        if tokens[0] == "dim":
+        if tokens[0] == "entry":
+            if current is None or dim is None:
+                raise ValueError("entry line before var/dim")
+            r, c = int(tokens[1]) - 1, int(tokens[2]) - 1
+            coeff = scalars.get(tokens[3])
+            if coeff is None:
+                coeff = scalars[tokens[3]] = parse(tokens[3])
+            try:
+                word = tuple([out_ids[n] for n in tokens[4:]])
+            except KeyError:
+                word = tuple(output_table.get_or_add(n).id for n in tokens[4:])
+            current[(r, c)] = (coeff, word)
+        elif tokens[0] == "var":
+            vid = in_ids.get(tokens[1])
+            if vid is None:
+                vid = input_table.get_or_add(tokens[1]).id
+            current = entries.setdefault(vid, {})
+        elif tokens[0] == "dim":
             dim = int(tokens[1])
         elif tokens[0] == "input-vars":
             for name in tokens[1:]:
@@ -486,18 +562,10 @@ def parse_substitution(
         elif tokens[0] == "output-vars":
             for name in tokens[1:]:
                 output_table.get_or_add(name)
-        elif tokens[0] == "var":
-            current = input_table.get_or_add(tokens[1]).id
-            entries.setdefault(current, {})
-        elif tokens[0] == "entry":
-            if current is None or dim is None:
-                raise ValueError("entry line before var/dim")
-            r, c = int(tokens[1]) - 1, int(tokens[2]) - 1
-            coeff = input_table.field.parse(tokens[3])
-            word = tuple(output_table.get_or_add(n).id for n in tokens[4:])
-            entries[current][(r, c)] = (coeff, word)
+        elif tokens == ["accepts-empty"]:
+            accepts_empty = True
         else:
             raise ValueError(f"bad substitution line {line!r}")
     if dim is None:
         raise ValueError("missing dim line")
-    return MatrixSubstitution(input_table, output_table, dim, entries)
+    return MatrixSubstitution(input_table, output_table, dim, entries, accepts_empty)

@@ -10,13 +10,16 @@ Applying a matrix substitution to an explicitly expanded target is a
 termwise sparse product.  The structured targets used by the completeness
 constructions (balanced-word and palindrome families, whose supports are
 exponentially large) are instead read as grammars, S -> 1 | o S c S by
-first return and P_n = sum_x x P_(n-1) x, and applied through one
-memoized inside sum over the product of grammar and automaton.  Its memo
-keys are (start state, half-length[, depth budget]) reached through
-nonzero cells, so the cost follows the reachable keys times their
-intermediate terms rather than the number of parse trees.  The termwise
-route stays as the independent oracle, and the two are cross-checked in
-the test suite.
+first return and P_n = sum_x x P_(n-1) x, and applied through one inside
+sum over the product of grammar and automaton.  Its keys are (start
+state, half-length[, depth budget]) reached through nonzero cells, and
+it makes three passes over them: a Boolean pass finds each key's end
+states as a bitset, a top-down pass keeps only the end states on an
+accepting derivation, and a polynomial pass builds just those.  The bit
+operations follow the reachable keys; the exact arithmetic follows the
+live keys times their intermediate terms, not the number of parse trees.
+The termwise route stays as the independent oracle, and the two are
+cross-checked in the test suite.
 """
 
 import time
@@ -152,85 +155,233 @@ def _inside_sum(
     The target is the grammar S_m = sum over pairs (o, c) and m1 < m of
     o S_m1 c S_(m-1-m1), with S_0 = 1 (first return: the balanced words
     of length 2m).  with_tail=False fixes m1 = m-1 and drops the tail,
-    which gives the palindromes P_n = sum_x x P_(n-1) x.  A memo key
-    (start state, half-length, depth budget) maps each end state to the
-    exact polynomial summed over all target words of that shape and all
-    nonzero-cell paths between the two states; zero coefficients are
-    dropped, so cancelling terms vanish.  The depth budget is None unless
-    the target caps nesting.  Keys are reached from the start state
-    through nonzero cells only and are ordered by an explicit stack, so
-    the cost follows the reachable keys times their terms, and no target
-    length depends on Python's recursion limit.
+    which gives the palindromes P_n = sum_x x P_(n-1) x.  A key (start
+    state, half-length, depth budget) stands for one exact polynomial per
+    end state, summed over all target words of that shape and all
+    nonzero-cell paths between the two states; the depth budget is None
+    unless the target caps nesting.  Three passes share the keys:
+
+    1. Boolean: the same recurrence over the Boolean semiring, run from
+       (start, half) through nonzero cells on an explicit stack, stores
+       each key's end states as an int bitset and records the order in
+       which keys finish.  Opener cells are grouped by the state they
+       reach; each key visits its inner keys once and then reads only the
+       nonempty ones, and the states that the closers reach from an inner
+       key's end states are found once per opener group.
+    2. Top-down: that order walked backwards, from (start, half) to the
+       accept state, marks per key the end states that lie on an
+       accepting derivation (the usual trimming of useless nonterminals)
+       and counts each marked key's consumers.
+    3. Polynomial: the order walked forwards, which is topological,
+       builds only the marked end states of marked keys.  A (cell, split)
+       whose tail reaches no marked end is skipped, cells whose
+       coefficients multiply to one add without multiplying, and a key is
+       freed once its last consumer is built.
+
+    The Boolean pass costs the reachable keys times their nonempty inner
+    keys in bit operations, plus one membership test per (key, opener
+    group, split) the first time a group is read that far; the polynomial
+    pass costs the marked keys times their intermediate terms.  Zero
+    coefficients are dropped, so cancelling terms vanish, and no target
+    length depends on Python's recursion limit.  A target of half-length
+    0 is the empty word, which raises ValueError when the substitution is
+    marked accepts_empty.
     """
+    sub.check_empty_word(half == 0)
     one = sub.input_table.field.one
-    # state -> [(state after o, coefficient, word, rows of the matching c)]
-    opens: dict[int, list] = {}
+    accept = sub.dim - 1
+    # state -> {state after o: [(coefficient, word, rows of the matching c)]}
+    opens: dict[int, dict] = {}
     for o, c in pairs:
         crow = sub.rows(c)
         for i, cells in sub.rows(o).items():
-            opens.setdefault(i, []).extend((k, co, wo, crow) for k, co, wo in cells)
-    memo: dict[tuple, dict] = {}
-    # key -> {(tail length, state after c): sum of o S_m1 c}, kept while the
-    # key waits for its tails
-    lefts: dict[tuple, dict] = {}
+            by_k = opens.setdefault(i, {})
+            for k, co, wo in cells:
+                by_k.setdefault(k, []).append((co, wo, crow))
+
+    # 1. Boolean pass.  found[(state, depth budget)] holds the nonempty
+    # keys' end-state bitsets by half-length, and upto[...] a half-length
+    # below which every key of that state and budget is in ends.
+    # closed[(i, k, m1, budget)] holds the states that the closers of the
+    # opener group i -> k reach from the end states of inner key (k, m1).
+    # waiting[key] is None while the key's inner keys are built, then
+    # (end states so far, tail keys) while its tails are.
+    ends: dict[tuple, int] = {}
+    found: dict[tuple, dict] = {}
+    upto: dict[tuple, int] = {}
+    closed: dict[tuple, int] = {}
+    order: list[tuple] = []
+    waiting: dict[tuple, tuple | None] = {}
     root = (0, half, depth_cap)
     stack = [root]
     while stack:
         key = stack[-1]
-        if key in memo:
+        if key in ends:
             stack.pop()
             continue
         i, m, b = key
-        if m == 0 or b == 0:
-            memo[key] = {i: {(): one}} if m == 0 else {}
-            stack.pop()
+        if m == 0 or b == 0 or i not in opens:
+            reach = 1 << i if m == 0 else 0
+        else:
+            inner_b = None if b is None else b - 1
+            lo = 0 if with_tail else m - 1
+            if key not in waiting:
+                waiting[key] = None
+                need = [
+                    (k, m1, inner_b)
+                    for k in opens[i]
+                    for m1 in range(max(lo, upto.get((k, inner_b), 0)), m)
+                    if (k, m1, inner_b) not in ends
+                ]
+                if need:
+                    stack.extend(need)
+                    continue
+            state = waiting[key]
+            if state is None:
+                left: dict[int, int] = {}  # tail length -> states after c
+                for k, cells in opens[i].items():
+                    if with_tail and upto.get((k, inner_b), 0) < m:
+                        upto[(k, inner_b)] = m
+                    for m1, inner in found.get((k, inner_b), {}).items():
+                        if not lo <= m1 < m:
+                            continue
+                        after = closed.get((i, k, m1, inner_b))
+                        if after is None:
+                            after = 0
+                            while inner:
+                                j1 = inner.bit_length() - 1
+                                inner ^= 1 << j1
+                                for _, _, crow in cells:
+                                    for k2, _, _ in crow.get(j1, ()):
+                                        after |= 1 << k2
+                            closed[(i, k, m1, inner_b)] = after
+                        if after:
+                            t = m - 1 - m1
+                            left[t] = left.get(t, 0) | after
+                reach = left.pop(0, 0)
+                need = []
+                for t, bits in left.items():
+                    while bits:
+                        k2 = bits.bit_length() - 1
+                        bits ^= 1 << k2
+                        tail = ends.get((k2, t, b))
+                        if tail is None:
+                            need.append((k2, t, b))
+                        else:
+                            reach |= tail
+                if need:
+                    waiting[key] = (reach, need)
+                    stack.extend(need)
+                    continue
+            else:
+                reach, need = state
+                for tail_key in need:
+                    reach |= ends[tail_key]
+            del waiting[key]
+        ends[key] = reach
+        if reach:
+            found.setdefault((i, b), {})[m] = reach
+        order.append(key)
+        stack.pop()
+
+    # 2. Top-down pass: live[key] is the bitset of the key's end states on
+    # an accepting derivation, reads[key] the marked keys it consumes.
+    result = NCPoly.zero(sub.output_table)
+    live = {root: ends[root] & 1 << accept}
+    if not live[root]:
+        return result
+    reads: dict[tuple, list] = {}
+    consumers: dict[tuple, int] = {}
+    for key in reversed(order):
+        want = live.get(key)
+        if not want or key[1] == 0:
+            continue
+        i, m, b = key
+        inner_b = None if b is None else b - 1
+        lo = 0 if with_tail else m - 1
+        used_keys = set()
+        for k, cells in opens[i].items():
+            for m1, inner in found.get((k, inner_b), {}).items():
+                if not lo <= m1 < m:
+                    continue
+                t = m - 1 - m1
+                used = 0
+                while inner:
+                    j1 = inner.bit_length() - 1
+                    inner ^= 1 << j1
+                    for _, _, crow in cells:
+                        for k2, _, _ in crow.get(j1, ()):
+                            if not t:
+                                if want >> k2 & 1:
+                                    used |= 1 << j1
+                                continue
+                            tail_key = (k2, t, b)
+                            hit = ends[tail_key] & want
+                            if hit:
+                                used |= 1 << j1
+                                live[tail_key] = live.get(tail_key, 0) | hit
+                                used_keys.add(tail_key)
+                if used:
+                    inner_key = (k, m1, inner_b)
+                    live[inner_key] = live.get(inner_key, 0) | used
+                    used_keys.add(inner_key)
+        reads[key] = list(used_keys)
+        for used_key in used_keys:
+            consumers[used_key] = consumers.get(used_key, 0) + 1
+
+    # 3. Polynomial pass, bottom up over the marked keys.
+    memo: dict[tuple, dict] = {}
+    for key in order:
+        want = live.get(key)
+        if not want:
+            continue
+        i, m, b = key
+        if m == 0:
+            memo[key] = {i: {(): one}}
             continue
         inner_b = None if b is None else b - 1
-        splits = range(m) if with_tail else (m - 1,)
-        cells = opens.get(i, ())
-        left = lefts.get(key)
-        if left is None:
-            missing = [
-                (k, m1, inner_b)
-                for k, _, _, _ in cells
-                for m1 in splits
-                if (k, m1, inner_b) not in memo
-            ]
-            if missing:
-                stack.extend(missing)
-                continue
-            left = lefts[key] = {}
-            for k, co, wo, crow in cells:
-                for m1 in splits:
-                    for j1, inner in memo[(k, m1, inner_b)].items():
+        lo = 0 if with_tail else m - 1
+        # (tail length, state after c) -> sum of o S_m1 c
+        left: dict[tuple, dict] = {}
+        for k, cells in opens[i].items():
+            for m1 in found.get((k, inner_b), ()):
+                inner = memo.get((k, m1, inner_b)) if lo <= m1 < m else None
+                if not inner:
+                    continue
+                t = m - 1 - m1
+                for j1, ipoly in inner.items():
+                    for co, wo, crow in cells:
                         for k2, cc, wc in crow.get(j1, ()):
+                            if not (ends.get((k2, t, b), 0) if t else 1 << k2) & want:
+                                continue
                             scale = co * cc
-                            acc = left.setdefault((m - 1 - m1, k2), {})
-                            for w, c in inner.items():
+                            unit = scale == one
+                            acc = left.setdefault((t, k2), {})
+                            for w, c in ipoly.items():
                                 w = wo + w + wc
+                                if not unit:
+                                    c = c * scale
                                 s = acc.get(w)
-                                acc[w] = c * scale if s is None else s + c * scale
+                                acc[w] = c if s is None else s + c
                             if len(acc) > term_budget:
                                 _prune_or_raise(acc, term_budget)
-        missing = [(k2, t, b) for t, k2 in left if t and (k2, t, b) not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        del lefts[key]
         out: dict[int, dict] = {}
         for (t, k2), lpoly in left.items():
             tails = memo[(k2, t, b)] if t else {k2: None}
             for j, tpoly in tails.items():
-                _add_product(out.setdefault(j, {}), lpoly, tpoly, term_budget)
+                if want >> j & 1:
+                    _add_product(out.setdefault(j, {}), lpoly, tpoly, term_budget)
         entry = {}
         for j, acc in out.items():
             clean = {w: c for w, c in acc.items() if c != 0}
             if clean:
                 entry[j] = clean
         memo[key] = entry
-        stack.pop()
-    result = NCPoly.zero(sub.output_table)
-    result.terms.update(memo[root].get(sub.dim - 1, {}))
+        for used_key in reads[key]:
+            consumers[used_key] -= 1
+            if not consumers[used_key]:
+                del memo[used_key]
+    result.terms.update(memo[root].get(accept, {}))
     return result
 
 
@@ -243,11 +394,13 @@ def apply_to_instance(
     """Apply a matrix substitution to a family instance.
 
     Balanced-word (``dyck``, ``dyckdepth``) and palindrome (``pal``)
-    targets go through the memoized inside sum of their grammar and are
-    never realized; its cost follows the reachable (state, length[, depth])
-    keys times their intermediate terms, and it raises TermBudgetError when
-    an intermediate polynomial exceeds term_budget.  Every other target,
-    and every target under force_expand, is expanded and applied termwise.
+    targets go through the inside sum of their grammar and are never
+    realized.  Its Boolean and top-down passes cost bit operations over the
+    reachable (state, length[, depth]) keys; its polynomial pass costs the
+    keys on an accepting derivation times their intermediate terms, and
+    raises TermBudgetError when an intermediate polynomial exceeds
+    term_budget.  Every other target, and every target under force_expand,
+    is expanded and applied termwise.
     """
     if not force_expand and target.name in ("dyck", "dyckdepth", "pal"):
         meta, params = target.meta, target.params
@@ -444,5 +597,6 @@ def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:
                 else:
                     raise ValueError("composition entry needs a sum of distinct monomials")
         entries[zid] = out_cells
-    sub = MatrixSubstitution(s2.input_table, s1.output_table, q1 * q2, entries)
+    accepts_empty = s1.accepts_empty or s2.accepts_empty
+    sub = MatrixSubstitution(s2.input_table, s1.output_table, q1 * q2, entries, accepts_empty)
     return AbpReduction(sub, r1.source, r2.target, kind="compose")

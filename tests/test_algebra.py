@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ncpoly.algebra import (
     NCPoly,
     TableMismatchError,
+    VarNameError,
     VarTable,
     exact_rank,
     format_poly,
@@ -437,3 +438,56 @@ def test_parse_rejects_a_bad_coefficient_literal(data):
     lines.insert(data.draw(st.integers(0, len(lines))), f"{bad} x1")
     with pytest.raises(FieldError, match="literal"):
         parse_poly("\n".join(lines), VarTable(field=field))
+
+
+# -- variable names ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name", ["1", "0", "-3", "+2", "3/4", "3/-4", "1.5", ".5", "1.", "1e3", "2E-1", "1_000", "\u0661"]
+)
+def test_var_table_rejects_scalar_literals(name):
+    # `1` as a name wrote its one-letter word as the constant term's line
+    for field in (QQ, PrimeField(5)):
+        with pytest.raises(VarNameError, match="bad variable name"):
+            VarTable(["x", name], field)
+        with pytest.raises(VarNameError):
+            parse_poly(f"2 x {name}\n", VarTable(field=field))
+
+
+def test_var_table_accepts_names_that_only_start_like_scalars():
+    names = ["1x", "e5", "inf", "nan", "-", ".", "1/", "/2", "1/2/3", "(1", ")1", "x1"]
+    t = VarTable(names)
+    assert t.names == tuple(names)
+    for bad in ("", "a b", "a#b", "a\tb"):
+        with pytest.raises(VarNameError):
+            t.add(bad)
+
+
+NAME_TEXT = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["1", "-3", "3/4", "1e3", "1x", "e5", "#", "a b", "", "x", "1/2/3"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_accepted_name_roundtrips_through_the_text_format(data):
+    field = data.draw(st.sampled_from(TEXT_FIELDS))
+    table = VarTable(field=field)
+    for name in data.draw(st.lists(NAME_TEXT, max_size=6, unique=True)):
+        try:
+            table.add(name)
+        except VarNameError:
+            pass
+    n = len(table)
+    words = st.lists(st.integers(0, n - 1), max_size=3).map(tuple) if n else st.just(())
+    scalars = literals(field).map(lambda pair: pair[1])
+    f = NCPoly(table, data.draw(st.dictionaries(words, scalars, max_size=6)))
+    text = format_poly(f)
+    assert parse_poly(text, VarTable(table.names, field)) == f
+    fresh = VarTable(field=field)
+    g = parse_poly(text, fresh)
+    assert {fresh.word_names(w): c for w, c in g.terms.items()} == {
+        table.word_names(w): c for w, c in f.terms.items()
+    }

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from ncpoly.abp import Abp, LinearForm
-from ncpoly.algebra import NCPoly, VarTable, hadamard_bruteforce, poly_mul
+from ncpoly.algebra import NCPoly, VarNameError, VarTable, hadamard_bruteforce, poly_mul
 from ncpoly.automata import (
     MatrixSubstitution,
     NondeterminismError,
@@ -19,7 +21,7 @@ from ncpoly.automata import (
 )
 from ncpoly.circuits import Add, Circuit, Input, Mul, expand
 from ncpoly.families import gen_pal
-from ncpoly.fields import QQ, PrimeField
+from ncpoly.fields import QQ, FieldError, PrimeField
 
 
 def xy():
@@ -261,15 +263,15 @@ def test_evaluate_matches_run_on_random_polynomials_over_q_and_gf3():
     from itertools import product
 
     rng = random.Random(41)
+    split = 0
     for field in (QQ, PrimeField(3)):
         t = VarTable(["x0", "x1"], field=field)
         for _ in range(20):
             a = SubstAutomaton(t, t)
             states = ["q0", "q1", "q2", "q3"]
             a.add_state("q0", start=True)
-            # the compiled form reads (start, accept), so they must differ
-            # unless the automaton has one state
-            a.add_state(rng.choice(states[1:]), accept=True)
+            # the accept state may be the start, which compiles by splitting it
+            a.add_state(rng.choice(states), accept=True)
             for state in states:
                 for v in (0, 1):
                     if rng.random() < 0.75:
@@ -279,8 +281,47 @@ def test_evaluate_matches_run_on_random_polynomials_over_q_and_gf3():
             sub = automaton_to_substitution(a)
             words = [w for d in range(5) for w in product((0, 1), repeat=d)]
             g = NCPoly(t, {w: field.from_int(rng.randint(-3, 3)) for w in rng.sample(words, 12)})
+            if sub.accepts_empty:
+                split += 1
+                g.terms[()] = field.one
+                with pytest.raises(ValueError, match="empty word"):
+                    sub.evaluate(g)
+                del g.terms[()]
             expected = run_oracle(a, g)
             assert evaluate_both_orders(sub, g) == [expected, expected]
+    assert split >= 4
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "GF5"])
+def test_a_start_state_that_accepts_is_split(field):
+    # q0 (start and accept) -x0-> q1 -x1-> q0 accepts (x0 x1)^n for n >= 0
+    t = VarTable(["x0", "x1"], field=field)
+    x0, x1 = t.var("x0").id, t.var("x1").id
+    a = SubstAutomaton(t, t)
+    a.add_state("q0", start=True, accept=True)
+    a.add_transition("q0", x0, "q1", word=(x0,))
+    a.add_transition("q1", x1, "q0", field.from_int(2), (x1,))
+    sub = automaton_to_substitution(a)
+    assert (sub.dim, sub.accepts_empty) == (3, True)
+    c = field.from_int
+    # 1 + x0 x1 cannot evaluate to 1 + 2 x0 x1 on 3 x 3 matrices, and must
+    # not evaluate to 0 (or to 2 x0 x1): it is refused
+    with pytest.raises(ValueError, match="empty word"):
+        sub.evaluate(NCPoly(t, {(): c(1), (x0, x1): c(1)}))
+    g = NCPoly(t, {(x0, x1): c(1), (x0, x1, x0, x1): c(3), (x0,): c(4), (x1, x0): c(1)})
+    expected = run_oracle(a, g)
+    assert expected.terms == {(x0, x1): c(2), (x0, x1, x0, x1): c(12)}
+    assert evaluate_both_orders(sub, g) == [expected, expected]
+    back = parse_substitution(format_substitution(sub), VarTable(field=field))
+    assert back.accepts_empty and back.with_entry(x0, 0, 0, c(1)).accepts_empty
+    # one state that starts and accepts needs no split: the identity is 1
+    one = SubstAutomaton(t, t)
+    one.add_state("q", start=True, accept=True)
+    one.add_transition("q", x0, "q", word=(x0,))
+    sub1 = automaton_to_substitution(one)
+    assert (sub1.dim, sub1.accepts_empty) == (1, False)
+    h = NCPoly(t, {(): c(1), (x0, x0): c(1), (x1,): c(1)})
+    assert sub1.evaluate(h) == run_oracle(one, h) == NCPoly(t, {(): c(1), (x0, x0): c(1)})
 
 
 def test_hadamard_poly_branch_matches_bruteforce_over_q_and_gf5():
@@ -486,6 +527,67 @@ def test_substitution_roundtrip():
     sub2 = parse_substitution(text)
     assert format_substitution(sub2) == text
     assert sub2.dim == sub.dim
+
+
+def substitution_key(sub):
+    """Everything a substitution means; a variable with no cells is a zero
+    matrix whether or not it has an entry."""
+    cells = {vid: c for vid, c in sub.entries.items() if c}
+    return sub.input_table, sub.output_table, sub.dim, sub.accepts_empty, cells
+
+
+@st.composite
+def substitutions(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(5), PrimeField(1000003)]))
+    pool = ["x0", "x1", "y_2", "(1", ")1", "a@3"]
+    inputs = VarTable(draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)), field)
+    outputs = VarTable(draw(st.lists(st.sampled_from(pool), unique=True)), field)
+    dim = draw(st.integers(1, 5))
+    if isinstance(field, PrimeField):
+        scalars = st.integers(1, field.p - 1).map(field.from_int)
+    else:
+        nums = st.integers(-30, 30).filter(bool)
+        scalars = st.builds(Fraction, nums, st.integers(1, 9))
+    words = st.lists(st.integers(0, len(outputs) - 1), max_size=3) if len(outputs) else st.just([])
+    cell = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    entries = {
+        vid: draw(st.dictionaries(cell, st.tuples(scalars, words.map(tuple)), max_size=6))
+        for vid in range(len(inputs))
+    }
+    return MatrixSubstitution(inputs, outputs, dim, entries, draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitutions())
+def test_substitution_text_roundtrip_over_q_and_gf_p(sub):
+    field = sub.input_table.field
+    text = format_substitution(sub)
+    back = parse_substitution(text, VarTable(field=field), VarTable(field=field))
+    assert substitution_key(back) == substitution_key(sub)
+    assert format_substitution(back) == text
+
+
+def test_parse_substitution_adds_new_names_in_first_seen_order_and_keeps_its_errors():
+    text = "substitution\ndim 2\nvar b\nentry 1 2 3/4 v u\nentry 2 2 3/4 u w\nvar a\nentry 1 1 -1\n"
+    inputs, outputs = VarTable(["a"]), VarTable(["w"])
+    sub = parse_substitution(text, inputs, outputs)
+    assert inputs.names == ("a", "b") and outputs.names == ("w", "v", "u")
+    b, a = inputs.var("b").id, inputs.var("a").id
+    assert sub.entries[b] == {
+        (0, 1): (Fraction(3, 4), outputs.word("v", "u")),
+        (1, 1): (Fraction(3, 4), outputs.word("u", "w")),
+    }
+    assert sub.entries[a] == {(0, 0): (Fraction(-1), ())}
+    for bad, error in (
+        ("dim 2\nentry 1 1 1\n", ValueError),
+        ("dim 2\nvar a\nentry 1 1 1/0\n", FieldError),
+        ("dim 2\nvar a\nentry 1 x 1\n", ValueError),
+        ("dim 2\nvar a\nentry 3 1 1\n", ValueError),
+        ("dim 2\nvar 1\n", VarNameError),
+        ("var a\n", ValueError),
+    ):
+        with pytest.raises(error):
+            parse_substitution(bad)
 
 
 def test_with_entry_is_nondestructive():

@@ -391,3 +391,20 @@ def test_reimport_releases_the_previous_generation():
         for name in [k for k in sys.modules if k == "ncpoly" or k.startswith("ncpoly.")]:
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def test_a_variable_named_like_a_scalar_exits_2(tmp_path, capsys):
+    circ = tmp_path / "c.txt"
+    circ.write_text("g0 input 1\ng1 input x\ng2 mul g0 g1\noutput g2\n")
+    poly = tmp_path / "p.txt"
+    poly.write_text("2 x 3/4\n")
+    abp = tmp_path / "g.txt"
+    abp.write_text("layers 0:1 1:1 2:1\nedge 0 0 0 1 x\nedge 1 0 0 1 x\n")
+    for argv in (
+        ("expand", str(circ)),
+        ("reduce", "dyck-complete", f"circuit={circ}"),
+        ("hadamard", "--poly", str(poly), "--abp", str(abp)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert _one_error_line(err) and "bad variable name" in err, (argv, err)

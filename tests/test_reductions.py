@@ -411,6 +411,120 @@ def test_inside_drops_cancelled_terms():
     assert applied.terms == {(): 1, (x, x): -1}
 
 
+def random_matrices(rng, table, dim, out, coeffs, density, states=None):
+    """Random sparse cells {var id: {(row, col): (coefficient, word)}}
+    between the given states (all by default), with integer coefficients
+    drawn from coeffs and output words of at most one letter."""
+    states = range(dim) if states is None else states
+    entries = {}
+    for v in table.vars():
+        cells = {}
+        for r in states:
+            for c in states:
+                if rng.random() < density:
+                    word = tuple(rng.choice(range(len(out))) for _ in range(rng.randint(0, 1)))
+                    cells[(r, c)] = (rng.choice(coeffs), word)
+        entries[v.id] = cells
+    return entries
+
+
+def as_reduction(target, out, dim, entries):
+    field = target.table.field
+    entries = {
+        v: {rc: (field.from_int(c), w) for rc, (c, w) in cells.items()}
+        for v, cells in entries.items()
+    }
+    sub = MatrixSubstitution(target.table, out, dim, entries)
+    return AbpReduction(sub, "random", target.spec_string)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_inside_matches_termwise_on_depth_caps_through_random_matrices(cap):
+    # random 4-state matrices read nesting in no particular way, so only the
+    # depth budget in the memo keys keeps the deeper words out
+    rng = random.Random(70 + cap)
+    out = VarTable(["y0", "y1"])
+    live = differ = 0
+    for _ in range(8):
+        target = gen_dyck_depth(cap, 4)
+        entries = random_matrices(rng, target.table, 4, out, [1, 2, -1, 3], 0.35)
+        r = as_reduction(target, out, 4, entries)
+        inside = apply_to_instance(r, target)
+        assert inside == apply_to_instance(r, target, force_expand=True)
+        uncapped = gen_dyck(2, 8)
+        live += bool(inside)
+        differ += inside != apply_to_instance(as_reduction(uncapped, out, 4, entries), uncapped)
+    assert live >= 6 and differ >= 4
+
+
+def test_inside_matches_termwise_when_dead_keys_hold_nonzero_polynomials():
+    # state 1 is a sink: every letter loops on it with coefficient 2 and
+    # output y0, and nothing leaves it, so every key (1, m) holds a nonzero
+    # polynomial at end state 1 that no accepting derivation reads
+    rng = random.Random(83)
+    out = VarTable(["y0", "y1"])
+    live = 0
+    for k, d in ((1, 8), (2, 6), (2, 8)):
+        target = gen_dyck(k, d)
+        for _ in range(4):
+            entries = random_matrices(rng, target.table, 4, out, [1, 2, -1], 0.5, (0, 2, 3))
+            for v in target.table.vars():
+                entries[v.id][(1, 1)] = (2, (0,))
+                for r in (0, 2):
+                    if rng.random() < 0.5:
+                        entries[v.id][(r, 1)] = (1, ())
+            r = as_reduction(target, out, 4, entries)
+            inside = apply_to_instance(r, target)
+            assert inside == apply_to_instance(r, target, force_expand=True)
+            live += bool(inside)
+    assert live >= 9
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_inside_matches_termwise_when_terms_cancel_over_prime_fields(p):
+    # one output letter and many merging paths: coefficients that add up to
+    # a multiple of p cancel inside the memo over GF(p) but not over Q
+    rng = random.Random(90 + p)
+    out_q, out_p = VarTable(["y"]), VarTable(["y"], PrimeField(p))
+    cancelled = 0
+    for k, d in ((1, 6), (2, 6)):
+        for _ in range(5):
+            target_q, target_p = gen_dyck(k, d), gen_dyck(k, d, PrimeField(p))
+            entries = random_matrices(rng, target_q.table, 3, out_q, [1, 2, 4, 5], 0.5)
+            r_p = as_reduction(target_p, out_p, 3, entries)
+            inside = apply_to_instance(r_p, target_p)
+            assert inside == apply_to_instance(r_p, target_p, force_expand=True)
+            over_q = apply_to_instance(as_reduction(target_q, out_q, 3, entries), target_q)
+            assert {w: c % p for w, c in over_q.terms.items() if c % p} == {
+                w: c.value for w, c in inside.terms.items()
+            }
+            cancelled += any(c % p == 0 for c in over_q.terms.values())
+    assert cancelled >= 4
+
+
+def test_inside_refuses_the_empty_word_of_a_split_start_state():
+    # q0 (start and accept) -(-> q1 -)-> q0 accepts ()^n; its compiled form
+    # splits q0, so the structured route must agree with the termwise one on
+    # every nonempty target and refuse the empty target like evaluate does
+    from ncpoly.automata import SubstAutomaton, automaton_to_substitution
+
+    t = gen_dyck(1, 0).table
+    o, c = gen_dyck(1, 0).meta["pairs"][0]
+    a = SubstAutomaton(t, t)
+    a.add_state("q0", start=True, accept=True)
+    a.add_transition("q0", o, "q1", word=(o,))
+    a.add_transition("q1", c, "q0", word=(c,))
+    r = AbpReduction(automaton_to_substitution(a), "loop", "dyck")
+    for d in (2, 4, 6):
+        target = gen_dyck(1, d)
+        inside = apply_to_instance(r, target)
+        assert inside == apply_to_instance(r, target, force_expand=True)
+        assert inside.terms == {(o, c) * (d // 2): 1}
+    for force_expand in (False, True):
+        with pytest.raises(ValueError, match="empty word"):
+            apply_to_instance(r, gen_dyck(1, 0), force_expand=force_expand)
+
+
 def test_inside_sum_is_iterative_on_long_targets():
     # one state and the scalar 1 on every letter: the image of dyck:k=1,d=2m
     # counts the balanced words, Catalan(m) mod p, and pal:n=m,k=1 has one word;

@@ -163,7 +163,7 @@ def hankel_block(f: NCPoly, cut: int) -> HankelBlock:
 
 
 def hankel_rank(f: NCPoly, cut: int) -> int:
-    return exact_rank(hankel_block(f, cut).matrix)
+    return exact_rank(hankel_block(f, cut).matrix, f.table.field)
 
 
 # ---------------------------------------------------------------------------

@@ -334,16 +334,18 @@ def substitute_letters(
 # Exact rank of scalar matrices
 
 
-def exact_rank(rows: Iterable[Mapping | Sequence]) -> int:
-    """Rank over the field via exact sparse elimination.
+def exact_rank(rows: Iterable[Mapping | Sequence], field: Field) -> int:
+    """Rank over ``field`` via exact sparse elimination.
 
-    Each row maps a column to a scalar (Fraction or ModInt); a plain
-    sequence is read as ``enumerate(row)``, and zero entries may be present
-    or absent.  Zero rows and rows equal to an earlier row are dropped
-    first, which leaves the rank unchanged.  Every remaining row is reduced
-    against the pivot rows found so far, keyed by leading (least) column,
-    until it vanishes or becomes a new pivot row.  Pivot rows are scaled to
-    leading coefficient one.
+    Each row maps a column to a scalar of ``field`` (over Q an int or a
+    Fraction, over Z_p a ModInt); a plain sequence is read as
+    ``enumerate(row)``, and zero entries may be present or absent.  Zero
+    rows and rows equal to an earlier row are dropped first, which leaves
+    the rank unchanged.  Every remaining row is reduced against the pivot
+    rows found so far, keyed by leading (least) column, until it vanishes or
+    becomes a new pivot row.  Pivot rows are scaled to leading coefficient
+    one by multiplying with ``field.inv`` of the lead, so no scalar is ever
+    divided (``/`` on two ints would give a float).
     """
     by_support: dict = {}  # column set -> distinct rows with that support
     pivots: dict = {}
@@ -361,8 +363,8 @@ def exact_rank(rows: Iterable[Mapping | Sequence]) -> int:
             lead = min(r)
             p = pivots.get(lead)
             if p is None:
-                pv = r[lead]
-                pivots[lead] = {j: x / pv for j, x in r.items()}
+                inv = field.inv(r[lead])
+                pivots[lead] = {j: x * inv for j, x in r.items()}
                 break
             factor = r[lead]
             for j, x in p.items():

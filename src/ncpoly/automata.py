@@ -429,58 +429,7 @@ def hadamard_via_matrices(f, g: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> 
 
 
 # ---------------------------------------------------------------------------
-# Interchange formats
-
-
-def format_automaton(a: SubstAutomaton) -> str:
-    fmt = a.input_table.field.format
-    lines = [
-        "automaton",
-        "input-vars " + " ".join(a.input_table.names),
-        "output-vars " + " ".join(a.output_table.names),
-    ]
-    for s in a.states:
-        marker = ""
-        if s == a.start:
-            marker = " start"
-        if s == a.accept:
-            marker += " accept"
-        lines.append(f"state {s}{marker}")
-    for (frm, var), (to, coeff, word) in sorted(
-        a.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        rhs = fmt(coeff)
-        if word:
-            rhs += " " + " ".join(a.output_table.name(v) for v in word)
-        lines.append(f"trans {frm} {a.input_table.name(var)} -> {to} | {rhs}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_automaton(text: str, input_table: VarTable, output_table: VarTable) -> SubstAutomaton:
-    a = SubstAutomaton(input_table, output_table)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or line == "automaton":
-            continue
-        tokens = line.split()
-        if tokens[0] == "input-vars":
-            for name in tokens[1:]:
-                input_table.get_or_add(name)
-        elif tokens[0] == "output-vars":
-            for name in tokens[1:]:
-                output_table.get_or_add(name)
-        elif tokens[0] == "state":
-            a.add_state(tokens[1], start="start" in tokens[2:], accept="accept" in tokens[2:])
-        elif tokens[0] == "trans":
-            frm, varname, arrow, to, bar = tokens[1:6]
-            if arrow != "->" or bar != "|":
-                raise ValueError(f"bad transition line {line!r}")
-            coeff = input_table.field.parse(tokens[6])
-            word = tuple(output_table.get_or_add(n).id for n in tokens[7:])
-            a.add_transition(frm, input_table.get_or_add(varname).id, to, coeff, word)
-        else:
-            raise ValueError(f"bad automaton line {line!r}")
-    return a
+# Interchange format
 
 
 def format_substitution(sub: MatrixSubstitution) -> str:

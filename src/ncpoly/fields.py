@@ -1,27 +1,43 @@
 """Exact coefficient arithmetic.
 
-Two coefficient domains are supported: arbitrary-precision rationals
-(``fractions.Fraction``, always stored in lowest terms with positive
-denominator) and prime fields Z_p with elements reduced to [0, p).
-A :class:`Field` object knows how to construct, parse and format scalars;
-the scalars themselves carry ordinary operator arithmetic so polynomial
-code never needs to consult the field for add/mul.
+Two coefficient domains are supported: the rationals Q and prime fields
+Z_p.  A rational scalar is a Python ``int`` while its value is integral and
+a ``fractions.Fraction`` (lowest terms, positive denominator) otherwise; it
+is never a ``float`` or a ``bool``.  Integral values need not be ``int``s:
+mixed arithmetic promotes to ``Fraction``, and ``int`` and ``Fraction`` of
+equal value compare, hash and format alike, so ``3`` and ``Fraction(3)``
+are the same scalar everywhere.  The paper's polynomials and reductions
+have small integer coefficients, so almost all Q arithmetic runs on
+``int``s.  Elements of Z_p are :class:`ModInt`s reduced to [0, p).
+
+A :class:`Field` object knows how to construct, parse, format and invert
+scalars; the scalars themselves carry ordinary operator arithmetic so
+polynomial code never needs to consult the field for add/mul.  Code that
+needs a quotient multiplies by :meth:`Field.inv`, because ``/`` on two
+``int``s would give a float.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+# Largest decimal exponent a rational literal may carry.  Fraction("1e<n>")
+# computes 10**n, so an 11-character literal could otherwise stall for
+# seconds; 4300 is Python's default digit limit for integer strings, which
+# Fraction already enforces on plain digits.
+MAX_EXPONENT = 4300
 
 
 class FieldError(ArithmeticError):
     """Raised for invalid field configuration or non-invertible division."""
 
 
-@dataclass(frozen=True)
 class ModInt:
     """An element of Z_p, canonical representative in [0, p)."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
+
+    def __init__(self, value: int, modulus: int):
+        self.value = value
+        self.modulus = modulus
 
     def _check(self, other) -> None:
         if not isinstance(other, ModInt):
@@ -126,6 +142,7 @@ class Field:
         raise NotImplementedError
 
     def inv(self, x):
+        """The exact multiplicative inverse; FieldError for zero."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -138,15 +155,29 @@ class Field:
         return f"Field({self.name})"
 
 
+def _int_if_integral(x: Fraction):
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField(Field):
+    """Q: scalars are ``int`` while integral, ``Fraction`` otherwise."""
+
     name = "Q"
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str):
+        """Parse an integer, ``p/q`` or decimal literal.
+
+        A decimal exponent above MAX_EXPONENT in magnitude raises FieldError
+        before the literal is evaluated.
+        """
         try:
-            return Fraction(text)
+            _, e, exponent = text.lower().partition("e")
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise FieldError(f"exponent of rational literal {text!r} exceeds {MAX_EXPONENT}")
+            return _int_if_integral(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
 
@@ -154,9 +185,10 @@ class RationalField(Field):
         return str(x)
 
     def inv(self, x):
+        """The exact inverse, an ``int`` when it is integral (x = ±1)."""
         if x == 0:
             raise FieldError("0 is not invertible")
-        return Fraction(1) / x
+        return _int_if_integral(1 / Fraction(x))
 
 
 class PrimeField(Field):

@@ -287,6 +287,6 @@ def set_multilinear_rank1_split(f: NCPoly, max_degree: int = 12) -> SplitVerdict
                 left = tuple(sorted((v for v in w if pos_of[v][1] in part), key=lambda v: pos_of[v][1]))
                 right = tuple(sorted((v for v in w if pos_of[v][1] not in part), key=lambda v: pos_of[v][1]))
                 rows.setdefault(left, {})[cols.setdefault(right, len(cols))] = c
-            if exact_rank(rows.values()) == 1:
+            if exact_rank(rows.values(), f.table.field) == 1:
                 return SplitVerdict(tuple(sorted(part)), checked)
     return SplitVerdict(None, checked)

@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from ncpoly.abp import Abp, LinearForm
 from ncpoly.algebra import VarTable
 from ncpoly.circuits import Add, Circuit, Const, Input, Mul, is_skew
+from ncpoly.fields import QQ, PrimeField
 
 
 def _table(n_vars):
@@ -164,3 +167,28 @@ def random_abp(rng: random.Random, max_width=3, max_depth=4, n_vars=3, homogeneo
 def random_abps(seed=512, count=20, **kw):
     rng = random.Random(seed)
     return [random_abp(rng, **kw) for _ in range(count)]
+
+
+# -- Hypothesis strategies for the text formats --------------------------------
+
+TEXT_NAMES = ("x0", "x1", "y_2", "(1", ")1", "a@3")
+
+
+def text_fields():
+    """Q and GF(5), the fields the text-format properties cover."""
+    return st.sampled_from((QQ, PrimeField(5)))
+
+
+def field_scalars(field):
+    """Scalars of ``field``; over Q both integral and non-integral values."""
+    if isinstance(field, PrimeField):
+        return st.integers(0, field.p - 1).map(field.from_int)
+    return st.one_of(
+        st.integers(-12, 12),
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+    )
+
+
+@st.composite
+def text_tables(draw, field):
+    return VarTable(draw(st.lists(st.sampled_from(TEXT_NAMES), min_size=1, unique=True)), field)

@@ -3,6 +3,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from ncpoly.abp import (
@@ -18,6 +20,7 @@ from ncpoly.abp import (
     transition_matrices,
 )
 from ncpoly.algebra import NCPoly, VarTable
+from ncpoly.fields import QQ
 from ncpoly.families import make_family
 
 
@@ -318,6 +321,45 @@ def test_abp_roundtrip():
     assert "# homogeneous" in text
     p2 = parse_abp(text, VarTable(["x0", "x1"]))
     assert abp_eval(p2) == abp_eval(p)
+
+
+@st.composite
+def text_abps(draw):
+    field = draw(corpus.text_fields())
+    table = draw(corpus.text_tables(field))
+    scalars = corpus.field_scalars(field)
+    layers = [1] + draw(st.lists(st.integers(1, 3), max_size=3)) + [1]
+    homogeneous = draw(st.booleans())
+    edges = []
+    for gap in range(len(layers) - 1):
+        gap_edges = []
+        for _ in range(draw(st.integers(0, 4))):
+            u = draw(st.integers(0, layers[gap] - 1))
+            v = draw(st.integers(0, layers[gap + 1] - 1))
+            coeffs = draw(st.dictionaries(st.integers(0, len(table) - 1), scalars, max_size=3))
+            constant = field.zero if homogeneous else draw(scalars)
+            gap_edges.append((u, v, LinearForm.make(table, coeffs, constant)))
+        edges.append(gap_edges)
+    return Abp(table, layers, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text_abps())
+def test_abp_text_roundtrip_over_q_and_gf5(p):
+    field = p.table.field
+    text = format_abp(p)
+    back = parse_abp(text, VarTable(p.table.names, field))
+    assert back.layers == p.layers and back.edges == p.edges
+    assert format_abp(back) == text
+    if field == QQ:
+        for gap in back.edges:
+            for _, _, form in gap:
+                assert all(type(x) in (int, Fraction) for _, x in form.coeffs)
+                assert type(form.constant) in (int, Fraction)
+    # an empty table numbers names by first use, which reorders the terms of
+    # a form, so compare after reading back into the original table
+    fresh = format_abp(parse_abp(text, VarTable(field=field)))
+    assert parse_abp(fresh, VarTable(p.table.names, field)).edges == p.edges
 
 
 def test_abp_parse_affine():

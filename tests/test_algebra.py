@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from ncpoly.algebra import (
     NCPoly,
     TableMismatchError,
@@ -226,12 +227,12 @@ def minor_rank(rows):
 
 def test_rank_identity4():
     rows = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    assert exact_rank(rows) == 4
+    assert exact_rank(rows, QQ) == 4
 
 
 def test_rank_all_ones():
     rows = [[Fraction(1)] * 3 for _ in range(3)]
-    assert exact_rank(rows) == 1
+    assert exact_rank(rows, QQ) == 1
 
 
 def test_rank_pal2_middle_hankel_block():
@@ -239,7 +240,7 @@ def test_rank_pal2_middle_hankel_block():
     # the permutation matrix u -> reverse(u)
     words = list(product(range(2), repeat=2))
     rows = [[Fraction(int(v == tuple(reversed(u)))) for v in words] for u in words]
-    assert exact_rank(rows) == 4
+    assert exact_rank(rows, QQ) == 4
 
 
 def test_rank_matches_minor_oracle():
@@ -248,7 +249,7 @@ def test_rank_matches_minor_oracle():
         nrows = rng.randint(1, 5)
         ncols = rng.randint(1, 5)
         rows = [[Fraction(rng.randint(-2, 2)) for _ in range(ncols)] for _ in range(nrows)]
-        assert exact_rank(rows) == minor_rank(rows)
+        assert exact_rank(rows, QQ) == minor_rank(rows)
 
 
 def _sparse(rows):
@@ -259,7 +260,7 @@ def test_rank_sparse_rows_match_minor_oracle():
     # mapping rows with repeated and all-zero rows mixed in, over Q and GF(5)
     rng = random.Random(7)
     gf5 = PrimeField(5)
-    for scalar in (Fraction, gf5.from_int):
+    for field, scalar in ((QQ, Fraction), (gf5, gf5.from_int)):
         for _ in range(25):
             ncols = rng.randint(1, 5)
             rows = [[scalar(rng.randint(-2, 2)) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
@@ -267,28 +268,28 @@ def test_rank_sparse_rows_match_minor_oracle():
             rows.insert(rng.randint(0, len(rows)), [scalar(0)] * ncols)
             rng.shuffle(rows)
             expected = minor_rank(rows)
-            assert exact_rank(rows) == expected
-            assert exact_rank(_sparse(rows)) == expected
+            assert exact_rank(rows, field) == expected
+            assert exact_rank(_sparse(rows), field) == expected
 
 
 def test_rank_sparse_rows_edge_cases():
     # explicit zeros in mapping rows are ignored
     rows = [{0: Fraction(1), 1: Fraction(0)}, {1: Fraction(0), 0: Fraction(2)}, {3: Fraction(0)}]
-    assert exact_rank(rows) == minor_rank([[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]]) == 1
+    assert exact_rank(rows, QQ) == minor_rank([[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]]) == 1
     # equal rows with keys inserted in another order are duplicates
     a = {2: Fraction(1), 0: Fraction(3)}
     b = {0: Fraction(3), 2: Fraction(1)}
-    assert exact_rank([a, b, {1: Fraction(1)}]) == 2
-    assert exact_rank([]) == 0
-    assert exact_rank([{}, {}]) == 0
+    assert exact_rank([a, b, {1: Fraction(1)}], QQ) == 2
+    assert exact_rank([], QQ) == 0
+    assert exact_rank([{}, {}], QQ) == 0
 
 
 def test_rank_prime_field():
     f = PrimeField(5)
     rows = [[f.from_int(2), f.from_int(4)], [f.from_int(1), f.from_int(2)]]
-    assert exact_rank(rows) == 1
+    assert exact_rank(rows, f) == 1
     rows = [[f.from_int(2), f.from_int(4)], [f.from_int(1), f.from_int(3)]]
-    assert exact_rank(rows) == 2
+    assert exact_rank(rows, f) == 2
 
 
 # -- prime field scalars ----------------------------------------------------
@@ -343,7 +344,7 @@ def test_format_empty_poly():
 
 # -- text format properties -------------------------------------------------
 
-NAME_POOL = ("x0", "x1", "y_2", "(1", ")1", "a@3")
+NAME_POOL = corpus.TEXT_NAMES
 TEXT_FIELDS = (QQ, PrimeField(2), PrimeField(5), PrimeField(1000003))
 
 

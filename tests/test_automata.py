@@ -13,10 +13,8 @@ from ncpoly.automata import (
     SubstAutomaton,
     automaton_to_substitution,
     filter_by_automaton,
-    format_automaton,
     format_substitution,
     hadamard_via_matrices,
-    parse_automaton,
     parse_substitution,
 )
 from ncpoly.circuits import Add, Circuit, Input, Mul, expand
@@ -508,18 +506,6 @@ def test_hadamard_rejects_inhomogeneous_abp():
 # -- interchange formats ---------------------------------------------------------
 
 
-def test_automaton_roundtrip():
-    t = xy()
-    a = identity_chain(t, 2)
-    text = format_automaton(a)
-    t2 = VarTable(field=t.field)
-    out2 = VarTable(field=t.field)
-    b = parse_automaton(text, t2, out2)
-    assert format_automaton(b) == text
-    word = (t.var("x0").id, t.var("x1").id)
-    assert a.run(word) == b.run(word)
-
-
 def test_substitution_roundtrip():
     t = xy()
     sub = automaton_to_substitution(identity_chain(t, 2))
@@ -539,7 +525,7 @@ def substitution_key(sub):
 @st.composite
 def substitutions(draw):
     field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(5), PrimeField(1000003)]))
-    pool = ["x0", "x1", "y_2", "(1", ")1", "a@3"]
+    pool = corpus.TEXT_NAMES
     inputs = VarTable(draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)), field)
     outputs = VarTable(draw(st.lists(st.sampled_from(pool), unique=True)), field)
     dim = draw(st.integers(1, 5))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from ncpoly.algebra import NCPoly, TermBudgetError, VarTable, poly_mul
@@ -21,6 +23,7 @@ from ncpoly.circuits import (
     to_bracketed,
     to_skew_bracketed,
 )
+from ncpoly.fields import QQ
 
 
 def t3():
@@ -268,3 +271,34 @@ def test_format_roundtrip_on_random():
         assert {c2.table.word_names(w): v for w, v in f2.terms.items()} == {
             c.table.word_names(w): v for w, v in f.terms.items()
         }
+
+
+@st.composite
+def text_circuits(draw):
+    field = draw(corpus.text_fields())
+    table = draw(corpus.text_tables(field))
+    gates = []
+    for gid in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("input", "const", "add", "mul") if gid else ("input", "const")))
+        if kind == "input":
+            gates.append(Input(draw(st.integers(0, len(table) - 1))))
+        elif kind == "const":
+            gates.append(Const(draw(corpus.field_scalars(field))))
+        else:
+            left, right = draw(st.integers(0, gid - 1)), draw(st.integers(0, gid - 1))
+            gates.append(Add(left, right) if kind == "add" else Mul(left, right))
+    return Circuit(table, gates, draw(st.integers(0, len(gates) - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(text_circuits())
+def test_circuit_text_roundtrip_over_q_and_gf5(c):
+    field = c.table.field
+    text = format_circuit(c)
+    back = parse_circuit(text, VarTable(c.table.names, field))
+    assert back.gates == c.gates and back.output == c.output
+    assert format_circuit(back) == text
+    if field == QQ:
+        assert all(type(g.value) in (int, Fraction) for g in back.gates if isinstance(g, Const))
+    # parsed into an empty table the ids follow first use, and the text is unchanged
+    assert format_circuit(parse_circuit(text, VarTable(field=field))) == text

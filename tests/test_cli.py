@@ -1,3 +1,5 @@
+import time
+
 from ncpoly.cli import main
 
 
@@ -300,6 +302,20 @@ def test_bad_coefficient_literal_exits_2(tmp_path, capsys):
             code, out, err = run(capsys, "--field", field, *argv)
             assert code == 2 and out == "", (field, literal, argv)
             assert _one_error_line(err) and literal in err, (field, literal, err)
+
+
+def test_a_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys):
+    # Fraction("1e10000000") alone computes 10**10000000 for about 15 s
+    red = tmp_path / "r.txt"
+    assert run(capsys, "reduce", "pal-d2", "n=1", "--out", str(red))[0] == 0
+    poly = tmp_path / "p.txt"
+    for literal in ("1e10000000", "-3.5E-10000000", "1e4301"):
+        poly.write_text(f"{literal} x0 x0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(red), "--source", f"poly:{poly}")
+        assert time.perf_counter() - start < 1.5, literal
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and literal in err
 
 
 def test_long_balanced_words_exit_2_without_recursion(capsys):

@@ -64,10 +64,13 @@ class Abp:
         self.table = table
         self.layers = list(layers)
         self.edges = [list(g) for g in edges]
+        self.offsets = [0]  # global vertex number of each layer's first vertex
+        for n in self.layers:
+            self.offsets.append(self.offsets[-1] + n)
 
     @property
     def size(self) -> int:
-        return sum(self.layers)
+        return self.offsets[-1]
 
     @property
     def degree(self) -> int:
@@ -75,10 +78,6 @@ class Abp:
 
     def is_homogeneous(self) -> bool:
         return all(f.is_homogeneous() for g in self.edges for _, _, f in g)
-
-    def vertex_index(self, layer: int, v: int) -> int:
-        """Global vertex number, layers concatenated in order."""
-        return sum(self.layers[:layer]) + v
 
 
 def abp_eval(p: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> NCPoly:
@@ -97,26 +96,29 @@ def abp_eval(p: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> NCPoly:
 
 
 def transition_matrices(p: Abp) -> dict:
-    """Per variable, the q x q scalar matrix of its edge coefficients.
+    """Per variable, the sparse q x q matrix {(i, j): coefficient} of its edges.
 
-    Indexed by global vertex number; entry (i, j) is the coefficient of the
-    variable on edge (i, j), zero when absent.  For every word w the (s, t)
-    entry of the ordered product of its letters' matrices equals the
+    Indexed by global vertex number; cell (i, j) is the coefficient of the
+    variable on edge (i, j).  One pass over the edges: parallel edges add,
+    and a cell that cancels to zero is dropped.  For every word w the
+    (s, t) entry of the ordered product of its letters' matrices equals the
     coefficient of w in abp_eval(p).  Requires homogeneous edge labels.
     """
     if not p.is_homogeneous():
         raise ValueError("transition matrices need homogeneous edge labels")
-    q = p.size
-    zero = p.table.field.zero
-    mats: dict[int, list] = {}
+    mats: dict[int, dict] = {}
     for gap, gap_edges in enumerate(p.edges):
+        row, col = p.offsets[gap], p.offsets[gap + 1]
         for u, v, form in gap_edges:
-            gi = p.vertex_index(gap, u)
-            gj = p.vertex_index(gap + 1, v)
+            key = (row + u, col + v)
             for vid, c in form.coeffs:
-                if vid not in mats:
-                    mats[vid] = [[zero] * q for _ in range(q)]
-                mats[vid][gi][gj] = mats[vid][gi][gj] + c
+                cells = mats.setdefault(vid, {})
+                s = cells.get(key)
+                s = c if s is None else s + c
+                if s:
+                    cells[key] = s
+                else:
+                    del cells[key]
     return mats
 
 

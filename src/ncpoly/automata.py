@@ -11,11 +11,13 @@ since the start must be row 1 and the accept state column q; the empty
 word it accepts cannot be read off the identity, so a constant term is
 refused.  Evaluating a polynomial on those matrices and reading the
 (start, accept) entry realizes automaton-filtered substitution, and with
-the transition matrices of a branching program re-attached to their
-variables it computes Hadamard products.  One sparse row-vector
-product, row_times_matrix, does every such evaluation; on a polynomial it
-runs once per distinct prefix of the support, since terms that share a
-prefix share its row vector.
+the sparse transition matrices of a branching program re-attached to
+their variables it computes Hadamard products.  One sparse row-vector
+product, row_times_matrix, does every such evaluation and every matrix
+product: on a polynomial it runs once per distinct prefix of the support,
+since terms that share a prefix share its row vector, and product_cells
+pushes unit rows through it to multiply monomial matrices for
+composition and branching-program embedding.
 """
 
 from .abp import Abp, transition_matrices
@@ -301,6 +303,30 @@ def row_times_matrix(vec: dict, rows: dict) -> dict:
     return out
 
 
+def product_cells(matrices: list, starts, one) -> dict:
+    """Cells {(i, j): (coefficient, word)} of a product of rows-form matrices.
+
+    Each start row i is pushed as the unit row vector through
+    row_times_matrix, once per factor, and every nonzero column j of the
+    result is filed as one monomial cell.  Raises ValueError when a
+    column holds two distinct words, since a cell stores one monomial.
+    An empty product is the identity on the start rows.
+    """
+    out: dict = {}
+    for i in starts:
+        vec = {i: {(): one}}
+        for rows in matrices:
+            if not vec:
+                break
+            vec = row_times_matrix(vec, rows)
+        for j, poly in vec.items():
+            if len(poly) > 1:
+                raise ValueError("matrix product entry needs a sum of distinct monomials")
+            ((w, c),) = poly.items()
+            out[(i, j)] = (c, w)
+    return out
+
+
 def automaton_to_substitution(a: SubstAutomaton) -> MatrixSubstitution:
     """One matrix per input variable over the states in state_order.
 
@@ -345,20 +371,6 @@ def filter_by_automaton(f: NCPoly, a: SubstAutomaton) -> NCPoly:
 # Hadamard product through transition matrices
 
 
-def _reattached_matrices(g: Abp) -> dict:
-    """Per variable x, the transition matrix with x written back into each cell."""
-    mats = transition_matrices(g)
-    out = {}
-    for vid, rows in mats.items():
-        cells = {}
-        for i, row in enumerate(rows):
-            for j, c in enumerate(row):
-                if c != 0:
-                    cells[(i, j)] = (c, (vid,))
-        out[vid] = cells
-    return out
-
-
 def _row_vector(cells) -> dict:
     """Cells of the rows form as a row vector, like cells summed."""
     vec: dict[int, dict] = {}
@@ -396,7 +408,11 @@ def hadamard_via_matrices(f, g: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> 
     if table != g.table:
         raise TableMismatchError("circuit and branching program tables differ")
     q = g.size
-    sub = MatrixSubstitution(table, table, q, _reattached_matrices(g))
+    cells = {
+        vid: {key: (c, (vid,)) for key, c in m.items()}
+        for vid, m in transition_matrices(g).items()
+    }
+    sub = MatrixSubstitution(table, table, q, cells)
     if not isinstance(f, Circuit):
         return sub.evaluate(f)
 

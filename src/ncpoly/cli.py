@@ -141,7 +141,9 @@ def _build_reduction(kind: str, params: dict, cfg: WorkspaceConfig):
         n = int(_need(params, "n"))
         m = hierarchy_iproj(i, n, field)
         target = make_family(f"hier:i={i + 1},n={n}", field)
-        r = iproj_to_abp(m, target.poly.degree(), source=f"hier:i={i},n={n}", target=target.spec_string)
+        r = iproj_to_abp(
+            m, target.meta["degree"], source=f"hier:i={i},n={n}", target=target.spec_string
+        )
         r.kind = "hier-iproj"
         return r, None
     if kind == "vbp-trivial":

@@ -445,12 +445,17 @@ def gen_hierarchy(
 ) -> FamilyInstance:
     """Level 1 is the repeated-word family; level i >= 2 multiplies i-1
     copies of (balanced-words x repeated-words), each copy over its own
-    tagged variables so indexed projections can address factors."""
+    tagged variables so indexed projections can address factors.
+
+    The factors use disjoint variables, so each product's term count, the
+    product of the factors' counts, is checked before multiplying.
+    meta["degree"] is known without realizing the instance.
+    """
     if i < 1 or n < 1:
         raise ValueError("need i >= 1 and n >= 1")
     if i == 1:
-        inst = gen_id(n, field)
-        return _instance("hier", {"i": 1, "n": n}, inst.table, lambda: inst.poly)
+        inst = gen_id(n, field, term_budget)
+        return _instance("hier", {"i": 1, "n": n}, inst.table, lambda: inst.poly, degree=2 * n)
     table = hierarchy_table(i, n, field)
 
     def build():
@@ -461,21 +466,20 @@ def gen_hierarchy(
                 (table.var(f"(1_f{j}").id, table.var(f")1_f{j}").id),
                 (table.var(f"(2_f{j}").id, table.var(f")2_f{j}").id),
             ]
-            dyck = NCPoly(table, {w: one for w in _balanced_words(pairs, 2 * n)})
-            idn = NCPoly(
+            words = _balanced_words(pairs, 2 * n, limit=term_budget)
+            _check_count(len(acc.terms) * len(words), term_budget)
+            acc = acc * NCPoly(table, {w: one for w in words})
+            _check_count(len(acc.terms) * 2**n, term_budget)
+            acc = acc * NCPoly(
                 table,
                 {
                     tuple(table.var(f"x{b}_f{j}").id for b in bits) * 2: one
                     for bits in itertools.product((0, 1), repeat=n)
                 },
             )
-            acc = acc * dyck
-            acc = acc * idn
-            if len(acc.terms) > term_budget:
-                raise TermBudgetError(f"hierarchy level {i} exceeds {term_budget} terms")
         return acc
 
-    return _instance("hier", {"i": i, "n": n}, table, build)
+    return _instance("hier", {"i": i, "n": n}, table, build, degree=4 * n * (i - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +623,17 @@ def make_family(
     chi: ChiTable | None = None,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> FamilyInstance:
+    """Build the instance a spec string names; realization stays lazy.
+
+    Raises ValueError for an unknown family, a missing parameter, or any
+    parameter the family does not read, so a misspelt key never silently
+    selects a different instance.
+    """
     name, params = parse_family_spec(spec)
+    read: set[str] = set()
 
     def num(key, default=None):
+        read.add(key)
         if key not in params:
             if default is None:
                 raise ValueError(f"family {name!r} needs parameter {key!r}")
@@ -629,6 +641,7 @@ def make_family(
         return int(params[key])
 
     def chi_arg(n):
+        read.add("chi")
         if chi is not None:
             return chi
         if "chi" not in params:
@@ -636,34 +649,27 @@ def make_family(
         text = Path(params["chi"]).read_text()
         return ChiTable.parse(text, n, field)
 
-    if name == "dyck":
-        return gen_dyck(num("k"), num("d"), field, term_budget)
-    if name == "dyckdepth":
-        return gen_dyck_depth(num("k"), num("n"), field, term_budget)
-    if name == "pal":
-        return gen_pal(num("n"), num("k", 2), field, term_budget)
-    if name == "palsq":
-        return gen_pal_sq(num("n"), field, term_budget)
-    if name == "id":
-        return gen_id(num("n"), field, term_budget)
-    if name == "idprime":
-        return gen_id_prime(num("n"), field, term_budget)
-    if name == "idstar":
-        return gen_id_star(num("n"), field, term_budget)
-    if name == "per":
-        return gen_per(num("n"), field, term_budget)
-    if name == "perchi":
-        return gen_per_chi(num("n"), chi_arg(num("n")), field, term_budget)
-    if name == "perstar":
-        return gen_per_star(num("n"), field, term_budget)
-    if name == "perstarchi":
-        return gen_per_star_chi(num("n"), chi_arg(num("n")), field, term_budget)
-    if name == "hier":
-        return gen_hierarchy(num("i"), num("n"), field, term_budget)
-    if name == "prodsums":
-        return gen_product_of_sums(num("n"), field, term_budget)
-    if name == "twochains":
-        return gen_two_chains(num("n"), field)
-    if name == "powsum":
-        return gen_power_of_sum(num("n"), field, term_budget)
-    raise ValueError(f"unknown family {name!r} (expected one of: {FAMILY_SPEC_HELP})")
+    builders = {
+        "dyck": lambda: gen_dyck(num("k"), num("d"), field, term_budget),
+        "dyckdepth": lambda: gen_dyck_depth(num("k"), num("n"), field, term_budget),
+        "pal": lambda: gen_pal(num("n"), num("k", 2), field, term_budget),
+        "palsq": lambda: gen_pal_sq(num("n"), field, term_budget),
+        "id": lambda: gen_id(num("n"), field, term_budget),
+        "idprime": lambda: gen_id_prime(num("n"), field, term_budget),
+        "idstar": lambda: gen_id_star(num("n"), field, term_budget),
+        "per": lambda: gen_per(num("n"), field, term_budget),
+        "perchi": lambda: gen_per_chi(num("n"), chi_arg(num("n")), field, term_budget),
+        "perstar": lambda: gen_per_star(num("n"), field, term_budget),
+        "perstarchi": lambda: gen_per_star_chi(num("n"), chi_arg(num("n")), field, term_budget),
+        "hier": lambda: gen_hierarchy(num("i"), num("n"), field, term_budget),
+        "prodsums": lambda: gen_product_of_sums(num("n"), field, term_budget),
+        "twochains": lambda: gen_two_chains(num("n"), field),
+        "powsum": lambda: gen_power_of_sum(num("n"), field, term_budget),
+    }
+    if name not in builders:
+        raise ValueError(f"unknown family {name!r} (expected one of: {FAMILY_SPEC_HELP})")
+    inst = builders[name]()
+    unknown = sorted(set(params) - read)
+    if unknown:
+        raise ValueError(f"family {name!r} has no parameter {', '.join(map(repr, unknown))}")
+    return inst

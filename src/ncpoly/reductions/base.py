@@ -34,7 +34,7 @@ from ..algebra import (
     VarTable,
     substitute_letters,
 )
-from ..automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution
+from ..automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution, product_cells
 from ..families import FamilyInstance
 
 
@@ -94,10 +94,6 @@ class AbpReduction:
     @property
     def dim(self) -> int:
         return self.substitution.dim
-
-    @property
-    def extraction(self) -> tuple:
-        return (1, self.substitution.dim)  # 1-based (row, column)
 
 
 def apply_abp_reduction(r: AbpReduction, g: NCPoly) -> NCPoly:
@@ -547,7 +543,10 @@ def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:
     giving one (q1*q2)-dimensional matrix per outermost variable.
 
     Requires the inner reduction's input alphabet to equal the outer one's
-    output alphabet.  Raises if a blown-up entry would need a sum of
+    output alphabet.  Each distinct entry word is multiplied out once by
+    product_cells and placed at block (i2, j2); the block keys
+    (i2*q1 + i1, j2*q1 + j1) are injective, so no two products share a
+    cell.  Raises ValueError if a blown-up entry would need a sum of
     distinct monomials or a degree above the entry cap; the concrete
     constructions in this package never trigger either.
     """
@@ -558,44 +557,18 @@ def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:
         )
     q1, q2 = s1.dim, s2.dim
     one = s1.input_table.field.one
-
-    def word_product(word):
-        """Sparse product of the inner matrices of a word; identity for ()."""
-        if not word:
-            return {(i, i): (one, ()) for i in range(q1)}
-        cells = dict(s1.entries.get(word[0], {}))
-        for y in word[1:]:
-            nxt: dict = {}
-            rows = s1.rows(y)
-            for (i, k), (c0, w0) in cells.items():
-                for j, c1, w1 in rows.get(k, ()):
-                    prev = nxt.get((i, j))
-                    cand = (c0 * c1, w0 + w1)
-                    if prev is None:
-                        nxt[(i, j)] = cand
-                    elif prev[1] == cand[1]:
-                        nxt[(i, j)] = (prev[0] + cand[0], prev[1])
-                    else:
-                        raise ValueError(
-                            "composition entry needs a sum of distinct monomials"
-                        )
-            cells = nxt
-        return cells
-
+    products: dict = {}  # entry word -> its product's cells
     entries: dict[int, dict] = {}
     for zid, zcells in s2.entries.items():
         out_cells: dict = {}
         for (i2, j2), (coeff, word) in zcells.items():
-            for (i1, j1), (c, w) in word_product(word).items():
-                key = (i2 * q1 + i1, j2 * q1 + j1)
-                prev = out_cells.get(key)
-                cand = (coeff * c, w)
-                if prev is None:
-                    out_cells[key] = cand
-                elif prev[1] == cand[1]:
-                    out_cells[key] = (prev[0] + cand[0], prev[1])
-                else:
-                    raise ValueError("composition entry needs a sum of distinct monomials")
+            cells = products.get(word)
+            if cells is None:
+                cells = products[word] = product_cells(
+                    [s1.rows(y) for y in word], range(q1), one
+                )
+            for (i1, j1), (c, w) in cells.items():
+                out_cells[(i2 * q1 + i1, j2 * q1 + j1)] = (coeff * c, w)
         entries[zid] = out_cells
     accepts_empty = s1.accepts_empty or s2.accepts_empty
     sub = MatrixSubstitution(s2.input_table, s1.output_table, q1 * q2, entries, accepts_empty)

@@ -9,7 +9,7 @@ and block decoding, never a stack.
 
 from ..abp import Abp
 from ..algebra import Word
-from ..automata import SubstAutomaton, automaton_to_substitution
+from ..automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution, product_cells
 from ..families import (
     FamilyInstance,
     gen_dyck,
@@ -197,7 +197,10 @@ def vbp_trivial_reduction(
     each letter's matrix holds that group's path monomials at the global
     vertex positions, so the layering forces every other target word to
     zero and the extraction equals the program's polynomial times the
-    witness coefficient, which is one.
+    witness coefficient, which is one.  A group's matrix is the product of
+    its gap matrices through product_cells, so parallel edges with the same
+    variable add, and ValueError is raised when a group cell needs two
+    distinct words.
     """
     m = len(witness)
     if m < 1:
@@ -210,46 +213,29 @@ def vbp_trivial_reduction(
     if (d + m - 1) // m > 3:
         raise ValueError("group entries would exceed the degree-3 cap")
 
-    # per-gap sparse matrices in global vertex indexing
-    gap_cells = []
+    # per-gap sparse matrices in global vertex indexing, in the rows form
+    one = f_abp.table.field.one
+    gap_rows = []
     for gap, gap_edges in enumerate(f_abp.edges):
-        cells: dict = {}
+        row, col = f_abp.offsets[gap], f_abp.offsets[gap + 1]
+        rows: dict = {}
         for u, v, form in gap_edges:
             if form.constant != 0 or len(form.coeffs) != 1:
                 raise ValueError("edge labels must be single-variable monomials")
-            key = (f_abp.vertex_index(gap, u), f_abp.vertex_index(gap + 1, v))
-            if key in cells:
-                raise ValueError(f"parallel edges at {key} cannot share a matrix cell")
-            (vid, c), = form.coeffs
-            cells[key] = (c, (vid,))
-        gap_cells.append(cells)
+            ((vid, c),) = form.coeffs
+            rows.setdefault(row + u, []).append((col + v, c, (vid,)))
+        gap_rows.append(rows)
 
+    # each group's product starts on its own layer, so groups never share a row
     base, extra = divmod(d, m)
     entries: dict[int, dict] = {}
     gap = 0
     for i in range(m):
         size = base + (1 if i < extra else 0)
-        block = gap_cells[gap]
-        for g2 in range(gap + 1, gap + size):
-            nxt: dict = {}
-            for (r, k_), (c0, w0) in block.items():
-                for (k2, c_), (c1, w1) in gap_cells[g2].items():
-                    if k2 != k_:
-                        continue
-                    key = (r, c_)
-                    if key in nxt:
-                        raise ValueError("grouped paths collide in one matrix cell")
-                    nxt[key] = (c0 * c1, w0 + w1)
-            block = nxt
+        starts = range(f_abp.offsets[gap], f_abp.offsets[gap + 1])
+        block = product_cells(gap_rows[gap : gap + size], starts, one)
+        entries.setdefault(witness[i], {}).update(block)
         gap += size
-        letter = witness[i]
-        cells = entries.setdefault(letter, {})
-        for key, val in block.items():
-            if key in cells:
-                raise ValueError("witness letter groups overlap in one matrix cell")
-            cells[key] = val
-
-    from ..automata import MatrixSubstitution
 
     sub = MatrixSubstitution(target.table, f_abp.table, f_abp.size, entries)
     return AbpReduction(sub, "abp", target.spec_string, kind="vbp-trivial")

@@ -81,8 +81,8 @@ def test_single_edge_matrix():
     t = xy()
     p = Abp(t, [1, 1], [[(0, 0, lf(t, x0=1))]])
     mats = transition_matrices(p)
-    assert mats[t.var("x0").id][0][1] == 1
-    assert sum(c != 0 for row in mats[t.var("x0").id] for c in row) == 1
+    assert mats[t.var("x0").id][(0, 1)] == 1
+    assert sum(c != 0 for c in mats[t.var("x0").id].values()) == 1
 
 
 def test_word_matrix_products_match_coefficients():
@@ -97,7 +97,10 @@ def test_word_matrix_products_match_coefficients():
         for vid in word:
             m = mats[vid]
             acc = [
-                [sum((acc[i][k] * m[k][j] for k in range(q)), Fraction(0)) for j in range(q)]
+                [
+                    sum((acc[i][k] * m.get((k, j), 0) for k in range(q)), Fraction(0))
+                    for j in range(q)
+                ]
                 for i in range(q)
             ]
         return acc
@@ -120,23 +123,42 @@ def test_soundness_on_random_abps():
         mats = transition_matrices(p)
         q = p.size
         d = p.degree
-        zero = [[Fraction(0)] * q for _ in range(q)]
+        zero: dict = {}
         for word in product(sorted(mats), repeat=d):
             vec = [Fraction(0)] * q
             vec[0] = Fraction(1)
             for vid in word:
                 m = mats.get(vid, zero)
-                vec = [sum((vec[i] * m[i][j] for i in range(q)), Fraction(0)) for j in range(q)]
+                vec = [
+                    sum((vec[i] * m.get((i, j), 0) for i in range(q)), Fraction(0))
+                    for j in range(q)
+                ]
             assert vec[q - 1] == f.coeff(word)
+
+
+def test_transition_matrices_hold_only_the_edge_cells():
+    # one cell per edge of the 1,173-vertex program, not a dense q x q list
+    p = bounded_depth_dyck_abp(4, 40)
+    assert p.size == 1173
+    edges = sum(map(len, p.edges))
+    assert edges == 2264
+    mats = transition_matrices(p)
+    assert all(isinstance(m, dict) for m in mats.values())
+    assert sum(map(len, mats.values())) == edges
+
+
+def test_transition_matrices_add_parallel_edges_and_drop_cancelled_cells():
+    t = xy()
+    p = Abp(t, [1, 1], [[(0, 0, lf(t, x0=1, x1=1)), (0, 0, lf(t, x0=2, x1=-1))]])
+    assert transition_matrices(p) == {t.var("x0").id: {(0, 1): 3}, t.var("x1").id: {}}
 
 
 def test_dfa_derived_matrices_are_01():
     p = bounded_depth_dyck_abp(2, 2)
     mats = transition_matrices(p)
     for m in mats.values():
-        for row in m:
-            for c in row:
-                assert c in (0, 1)
+        for c in m.values():
+            assert c in (0, 1)
 
 
 # -- Hankel rank --------------------------------------------------------------

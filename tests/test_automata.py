@@ -478,13 +478,8 @@ def test_termwise_apply_on_a_complete_width3_abp_matches_bruteforce():
     ]
     g = Abp(t, layers, edges)
     cells = {
-        vid: {
-            (i, j): (c, (vid,))
-            for i, row in enumerate(rows)
-            for j, c in enumerate(row)
-            if c != 0
-        }
-        for vid, rows in transition_matrices(g).items()
+        vid: {(i, j): (c, (vid,)) for (i, j), c in m.items() if c != 0}
+        for vid, m in transition_matrices(g).items()
     }
     r = AbpReduction(MatrixSubstitution(t, t, g.size, cells), "", "")
     f = NCPoly(t, {w: Fraction(rng.randint(-3, 3)) for w in product((0, 1), repeat=5)})

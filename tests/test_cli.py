@@ -424,3 +424,96 @@ def test_a_variable_named_like_a_scalar_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert _one_error_line(err) and "bad variable name" in err, (argv, err)
+
+
+def test_hierarchy_honours_term_budget_before_any_work(tmp_path, capsys):
+    # hier:i=2,n=7 once enumerated and multiplied 2.5 GB before the check
+    for spec in ("hier:i=1,n=12", "hier:i=2,n=7"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--term-budget", "10", "family", spec)
+        assert time.perf_counter() - start < 1.5, spec
+        assert code == 2 and out == ""
+        assert _one_error_line(err), err
+    # the target's degree is known without realizing hier:i=3,n=4
+    red = tmp_path / "r.txt"
+    argv = ("--term-budget", "1000", "reduce", "hier-iproj", "i=2", "n=4", "--out", str(red))
+    start = time.perf_counter()
+    assert run(capsys, *argv)[0] == 0
+    assert time.perf_counter() - start < 1.5
+    assert "target hier:i=3,n=4\n" in red.read_text()
+    assert "dim 33\n" in red.read_text()
+
+
+def test_unknown_family_parameters_exit_2(tmp_path, capsys):
+    # a misspelt key once computed a different family and exited 0
+    poly = tmp_path / "p.txt"
+    red = tmp_path / "r.txt"
+    assert run(capsys, "reduce", "pal-d2", "n=1", "--out", str(red))[0] == 0
+    for argv, keys in (
+        (("family", "pal:n=3,kk=4", "--out", str(poly)), ["'kk'"]),
+        (("family", "dyck:k=2,d=4,x=9,y=1", "--out", str(poly)), ["'x'", "'y'"]),
+        (("family", "per:n=3,chi=x", "--out", str(poly)), ["'chi'"]),
+        (("rank", "dyck:k=2,d=4,x=9", "--cut", "2"), ["'x'"]),
+        (("verify", str(red), "--source", "pal:n=1,n2=1"), ["'n2'"]),
+        (("verify", str(red), "--target", "dyck:k=2,d=2,q=0"), ["'q'"]),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert _one_error_line(err) and all(k in err for k in keys), (argv, err)
+    assert not poly.exists()
+    chi = tmp_path / "chi.txt"
+    chi.write_text("1 2 -> 2\n2 1 -> 3\n")
+    for family in ("perchi", "perstarchi"):
+        assert run(capsys, "family", f"{family}:n=2,chi={chi}", "--out", str(poly))[0] == 0
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # string hashing changes with PYTHONHASHSEED; a set or dict ordered by
+    # it would reorder states, cells or terms in the written files
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ncpoly
+
+    (tmp_path / "c.txt").write_text(
+        "g0 input alpha\ng1 input b\ng2 const 3\ng3 add g0 g1\ng4 mul g3 g2\n"
+        "g5 input c\ng6 mul g4 g5\ng7 mul g6 g3\ng8 add g7 g6\noutput g8\n"
+    )
+    (tmp_path / "s.txt").write_text(
+        "g0 input alpha\ng1 input b\ng2 mul g0 g1\ng3 const 2\ng4 mul g3 g2\n"
+        "g5 input c\ng6 mul g5 g4\ng7 add g6 g4\noutput g7\n"
+    )
+    (tmp_path / "g.abp").write_text(
+        "layers 0:1 1:2 2:2 3:1\n"
+        "edge 0 0 0 1 alpha 2 b\nedge 0 0 1 -1 c\n"
+        "edge 1 0 0 1 c\nedge 1 0 1 3 b\nedge 1 1 1 1 alpha -1 c\n"
+        "edge 2 0 0 1 alpha 1 b\nedge 2 1 0 2 c\n"
+    )
+    commands = [
+        ["reduce", "dyck-complete", "circuit=c.txt", "--out", "dc.red"],
+        ["reduce", "pal-vsk", "circuit=s.txt", "--out", "vsk.red"],
+        ["reduce", "depth", "k1=2", "k2=3", "n=4", "--out", "d23.red"],
+        ["reduce", "depth", "k1=3", "k2=4", "n=4", "--out", "d34.red"],
+        ["compose", "d23.red", "d34.red", "--out", "d24.red"],
+        ["hadamard", "--circuit", "c.txt", "--abp", "g.abp", "--out", "h.poly"],
+        ["family", "dyckdepth:k=2,n=5", "--out", "dd.poly"],
+    ]
+    script = (
+        "import sys\nfrom ncpoly.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = str(Path(ncpoly.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        work = tmp_path / f"seed{seed}"
+        work.mkdir()
+        for name in ("c.txt", "s.txt", "g.abp"):
+            (work / name).write_bytes((tmp_path / name).read_bytes())
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script], cwd=work, env=env, check=True, timeout=120)
+        outputs.append({argv[-1]: (work / argv[-1]).read_bytes() for argv in commands})
+    assert all(outputs[0].values())
+    assert outputs[0] == outputs[1]

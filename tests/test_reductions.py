@@ -575,6 +575,23 @@ def test_compose_matches_sequential_application():
     assert apply_abp_reduction(comp, pows.poly) == expected
 
 
+def test_compose_refuses_an_entry_that_needs_a_sum_of_distinct_monomials():
+    # inner: the word a b reaches cell (1, 4) along two paths, x x and y x
+    inner_in, out = VarTable(["a", "b"]), VarTable(["x", "y"])
+    a, b = inner_in.var("a").id, inner_in.var("b").id
+    x, y = out.var("x").id, out.var("y").id
+    s1 = MatrixSubstitution(
+        inner_in,
+        out,
+        4,
+        {a: {(0, 1): (1, (x,)), (0, 2): (1, (y,))}, b: {(1, 3): (1, (x,)), (2, 3): (1, (x,))}},
+    )
+    outer_in = VarTable(["z"])
+    s2 = MatrixSubstitution(outer_in, inner_in, 2, {0: {(0, 1): (1, (a, b))}})
+    with pytest.raises(ValueError, match="distinct monomials"):
+        compose_abp(AbpReduction(s1, "", ""), AbpReduction(s2, "", ""))
+
+
 # -- verification ---------------------------------------------------------------
 
 
@@ -838,6 +855,45 @@ def test_vbp_trivial_grouped_layers():
     tgt = gen_pal(1)
     witness = tuple([tgt.table.var("x0").id] * 2)
     r = vbp_trivial_reduction(p, tgt, witness)
+    assert apply_to_instance(r, tgt) == abp_eval(p)
+
+
+def test_vbp_trivial_refuses_a_group_cell_with_two_distinct_words():
+    from ncpoly.abp import Abp, LinearForm
+
+    # one witness letter groups both gaps, so cell (0, 3) needs x0 x0 + x1 x1
+    t = VarTable(["x0", "x1"])
+    x0, x1 = t.var("x0").id, t.var("x1").id
+
+    def lf(vid):
+        return LinearForm.make(t, {vid: Fraction(1)})
+
+    p = Abp(t, [1, 2, 1], [[(0, 0, lf(x0)), (0, 1, lf(x1))], [(0, 0, lf(x0)), (1, 0, lf(x1))]])
+    tgt = FamilyInstance.from_poly("poly", NCPoly(t, {(x1,): Fraction(1)}))
+    with pytest.raises(ValueError, match="distinct monomials"):
+        vbp_trivial_reduction(p, tgt, (x1,))
+
+
+def test_vbp_trivial_adds_same_variable_parallel_edges():
+    from ncpoly.abp import Abp, LinearForm
+
+    # x0 + 2 x0 on one vertex pair adds to 3 x0, and x1 - x1 cancels
+    t = VarTable(["x0", "x1"])
+    x0, x1 = t.var("x0").id, t.var("x1").id
+
+    def lf(vid, c):
+        return LinearForm.make(t, {vid: Fraction(c)})
+
+    gap0 = [(0, 0, lf(x0, 1)), (0, 0, lf(x0, 2)), (0, 1, lf(x1, 1)), (0, 1, lf(x1, -1))]
+    p = Abp(t, [1, 2, 1], [gap0, [(0, 0, lf(x1, 1)), (1, 0, lf(x0, 1))]])
+    tgt = gen_pal(1)
+    r = vbp_trivial_reduction(p, tgt, tuple([tgt.table.var("x0").id] * 2))
+    assert r.substitution.entries[tgt.table.var("x0").id] == {
+        (0, 1): (3, (x0,)),
+        (1, 3): (1, (x1,)),
+        (2, 3): (1, (x0,)),
+    }
+    assert abp_eval(p).terms == {(x0, x1): 3}
     assert apply_to_instance(r, tgt) == abp_eval(p)
 
 

@@ -140,7 +140,7 @@ def _build_reduction(kind: str, params: dict, cfg: WorkspaceConfig):
         i = int(_need(params, "i"))
         n = int(_need(params, "n"))
         m = hierarchy_iproj(i, n, field)
-        target = make_family(f"hier:i={i + 1},n={n}", field)
+        target = make_family(f"hier:i={i + 1},n={n}", field, term_budget=cfg.term_budget)
         r = iproj_to_abp(
             m, target.meta["degree"], source=f"hier:i={i},n={n}", target=target.spec_string
         )
@@ -148,7 +148,7 @@ def _build_reduction(kind: str, params: dict, cfg: WorkspaceConfig):
         return r, None
     if kind == "vbp-trivial":
         abp = parse_abp(Path(_need(params, "abp")).read_text(), VarTable(field=field))
-        target = make_family(_need(params, "target"), field)
+        target = make_family(_need(params, "target"), field, term_budget=cfg.term_budget)
         witness = tuple(target.table.var(name).id for name in _need(params, "witness").split(","))
         r = vbp_trivial_reduction(abp, target, witness)
         return r, abp_eval(abp, term_budget=cfg.term_budget)

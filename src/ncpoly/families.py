@@ -2,14 +2,19 @@
 
 Every generator enumerates its defining support directly (no circuit or
 ABP evaluation), so family instances double as independent oracles for
-the reduction tests.  Realization is lazy: reduction targets such as
+the reduction tests.  Families of one shape share one builder: sums over
+per-position choices of (c_1 ... c_n)^r (id, idprime, idstar, powsum,
+prodsums) and chi-weighted powers of permutation words (per, perchi,
+perstar, perstarchi).  Realization is lazy: reduction targets such as
 high-arity Dyck instances are often only consumed through their support
-structure, never expanded.
+structure, never expanded.  The balanced-word and palindrome families
+record that structure in meta["grammar"] as (pairs, half-length, tail
+flag, depth cap), which the structured apply of a reduction reads.
 """
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 from .abp import dyck_pairs, dyck_table
@@ -22,16 +27,12 @@ from .fields import QQ, Field
 
 
 def is_balanced(word: Word, pairs) -> bool:
-    """Typed bracket matching with an explicit stack."""
-    close_of = {o: c for o, c in pairs}
-    opens = set(close_of)
-    stack = []
-    for v in word:
-        if v in opens:
-            stack.append(close_of[v])
-        elif not stack or stack.pop() != v:
-            return False
-    return not stack
+    """Typed bracket matching, by the stack walk of nesting_depth."""
+    try:
+        nesting_depth(word, pairs)
+    except ValueError:
+        return False
+    return True
 
 
 def nesting_depth(word: Word, pairs) -> int:
@@ -158,7 +159,8 @@ def gen_dyck(
         one = field.one
         return NCPoly(table, {w: one for w in _balanced_words(pairs, d, limit=term_budget)})
 
-    return _instance("dyck", {"k": k, "d": d}, table, build, pairs=pairs)
+    grammar = (pairs, d // 2, True, None)
+    return _instance("dyck", {"k": k, "d": d}, table, build, pairs=pairs, grammar=grammar)
 
 
 def gen_dyck_depth(
@@ -176,9 +178,9 @@ def gen_dyck_depth(
             table, {w: one for w in _balanced_words(pairs, 2 * n, k_limit, limit=term_budget)}
         )
 
-    return _instance(
-        "dyckdepth", {"k": k_limit, "n": n}, table, build, pairs=pairs, depth=k_limit
-    )
+    grammar = (pairs, n, True, k_limit)
+    params = {"k": k_limit, "n": n}
+    return _instance("dyckdepth", params, table, build, pairs=pairs, depth=k_limit, grammar=grammar)
 
 
 def pal_table(k: int = 2, field: Field = QQ) -> VarTable:
@@ -208,7 +210,8 @@ def gen_pal(
         return NCPoly(table, terms)
 
     params = {"n": n} if k == 2 else {"n": n, "k": k}
-    return _instance("pal", params, table, build, letters=letters)
+    grammar = ([(x, x) for x in letters], n, False, None)
+    return _instance("pal", params, table, build, letters=letters, grammar=grammar)
 
 
 def gen_pal_sq(
@@ -224,40 +227,34 @@ def gen_pal_sq(
     return _instance("palsq", {"n": n}, base.table, build, letters=base.meta["letters"])
 
 
+def _choice_family(name, n, table, choices, power, term_budget) -> FamilyInstance:
+    """The sum over c_i in choices(i), i = 1..n, of (c_1 ... c_n)^power,
+    coefficient 1; choices(i) names the variables allowed at position i."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+
+    def build():
+        slots = [[table.var(v).id for v in choices(i)] for i in range(1, n + 1)]
+        _check_count(prod(map(len, slots)), term_budget)
+        one = table.field.one
+        return NCPoly(table, {w * power: one for w in itertools.product(*slots)})
+
+    return _instance(name, {"n": n}, table, build)
+
+
 def gen_id(
     n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> FamilyInstance:
     """Words repeated twice: sum of w.w over the two-letter alphabet."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    table = pal_table(2, field)
-
-    def build():
-        _check_count(2**n, term_budget)
-        one = field.one
-        return NCPoly(table, {w + w: one for w in itertools.product((0, 1), repeat=n)})
-
-    return _instance("id", {"n": n}, table, build)
+    return _choice_family("id", n, pal_table(2, field), lambda i: ("x0", "x1"), 2, term_budget)
 
 
 def gen_id_prime(
     n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> FamilyInstance:
     """Position-indexed repeated words: z1..zn z1..zn with zi in {x0_i, x1_i}."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     table = VarTable([f"x{b}_{i}" for i in range(1, n + 1) for b in (0, 1)], field)
-
-    def build():
-        _check_count(2**n, term_budget)
-        one = field.one
-        terms = {}
-        for bits in itertools.product((0, 1), repeat=n):
-            w = tuple(table.var(f"x{b}_{i + 1}").id for i, b in enumerate(bits))
-            terms[w + w] = one
-        return NCPoly(table, terms)
-
-    return _instance("idprime", {"n": n}, table, build)
+    return _choice_family("idprime", n, table, lambda i: (f"x0_{i}", f"x1_{i}"), 2, term_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +263,6 @@ def gen_id_prime(
 
 def per_table(n: int, field: Field = QQ) -> VarTable:
     return VarTable([f"x{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)], field)
-
-
-def _perm_word(table: VarTable, sigma) -> Word:
-    return tuple(table.var(f"x{i + 1}_{sigma[i]}").id for i in range(len(sigma)))
 
 
 @dataclass
@@ -327,10 +320,9 @@ class ChiTable:
         return "\n".join(lines) + "\n"
 
 
-def gen_per(
-    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
-    """Permutation words x_{1,s(1)} ... x_{n,s(n)}, coefficient 1."""
+def _perm_family(name, n, chi, power, field, term_budget) -> FamilyInstance:
+    """The sum over permutations s of [n] of chi(s) (x_{1,s(1)} ... x_{n,s(n)})^power;
+    chi None gives coefficient 1."""
     if n < 1:
         raise ValueError("need n >= 1")
     table = per_table(n, field)
@@ -338,91 +330,51 @@ def gen_per(
     def build():
         _check_count(factorial(n), term_budget)
         one = field.one
-        return NCPoly(
-            table,
-            {
-                _perm_word(table, s): one
-                for s in itertools.permutations(range(1, n + 1))
-            },
-        )
+        terms = {}
+        for s in itertools.permutations(range(1, n + 1)):
+            w = tuple(table.var(f"x{i}_{j}").id for i, j in enumerate(s, 1))
+            terms[w * power] = one if chi is None else chi.values[s]
+        return NCPoly(table, terms)
 
-    return _instance("per", {"n": n}, table, build)
+    return _instance(name, {"n": n}, table, build, **({} if chi is None else {"chi": chi}))
+
+
+def gen_per(
+    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
+) -> FamilyInstance:
+    """Permutation words x_{1,s(1)} ... x_{n,s(n)}, coefficient 1."""
+    return _perm_family("per", n, None, 1, field, term_budget)
 
 
 def gen_per_chi(
     n: int, chi: ChiTable, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> FamilyInstance:
-    table = per_table(n, field)
-
-    def build():
-        _check_count(factorial(n), term_budget)
-        return NCPoly(
-            table,
-            {
-                _perm_word(table, s): chi.values[s]
-                for s in itertools.permutations(range(1, n + 1))
-            },
-        )
-
-    return _instance("perchi", {"n": n}, table, build, chi=chi)
+    """Permutation words weighted by chi."""
+    return _perm_family("perchi", n, chi, 1, field, term_budget)
 
 
 def gen_per_star(
     n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> FamilyInstance:
     """Each permutation word repeated n times, coefficient 1."""
-    table = per_table(n, field)
-
-    def build():
-        _check_count(factorial(n), term_budget)
-        one = field.one
-        return NCPoly(
-            table,
-            {
-                _perm_word(table, s) * n: one
-                for s in itertools.permutations(range(1, n + 1))
-            },
-        )
-
-    return _instance("perstar", {"n": n}, table, build)
+    return _perm_family("perstar", n, None, n, field, term_budget)
 
 
 def gen_per_star_chi(
     n: int, chi: ChiTable, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> FamilyInstance:
-    table = per_table(n, field)
-
-    def build():
-        _check_count(factorial(n), term_budget)
-        return NCPoly(
-            table,
-            {
-                _perm_word(table, s) * n: chi.values[s]
-                for s in itertools.permutations(range(1, n + 1))
-            },
-        )
-
-    return _instance("perstarchi", {"n": n}, table, build, chi=chi)
+    """Each permutation word repeated n times, weighted by chi."""
+    return _perm_family("perstarchi", n, chi, n, field, term_budget)
 
 
 def gen_id_star(
     n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> FamilyInstance:
     """Each word x_{1,i1}..x_{n,in} (all index choices) repeated n^2 times."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    table = per_table(n, field)
-
-    def build():
-        _check_count(n**n, term_budget)
-        one = field.one
-        terms = {}
-        for idx in itertools.product(range(1, n + 1), repeat=n):
-            w = tuple(table.var(f"x{i + 1}_{idx[i]}").id for i in range(n))
-            terms[w * (n * n)] = one
-        return NCPoly(table, terms)
-
-    return _instance("idstar", {"n": n}, table, build)
+    return _choice_family(
+        "idstar", n, per_table(n, field), lambda i: [f"x{i}_{j}" for j in range(1, n + 1)],
+        n * n, term_budget,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +448,7 @@ def gen_product_of_sums(
 ) -> FamilyInstance:
     """(x1+y1)(x2+y2)...(xn+yn): 2^n monomials."""
     table = sums_table(n, field)
-
-    def build():
-        _check_count(2**n, term_budget)
-        one = field.one
-        acc = NCPoly.const(table, one)
-        for i in range(1, n + 1):
-            acc = acc * (NCPoly.variable(table, f"x{i}") + NCPoly.variable(table, f"y{i}"))
-        return acc
-
-    return _instance("prodsums", {"n": n}, table, build)
+    return _choice_family("prodsums", n, table, lambda i: (f"x{i}", f"y{i}"), 1, term_budget)
 
 
 def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
@@ -530,13 +473,7 @@ def gen_power_of_sum(
 ) -> FamilyInstance:
     """(z0+z1)^n over two letters: the indexed-projection separation target."""
     table = VarTable(["z0", "z1"], field)
-
-    def build():
-        _check_count(2**n, term_budget)
-        one = field.one
-        return NCPoly(table, {w: one for w in itertools.product((0, 1), repeat=n)})
-
-    return _instance("powsum", {"n": n}, table, build)
+    return _choice_family("powsum", n, table, lambda i: ("z0", "z1"), 1, term_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -104,17 +104,16 @@ class ModInt:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin; the bases 2..37 make it exact below 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in bases:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -193,6 +192,8 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= 2**64:
+            raise FieldError(f"prime modulus {p} is not below 2^64")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p

@@ -7,10 +7,10 @@ variable of the target polynomial and reads the source off the (1, q)
 entry of the evaluated target.
 
 Applying a matrix substitution to an explicitly expanded target is a
-termwise sparse product.  The structured targets used by the completeness
-constructions (balanced-word and palindrome families, whose supports are
-exponentially large) are instead read as grammars, S -> 1 | o S c S by
-first return and P_n = sum_x x P_(n-1) x, and applied through one inside
+termwise sparse product.  A target family that declares its grammar in
+meta["grammar"] (the balanced-word and palindrome families, whose supports
+are exponentially large) is instead read as that grammar, S -> 1 | o S c S
+by first return or P_n = sum_x x P_(n-1) x, and applied through one inside
 sum over the product of grammar and automaton.  Its keys are (start
 state, half-length[, depth budget]) reached through nonzero cells, and
 it makes three passes over them: a Boolean pass finds each key's end
@@ -389,24 +389,19 @@ def apply_to_instance(
 ) -> NCPoly:
     """Apply a matrix substitution to a family instance.
 
-    Balanced-word (``dyck``, ``dyckdepth``) and palindrome (``pal``)
-    targets go through the inside sum of their grammar and are never
-    realized.  Its Boolean and top-down passes cost bit operations over the
-    reachable (state, length[, depth]) keys; its polynomial pass costs the
-    keys on an accepting derivation times their intermediate terms, and
-    raises TermBudgetError when an intermediate polynomial exceeds
-    term_budget.  Every other target, and every target under force_expand,
-    is expanded and applied termwise.
+    A target that declares its grammar in meta["grammar"], as (pairs,
+    half-length, tail flag, depth cap) in the arguments of _inside_sum,
+    goes through the inside sum and is never realized.  Its Boolean and
+    top-down passes cost bit operations over the reachable (state,
+    length[, depth]) keys; its polynomial pass costs the keys on an
+    accepting derivation times their intermediate terms, and raises
+    TermBudgetError when an intermediate polynomial exceeds term_budget.
+    Every other target, and every target under force_expand, is expanded
+    and applied termwise.
     """
-    if not force_expand and target.name in ("dyck", "dyckdepth", "pal"):
-        meta, params = target.meta, target.params
-        if target.name == "pal":
-            pairs = [(x, x) for x in meta["letters"]]
-            return _inside_sum(r.substitution, pairs, params["n"], False, None, term_budget)
-        half = params["d"] // 2 if target.name == "dyck" else params["n"]
-        return _inside_sum(
-            r.substitution, meta["pairs"], half, True, meta.get("depth"), term_budget
-        )
+    grammar = target.meta.get("grammar")
+    if grammar is not None and not force_expand:
+        return _inside_sum(r.substitution, *grammar, term_budget)
     return apply_abp_reduction(r, target.poly)
 
 
@@ -528,13 +523,10 @@ def iproj_to_abp(m: IProjMap, d: int, source="", target="") -> AbpReduction:
 
 def identity_reduction(table: VarTable, d: int, source="", target="") -> AbpReduction:
     """Chain of d+1 states mapping every variable to itself."""
-    a = SubstAutomaton(table, table)
-    a.add_state("p0", start=True)
-    a.add_state(f"p{d}", accept=True)
-    for i in range(d):
-        for v in table.vars():
-            a.add_transition(f"p{i}", v.id, f"p{i + 1}", word=(v.id,))
-    return AbpReduction(automaton_to_substitution(a), source, target, kind="identity", automaton=a)
+    m = ProjMap(table, table, {v.id: v for v in table.vars()})
+    r = iproj_to_abp(proj_to_iproj(m, d), d, source, target)
+    r.kind = "identity"
+    return r
 
 
 def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:

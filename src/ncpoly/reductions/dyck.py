@@ -8,7 +8,7 @@ and block decoding, never a stack.
 """
 
 from ..abp import Abp
-from ..algebra import Word
+from ..algebra import VarTable, Word
 from ..automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution, product_cells
 from ..families import (
     FamilyInstance,
@@ -20,29 +20,33 @@ from ..families import (
     gen_two_chains,
 )
 from ..fields import QQ, Field
-from .base import AbpReduction
+from .base import AbpReduction, IProjMap, apply_to_instance, iproj_to_abp
+
+
+def _mirror_chain(n: int, blocks: int, source: FamilyInstance, kind: str, field: Field):
+    """Palindrome encodings into two bracket types, `blocks` of them in a row.
+
+    In each block of 2n target positions, openers in the first n and
+    closers in the last n become letters by bracket type; any other
+    placement is dead.  Balance forces the mirror structure.  The indexed
+    projection is compiled by iproj_to_abp."""
+    d = 2 * n * blocks
+    target = gen_dyck(2, d, field)
+    (o1, c1), (o2, c2) = target.meta["pairs"]
+    x0, x1 = source.table.var("x0"), source.table.var("x1")
+    mapping = {}
+    for pos in range(1, d + 1):
+        first, second = (o1, o2) if (pos - 1) % (2 * n) < n else (c1, c2)
+        mapping[(pos, first)], mapping[(pos, second)] = x0, x1
+    m = IProjMap(target.table, source.table, mapping)
+    r = iproj_to_abp(m, d, source.spec_string, target.spec_string)
+    r.kind = kind
+    return r
 
 
 def pal_to_d2_reduction(n: int, field: Field = QQ) -> AbpReduction:
-    """Palindromes from balanced words: openers in the first half become
-    letters by bracket type, closers in the second half likewise, and any
-    other placement is dead.  Balance forces the mirror structure."""
-    target = gen_dyck(2, 2 * n, field)
-    source = gen_pal(n, 2, field)
-    (o1, c1), (o2, c2) = target.meta["pairs"]
-    x0, x1 = source.table.var("x0").id, source.table.var("x1").id
-    a = SubstAutomaton(target.table, source.table)
-    a.add_state("p0", start=True)
-    a.add_state(f"p{2 * n}", accept=True)
-    for i in range(2 * n):
-        if i < n:
-            a.add_transition(f"p{i}", o1, f"p{i + 1}", word=(x0,))
-            a.add_transition(f"p{i}", o2, f"p{i + 1}", word=(x1,))
-        else:
-            a.add_transition(f"p{i}", c1, f"p{i + 1}", word=(x0,))
-            a.add_transition(f"p{i}", c2, f"p{i + 1}", word=(x1,))
-    sub = automaton_to_substitution(a)
-    return AbpReduction(sub, source.spec_string, target.spec_string, kind="pal-d2", automaton=a)
+    """Palindromes from balanced words: one mirror block."""
+    return _mirror_chain(n, 1, gen_pal(n, 2, field), "pal-d2", field)
 
 
 def palsq_to_d2_reduction(n: int, field: Field = QQ) -> AbpReduction:
@@ -51,23 +55,7 @@ def palsq_to_d2_reduction(n: int, field: Field = QQ) -> AbpReduction:
     Within each half of the target word the closers must match the openers
     of the same half (the stack at the boundary is empty), so the survivors
     are exactly the products of two palindrome encodings."""
-    target = gen_dyck(2, 4 * n, field)
-    source = gen_pal_sq(n, field)
-    (o1, c1), (o2, c2) = target.meta["pairs"]
-    x0, x1 = source.table.var("x0").id, source.table.var("x1").id
-    a = SubstAutomaton(target.table, source.table)
-    a.add_state("p0", start=True)
-    a.add_state(f"p{4 * n}", accept=True)
-    for i in range(4 * n):
-        opening = (i % (2 * n)) < n
-        if opening:
-            a.add_transition(f"p{i}", o1, f"p{i + 1}", word=(x0,))
-            a.add_transition(f"p{i}", o2, f"p{i + 1}", word=(x1,))
-        else:
-            a.add_transition(f"p{i}", c1, f"p{i + 1}", word=(x0,))
-            a.add_transition(f"p{i}", c2, f"p{i + 1}", word=(x1,))
-    sub = automaton_to_substitution(a)
-    return AbpReduction(sub, source.spec_string, target.spec_string, kind="palsq-d2", automaton=a)
+    return _mirror_chain(n, 2, gen_pal_sq(n, field), "palsq-d2", field)
 
 
 def dk_encode_word(word: Word, k: int, source_pairs, target_pairs) -> Word:
@@ -205,7 +193,12 @@ def vbp_trivial_reduction(
     m = len(witness)
     if m < 1:
         raise ValueError("witness word must have degree at least 1")
-    if target.poly.coeff(witness) != 1:
+    # read the witness coefficient through a one-word chain, so that a
+    # target with a grammar is not realized
+    field = target.table.field
+    letters = {(i, v): field.one for i, v in enumerate(witness, 1)}
+    chain = IProjMap(target.table, VarTable(field=field), letters)
+    if apply_to_instance(iproj_to_abp(chain, m), target).coeff(()) != 1:
         raise ValueError("witness word must have coefficient exactly 1 in the target")
     d = f_abp.degree
     if m > d:

@@ -517,3 +517,47 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         outputs.append({argv[-1]: (work / argv[-1]).read_bytes() for argv in commands})
     assert all(outputs[0].values())
     assert outputs[0] == outputs[1]
+
+
+def test_prime_moduli_are_checked_exactly_and_below_two_to_the_64(tmp_path, capsys):
+    out = tmp_path / "d.txt"
+    start = time.perf_counter()
+    argv = ("--field", f"p={2**61 - 1}", "family", "dyck:k=1,d=2", "--out", str(out))
+    assert run(capsys, *argv)[0] == 0
+    assert time.perf_counter() - start < 1.0
+    assert out.read_text() == "1 (1 )1\n"
+    for p in (3215031751, 2**64 + 13):
+        code, stdout, err = run(capsys, "--field", f"p={p}", "family", "dyck:k=1,d=2")
+        assert code == 2 and stdout == "" and _one_error_line(err), (p, err)
+
+
+def test_families_of_order_zero_exit_2(tmp_path, capsys):
+    # most of these once wrote the constant 1
+    chi = tmp_path / "chi.txt"
+    chi.write_text(" -> 1\n")
+    for spec in ("perstar:n=0", f"perchi:n=0,chi={chi}", f"perstarchi:n=0,chi={chi}",
+                 "powsum:n=0", "prodsums:n=0", "idstar:n=0", "per:n=0", "id:n=0"):
+        code, out, err = run(capsys, "family", spec)
+        assert code == 2 and out == "" and _one_error_line(err), (spec, err)
+        assert "n >= 1" in err, (spec, err)
+
+
+def test_reduce_vbp_trivial_reads_one_target_coefficient(tmp_path, capsys):
+    # the target was realized in full (366,080 terms, 1.5 s) to read one
+    # coefficient, and without the term budget
+    from ncpoly.abp import bounded_depth_dyck_abp, format_abp
+
+    abp = tmp_path / "p.txt"
+    abp.write_text(format_abp(bounded_depth_dyck_abp(1, 8)))  # 256 terms
+    red = tmp_path / "r.txt"
+    argv = ("--term-budget", "500", "reduce", "vbp-trivial", f"abp={abp}")
+    witness = "witness=" + ",".join(["(1", ")1"] * 8)
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "target=dyck:k=2,d=16", witness, "--out", str(red))
+    assert code == 0, err
+    assert time.perf_counter() - start < 1.0
+    assert "target dyck:k=2,d=16\n" in red.read_text()
+    # a target without a grammar is realized under the budget: 6! > 500
+    witness = "witness=" + ",".join(f"x{i}_{i}" for i in range(1, 7))
+    code, out, err = run(capsys, *argv, "target=per:n=6", witness)
+    assert code == 2 and _one_error_line(err) and "720 terms" in err, err

@@ -1061,3 +1061,44 @@ def test_reduction_roundtrip_with_source_poly():
     assert verify_reduction(
         r2, FamilyInstance.from_poly("circuit", poly), make_family(r2.target)
     ).passed
+
+
+def test_vbp_trivial_reads_the_witness_coefficient_without_realizing_the_target():
+    # gen_dyck(2, 40) has about 7e15 terms; realizing it was the only way before
+    p = bounded_depth_dyck_abp(1, 20)
+    target = gen_dyck(2, 40)
+    (o1, c1), (o2, c2) = target.meta["pairs"]
+    r = vbp_trivial_reduction(p, target, (o1, c1) * 10 + (o2, c2) * 10)
+    assert target._poly is None
+    assert r.target == "dyck:k=2,d=40" and r.dim == p.size
+    assert set(r.substitution.entries) == {o1, c1, o2, c2}
+    with pytest.raises(ValueError, match="coefficient exactly 1"):
+        vbp_trivial_reduction(p, target, (o1, c2) * 20)
+    assert target._poly is None
+
+
+def test_a_target_without_a_grammar_record_goes_termwise(monkeypatch):
+    import ncpoly.reductions.base as base
+
+    def refuse(*args):
+        raise AssertionError("inside sum called")
+
+    r = pal_to_d2_reduction(2)
+    grammar_target = gen_dyck(2, 4)
+    plain = FamilyInstance.from_poly("dyck", grammar_target.poly, k=2, d=4)
+    assert "grammar" in grammar_target.meta and not plain.meta
+    expected = apply_to_instance(r, grammar_target)
+    monkeypatch.setattr(base, "_inside_sum", refuse)
+    assert apply_to_instance(r, plain) == expected == gen_pal(2).poly
+    with pytest.raises(AssertionError, match="inside sum"):
+        apply_to_instance(r, grammar_target)
+
+
+def test_chains_compiled_by_iproj_to_abp_keep_their_kinds():
+    assert pal_to_d2_reduction(3).kind == "pal-d2"
+    assert palsq_to_d2_reduction(2).kind == "palsq-d2"
+    table = gen_pal(1).table
+    r = identity_reduction(table, 3, source="s", target="t")
+    assert (r.kind, r.source, r.target, r.dim) == ("identity", "s", "t", 4)
+    x0 = table.var("x0").id
+    assert r.substitution.entries[x0] == {(i, i + 1): (1, (x0,)) for i in range(3)}

@@ -1,6 +1,7 @@
 """Scalar representation: Q scalars are ints while integral, Fractions
 otherwise, and never floats or bools; Z_p scalars are ModInts."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from ncpoly.algebra import NCPoly, VarTable, exact_rank, format_poly, hadamard_bruteforce, parse_poly
 from ncpoly.automata import MatrixSubstitution
-from ncpoly.fields import QQ, FieldError, ModInt, PrimeField
+from ncpoly.fields import QQ, FieldError, ModInt, PrimeField, _is_prime
 from test_algebra import minor_rank
 
 
@@ -131,3 +132,23 @@ def test_q_scalars_stay_ints_or_fractions(data):
     assert exact_rank(rows, QQ) == minor_rank(rows)
     assert exact_rank([dict(enumerate(r)) for r in rows], QQ) == minor_rank(rows)
 
+
+
+def test_large_primes_are_recognized_at_once():
+    # trial division ran for minutes on 2^61 - 1
+    start = time.perf_counter()
+    for p in (2**61 - 1, 2**64 - 59, 2**31 - 1):
+        assert PrimeField(p).p == p
+    assert time.perf_counter() - start < 0.5
+
+
+def test_strong_pseudoprimes_and_moduli_beyond_two_to_the_64_are_refused():
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to the bases 2, 3, 5 and 7
+    for n in (3215031751, 2047, 3825123056546413051, 2**61 - 3, 1, 0, 9):
+        with pytest.raises(FieldError, match="not prime"):
+            PrimeField(n)
+    with pytest.raises(FieldError, match="2\\^64"):
+        PrimeField(2**64 + 13)
+    assert [n for n in range(60) if _is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
+    ]

@@ -5,16 +5,20 @@ ABP evaluation), so family instances double as independent oracles for
 the reduction tests.  Families of one shape share one builder: sums over
 per-position choices of (c_1 ... c_n)^r (id, idprime, idstar, powsum,
 prodsums) and chi-weighted powers of permutation words (per, perchi,
-perstar, perstarchi).  Realization is lazy: reduction targets such as
-high-arity Dyck instances are often only consumed through their support
-structure, never expanded.  The balanced-word and palindrome families
-record that structure in meta["grammar"] as (pairs, half-length, tail
-flag, depth cap), which the structured apply of a reduction reads.
+perstar, perstarchi).  Builders resolve variable ids once per family and
+build whole words with tuple operations; balanced words come bottom-up
+by first return, after the same recurrence has counted them against the
+term budget.  Realization is lazy: reduction targets such as high-arity
+Dyck instances are often only consumed through their support structure,
+never expanded.  The balanced-word and palindrome families record that
+structure in meta["grammar"] as (pairs, half-length, tail flag, depth
+cap), which the structured apply of a reduction reads.
 """
 
 import itertools
 from dataclasses import dataclass, field as dc_field
 from math import factorial, prod
+from operator import getitem
 from pathlib import Path
 
 from .abp import dyck_pairs, dyck_table
@@ -56,51 +60,58 @@ def nesting_depth(word: Word, pairs) -> int:
     return depth
 
 
-def _balanced_words(pairs, length: int, depth_cap: int | None = None, limit: int | None = None):
-    """All balanced words of the given length over typed pairs.
+def _first_return_rows(half: int, depth_cap: int | None, empty, zero, join):
+    """Yield, for m = 0..half, a value over the balanced words of
+    half-length m and depth <= depth_cap (None: no cap), built bottom-up by
+    the first return o u c v: u inside the first pair has half-length
+    m1 < m and depth <= d-1, the tail v has m-1-m1 and depth <= d.
 
-    The search keeps the invariant stack height <= letters remaining (with
-    matching parity), so every branch completes and no filtering is needed.
-    Words come in depth-first order, each opener in pair order before the
-    closer, and each is found from the previous one without recursion:
-    undo letters back to the last position that has a later move, take
-    that move, and complete the word with the first move at each position.
-    A limit aborts the enumeration as soon as it is exceeded.
+    levels[d] lists the rows of depth d; join(inner, same, m) builds row m
+    from the rows of levels d-1 and d.  Rows with m <= d hold no deeper
+    words, so level d starts as a copy of level d-1 at m = d, and stops
+    growing once the top level no longer reads it.
     """
-    if length % 2 or (length and depth_cap is not None and depth_cap < 1):
+    cap = half if depth_cap is None else max(0, min(depth_cap, half))
+    levels = [[empty] + [zero] * (half - cap)]  # depth 0: only the empty word
+    yield empty
+    for m in range(1, half + 1):
+        if len(levels) <= min(m, cap):
+            levels.append(levels[-1][:m])
+        for d in range(max(1, cap - half + m), len(levels)):
+            levels[d].append(join(levels[d - 1], levels[d], m))
+        yield levels[-1][m]
+
+
+def _balanced_words(pairs, length: int, depth_cap: int | None = None, limit: int | None = None):
+    """All balanced words of the given length over typed pairs, with
+    nesting depth <= depth_cap (None: no cap), in first-return order.
+
+    A limit is checked before any word is built: the same recurrence
+    counts the words row by row and raises TermBudgetError at the first
+    half-length whose count exceeds it.  Counts never fall as the
+    half-length grows, so a refusal costs about log(limit) rows.
+    """
+    if length % 2:
         return []
-    rank = {o: k for k, (o, _c) in enumerate(pairs)}
-    out: list[Word] = []
-    word: list[int] = []
-    stack: list[int] = []  # closers of the unmatched openers
-    while True:
-        while len(word) < length:
-            if len(stack) + 2 <= length - len(word) and (
-                depth_cap is None or len(stack) < depth_cap
-            ):
-                word.append(pairs[0][0])
-                stack.append(pairs[0][1])
-            else:
-                word.append(stack.pop())
-        if limit is not None and len(out) >= limit:
-            raise TermBudgetError(f"balanced-word enumeration exceeded {limit} terms")
-        out.append(tuple(word))
-        while word:
-            v = word.pop()
-            k = rank.get(v)
-            if k is None:  # a closer, whose position has no later move
-                stack.append(v)
-                continue
-            stack.pop()
-            if k + 1 < len(pairs):
-                word.append(pairs[k + 1][0])
-                stack.append(pairs[k + 1][1])
-                break
-            if stack:
-                word.append(stack.pop())
-                break
-        else:
-            return out
+    half = length // 2
+    if limit is not None:
+
+        def count(inner, same, m):
+            return len(pairs) * sum(inner[m1] * same[m - 1 - m1] for m1 in range(m))
+
+        for n in _first_return_rows(half, depth_cap, 1, 0, count):
+            if n > limit:
+                raise TermBudgetError(f"balanced words of length {length} exceed {limit} terms")
+
+    def words(inner, same, m):
+        out = []
+        for m1 in range(m):
+            heads = [(o, *u, c) for o, c in pairs for u in inner[m1]]
+            out += [h + v for h in heads for v in same[m - 1 - m1]]
+        return out
+
+    *_, top = _first_return_rows(half, depth_cap, [()], [], words)
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +151,28 @@ def _instance(name, params, table, builder, **meta):
     return FamilyInstance(name, params, table, meta=dict(meta), _builder=builder)
 
 
+def _poly(table: VarTable, words, coeffs=None) -> NCPoly:
+    """The sum of distinct words, the i-th with the i-th of the nonzero
+    coeffs (default one), filed straight into the polynomial's terms."""
+    p = NCPoly.zero(table)
+    p.terms.update(zip(words, itertools.repeat(table.field.one) if coeffs is None else coeffs))
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Dyck and palindrome families
+
+
+def _dyck_family(name, params, k, half, depth_cap, field, term_budget) -> FamilyInstance:
+    """Balanced words of half-length half over k pairs with depth <= depth_cap."""
+    table = dyck_table(k, field)
+    pairs = dyck_pairs(table)
+
+    def build():
+        return _poly(table, _balanced_words(pairs, 2 * half, depth_cap, limit=term_budget))
+
+    grammar = (pairs, half, True, depth_cap)
+    return _instance(name, params, table, build, pairs=pairs, depth=depth_cap, grammar=grammar)
 
 
 def gen_dyck(
@@ -152,15 +183,7 @@ def gen_dyck(
         raise ValueError("need at least one bracket pair")
     if d < 0 or d % 2:
         raise ValueError("degree must be even and nonnegative")
-    table = dyck_table(k, field)
-    pairs = dyck_pairs(table)
-
-    def build():
-        one = field.one
-        return NCPoly(table, {w: one for w in _balanced_words(pairs, d, limit=term_budget)})
-
-    grammar = (pairs, d // 2, True, None)
-    return _instance("dyck", {"k": k, "d": d}, table, build, pairs=pairs, grammar=grammar)
+    return _dyck_family("dyck", {"k": k, "d": d}, k, d // 2, None, field, term_budget)
 
 
 def gen_dyck_depth(
@@ -169,18 +192,7 @@ def gen_dyck_depth(
     """Balanced words of length 2n over two pairs with nesting depth <= k_limit."""
     if k_limit < 1 or n < 1:
         raise ValueError("need k_limit >= 1 and n >= 1")
-    table = dyck_table(2, field)
-    pairs = dyck_pairs(table)
-
-    def build():
-        one = field.one
-        return NCPoly(
-            table, {w: one for w in _balanced_words(pairs, 2 * n, k_limit, limit=term_budget)}
-        )
-
-    grammar = (pairs, n, True, k_limit)
-    params = {"k": k_limit, "n": n}
-    return _instance("dyckdepth", params, table, build, pairs=pairs, depth=k_limit, grammar=grammar)
+    return _dyck_family("dyckdepth", {"k": k_limit, "n": n}, 2, n, k_limit, field, term_budget)
 
 
 def pal_table(k: int = 2, field: Field = QQ) -> VarTable:
@@ -203,11 +215,7 @@ def gen_pal(
 
     def build():
         _check_count(k**n, term_budget)
-        one = field.one
-        terms = {}
-        for w in itertools.product(letters, repeat=n):
-            terms[w + tuple(reversed(w))] = one
-        return NCPoly(table, terms)
+        return _poly(table, (w + w[::-1] for w in itertools.product(letters, repeat=n)))
 
     params = {"n": n} if k == 2 else {"n": n, "k": k}
     grammar = ([(x, x) for x in letters], n, False, None)
@@ -236,8 +244,7 @@ def _choice_family(name, n, table, choices, power, term_budget) -> FamilyInstanc
     def build():
         slots = [[table.var(v).id for v in choices(i)] for i in range(1, n + 1)]
         _check_count(prod(map(len, slots)), term_budget)
-        one = table.field.one
-        return NCPoly(table, {w * power: one for w in itertools.product(*slots)})
+        return _poly(table, (w * power for w in itertools.product(*slots)))
 
     return _instance(name, {"n": n}, table, build)
 
@@ -329,12 +336,12 @@ def _perm_family(name, n, chi, power, field, term_budget) -> FamilyInstance:
 
     def build():
         _check_count(factorial(n), term_budget)
-        one = field.one
-        terms = {}
-        for s in itertools.permutations(range(1, n + 1)):
-            w = tuple(table.var(f"x{i}_{j}").id for i, j in enumerate(s, 1))
-            terms[w * power] = one if chi is None else chi.values[s]
-        return NCPoly(table, terms)
+        # rows[i-1][j] is the id of x{i}_{j}, so map(getitem, rows, s) spells s's word
+        cols = range(1, n + 1)
+        rows = [{j: table.var(f"x{i}_{j}").id for j in cols} for i in cols]
+        words = (tuple(map(getitem, rows, s)) * power for s in itertools.permutations(cols))
+        coeffs = None if chi is None else map(chi.values.__getitem__, itertools.permutations(cols))
+        return _poly(table, words, coeffs)
 
     return _instance(name, {"n": n}, table, build, **({} if chi is None else {"chi": chi}))
 
@@ -411,24 +418,15 @@ def gen_hierarchy(
     table = hierarchy_table(i, n, field)
 
     def build():
-        one = field.one
-        acc = NCPoly.const(table, one)
+        acc = NCPoly.const(table, field.one)
         for j in range(1, i):
-            pairs = [
-                (table.var(f"(1_f{j}").id, table.var(f")1_f{j}").id),
-                (table.var(f"(2_f{j}").id, table.var(f")2_f{j}").id),
-            ]
+            pairs = [(table.var(f"({b}_f{j}").id, table.var(f"){b}_f{j}").id) for b in (1, 2)]
             words = _balanced_words(pairs, 2 * n, limit=term_budget)
             _check_count(len(acc.terms) * len(words), term_budget)
-            acc = acc * NCPoly(table, {w: one for w in words})
+            acc = acc * _poly(table, words)
             _check_count(len(acc.terms) * 2**n, term_budget)
-            acc = acc * NCPoly(
-                table,
-                {
-                    tuple(table.var(f"x{b}_f{j}").id for b in bits) * 2: one
-                    for bits in itertools.product((0, 1), repeat=n)
-                },
-            )
+            xs = (table.var(f"x0_f{j}").id, table.var(f"x1_f{j}").id)
+            acc = acc * _poly(table, (w * 2 for w in itertools.product(xs, repeat=n)))
         return acc
 
     return _instance("hier", {"i": i, "n": n}, table, build, degree=4 * n * (i - 1))
@@ -453,17 +451,12 @@ def gen_product_of_sums(
 
 def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
     """x1...xn + y1...yn: two monomials on the same table as the product."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     table = sums_table(n, field)
 
     def build():
-        one = field.one
-        return NCPoly(
-            table,
-            {
-                tuple(table.var(f"x{i}").id for i in range(1, n + 1)): one,
-                tuple(table.var(f"y{i}").id for i in range(1, n + 1)): one,
-            },
-        )
+        return _poly(table, (tuple(table.var(f"{x}{i}").id for i in range(1, n + 1)) for x in "xy"))
 
     return _instance("twochains", {"n": n}, table, build)
 

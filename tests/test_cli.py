@@ -319,14 +319,21 @@ def test_a_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys):
 
 
 def test_long_balanced_words_exit_2_without_recursion(capsys):
-    # each word has 2400 letters; enumerating them once recursed per letter
+    # words of 2400 letters, whose enumeration once recursed per letter, and
+    # of 200,000 letters, where counting the words of every half-length
+    # would take about half^2 steps and stopping at the first count over the
+    # budget takes a handful
     for argv in (
         ("--term-budget", "10", "family", "dyck:k=1,d=2400"),
         ("--term-budget", "10", "rank", "dyckdepth:k=2,n=1200", "--cut", "1200"),
+        ("--term-budget", "10", "family", "dyck:k=1,d=200000"),
+        ("--term-budget", "10", "family", "dyckdepth:k=2,n=100000"),
     ):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == ""
-        assert _one_error_line(err)
+        assert _one_error_line(err), (argv, err)
 
 
 def test_reduce_state_budget_is_checked_during_the_build(tmp_path, capsys):
@@ -536,7 +543,8 @@ def test_families_of_order_zero_exit_2(tmp_path, capsys):
     chi = tmp_path / "chi.txt"
     chi.write_text(" -> 1\n")
     for spec in ("perstar:n=0", f"perchi:n=0,chi={chi}", f"perstarchi:n=0,chi={chi}",
-                 "powsum:n=0", "prodsums:n=0", "idstar:n=0", "per:n=0", "id:n=0"):
+                 "powsum:n=0", "prodsums:n=0", "idstar:n=0", "per:n=0", "id:n=0",
+                 "twochains:n=0", "twochains:n=-2"):
         code, out, err = run(capsys, "family", spec)
         assert code == 2 and out == "" and _one_error_line(err), (spec, err)
         assert "n >= 1" in err, (spec, err)

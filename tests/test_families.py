@@ -7,6 +7,7 @@ import pytest
 from ncpoly.algebra import NCPoly, VarTable, poly_mul
 from ncpoly.families import (
     ChiTable,
+    _balanced_words,
     commutative_version,
     gen_dyck,
     gen_dyck_depth,
@@ -69,6 +70,35 @@ def test_dyck_counts_and_brute_force():
                     if is_balanced(w, inst.meta["pairs"])
                 }
                 assert set(inst.poly.terms) == brute
+
+
+def test_balanced_words_match_a_brute_force_filter():
+    # an oracle independent of the first-return recurrence, which the
+    # enumerator shares with the inside sum: every string over the 2k
+    # letters that opens with an opener and ends with a closer (no other
+    # string can balance), kept when the stack walk of nesting_depth
+    # accepts it
+    for k in (1, 2, 3):
+        pairs = [(2 * i, 2 * i + 1) for i in range(k)]
+        letters = range(2 * k)
+        openers, closers = zip(*pairs)
+        for length in range(0, 11 if k < 3 else 9):
+            shape = [letters] * length
+            if length > 1:
+                shape = [openers, *shape[2:], closers]
+            depths = {}
+            for w in product(*shape):
+                try:
+                    depths[w] = nesting_depth(w, pairs)
+                except ValueError:
+                    pass
+            for cap in (None, 0, 1, 2, 3, 4):
+                words = _balanced_words(pairs, length, cap)
+                assert len(words) == len(set(words)), (k, length, cap)
+                expected = {w for w, d in depths.items() if cap is None or d <= cap}
+                assert set(words) == expected, (k, length, cap)
+            if length % 2 == 0:
+                assert len(depths) == k ** (length // 2) * catalan(length // 2)
 
 
 def test_dyck_rejects_odd_degree():

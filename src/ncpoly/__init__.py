@@ -1,6 +1,7 @@
 """Exact workbench for noncommutative polynomials and their reductions.
 
-Modules: algebra (words, sparse polynomials, exact rank), circuits (DAG
+Modules: algebra (words, sparse polynomials, exact rank, the term and
+state Budget that using_budget puts in force for a block), circuits (DAG
 IR, expansion, bracketing transforms), abp (branching programs, transition
 matrices, Hankel rank), automata (substitution automata, their matrix
 compilation, and the sparse row-vector product that evaluates polynomials
@@ -12,6 +13,7 @@ matrix-substitution reducibilities plus every concrete construction), cli
 
 from .fields import QQ, Field, FieldError, ModInt, PrimeField, field_from_spec
 from .algebra import (
+    Budget,
     NCPoly,
     StateBudgetError,
     TableMismatchError,
@@ -26,6 +28,7 @@ from .algebra import (
     parse_poly,
     poly_add,
     poly_mul,
+    using_budget,
 )
 from .circuits import (
     Circuit,

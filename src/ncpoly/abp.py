@@ -11,14 +11,7 @@ bounded nesting depth.
 
 from dataclasses import dataclass
 
-from .algebra import (
-    DEFAULT_TERM_BUDGET,
-    NCPoly,
-    StateBudgetError,
-    TermBudgetError,
-    VarTable,
-    exact_rank,
-)
+from .algebra import NCPoly, VarTable, budget, exact_rank
 
 
 @dataclass(frozen=True)
@@ -80,17 +73,19 @@ class Abp:
         return all(f.is_homogeneous() for g in self.edges for _, _, f in g)
 
 
-def abp_eval(p: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> NCPoly:
-    """Sum over source-sink paths of ordered edge-label products."""
+def abp_eval(p: Abp) -> NCPoly:
+    """Sum over source-sink paths of ordered edge-label products.
+
+    TermBudgetError is raised once a layer holds more terms than the budget.
+    """
+    limits = budget()
     vec = [NCPoly.const(p.table, p.table.field.one)]
     for gap, gap_edges in enumerate(p.edges):
         nxt = [NCPoly.zero(p.table) for _ in range(p.layers[gap + 1])]
         for u, v, form in gap_edges:
             if vec[u]:
                 nxt[v] = nxt[v] + vec[u] * form.poly(p.table)
-        total = sum(len(q.terms) for q in nxt)
-        if total > term_budget:
-            raise TermBudgetError(f"layer {gap + 1} holds {total} terms")
+        limits.check_terms(sum(len(q.terms) for q in nxt), f"layer {gap + 1}")
         vec = nxt
     return vec[0]
 
@@ -196,13 +191,14 @@ def bounded_depth_dyck_abp(
     n: int,
     bracket_types: int = 2,
     table: VarTable | None = None,
-    state_budget: int = 10**5,
 ) -> Abp:
     """ABP whose paths spell the balanced words of length 2n with nesting
     depth at most k, by carrying the bracket stack in the state.
 
     Layer i holds the reachable, completable stacks after i letters; the
-    vertex count is at most (2n+1) * 2^(k+1) for two bracket types.
+    vertex count is at most (2n+1) * 2^(k+1) for two bracket types, and
+    StateBudgetError is raised once the layers built so far exceed the
+    state budget.
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
@@ -216,6 +212,7 @@ def bounded_depth_dyck_abp(
         rem = 2 * n - pos
         return stack_len <= rem and (rem - stack_len) % 2 == 0
 
+    limits = budget()
     layers_states: list[list[tuple]] = [[()]]
     transitions: list[list] = []
     count = 1
@@ -240,8 +237,7 @@ def bounded_depth_dyck_abp(
         ordered = sorted(nxt, key=lambda s: nxt[s])
         layers_states.append(ordered)
         count += len(ordered)
-        if count > state_budget:
-            raise StateBudgetError(f"state budget {state_budget} exceeded")
+        limits.check_states(count)
         transitions.append(gap)
 
     one = table.field.one

@@ -5,6 +5,14 @@ together with the coefficient field.  Words are tuples of variable ids;
 multiplication concatenates them in argument order and is therefore
 noncommutative.  An :class:`NCPoly` maps words to nonzero scalars.
 
+A :class:`Budget` bounds what the workbench builds: ``terms`` every
+expansion and intermediate polynomial, ``states`` every automaton while
+it is built and the dimension of every matrix substitution.  Code reads
+the budget in force with :func:`budget`; :func:`using_budget` sets one for
+a block, like ``decimal.localcontext``, and code run outside such a block
+gets the defaults.  The budget lives in a context variable, so each
+thread and each asyncio task sees its own.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 """
@@ -12,14 +20,14 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .fields import QQ, Field
 
 Word = tuple  # tuple[int, ...] of variable ids
-
-DEFAULT_TERM_BUDGET = 10**6
 
 
 class TableMismatchError(ValueError):
@@ -36,6 +44,46 @@ class StateBudgetError(RuntimeError):
 
 class VarNameError(ValueError):
     """A variable name that the text formats cannot write and read back."""
+
+
+@dataclass(frozen=True)
+class Budget:
+    """The largest term count and state count a construction may reach.
+
+    check_terms and check_states are the only code that raises
+    TermBudgetError and StateBudgetError.
+    """
+
+    terms: int = 10**6
+    states: int = 10**5
+
+    def check_terms(self, count: int, what: str) -> None:
+        if count > self.terms:
+            raise TermBudgetError(
+                f"{what} holds {count} terms, over the budget of {self.terms} terms"
+            )
+
+    def check_states(self, count: int) -> None:
+        if count > self.states:
+            raise StateBudgetError(f"state budget {self.states} exceeded: {count} states")
+
+
+_BUDGET: ContextVar[Budget] = ContextVar("ncpoly_budget", default=Budget())
+
+
+def budget() -> Budget:
+    """The budget in force: the innermost using_budget block's, or the defaults."""
+    return _BUDGET.get()
+
+
+@contextmanager
+def using_budget(b: Budget) -> Iterator[Budget]:
+    """Put b in force for the duration of the block."""
+    token = _BUDGET.set(b)
+    try:
+        yield b
+    finally:
+        _BUDGET.reset(token)
 
 
 # Every scalar literal that Q (fractions.Fraction) or a prime field

@@ -21,14 +21,7 @@ composition and branching-program embedding.
 """
 
 from .abp import Abp, transition_matrices
-from .algebra import (
-    DEFAULT_TERM_BUDGET,
-    NCPoly,
-    TableMismatchError,
-    TermBudgetError,
-    VarTable,
-    Word,
-)
+from .algebra import NCPoly, TableMismatchError, VarTable, Word, budget
 
 MAX_ENTRY_DEGREE = 3
 
@@ -38,11 +31,17 @@ class NondeterminismError(ValueError):
 
 
 class SubstAutomaton:
-    """Layered deterministic finite substitution automaton."""
+    """Layered deterministic finite substitution automaton.
+
+    The state budget in force at construction bounds the states:
+    add_state raises StateBudgetError before it adds one state too many,
+    so every builder stops while it builds.
+    """
 
     def __init__(self, input_table: VarTable, output_table: VarTable):
         self.input_table = input_table
         self.output_table = output_table
+        self._budget = budget()
         self.states: list[str] = []
         self._state_set: set[str] = set()
         self.start: str | None = None
@@ -51,6 +50,7 @@ class SubstAutomaton:
 
     def add_state(self, name: str, start: bool = False, accept: bool = False) -> str:
         if name not in self._state_set:
+            self._budget.check_states(len(self.states) + 1)
             self.states.append(name)
             self._state_set.add(name)
         if start:
@@ -156,6 +156,8 @@ class MatrixSubstitution:
     when q > 1.  accepts_empty marks a substitution compiled from an
     automaton that accepts the empty word although q > 1; evaluating a
     constant term on it raises ValueError instead of dropping the term.
+    A dimension over the state budget raises StateBudgetError before any
+    entry is read.
     """
 
     def __init__(
@@ -166,6 +168,7 @@ class MatrixSubstitution:
         entries: dict,
         accepts_empty: bool = False,
     ):
+        budget().check_states(dim)
         self.input_table = input_table
         self.output_table = output_table
         self.dim = dim
@@ -385,7 +388,7 @@ def _row_cells(vec: dict) -> list:
     return [(c, x, w) for c, poly in vec.items() for w, x in poly.items() if x]
 
 
-def hadamard_via_matrices(f, g: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> NCPoly:
+def hadamard_via_matrices(f, g: Abp) -> NCPoly:
     """Coefficientwise product of f (circuit or polynomial) with abp_eval(g).
 
     Every variable of f is evaluated at the corresponding transition matrix
@@ -398,7 +401,8 @@ def hadamard_via_matrices(f, g: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> 
     its re-attached matrix, a constant a scaled identity, a sum merges the
     rows of its arguments, and a product sends each row of the left matrix
     through row_times_matrix.  TermBudgetError is raised once a gate's
-    matrix holds more than term_budget terms.
+    matrix holds more terms than the budget, and StateBudgetError when g
+    has more vertices than the state budget.
     """
     from .circuits import Add, Circuit, Const, Input
 
@@ -416,6 +420,7 @@ def hadamard_via_matrices(f, g: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> 
     if not isinstance(f, Circuit):
         return sub.evaluate(f)
 
+    limits = budget()
     mats: dict[int, dict] = {}
     for gid in f.reachable():
         gate = f.gates[gid]
@@ -436,8 +441,7 @@ def hadamard_via_matrices(f, g: Abp, term_budget: int = DEFAULT_TERM_BUDGET) -> 
                 for r, cells in a.items()
             }
         m = {r: cells for r, cells in m.items() if cells}
-        if sum(map(len, m.values())) > term_budget:
-            raise TermBudgetError(f"gate g{gid} matrix holds more than {term_budget} terms")
+        limits.check_terms(sum(map(len, m.values())), f"gate g{gid} matrix")
         mats[gid] = m
     out = NCPoly.zero(table)
     out.terms.update({w: x for c, x, w in mats[f.output].get(0, ()) if c == q - 1})

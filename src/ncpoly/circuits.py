@@ -13,14 +13,7 @@ original polynomial, which the tests enforce term for term.
 
 from dataclasses import dataclass
 
-from .algebra import (
-    DEFAULT_TERM_BUDGET,
-    NCPoly,
-    TermBudgetError,
-    Var,
-    VarTable,
-    substitute_letters,
-)
+from .algebra import NCPoly, Var, VarTable, budget, substitute_letters
 
 
 @dataclass(frozen=True)
@@ -113,15 +106,17 @@ class Circuit:
         return len(self.gates)
 
 
-def expand(c: Circuit, degree_cap: int | None = None, term_budget: int = DEFAULT_TERM_BUDGET) -> NCPoly:
+def expand(c: Circuit, degree_cap: int | None = None) -> NCPoly:
     """Brute-force expansion of the circuit polynomial.
 
     When ``degree_cap`` is given, terms of higher degree are discarded at
     every gate, keeping intermediate results bounded; the cap is part of
-    the oracle's semantics, not of the circuit.
+    the oracle's semantics, not of the circuit.  TermBudgetError is raised
+    once a gate's polynomial holds more terms than the budget.
     """
     if degree_cap is not None and degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
+    limits = budget()
     values: dict[int, NCPoly] = {}
     for gid in c.reachable():
         g = c.gates[gid]
@@ -135,8 +130,7 @@ def expand(c: Circuit, degree_cap: int | None = None, term_budget: int = DEFAULT
             v = values[g.left] * values[g.right]
         if degree_cap is not None:
             v = v.truncate(degree_cap)
-        if len(v.terms) > term_budget:
-            raise TermBudgetError(f"gate g{gid} expanded past {term_budget} terms")
+        limits.check_terms(len(v.terms), f"gate g{gid}")
         values[gid] = v
     return values[c.output]
 

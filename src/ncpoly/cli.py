@@ -3,24 +3,26 @@
 Subcommands: family, expand, reduce, verify, rank, hadamard, compose.
 All outputs are deterministic (identical inputs give byte-identical
 files) and written atomically.  Exit codes: 0 success, 1 a verification
-found a mismatch, 2 usage, parse or budget errors.
+found a mismatch, 2 usage, parse or budget errors.  Each command runs
+inside using_budget(Budget(--term-budget, --state-budget)), so every
+construction it reaches checks the same budget while it builds.
 """
 
 import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .abp import abp_eval, hankel_rank, parse_abp
 from .algebra import (
-    DEFAULT_TERM_BUDGET,
+    Budget,
     StateBudgetError,
     TermBudgetError,
     VarTable,
     format_poly,
     parse_poly,
+    using_budget,
 )
 from .circuits import CircuitFormatError, expand, parse_circuit
 from .families import ChiTable, FAMILY_SPEC_HELP, FamilyInstance, make_family
@@ -43,14 +45,6 @@ from .reductions import (
     verify_reduction,
 )
 from .automata import hadamard_via_matrices
-
-
-@dataclass
-class WorkspaceConfig:
-    field: Field
-    term_budget: int
-    state_budget: int
-    fmt: str
 
 
 class UsageError(ValueError):
@@ -89,30 +83,29 @@ def _need(params: dict, key: str) -> str:
     return params[key]
 
 
-def cmd_family(args, cfg: WorkspaceConfig) -> int:
-    inst = make_family(args.spec, cfg.field, term_budget=cfg.term_budget)
+def cmd_family(args, field: Field) -> int:
+    inst = make_family(args.spec, field)
     _write_atomic(args.out, format_poly(inst.poly))
     return 0
 
 
-def cmd_expand(args, cfg: WorkspaceConfig) -> int:
-    circuit = parse_circuit(Path(args.circuit).read_text(), VarTable(field=cfg.field))
-    poly = expand(circuit, degree_cap=args.cap, term_budget=cfg.term_budget)
+def cmd_expand(args, field: Field) -> int:
+    circuit = parse_circuit(Path(args.circuit).read_text(), VarTable(field=field))
+    poly = expand(circuit, degree_cap=args.cap)
     _write_atomic(args.out, format_poly(poly))
     return 0
 
 
-def _build_reduction(kind: str, params: dict, cfg: WorkspaceConfig):
+def _build_reduction(kind: str, params: dict, field: Field):
     """Returns (reduction, source polynomial to embed or None)."""
-    field = cfg.field
     if kind == "dyck-complete":
         circuit = parse_circuit(Path(_need(params, "circuit")).read_text(), VarTable(field=field))
-        r = dyck_completeness_reduction(circuit, state_budget=cfg.state_budget)
-        return r, expand(circuit, term_budget=cfg.term_budget)
+        r = dyck_completeness_reduction(circuit)
+        return r, expand(circuit)
     if kind == "pal-vsk":
         circuit = parse_circuit(Path(_need(params, "circuit")).read_text(), VarTable(field=field))
-        r = pal_vsk_reduction(circuit, state_budget=cfg.state_budget)
-        return r, expand(circuit, term_budget=cfg.term_budget)
+        r = pal_vsk_reduction(circuit)
+        return r, expand(circuit)
     if kind == "pal-d2":
         return pal_to_d2_reduction(int(_need(params, "n")), field), None
     if kind == "palsq-d2":
@@ -140,7 +133,7 @@ def _build_reduction(kind: str, params: dict, cfg: WorkspaceConfig):
         i = int(_need(params, "i"))
         n = int(_need(params, "n"))
         m = hierarchy_iproj(i, n, field)
-        target = make_family(f"hier:i={i + 1},n={n}", field, term_budget=cfg.term_budget)
+        target = make_family(f"hier:i={i + 1},n={n}", field)
         r = iproj_to_abp(
             m, target.meta["degree"], source=f"hier:i={i},n={n}", target=target.spec_string
         )
@@ -148,57 +141,55 @@ def _build_reduction(kind: str, params: dict, cfg: WorkspaceConfig):
         return r, None
     if kind == "vbp-trivial":
         abp = parse_abp(Path(_need(params, "abp")).read_text(), VarTable(field=field))
-        target = make_family(_need(params, "target"), field, term_budget=cfg.term_budget)
+        target = make_family(_need(params, "target"), field)
         witness = tuple(target.table.var(name).id for name in _need(params, "witness").split(","))
         r = vbp_trivial_reduction(abp, target, witness)
-        return r, abp_eval(abp, term_budget=cfg.term_budget)
+        return r, abp_eval(abp)
     raise UsageError(f"unknown reduction kind {kind!r}")
 
 
-def cmd_reduce(args, cfg: WorkspaceConfig) -> int:
-    r, source_poly = _build_reduction(args.kind, _params(args.params), cfg)
-    if r.dim > cfg.state_budget:
-        raise UsageError(f"substitution dimension {r.dim} exceeds the state budget")
+def cmd_reduce(args, field: Field) -> int:
+    r, source_poly = _build_reduction(args.kind, _params(args.params), field)
     _write_atomic(args.out, format_reduction(r, source_poly=source_poly))
     return 0
 
 
-def _resolve_source(spec: str | None, embedded, r, cfg: WorkspaceConfig) -> FamilyInstance:
+def _resolve_source(spec: str | None, embedded, r, field: Field) -> FamilyInstance:
     if spec:
         # file-based sources are read against the reduction's output alphabet
         # so that comparison happens termwise, not by table identity
-        table = VarTable(r.substitution.output_table.names, field=cfg.field)
+        table = VarTable(r.substitution.output_table.names, field=field)
         if spec.startswith("circuit:"):
             circuit = parse_circuit(Path(spec[8:]).read_text(), table)
-            return FamilyInstance.from_poly("circuit", expand(circuit, term_budget=cfg.term_budget))
+            return FamilyInstance.from_poly("circuit", expand(circuit))
         if spec.startswith("poly:"):
             return FamilyInstance.from_poly("poly", parse_poly(Path(spec[5:]).read_text(), table))
-        return make_family(spec, cfg.field, term_budget=cfg.term_budget)
+        return make_family(spec, field)
     if embedded is not None:
         return FamilyInstance.from_poly("embedded", embedded)
-    return make_family(r.source, cfg.field, term_budget=cfg.term_budget)
+    return make_family(r.source, field)
 
 
-def cmd_verify(args, cfg: WorkspaceConfig) -> int:
-    r, embedded = parse_reduction(Path(args.reduction).read_text(), cfg.field)
-    source = _resolve_source(args.source, embedded, r, cfg)
-    target = make_family(args.target or r.target, cfg.field, term_budget=cfg.term_budget)
+def cmd_verify(args, field: Field) -> int:
+    r, embedded = parse_reduction(Path(args.reduction).read_text(), field)
+    source = _resolve_source(args.source, embedded, r, field)
+    target = make_family(args.target or r.target, field)
     if target.table != r.substitution.input_table:
         raise UsageError("target family alphabet does not match the reduction")
-    verdict = verify_reduction(r, source, target, term_budget=cfg.term_budget)
+    verdict = verify_reduction(r, source, target)
     print(verdict)
     return 0 if verdict.passed else 1
 
 
-def cmd_rank(args, cfg: WorkspaceConfig) -> int:
-    inst = make_family(args.spec, cfg.field, term_budget=cfg.term_budget)
+def cmd_rank(args, field: Field) -> int:
+    inst = make_family(args.spec, field)
     poly = inst.poly
     if not poly.is_homogeneous():
         raise UsageError("Hankel ranks need a homogeneous family")
     lines = []
     for cut in args.cut:
         rank = hankel_rank(poly, cut)
-        if cfg.fmt == "structured":
+        if args.fmt == "structured":
             lines.append(f"cut={cut} rank={rank}")
         else:
             lines.append(f"{cut} {rank}")
@@ -210,21 +201,21 @@ def cmd_rank(args, cfg: WorkspaceConfig) -> int:
     return 0
 
 
-def cmd_hadamard(args, cfg: WorkspaceConfig) -> int:
-    table = VarTable(field=cfg.field)
+def cmd_hadamard(args, field: Field) -> int:
+    table = VarTable(field=field)
     if args.circuit:
         f = parse_circuit(Path(args.circuit).read_text(), table)
     else:
         f = parse_poly(Path(args.poly).read_text(), table)
     g = parse_abp(Path(args.abp).read_text(), table)
-    result = hadamard_via_matrices(f, g, term_budget=cfg.term_budget)
+    result = hadamard_via_matrices(f, g)
     _write_atomic(args.out, format_poly(result))
     return 0
 
 
-def cmd_compose(args, cfg: WorkspaceConfig) -> int:
-    r1, poly1 = parse_reduction(Path(args.first).read_text(), cfg.field)
-    r2, _poly2 = parse_reduction(Path(args.second).read_text(), cfg.field)
+def cmd_compose(args, field: Field) -> int:
+    r1, poly1 = parse_reduction(Path(args.first).read_text(), field)
+    r2, _poly2 = parse_reduction(Path(args.second).read_text(), field)
     composed = compose_abp(r1, r2)
     _write_atomic(args.out, format_reduction(composed, source_poly=poly1))
     return 0
@@ -236,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for noncommutative polynomial families and reductions.",
     )
     parser.add_argument("--field", default="q", help="coefficient field: q or p=<prime>")
-    parser.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET)
-    parser.add_argument("--state-budget", type=int, default=10**5)
+    parser.add_argument("--term-budget", type=int, default=Budget.terms)
+    parser.add_argument("--state-budget", type=int, default=Budget.states)
     parser.add_argument("--format", dest="fmt", choices=["text", "structured"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -308,13 +299,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = WorkspaceConfig(
-            field=field_from_spec(args.field),
-            term_budget=args.term_budget,
-            state_budget=args.state_budget,
-            fmt=args.fmt,
-        )
-        return COMMANDS[args.command](args, cfg)
+        field = field_from_spec(args.field)
+        with using_budget(Budget(args.term_budget, args.state_budget)):
+            return COMMANDS[args.command](args, field)
     except (
         UsageError,
         FieldError,

@@ -8,11 +8,13 @@ prodsums) and chi-weighted powers of permutation words (per, perchi,
 perstar, perstarchi).  Builders resolve variable ids once per family and
 build whole words with tuple operations; balanced words come bottom-up
 by first return, after the same recurrence has counted them against the
-term budget.  Realization is lazy: reduction targets such as high-arity
-Dyck instances are often only consumed through their support structure,
-never expanded.  The balanced-word and palindrome families record that
-structure in meta["grammar"] as (pairs, half-length, tail flag, depth
-cap), which the structured apply of a reduction reads.
+term budget.  Every builder checks its term count against the budget in
+force when it realizes (algebra.budget), before it builds.  Realization
+is lazy: reduction targets such as high-arity Dyck instances are often
+only consumed through their support structure, never expanded.  The
+balanced-word and palindrome families record that structure in
+meta["grammar"] as (pairs, half-length, tail flag, depth cap), which the
+structured apply of a reduction reads.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from operator import getitem
 from pathlib import Path
 
 from .abp import dyck_pairs, dyck_table
-from .algebra import DEFAULT_TERM_BUDGET, NCPoly, TermBudgetError, VarTable, Word
+from .algebra import NCPoly, VarTable, Word, budget
 from .fields import QQ, Field
 
 
@@ -82,26 +84,25 @@ def _first_return_rows(half: int, depth_cap: int | None, empty, zero, join):
         yield levels[-1][m]
 
 
-def _balanced_words(pairs, length: int, depth_cap: int | None = None, limit: int | None = None):
+def _balanced_words(pairs, length: int, depth_cap: int | None = None):
     """All balanced words of the given length over typed pairs, with
     nesting depth <= depth_cap (None: no cap), in first-return order.
 
-    A limit is checked before any word is built: the same recurrence
-    counts the words row by row and raises TermBudgetError at the first
-    half-length whose count exceeds it.  Counts never fall as the
-    half-length grows, so a refusal costs about log(limit) rows.
+    The term budget is checked before any word is built: the same
+    recurrence counts the words row by row and raises TermBudgetError at
+    the first half-length whose count exceeds it.  Counts never fall as
+    the half-length grows, so a refusal costs about log(budget) rows.
     """
     if length % 2:
         return []
     half = length // 2
-    if limit is not None:
+    limits = budget()
 
-        def count(inner, same, m):
-            return len(pairs) * sum(inner[m1] * same[m - 1 - m1] for m1 in range(m))
+    def count(inner, same, m):
+        return len(pairs) * sum(inner[m1] * same[m - 1 - m1] for m1 in range(m))
 
-        for n in _first_return_rows(half, depth_cap, 1, 0, count):
-            if n > limit:
-                raise TermBudgetError(f"balanced words of length {length} exceed {limit} terms")
+    for m, n in enumerate(_first_return_rows(half, depth_cap, 1, 0, count)):
+        limits.check_terms(n, f"the sum of balanced words of length {2 * m}")
 
     def words(inner, same, m):
         out = []
@@ -163,50 +164,39 @@ def _poly(table: VarTable, words, coeffs=None) -> NCPoly:
 # Dyck and palindrome families
 
 
-def _dyck_family(name, params, k, half, depth_cap, field, term_budget) -> FamilyInstance:
+def _dyck_family(name, params, k, half, depth_cap, field) -> FamilyInstance:
     """Balanced words of half-length half over k pairs with depth <= depth_cap."""
     table = dyck_table(k, field)
     pairs = dyck_pairs(table)
 
     def build():
-        return _poly(table, _balanced_words(pairs, 2 * half, depth_cap, limit=term_budget))
+        return _poly(table, _balanced_words(pairs, 2 * half, depth_cap))
 
     grammar = (pairs, half, True, depth_cap)
     return _instance(name, params, table, build, pairs=pairs, depth=depth_cap, grammar=grammar)
 
 
-def gen_dyck(
-    k: int, d: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_dyck(k: int, d: int, field: Field = QQ) -> FamilyInstance:
     """All balanced words of even length d over k bracket pairs, coefficient 1."""
     if k < 1:
         raise ValueError("need at least one bracket pair")
     if d < 0 or d % 2:
         raise ValueError("degree must be even and nonnegative")
-    return _dyck_family("dyck", {"k": k, "d": d}, k, d // 2, None, field, term_budget)
+    return _dyck_family("dyck", {"k": k, "d": d}, k, d // 2, None, field)
 
 
-def gen_dyck_depth(
-    k_limit: int, n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_dyck_depth(k_limit: int, n: int, field: Field = QQ) -> FamilyInstance:
     """Balanced words of length 2n over two pairs with nesting depth <= k_limit."""
     if k_limit < 1 or n < 1:
         raise ValueError("need k_limit >= 1 and n >= 1")
-    return _dyck_family("dyckdepth", {"k": k_limit, "n": n}, 2, n, k_limit, field, term_budget)
+    return _dyck_family("dyckdepth", {"k": k_limit, "n": n}, 2, n, k_limit, field)
 
 
 def pal_table(k: int = 2, field: Field = QQ) -> VarTable:
     return VarTable([f"x{i}" for i in range(k)], field)
 
 
-def _check_count(count: int, term_budget: int | None) -> None:
-    if term_budget is not None and count > term_budget:
-        raise TermBudgetError(f"family would hold {count} terms")
-
-
-def gen_pal(
-    n: int, k: int = 2, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_pal(n: int, k: int = 2, field: Field = QQ) -> FamilyInstance:
     """Palindromes w . reverse(w) over an alphabet of k letters."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -214,7 +204,7 @@ def gen_pal(
     letters = list(range(k))
 
     def build():
-        _check_count(k**n, term_budget)
+        budget().check_terms(k**n, "family pal")
         return _poly(table, (w + w[::-1] for w in itertools.product(letters, repeat=n)))
 
     params = {"n": n} if k == 2 else {"n": n, "k": k}
@@ -222,20 +212,18 @@ def gen_pal(
     return _instance("pal", params, table, build, letters=letters, grammar=grammar)
 
 
-def gen_pal_sq(
-    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_pal_sq(n: int, field: Field = QQ) -> FamilyInstance:
     """The square of the palindrome polynomial, built by polynomial product."""
-    base = gen_pal(n, 2, field, term_budget)
+    base = gen_pal(n, 2, field)
 
     def build():
-        _check_count(4**n, term_budget)
+        budget().check_terms(4**n, "family palsq")
         return base.poly * base.poly
 
     return _instance("palsq", {"n": n}, base.table, build, letters=base.meta["letters"])
 
 
-def _choice_family(name, n, table, choices, power, term_budget) -> FamilyInstance:
+def _choice_family(name, n, table, choices, power) -> FamilyInstance:
     """The sum over c_i in choices(i), i = 1..n, of (c_1 ... c_n)^power,
     coefficient 1; choices(i) names the variables allowed at position i."""
     if n < 1:
@@ -243,25 +231,21 @@ def _choice_family(name, n, table, choices, power, term_budget) -> FamilyInstanc
 
     def build():
         slots = [[table.var(v).id for v in choices(i)] for i in range(1, n + 1)]
-        _check_count(prod(map(len, slots)), term_budget)
+        budget().check_terms(prod(map(len, slots)), f"family {name}")
         return _poly(table, (w * power for w in itertools.product(*slots)))
 
     return _instance(name, {"n": n}, table, build)
 
 
-def gen_id(
-    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_id(n: int, field: Field = QQ) -> FamilyInstance:
     """Words repeated twice: sum of w.w over the two-letter alphabet."""
-    return _choice_family("id", n, pal_table(2, field), lambda i: ("x0", "x1"), 2, term_budget)
+    return _choice_family("id", n, pal_table(2, field), lambda i: ("x0", "x1"), 2)
 
 
-def gen_id_prime(
-    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_id_prime(n: int, field: Field = QQ) -> FamilyInstance:
     """Position-indexed repeated words: z1..zn z1..zn with zi in {x0_i, x1_i}."""
     table = VarTable([f"x{b}_{i}" for i in range(1, n + 1) for b in (0, 1)], field)
-    return _choice_family("idprime", n, table, lambda i: (f"x0_{i}", f"x1_{i}"), 2, term_budget)
+    return _choice_family("idprime", n, table, lambda i: (f"x0_{i}", f"x1_{i}"), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +311,7 @@ class ChiTable:
         return "\n".join(lines) + "\n"
 
 
-def _perm_family(name, n, chi, power, field, term_budget) -> FamilyInstance:
+def _perm_family(name, n, chi, power, field) -> FamilyInstance:
     """The sum over permutations s of [n] of chi(s) (x_{1,s(1)} ... x_{n,s(n)})^power;
     chi None gives coefficient 1."""
     if n < 1:
@@ -335,7 +319,7 @@ def _perm_family(name, n, chi, power, field, term_budget) -> FamilyInstance:
     table = per_table(n, field)
 
     def build():
-        _check_count(factorial(n), term_budget)
+        budget().check_terms(factorial(n), f"family {name}")
         # rows[i-1][j] is the id of x{i}_{j}, so map(getitem, rows, s) spells s's word
         cols = range(1, n + 1)
         rows = [{j: table.var(f"x{i}_{j}").id for j in cols} for i in cols]
@@ -346,41 +330,31 @@ def _perm_family(name, n, chi, power, field, term_budget) -> FamilyInstance:
     return _instance(name, {"n": n}, table, build, **({} if chi is None else {"chi": chi}))
 
 
-def gen_per(
-    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_per(n: int, field: Field = QQ) -> FamilyInstance:
     """Permutation words x_{1,s(1)} ... x_{n,s(n)}, coefficient 1."""
-    return _perm_family("per", n, None, 1, field, term_budget)
+    return _perm_family("per", n, None, 1, field)
 
 
-def gen_per_chi(
-    n: int, chi: ChiTable, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_per_chi(n: int, chi: ChiTable, field: Field = QQ) -> FamilyInstance:
     """Permutation words weighted by chi."""
-    return _perm_family("perchi", n, chi, 1, field, term_budget)
+    return _perm_family("perchi", n, chi, 1, field)
 
 
-def gen_per_star(
-    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_per_star(n: int, field: Field = QQ) -> FamilyInstance:
     """Each permutation word repeated n times, coefficient 1."""
-    return _perm_family("perstar", n, None, n, field, term_budget)
+    return _perm_family("perstar", n, None, n, field)
 
 
-def gen_per_star_chi(
-    n: int, chi: ChiTable, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_per_star_chi(n: int, chi: ChiTable, field: Field = QQ) -> FamilyInstance:
     """Each permutation word repeated n times, weighted by chi."""
-    return _perm_family("perstarchi", n, chi, n, field, term_budget)
+    return _perm_family("perstarchi", n, chi, n, field)
 
 
-def gen_id_star(
-    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_id_star(n: int, field: Field = QQ) -> FamilyInstance:
     """Each word x_{1,i1}..x_{n,in} (all index choices) repeated n^2 times."""
     return _choice_family(
         "idstar", n, per_table(n, field), lambda i: [f"x{i}_{j}" for j in range(1, n + 1)],
-        n * n, term_budget,
+        n * n,
     )
 
 
@@ -399,9 +373,7 @@ def hierarchy_table(i: int, n: int, field: Field = QQ) -> VarTable:
     return VarTable(names, field)
 
 
-def gen_hierarchy(
-    i: int, n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_hierarchy(i: int, n: int, field: Field = QQ) -> FamilyInstance:
     """Level 1 is the repeated-word family; level i >= 2 multiplies i-1
     copies of (balanced-words x repeated-words), each copy over its own
     tagged variables so indexed projections can address factors.
@@ -413,7 +385,7 @@ def gen_hierarchy(
     if i < 1 or n < 1:
         raise ValueError("need i >= 1 and n >= 1")
     if i == 1:
-        inst = gen_id(n, field, term_budget)
+        inst = gen_id(n, field)
         return _instance("hier", {"i": 1, "n": n}, inst.table, lambda: inst.poly, degree=2 * n)
     table = hierarchy_table(i, n, field)
 
@@ -421,10 +393,10 @@ def gen_hierarchy(
         acc = NCPoly.const(table, field.one)
         for j in range(1, i):
             pairs = [(table.var(f"({b}_f{j}").id, table.var(f"){b}_f{j}").id) for b in (1, 2)]
-            words = _balanced_words(pairs, 2 * n, limit=term_budget)
-            _check_count(len(acc.terms) * len(words), term_budget)
+            words = _balanced_words(pairs, 2 * n)
+            budget().check_terms(len(acc.terms) * len(words), "family hier")
             acc = acc * _poly(table, words)
-            _check_count(len(acc.terms) * 2**n, term_budget)
+            budget().check_terms(len(acc.terms) * 2**n, "family hier")
             xs = (table.var(f"x0_f{j}").id, table.var(f"x1_f{j}").id)
             acc = acc * _poly(table, (w * 2 for w in itertools.product(xs, repeat=n)))
         return acc
@@ -441,12 +413,10 @@ def sums_table(n: int, field: Field = QQ) -> VarTable:
     return VarTable(names, field)
 
 
-def gen_product_of_sums(
-    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_product_of_sums(n: int, field: Field = QQ) -> FamilyInstance:
     """(x1+y1)(x2+y2)...(xn+yn): 2^n monomials."""
     table = sums_table(n, field)
-    return _choice_family("prodsums", n, table, lambda i: (f"x{i}", f"y{i}"), 1, term_budget)
+    return _choice_family("prodsums", n, table, lambda i: (f"x{i}", f"y{i}"), 1)
 
 
 def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
@@ -456,17 +426,16 @@ def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
     table = sums_table(n, field)
 
     def build():
+        budget().check_terms(2, "family twochains")
         return _poly(table, (tuple(table.var(f"{x}{i}").id for i in range(1, n + 1)) for x in "xy"))
 
     return _instance("twochains", {"n": n}, table, build)
 
 
-def gen_power_of_sum(
-    n: int, field: Field = QQ, term_budget: int = DEFAULT_TERM_BUDGET
-) -> FamilyInstance:
+def gen_power_of_sum(n: int, field: Field = QQ) -> FamilyInstance:
     """(z0+z1)^n over two letters: the indexed-projection separation target."""
     table = VarTable(["z0", "z1"], field)
-    return _choice_family("powsum", n, table, lambda i: ("z0", "z1"), 1, term_budget)
+    return _choice_family("powsum", n, table, lambda i: ("z0", "z1"), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +520,6 @@ def make_family(
     spec: str,
     field: Field = QQ,
     chi: ChiTable | None = None,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> FamilyInstance:
     """Build the instance a spec string names; realization stays lazy.
 
@@ -580,21 +548,21 @@ def make_family(
         return ChiTable.parse(text, n, field)
 
     builders = {
-        "dyck": lambda: gen_dyck(num("k"), num("d"), field, term_budget),
-        "dyckdepth": lambda: gen_dyck_depth(num("k"), num("n"), field, term_budget),
-        "pal": lambda: gen_pal(num("n"), num("k", 2), field, term_budget),
-        "palsq": lambda: gen_pal_sq(num("n"), field, term_budget),
-        "id": lambda: gen_id(num("n"), field, term_budget),
-        "idprime": lambda: gen_id_prime(num("n"), field, term_budget),
-        "idstar": lambda: gen_id_star(num("n"), field, term_budget),
-        "per": lambda: gen_per(num("n"), field, term_budget),
-        "perchi": lambda: gen_per_chi(num("n"), chi_arg(num("n")), field, term_budget),
-        "perstar": lambda: gen_per_star(num("n"), field, term_budget),
-        "perstarchi": lambda: gen_per_star_chi(num("n"), chi_arg(num("n")), field, term_budget),
-        "hier": lambda: gen_hierarchy(num("i"), num("n"), field, term_budget),
-        "prodsums": lambda: gen_product_of_sums(num("n"), field, term_budget),
+        "dyck": lambda: gen_dyck(num("k"), num("d"), field),
+        "dyckdepth": lambda: gen_dyck_depth(num("k"), num("n"), field),
+        "pal": lambda: gen_pal(num("n"), num("k", 2), field),
+        "palsq": lambda: gen_pal_sq(num("n"), field),
+        "id": lambda: gen_id(num("n"), field),
+        "idprime": lambda: gen_id_prime(num("n"), field),
+        "idstar": lambda: gen_id_star(num("n"), field),
+        "per": lambda: gen_per(num("n"), field),
+        "perchi": lambda: gen_per_chi(num("n"), chi_arg(num("n")), field),
+        "perstar": lambda: gen_per_star(num("n"), field),
+        "perstarchi": lambda: gen_per_star_chi(num("n"), chi_arg(num("n")), field),
+        "hier": lambda: gen_hierarchy(num("i"), num("n"), field),
+        "prodsums": lambda: gen_product_of_sums(num("n"), field),
         "twochains": lambda: gen_two_chains(num("n"), field),
-        "powsum": lambda: gen_power_of_sum(num("n"), field, term_budget),
+        "powsum": lambda: gen_power_of_sum(num("n"), field),
     }
     if name not in builders:
         raise ValueError(f"unknown family {name!r} (expected one of: {FAMILY_SPEC_HELP})")

@@ -25,15 +25,7 @@ cross-checked in the test suite.
 import time
 from dataclasses import dataclass, field as dc_field
 
-from ..algebra import (
-    DEFAULT_TERM_BUDGET,
-    NCPoly,
-    TableMismatchError,
-    TermBudgetError,
-    Var,
-    VarTable,
-    substitute_letters,
-)
+from ..algebra import NCPoly, TableMismatchError, Var, VarTable, budget, substitute_letters
 from ..automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution, product_cells
 from ..families import FamilyInstance
 
@@ -109,11 +101,11 @@ def apply_abp_reduction(r: AbpReduction, g: NCPoly) -> NCPoly:
     return sub.evaluate(g)
 
 
-def _add_product(acc: dict, left: dict, right: dict | None, term_budget: int) -> None:
+def _add_product(acc: dict, left: dict, right: dict | None, limit: int) -> None:
     """acc += left * right on {word: coefficient} maps; right=None is 1.
 
-    Raises TermBudgetError once acc holds more than term_budget nonzero
-    terms, so an exponential sum stops at the budget.
+    Raises TermBudgetError once acc holds more nonzero terms than limit,
+    the term budget, so an exponential sum stops at the budget.
     """
     if right is None:
         for w, c in left.items():
@@ -125,17 +117,16 @@ def _add_product(acc: dict, left: dict, right: dict | None, term_budget: int) ->
                 w = w1 + w2
                 s = acc.get(w)
                 acc[w] = c1 * c2 if s is None else s + c1 * c2
-            if len(acc) > term_budget:
-                _prune_or_raise(acc, term_budget)
-    if len(acc) > term_budget:
-        _prune_or_raise(acc, term_budget)
+            if len(acc) > limit:
+                _prune_or_raise(acc)
+    if len(acc) > limit:
+        _prune_or_raise(acc)
 
 
-def _prune_or_raise(acc: dict, term_budget: int) -> None:
+def _prune_or_raise(acc: dict) -> None:
     for w in [w for w, c in acc.items() if c == 0]:
         del acc[w]
-    if len(acc) > term_budget:
-        raise TermBudgetError(f"structured apply exceeded {term_budget} terms")
+    budget().check_terms(len(acc), "structured apply")
 
 
 def _inside_sum(
@@ -144,7 +135,6 @@ def _inside_sum(
     half: int,
     with_tail: bool,
     depth_cap: int | None,
-    term_budget: int,
 ) -> NCPoly:
     """Inside sum of a bracket grammar through the substitution's automaton.
 
@@ -184,6 +174,7 @@ def _inside_sum(
     marked accepts_empty.
     """
     sub.check_empty_word(half == 0)
+    limit = budget().terms
     one = sub.input_table.field.one
     accept = sub.dim - 1
     # state -> {state after o: [(coefficient, word, rows of the matching c)]}
@@ -359,14 +350,14 @@ def _inside_sum(
                                     c = c * scale
                                 s = acc.get(w)
                                 acc[w] = c if s is None else s + c
-                            if len(acc) > term_budget:
-                                _prune_or_raise(acc, term_budget)
+                            if len(acc) > limit:
+                                _prune_or_raise(acc)
         out: dict[int, dict] = {}
         for (t, k2), lpoly in left.items():
             tails = memo[(k2, t, b)] if t else {k2: None}
             for j, tpoly in tails.items():
                 if want >> j & 1:
-                    _add_product(out.setdefault(j, {}), lpoly, tpoly, term_budget)
+                    _add_product(out.setdefault(j, {}), lpoly, tpoly, limit)
         entry = {}
         for j, acc in out.items():
             clean = {w: c for w, c in acc.items() if c != 0}
@@ -385,7 +376,6 @@ def apply_to_instance(
     r: AbpReduction,
     target: FamilyInstance,
     force_expand: bool = False,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> NCPoly:
     """Apply a matrix substitution to a family instance.
 
@@ -395,13 +385,13 @@ def apply_to_instance(
     top-down passes cost bit operations over the reachable (state,
     length[, depth]) keys; its polynomial pass costs the keys on an
     accepting derivation times their intermediate terms, and raises
-    TermBudgetError when an intermediate polynomial exceeds term_budget.
+    TermBudgetError when an intermediate polynomial exceeds the term budget.
     Every other target, and every target under force_expand, is expanded
     and applied termwise.
     """
     grammar = target.meta.get("grammar")
     if grammar is not None and not force_expand:
-        return _inside_sum(r.substitution, *grammar, term_budget)
+        return _inside_sum(r.substitution, *grammar)
     return apply_abp_reduction(r, target.poly)
 
 
@@ -436,18 +426,13 @@ class Verdict:
         return "\n".join(lines)
 
 
-def verify_reduction(
-    r,
-    source: FamilyInstance,
-    target: FamilyInstance,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-) -> Verdict:
+def verify_reduction(r, source: FamilyInstance, target: FamilyInstance) -> Verdict:
     """Apply a reduction to the target instance and compare with the source
     term for term.  A mismatch is a verdict carrying the first offending
-    word, never an exception; term_budget bounds the structured apply."""
+    word, never an exception; the term budget bounds the structured apply."""
     t0 = time.perf_counter()
     if isinstance(r, AbpReduction):
-        applied = apply_to_instance(r, target, term_budget=term_budget)
+        applied = apply_to_instance(r, target)
     elif isinstance(r, IProjMap):
         applied = apply_iproj(r, target.poly)
     elif isinstance(r, ProjMap):

@@ -18,7 +18,6 @@ the test suite, for every corpus circuit.
 
 from collections import deque
 
-from ..algebra import StateBudgetError
 from ..automata import SubstAutomaton, automaton_to_substitution
 from ..circuits import (
     Add,
@@ -67,7 +66,7 @@ def _const_values(circuit: Circuit) -> list:
     return vals
 
 
-def dyck_completeness_reduction(c: Circuit, state_budget: int = 10**5) -> AbpReduction:
+def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
     """Reduce an arbitrary circuit to a balanced-word target.
 
     The target has one bracket pair per bracket type of the parsed circuit
@@ -210,14 +209,12 @@ def dyck_completeness_reduction(c: Circuit, state_budget: int = 10**5) -> AbpRed
             for h in sorted(gate_pair):
                 _o, cl = gate_pair[h]
                 a.add_transition(name, enc[cl], push("E", c.gates[h].right, pos + 1))
-        if len(a.states) > state_budget:
-            raise StateBudgetError(f"state budget {state_budget} exceeded")
 
     sub = automaton_to_substitution(a)
     return AbpReduction(sub, "circuit", target.spec_string, kind="dyck-complete", automaton=a)
 
 
-def pal_vsk_reduction(c: Circuit, state_budget: int = 10**5) -> AbpReduction:
+def pal_vsk_reduction(c: Circuit) -> AbpReduction:
     """Reduce a skew circuit to a palindrome target over a merged alphabet.
 
     After homogenizing and twin-wrapping, every parse word is an onion:
@@ -298,8 +295,6 @@ def pal_vsk_reduction(c: Circuit, state_budget: int = 10**5) -> AbpReduction:
     while queue:
         gid, pos = queue.popleft()
         name = f"W{gid}@{pos}"
-        if len(a.states) > state_budget:
-            raise StateBudgetError(f"state budget {state_budget} exceeded")
         if pos > r:
             continue
         center_vars: dict = {}  # letter -> (total coeff, payload word)

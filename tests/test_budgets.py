@@ -1,0 +1,135 @@
+"""Every family and every reduction kind honours the budgets, and the
+budgets reach the library only through algebra.using_budget."""
+
+import argparse
+import importlib
+import inspect
+import pkgutil
+import re
+
+import pytest
+
+import ncpoly
+from ncpoly.algebra import Budget, TermBudgetError, budget, using_budget
+from ncpoly.cli import build_parser, main
+from ncpoly.families import FAMILY_SPEC_HELP
+
+SKEW_CIRCUIT = "g0 const 3\ng1 input x1\ng2 mul g0 g1\noutput g2\n"
+# one-pair balanced words of length 4 as a branching program
+DYCK_ABP = (
+    "layers 0:1 1:1 2:2 3:1 4:1\n"
+    "edge 0 0 0 1 (1\n"
+    "edge 1 0 0 1 (1\n"
+    "edge 1 0 1 1 )1\n"
+    "edge 2 0 0 1 )1\n"
+    "edge 2 1 0 1 (1\n"
+    "edge 3 0 0 1 )1\n"
+)
+# small parameters for every reduction kind; {dir} is the test's temp dir
+REDUCE_PARAMS = {
+    "dyck-complete": ["circuit={dir}/c.txt"],
+    "pal-vsk": ["circuit={dir}/c.txt"],
+    "pal-d2": ["n=2"],
+    "palsq-d2": ["n=2"],
+    "dk-d2": ["k=2", "d=2"],
+    "depth": ["k1=1", "k2=2", "n=2"],
+    "per-idstar": ["n=2"],
+    "per-chi": ["n=2", "chi={dir}/chi.txt"],
+    "hier-iproj": ["i=1", "n=1"],
+    "vbp-trivial": ["abp={dir}/p.txt", "target=pal:n=2", "witness=x0,x0,x0,x0"],
+}
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def _inputs(tmp_path):
+    (tmp_path / "c.txt").write_text(SKEW_CIRCUIT)
+    (tmp_path / "chi.txt").write_text("1 2 -> 2\n2 1 -> 3\n")
+    (tmp_path / "p.txt").write_text(DYCK_ABP)
+
+
+def _family_specs(chi):
+    """Every sample spec of the help text, optional parts dropped."""
+    specs = [re.sub(r"\[.*?\]", "", s.strip()) for s in FAMILY_SPEC_HELP.split("|")]
+    return [s.replace("chi=FILE", f"chi={chi}") for s in specs]
+
+
+def _reduce_kinds():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    reduce = commands.choices["reduce"]
+    return next(a for a in reduce._actions if a.dest == "kind").choices
+
+
+def test_using_budget_restores_the_outer_budget():
+    assert budget() == Budget()
+    with using_budget(Budget(terms=5)):
+        with pytest.raises(TermBudgetError, match="6 terms, over the budget of 5 terms"):
+            with using_budget(Budget(terms=5, states=7)):
+                assert budget().states == 7
+                budget().check_terms(6, "x")
+        assert budget() == Budget(terms=5)
+    assert budget() == Budget()
+
+
+def test_every_family_honours_the_term_budget(tmp_path, capsys):
+    _inputs(tmp_path)
+    out = tmp_path / "f.txt"
+    specs = _family_specs(tmp_path / "chi.txt")
+    assert len(specs) == 15
+    for spec in specs:
+        assert run(capsys, "family", spec, "--out", str(out))[0] == 0, spec
+        assert len(out.read_text().splitlines()) > 1, spec
+        out.unlink()
+        code, stdout, err = run(capsys, "--term-budget", "1", "family", spec, "--out", str(out))
+        assert code == 2 and stdout == "", spec
+        assert _one_error_line(err) and "terms" in err, (spec, err)
+        assert not out.exists(), spec
+
+
+def test_every_reduction_kind_honours_the_state_budget(tmp_path, capsys):
+    _inputs(tmp_path)
+    kinds = _reduce_kinds()
+    assert set(REDUCE_PARAMS) == set(kinds)
+    red = tmp_path / "r.txt"
+    for kind in kinds:
+        params = [p.format(dir=tmp_path) for p in REDUCE_PARAMS[kind]]
+        assert run(capsys, "reduce", kind, *params, "--out", str(red))[0] == 0, kind
+        red.unlink()
+        argv = ("--state-budget", "1", "reduce", kind, *params, "--out", str(red))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", kind
+        assert _one_error_line(err) and "state budget 1 exceeded" in err, (kind, err)
+        assert not red.exists(), kind
+
+
+def test_no_public_function_takes_a_budget_parameter():
+    checked, found = 0, []
+    for info in pkgutil.walk_packages(ncpoly.__path__, "ncpoly."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            functions = []
+            if inspect.isfunction(obj):
+                functions.append((name, obj))
+            elif inspect.isclass(obj):
+                functions += [
+                    (f"{name}.{attr}", fn)
+                    for attr, fn in vars(obj).items()
+                    if inspect.isfunction(fn) and (attr == "__init__" or not attr.startswith("_"))
+                ]
+            for qualname, fn in functions:
+                checked += 1
+                params = inspect.signature(fn).parameters
+                if {"term_budget", "state_budget"} & set(params):
+                    found.append(f"{module.__name__}.{qualname}")
+    assert checked > 100 and found == []

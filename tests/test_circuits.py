@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from ncpoly.algebra import NCPoly, TermBudgetError, VarTable, poly_mul
+from ncpoly.algebra import Budget, NCPoly, TermBudgetError, VarTable, poly_mul, using_budget
 from ncpoly.circuits import (
     Add,
     Circuit,
@@ -82,8 +82,8 @@ def test_expand_degree_cap_applies_per_gate():
 def test_expand_term_budget():
     t = t3()
     c = Circuit(t, [Input(0), Input(1), Add(0, 1), Mul(2, 2), Mul(3, 3)], 4)
-    with pytest.raises(TermBudgetError):
-        expand(c, term_budget=8)
+    with using_budget(Budget(terms=8)), pytest.raises(TermBudgetError):
+        expand(c)
 
 
 def test_expand_homogeneous_single_length():

@@ -346,6 +346,28 @@ def test_reduce_state_budget_is_checked_during_the_build(tmp_path, capsys):
         assert code == 2 and out == ""
         assert _one_error_line(err) and "state budget 3 exceeded" in err
     assert not red.exists()
+    # every automaton stops at the budget: these once built 419,811
+    # states in 15 s, and ran 4.2 s and 0.5 s, before the check
+    for params in (
+        ("depth", "k1=20", "k2=20", "n=20000"),
+        ("dk-d2", "k=8", "d=4000"),
+        ("per-idstar", "n=12"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--state-budget", "10", "reduce", *params, "--out", str(red))
+        assert time.perf_counter() - start < 1.5, params
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "state budget 10 exceeded" in err, (params, err)
+        assert not red.exists()
+    # so does the dimension of a composition
+    first, second = tmp_path / "d23.txt", tmp_path / "d34.txt"
+    assert run(capsys, "reduce", "depth", "k1=2", "k2=3", "n=6", "--out", str(first))[0] == 0
+    assert run(capsys, "reduce", "depth", "k1=3", "k2=4", "n=6", "--out", str(second))[0] == 0
+    argv = ("--state-budget", "50", "compose", str(first), str(second), "--out", str(red))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "state budget 50 exceeded" in err
+    assert not red.exists()
 
 
 def test_hadamard_circuit_honours_term_budget(tmp_path, capsys):

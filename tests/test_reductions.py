@@ -5,7 +5,15 @@ import pytest
 
 import corpus
 from ncpoly.abp import abp_eval, bounded_depth_dyck_abp
-from ncpoly.algebra import NCPoly, StateBudgetError, TermBudgetError, Var, VarTable
+from ncpoly.algebra import (
+    Budget,
+    NCPoly,
+    StateBudgetError,
+    TermBudgetError,
+    Var,
+    VarTable,
+    using_budget,
+)
 from ncpoly.automata import MatrixSubstitution
 from ncpoly.circuits import expand, parse_circuit
 from ncpoly.families import (
@@ -545,10 +553,11 @@ def test_inside_sum_is_iterative_on_long_targets():
 def test_inside_sum_respects_the_term_budget():
     r = pal_to_d2_reduction(40)
     target = make_family(r.target)
-    with pytest.raises(TermBudgetError):
-        apply_to_instance(r, target, term_budget=1000)
+    with using_budget(Budget(terms=1000)), pytest.raises(TermBudgetError):
+        apply_to_instance(r, target)
     small = pal_to_d2_reduction(5)
-    assert apply_to_instance(small, make_family(small.target), term_budget=32).num_terms() == 32
+    with using_budget(Budget(terms=32)):
+        assert apply_to_instance(small, make_family(small.target)).num_terms() == 32
 
 
 # -- composition ---------------------------------------------------------------
@@ -655,12 +664,13 @@ def test_pal_vsk_spec_examples():
 
 def test_constructions_raise_state_budget_error():
     c = corpus.hand_skew_circuits()[3]
-    with pytest.raises(StateBudgetError, match="state budget 3"):
-        dyck_completeness_reduction(c, state_budget=3)
-    with pytest.raises(StateBudgetError, match="state budget 3"):
-        pal_vsk_reduction(c, state_budget=3)
-    with pytest.raises(StateBudgetError, match="state budget 3"):
-        bounded_depth_dyck_abp(2, 3, state_budget=3)
+    with using_budget(Budget(states=3)):
+        with pytest.raises(StateBudgetError, match="state budget 3"):
+            dyck_completeness_reduction(c)
+        with pytest.raises(StateBudgetError, match="state budget 3"):
+            pal_vsk_reduction(c)
+        with pytest.raises(StateBudgetError, match="state budget 3"):
+            bounded_depth_dyck_abp(2, 3)
 
 
 def test_pal_vsk_rejects_non_skew():

@@ -26,8 +26,6 @@ from .algebra import (
     format_poly,
     hadamard_bruteforce,
     parse_poly,
-    poly_add,
-    poly_mul,
     using_budget,
 )
 from .circuits import (

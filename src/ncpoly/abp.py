@@ -76,16 +76,21 @@ class Abp:
 def abp_eval(p: Abp) -> NCPoly:
     """Sum over source-sink paths of ordered edge-label products.
 
-    TermBudgetError is raised once a layer holds more terms than the budget.
+    A running count of the layer's terms is checked edge by edge, so
+    TermBudgetError is raised at the first edge that takes a layer past
+    the budget.
     """
     limits = budget()
     vec = [NCPoly.const(p.table, p.table.field.one)]
     for gap, gap_edges in enumerate(p.edges):
         nxt = [NCPoly.zero(p.table) for _ in range(p.layers[gap + 1])]
+        held = 0
         for u, v, form in gap_edges:
             if vec[u]:
+                held -= len(nxt[v].terms)
                 nxt[v] = nxt[v] + vec[u] * form.poly(p.table)
-        limits.check_terms(sum(len(q.terms) for q in nxt), f"layer {gap + 1}")
+                held += len(nxt[v].terms)
+                limits.check_terms(held, f"layer {gap + 1}")
         vec = nxt
     return vec[0]
 

@@ -231,9 +231,6 @@ class NCPoly:
     def support(self) -> set:
         return set(self.terms)
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def var_ids(self) -> set:
         out: set[int] = set()
         for w in self.terms:
@@ -314,15 +311,6 @@ class NCPoly:
             parts.append(f"{fmt(self.terms[w])}*{word}")
         more = "" if len(self.terms) <= 8 else f" ... ({len(self.terms)} terms)"
         return "NCPoly(" + " + ".join(parts) + more + ")"
-
-
-def poly_add(a: NCPoly, b: NCPoly) -> NCPoly:
-    return a + b
-
-
-def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
-    """Product; words concatenate in argument order, never reordered."""
-    return a * b
 
 
 def hadamard_bruteforce(a: NCPoly, b: NCPoly) -> NCPoly:

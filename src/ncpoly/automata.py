@@ -26,10 +26,6 @@ from .algebra import NCPoly, TableMismatchError, VarTable, Word, budget
 MAX_ENTRY_DEGREE = 3
 
 
-class NondeterminismError(ValueError):
-    """Two transitions share the same (state, input variable)."""
-
-
 class SubstAutomaton:
     """Layered deterministic finite substitution automaton.
 
@@ -70,7 +66,7 @@ class SubstAutomaton:
             return  # a zero output is the same as a dead transition
         key = (frm, var)
         if key in self.transitions:
-            raise NondeterminismError(
+            raise ValueError(
                 f"state {frm!r} already has a transition on "
                 f"{self.input_table.name(var)!r}"
             )
@@ -116,10 +112,6 @@ class SubstAutomaton:
                 elif layers[to] != nxt:
                     return None
         return layers
-
-    @property
-    def layered(self) -> bool:
-        return self.layer_map() is not None
 
     def state_order(self) -> list[str]:
         """Start first, accept last unless it is the start, interior states
@@ -198,17 +190,6 @@ class MatrixSubstitution:
                 lst.sort()
             self._rows_cache[vid] = adj
         return self._rows_cache[vid]
-
-    def entry(self, vid: int, r: int, c: int):
-        return self.entries.get(vid, {}).get((r, c))
-
-    def with_entry(self, vid: int, r: int, c: int, coeff, word: Word = ()) -> "MatrixSubstitution":
-        """Copy with one cell replaced; used by negative controls."""
-        entries = {v: dict(cells) for v, cells in self.entries.items()}
-        entries.setdefault(vid, {})[(r, c)] = (coeff, tuple(word))
-        return MatrixSubstitution(
-            self.input_table, self.output_table, self.dim, entries, self.accepts_empty
-        )
 
     def check_empty_word(self, has_constant: bool) -> None:
         """Raise ValueError when a constant term meets accepts_empty."""

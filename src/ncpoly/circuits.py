@@ -7,13 +7,14 @@ two parsing transforms used by the completeness reductions: general
 bracketing (wrap every product's left argument in a fresh bracket pair,
 replace leaves by bracket pairs) and skew bracketing (wrap the non-leaf
 argument of every skew product in a fresh twin pair, double the inputs).
-Both come with an executable recovery substitution that restores the
-original polynomial, which the tests enforce term for term.
+Each returns the bracket tables its reduction reads and a recovery map
+{new variable id: Var or scalar}; substituting it letter by letter
+restores the original polynomial, which the tests enforce term for term.
 """
 
 from dataclasses import dataclass
 
-from .algebra import NCPoly, Var, VarTable, budget, substitute_letters
+from .algebra import NCPoly, Var, VarTable, budget
 
 
 @dataclass(frozen=True)
@@ -139,27 +140,10 @@ def expand(c: Circuit, degree_cap: int | None = None) -> NCPoly:
 # Skew discipline
 
 
-@dataclass(frozen=True)
-class SkewWitness:
-    """Per product gate, which side holds the Input/Const argument."""
-
-    tags: dict  # gate id -> "left" | "right"
-
-    @property
-    def ok(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class SkewRefusal:
-    gate: int  # first product gate with two non-leaf children
-
-    @property
-    def ok(self) -> bool:
-        return False
-
-
-def is_skew(c: Circuit):
+def is_skew(c: Circuit) -> dict:
+    """Per product gate, which side ("left" or "right") holds the
+    Input/Const argument; ValueError names the first product gate with two
+    non-leaf children."""
     tags = {}
     for gid, g in enumerate(c.gates):
         if not isinstance(g, Mul):
@@ -169,8 +153,8 @@ def is_skew(c: Circuit):
         elif isinstance(c.gates[g.right], (Input, Const)):
             tags[gid] = "right"
         else:
-            return SkewRefusal(gid)
-    return SkewWitness(tags)
+            raise ValueError(f"gate g{gid} has two non-leaf children; circuit is not skew")
+    return tags
 
 
 def homogenize(c: Circuit) -> Circuit:
@@ -225,86 +209,50 @@ def homogenize(c: Circuit) -> Circuit:
 # Bracketing transforms
 
 
-@dataclass(frozen=True)
-class NewVar:
-    """Provenance of one fresh variable introduced by a transform."""
-
-    kind: str  # gate-bracket | const-bracket | const-placeholder | var-bracket
-    #          | skew-twin | input-double
-    origin: object  # gate id, constant value, or source variable id
-    side: str  # open/close for brackets, L/R for twins and doubles
-    mate: int  # variable id of the matching partner
-    recover: object  # Var, scalar, or None (substitute 1) under recovery
-
-
 @dataclass
-class BracketedCircuit:
-    """Circuit over fresh bracket variables plus the recovery substitution."""
+class Bracketed:
+    """to_bracketed's circuit, the bracket tables the Dyck reduction reads,
+    and the recovery substitution."""
 
     circuit: Circuit
-    provenance: dict  # new var id -> NewVar
-    pairs: list  # (open var id, close var id) per bracket type
-    source_table: VarTable
-
-    def recovery_map(self) -> dict:
-        out = {}
-        for vid, info in self.provenance.items():
-            if info.recover is None:
-                out[vid] = self.source_table.field.one
-            else:
-                out[vid] = info.recover
-        return out
-
-    def recover(self, f: NCPoly) -> NCPoly:
-        """Apply the recovery substitution to an expansion of the circuit."""
-        images = self.recovery_map()
-        return substitute_letters(f, lambda _pos, vid: images[vid], self.source_table)
+    gate_pair: dict  # product gate id -> (open, close) var ids
+    var_pair: dict  # source var id -> (open, close)
+    const_pairs: dict  # formatted scalar -> (value, outer pair, placeholder pair)
+    recovery: dict  # new var id -> Var or scalar
 
 
-def _const_key(table: VarTable, value) -> str:
-    return table.field.format(value)
-
-
-def to_bracketed(c: Circuit) -> BracketedCircuit:
+def to_bracketed(c: Circuit) -> Bracketed:
     """Wrap products and leaves in fresh bracket pairs.
 
     Product gates f = g*h become (_f g )_f h; constants a become the
     four-letter word (_a [_za ]_za )_a; input variables y become [_y ]_y.
     Every monomial of the result is a balanced string over the bracket
-    pairs, and the recovery substitution restores the source polynomial.
+    pairs.  Pairs are made in gate order, open then close, so pair k is
+    variables (2k, 2k+1).  Recovery sends [_y to y, [_za to a and every
+    other bracket to one, which restores the source polynomial.
     """
+    fmt, one = c.table.field.format, c.table.field.one
     table = VarTable(field=c.table.field)
-    prov: dict[int, NewVar] = {}
-    pairs: list = []
+    recovery: dict = {}
 
-    def pair(open_name, close_name, kind, origin, rec_open, rec_close):
-        o = table.add(open_name)
-        cl = table.add(close_name)
-        prov[o.id] = NewVar(kind, origin, "open", cl.id, rec_open)
-        prov[cl.id] = NewVar(kind, origin, "close", o.id, rec_close)
-        pairs.append((o.id, cl.id))
-        return o.id, cl.id
+    def pair(brackets: str, suffix: str, rec_open=one) -> tuple:
+        o, cl = (table.add(f"{b}_{suffix}").id for b in brackets)
+        recovery[o], recovery[cl] = rec_open, one
+        return o, cl
 
     gate_pair: dict[int, tuple] = {}
-    const_pairs: dict[str, tuple] = {}  # key -> ((_a, )_a, [_z, ]_z)
+    const_pairs: dict[str, tuple] = {}
     var_pair: dict[int, tuple] = {}
     for gid, g in enumerate(c.gates):
         if isinstance(g, Mul):
-            gate_pair[gid] = pair(f"(_g{gid}", f")_g{gid}", "gate-bracket", gid, None, None)
+            gate_pair[gid] = pair("()", f"g{gid}")
         elif isinstance(g, Const):
-            key = _const_key(c.table, g.value)
+            key = fmt(g.value)
             if key not in const_pairs:
-                ob, cb = pair(f"(_a{key}", f")_a{key}", "const-bracket", g.value, None, None)
-                oz, cz = pair(
-                    f"[_z{key}", f"]_z{key}", "const-placeholder", g.value, g.value, None
-                )
-                const_pairs[key] = (ob, cb, oz, cz)
-        elif isinstance(g, Input):
-            if g.var not in var_pair:
-                name = c.table.name(g.var)
-                var_pair[g.var] = pair(
-                    f"[_{name}", f"]_{name}", "var-bracket", g.var, Var(g.var, name), None
-                )
+                const_pairs[key] = (g.value, pair("()", f"a{key}"), pair("[]", f"z{key}", g.value))
+        elif isinstance(g, Input) and g.var not in var_pair:
+            name = c.table.name(g.var)
+            var_pair[g.var] = pair("[]", name, Var(g.var, name))
 
     gates: list = []
     inputs: dict[int, int] = {}  # new var id -> its Input gate
@@ -329,9 +277,9 @@ def to_bracketed(c: Circuit) -> BracketedCircuit:
                 word_for_var[g.var] = mul(leaf(o), leaf(cl))
             mapped[gid] = word_for_var[g.var]
         elif isinstance(g, Const):
-            key = _const_key(c.table, g.value)
+            key = fmt(g.value)
             if key not in word_for_const:
-                ob, cb, oz, cz = const_pairs[key]
+                _value, (ob, cb), (oz, cz) = const_pairs[key]
                 word_for_const[key] = mul(mul(mul(leaf(ob), leaf(oz)), leaf(cz)), leaf(cb))
             mapped[gid] = word_for_const[key]
         elif isinstance(g, Add):
@@ -342,83 +290,63 @@ def to_bracketed(c: Circuit) -> BracketedCircuit:
             mapped[gid] = mul(mul(mul(leaf(o), mapped[g.left]), leaf(cl)), mapped[g.right])
 
     circ = Circuit(table, gates, mapped[c.output])
-    return BracketedCircuit(circ, prov, pairs, c.table)
-
-
-@dataclass(frozen=True)
-class MulTwins:
-    """Twin variables wrapped around the non-leaf argument of a skew product."""
-
-    left_var: int
-    right_var: int
-    inner: int  # original gate id of the non-leaf argument
-    payload_kind: str  # "var" | "const"
-    payload_var: int | None  # source variable id when payload_kind == "var"
-    payload_value: object  # scalar when payload_kind == "const"
-    payload_side: str  # which side the leaf argument multiplied on
+    return Bracketed(circ, gate_pair, var_pair, const_pairs, recovery)
 
 
 @dataclass
-class SkewBracketing(BracketedCircuit):
-    twins: dict = None  # original Mul gate id -> MulTwins
-    doubles: dict = None  # source var id -> (L var id, R var id)
+class SkewBracketed:
+    """to_skew_bracketed's circuit, the twin tables the palindrome
+    reduction reads, and the recovery substitution."""
+
+    circuit: Circuit
+    twins: dict  # product gate id -> (L var id, R var id, gate id of its non-leaf argument)
+    doubles: dict  # source var id -> (L var id, R var id)
+    recovery: dict  # new var id -> Var or scalar
 
 
-def to_skew_bracketed(c: Circuit) -> SkewBracketing:
+def to_skew_bracketed(c: Circuit) -> SkewBracketed:
     """Twin transform for skew circuits.
 
     Each product with a leaf argument x (or scalar a) and non-leaf
     argument h becomes twinL * h * twinR; each input y becomes y_L y_R.
     Requires a skew, per-gate homogeneous circuit (homogenize first).
     In every monomial of the result the letter at position i is the mate
-    of the letter at position 2d-i+1.
+    of the letter at position 2d-i+1.  Recovery sends y_L to y, a product's
+    twin on its leaf's side to that variable, a scalar's left twin to the
+    scalar, and every other letter to one.
     """
-    w = is_skew(c)
-    if not w.ok:
-        raise ValueError(f"gate g{w.gate} has two non-leaf children; circuit is not skew")
+    tags = is_skew(c)
     if not c.muls_have_homogeneous_children():
         raise ValueError("product children are inhomogeneous; homogenize first")
 
+    one = c.table.field.one
     table = VarTable(field=c.table.field)
-    prov: dict[int, NewVar] = {}
-    pairs: list = []
-    doubles: dict[int, tuple] = {}
-    twins: dict[int, MulTwins] = {}
+    recovery: dict = {}
 
-    for gid, g in enumerate(c.gates):
+    def twin(left: str, right: str, rec_left, rec_right) -> tuple:
+        lv, rv = table.add(left).id, table.add(right).id
+        recovery[lv], recovery[rv] = rec_left, rec_right
+        return lv, rv
+
+    doubles: dict[int, tuple] = {}
+    for g in c.gates:
         if isinstance(g, Input) and g.var not in doubles:
             name = c.table.name(g.var)
-            lv = table.add(f"{name}_L")
-            rv = table.add(f"{name}_R")
-            prov[lv.id] = NewVar("input-double", g.var, "L", rv.id, Var(g.var, name))
-            prov[rv.id] = NewVar("input-double", g.var, "R", lv.id, None)
-            pairs.append((lv.id, rv.id))
-            doubles[g.var] = (lv.id, rv.id)
+            doubles[g.var] = twin(f"{name}_L", f"{name}_R", Var(g.var, name), one)
 
-    for gid, g in enumerate(c.gates):
-        if not isinstance(g, Mul):
-            continue
-        side = w.tags[gid]
-        payload_gid = g.left if side == "left" else g.right
-        inner = g.right if side == "left" else g.left
-        payload = c.gates[payload_gid]
+    twins: dict[int, tuple] = {}
+    for gid, side in tags.items():
+        g = c.gates[gid]
+        arg, inner = (g.left, g.right) if side == "left" else (g.right, g.left)
+        payload = c.gates[arg]
         if isinstance(payload, Input):
             name = c.table.name(payload.var)
-            lv = table.add(f"{name}_(g{gid},L)")
-            rv = table.add(f"{name}_(g{gid},R)")
-            rec_l = Var(payload.var, name) if side == "left" else None
-            rec_r = Var(payload.var, name) if side == "right" else None
-            prov[lv.id] = NewVar("skew-twin", gid, "L", rv.id, rec_l)
-            prov[rv.id] = NewVar("skew-twin", gid, "R", lv.id, rec_r)
-            twins[gid] = MulTwins(lv.id, rv.id, inner, "var", payload.var, None, side)
+            v = Var(payload.var, name)
+            recs = (v, one) if side == "left" else (one, v)
         else:
-            key = _const_key(c.table, payload.value)
-            lv = table.add(f"a{key}_(g{gid},L)")
-            rv = table.add(f"a{key}_(g{gid},R)")
-            prov[lv.id] = NewVar("skew-twin", gid, "L", rv.id, payload.value)
-            prov[rv.id] = NewVar("skew-twin", gid, "R", lv.id, None)
-            twins[gid] = MulTwins(lv.id, rv.id, inner, "const", None, payload.value, side)
-        pairs.append((lv.id, rv.id))
+            name = "a" + c.table.field.format(payload.value)
+            recs = (payload.value, one)
+        twins[gid] = (*twin(f"{name}_(g{gid},L)", f"{name}_(g{gid},R)", *recs), inner)
 
     gates: list = []
     inputs: dict[int, int] = {}
@@ -445,13 +373,13 @@ def to_skew_bracketed(c: Circuit) -> SkewBracketing:
             gates.append(Add(mapped[g.left], mapped[g.right]))
             mapped[gid] = len(gates) - 1
         else:
-            tw = twins[gid]
-            gates.append(Mul(leaf(tw.left_var), mapped[tw.inner]))
-            gates.append(Mul(len(gates) - 1, leaf(tw.right_var)))
+            lv, rv, inner = twins[gid]
+            gates.append(Mul(leaf(lv), mapped[inner]))
+            gates.append(Mul(len(gates) - 1, leaf(rv)))
             mapped[gid] = len(gates) - 1
 
     circ = Circuit(table, gates, mapped[c.output])
-    return SkewBracketing(circ, prov, pairs, c.table, twins=twins, doubles=doubles)
+    return SkewBracketed(circ, twins, doubles, recovery)
 
 
 # ---------------------------------------------------------------------------

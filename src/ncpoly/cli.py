@@ -25,9 +25,10 @@ from .algebra import (
     using_budget,
 )
 from .circuits import CircuitFormatError, expand, parse_circuit
-from .families import ChiTable, FAMILY_SPEC_HELP, FamilyInstance, make_family
+from .families import ChiTable, FAMILY_SPEC_HELP, FamilyInstance, Params, make_family
 from .fields import Field, FieldError, field_from_spec
 from .reductions import (
+    check_vbp_trivial,
     compose_abp,
     dk_to_d2_reduction,
     dyck_completeness_reduction,
@@ -67,22 +68,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _params(tokens) -> dict:
-    out = {}
-    for tok in tokens:
-        key, eq, value = tok.partition("=")
-        if not eq:
-            raise UsageError(f"expected key=value, got {tok!r}")
-        out[key] = value
-    return out
-
-
-def _need(params: dict, key: str) -> str:
-    if key not in params:
-        raise UsageError(f"missing parameter {key}=...")
-    return params[key]
-
-
 def cmd_family(args, field: Field) -> int:
     inst = make_family(args.spec, field)
     _write_atomic(args.out, format_poly(inst.poly))
@@ -96,42 +81,40 @@ def cmd_expand(args, field: Field) -> int:
     return 0
 
 
-def _build_reduction(kind: str, params: dict, field: Field):
-    """Returns (reduction, source polynomial to embed or None)."""
-    if kind == "dyck-complete":
-        circuit = parse_circuit(Path(_need(params, "circuit")).read_text(), VarTable(field=field))
-        r = dyck_completeness_reduction(circuit)
-        return r, expand(circuit)
-    if kind == "pal-vsk":
-        circuit = parse_circuit(Path(_need(params, "circuit")).read_text(), VarTable(field=field))
-        r = pal_vsk_reduction(circuit)
-        return r, expand(circuit)
-    if kind == "pal-d2":
-        return pal_to_d2_reduction(int(_need(params, "n")), field), None
-    if kind == "palsq-d2":
-        return palsq_to_d2_reduction(int(_need(params, "n")), field), None
-    if kind == "dk-d2":
-        return dk_to_d2_reduction(int(_need(params, "k")), int(_need(params, "d")), field), None
-    if kind == "depth":
-        return (
-            dyck_depth_reduction(
-                int(_need(params, "k1")), int(_need(params, "k2")), int(_need(params, "n")), field
-            ),
-            None,
-        )
-    if kind == "per-idstar":
-        return per_to_idstar_reduction(int(_need(params, "n")), field), None
+def _build_reduction(kind: str, params: Params, field: Field):
+    """Returns (reduction, source polynomial to embed or None).
+
+    Every parameter is read, and any other refused, before the build."""
+    if kind in ("dyck-complete", "pal-vsk"):
+        circuit = parse_circuit(Path(params.text("circuit")).read_text(), VarTable(field=field))
+        params.finish()
+        if kind == "dyck-complete":
+            return dyck_completeness_reduction(circuit), expand(circuit)
+        return pal_vsk_reduction(circuit), expand(circuit)
+    sized = {
+        "pal-d2": (pal_to_d2_reduction, ("n",)),
+        "palsq-d2": (palsq_to_d2_reduction, ("n",)),
+        "dk-d2": (dk_to_d2_reduction, ("k", "d")),
+        "depth": (dyck_depth_reduction, ("k1", "k2", "n")),
+        "per-idstar": (per_to_idstar_reduction, ("n",)),
+    }
+    if kind in sized:
+        build, keys = sized[kind]
+        sizes = [params.num(key) for key in keys]
+        params.finish()
+        return build(*sizes, field), None
     if kind == "per-chi":
-        n = int(_need(params, "n"))
-        chi_path = _need(params, "chi")
+        n = params.num("n")
+        chi_path = params.text("chi")
         chi = ChiTable.parse(Path(chi_path).read_text(), n, field)
+        params.finish()
         r = per_to_perstar_chi_reduction(n, chi, field)
         # verify must be able to rebuild the weighted target from the file
         r.target = f"perstarchi:n={n},chi={chi_path}"
         return r, None
     if kind == "hier-iproj":
-        i = int(_need(params, "i"))
-        n = int(_need(params, "n"))
+        i, n = params.num("i"), params.num("n")
+        params.finish()
         m = hierarchy_iproj(i, n, field)
         target = make_family(f"hier:i={i + 1},n={n}", field)
         r = iproj_to_abp(
@@ -140,16 +123,21 @@ def _build_reduction(kind: str, params: dict, field: Field):
         r.kind = "hier-iproj"
         return r, None
     if kind == "vbp-trivial":
-        abp = parse_abp(Path(_need(params, "abp")).read_text(), VarTable(field=field))
-        target = make_family(_need(params, "target"), field)
-        witness = tuple(target.table.var(name).id for name in _need(params, "witness").split(","))
-        r = vbp_trivial_reduction(abp, target, witness)
-        return r, abp_eval(abp)
+        abp = parse_abp(Path(params.text("abp")).read_text(), VarTable(field=field))
+        target = make_family(params.text("target"), field)
+        witness = tuple(target.table.var(name).id for name in params.text("witness").split(","))
+        params.finish()
+        # refuse a bad program or witness, then expand, so that a source
+        # over the term budget stops before the build
+        check_vbp_trivial(abp, target, witness)
+        source = abp_eval(abp)
+        return vbp_trivial_reduction(abp, target, witness), source
     raise UsageError(f"unknown reduction kind {kind!r}")
 
 
 def cmd_reduce(args, field: Field) -> int:
-    r, source_poly = _build_reduction(args.kind, _params(args.params), field)
+    params = Params(f"reduction {args.kind!r}", args.params)
+    r, source_poly = _build_reduction(args.kind, params, field)
     _write_atomic(args.out, format_reduction(r, source_poly=source_poly))
     return 0
 

@@ -32,15 +32,6 @@ from .fields import QQ, Field
 # Balanced words
 
 
-def is_balanced(word: Word, pairs) -> bool:
-    """Typed bracket matching, by the stack walk of nesting_depth."""
-    try:
-        nesting_depth(word, pairs)
-    except ValueError:
-        return False
-    return True
-
-
 def nesting_depth(word: Word, pairs) -> int:
     """Maximum bracket nesting of a balanced word.
 
@@ -482,16 +473,6 @@ def commutative_version(f: NCPoly, out_table: VarTable | None = None) -> NCPoly:
     return NCPoly(table, terms)
 
 
-def sort_set_multilinear(f: NCPoly) -> NCPoly:
-    """Rewrite each word of a tagged polynomial in increasing position order."""
-    pos = tag_positions(f.table)
-    terms = {}
-    for w, c in f.terms.items():
-        word = tuple(sorted(w, key=lambda v: pos[v][1]))
-        terms[word] = terms.get(word, f.table.field.zero) + c
-    return NCPoly(f.table, terms)
-
-
 # ---------------------------------------------------------------------------
 # Family spec strings, e.g. dyck:k=2,d=6 or perstarchi:n=2,chi=table.txt
 
@@ -504,16 +485,48 @@ FAMILY_SPEC_HELP = (
 )
 
 
-def parse_family_spec(spec: str):
-    name, _, rest = spec.partition(":")
-    params = {}
-    if rest:
-        for part in rest.split(","):
-            key, eq, value = part.partition("=")
+class Params(dict):
+    """The key=value parameters of a family spec or a reduction.
+
+    Construction refuses a part without "=" and a repeated key.  text and
+    num record each key they read, and finish refuses every key that
+    nothing read, so a misspelt or stray key never silently selects a
+    different instance.
+    """
+
+    def __init__(self, owner: str, parts):
+        super().__init__()
+        self.owner = owner
+        self.read: set[str] = set()
+        for part in parts:
+            key, eq, value = (s.strip() for s in part.partition("="))
             if not eq:
-                raise ValueError(f"bad family parameter {part!r} in {spec!r}")
-            params[key.strip()] = value.strip()
-    return name.strip(), params
+                raise ValueError(f"{owner}: expected key=value, got {part!r}")
+            if key in self:
+                raise ValueError(f"{owner} repeats parameter {key!r}")
+            self[key] = value
+
+    def text(self, key: str, default=None):
+        self.read.add(key)
+        if key in self:
+            return self[key]
+        if default is None:
+            raise ValueError(f"{self.owner} needs parameter {key!r}")
+        return default
+
+    def num(self, key: str, default=None) -> int:
+        return int(self.text(key, default))
+
+    def finish(self) -> None:
+        unknown = sorted(set(self) - self.read)
+        if unknown:
+            raise ValueError(f"{self.owner} has no parameter {', '.join(map(repr, unknown))}")
+
+
+def parse_family_spec(spec: str) -> tuple:
+    name, _, rest = spec.partition(":")
+    name = name.strip()
+    return name, Params(f"family {name!r}", rest.split(",") if rest else ())
 
 
 def make_family(
@@ -523,29 +536,17 @@ def make_family(
 ) -> FamilyInstance:
     """Build the instance a spec string names; realization stays lazy.
 
-    Raises ValueError for an unknown family, a missing parameter, or any
-    parameter the family does not read, so a misspelt key never silently
-    selects a different instance.
+    Raises ValueError for an unknown family, a missing, repeated or
+    malformed parameter, or any parameter the family does not read.
     """
     name, params = parse_family_spec(spec)
-    read: set[str] = set()
-
-    def num(key, default=None):
-        read.add(key)
-        if key not in params:
-            if default is None:
-                raise ValueError(f"family {name!r} needs parameter {key!r}")
-            return default
-        return int(params[key])
+    num = params.num
 
     def chi_arg(n):
-        read.add("chi")
-        if chi is not None:
-            return chi
-        if "chi" not in params:
-            raise ValueError(f"family {name!r} needs a chi table")
-        text = Path(params["chi"]).read_text()
-        return ChiTable.parse(text, n, field)
+        if chi is None:
+            return ChiTable.parse(Path(params.text("chi")).read_text(), n, field)
+        params.read.add("chi")
+        return chi
 
     builders = {
         "dyck": lambda: gen_dyck(num("k"), num("d"), field),
@@ -567,7 +568,5 @@ def make_family(
     if name not in builders:
         raise ValueError(f"unknown family {name!r} (expected one of: {FAMILY_SPEC_HELP})")
     inst = builders[name]()
-    unknown = sorted(set(params) - read)
-    if unknown:
-        raise ValueError(f"family {name!r} has no parameter {', '.join(map(repr, unknown))}")
+    params.finish()
     return inst

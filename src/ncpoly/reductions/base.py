@@ -533,6 +533,7 @@ def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:
             "inner reduction's alphabet does not match the outer reduction's output"
         )
     q1, q2 = s1.dim, s2.dim
+    budget().check_states(q1 * q2)  # before any entry word is multiplied out
     one = s1.input_table.field.one
     products: dict = {}  # entry word -> its product's cells
     entries: dict[int, dict] = {}

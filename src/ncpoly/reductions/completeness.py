@@ -5,6 +5,9 @@ every monomial of the circuit a parse word; a fixed-length prefix padding
 makes all parse words the same even length; a layered deterministic
 automaton walks that word, entering subcircuits through addition closures,
 and its matrices substitute the original variables and scalars back in.
+The automata read the tables each transform returns: the bracket pairs
+of product gates, variables and scalars, or the twin pairs of skew
+products and input doubles with the recovery image each twin emits.
 Balance (or the mirror structure of palindromes) supplied by the target's
 own support does the bracket matching that a finite automaton cannot.
 
@@ -18,6 +21,7 @@ the test suite, for every corpus circuit.
 
 from collections import deque
 
+from ..algebra import Var
 from ..automata import SubstAutomaton, automaton_to_substitution
 from ..circuits import (
     Add,
@@ -80,38 +84,16 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
     """
     field = c.table.field
     br = to_bracketed(c)
-
-    gate_pair: dict = {}
-    var_pair: dict = {}
-    const_bracket: dict = {}
-    const_mid: dict = {}
-    const_value: dict = {}
-    for vid, info in br.provenance.items():
-        if info.side != "open":
-            continue
-        if info.kind == "gate-bracket":
-            gate_pair[info.origin] = (vid, info.mate)
-        elif info.kind == "var-bracket":
-            var_pair[info.origin] = (vid, info.mate)
-        elif info.kind == "const-bracket":
-            key = field.format(info.origin)
-            const_bracket[key] = (vid, info.mate)
-            const_value[key] = info.origin
-        elif info.kind == "const-placeholder":
-            const_mid[field.format(info.origin)] = (vid, info.mate)
+    gate_pair, var_pair, const_pairs = br.gate_pair, br.var_pair, br.const_pairs
 
     two_r = max(br.circuit.syntactic_degree(), 0)
     r = two_r // 2
     q = 2 * r + 2
-    t = len(br.pairs) + r + 1
+    t = len(br.circuit.table) // 2 + r + 1
     target = gen_dyck(t, q, field)
     t_pairs = target.meta["pairs"]
-
-    enc: dict = {}  # parse-word bracket id -> target bracket id
-    for idx, (o, cl) in enumerate(br.pairs):
-        to, tc = t_pairs[r + 1 + idx]
-        enc[o] = to
-        enc[cl] = tc
+    # bracket pair k is variables (2k, 2k+1); it becomes target pair r+1+k
+    enc = {vid: t_pairs[r + 1 + vid // 2][vid % 2] for vid in range(len(br.circuit.table))}
 
     closures = _add_closures(c.gates)
     a = SubstAutomaton(target.table, c.table)
@@ -176,7 +158,7 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
                     name, enc[o], push("V", varid, pos + 1), coeff=field.from_int(var_edges[varid])
                 )
             for key in sorted(const_edges):
-                o, _cl = const_bracket[key]
+                _value, (o, _cl), _mid = const_pairs[key]
                 a.add_transition(
                     name, enc[o], push("C1", key, pos + 1), coeff=field.from_int(const_edges[key])
                 )
@@ -190,18 +172,18 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
         elif kind == "C1":
             if pos + 1 > q:
                 continue
-            o, _cl = const_mid[data]
+            _value, _outer, (o, _cl) = const_pairs[data]
             a.add_transition(name, enc[o], push("C2", data, pos + 1))
         elif kind == "C2":
             if pos + 1 > q:
                 continue
-            _o, cl = const_mid[data]
+            value, _outer, (_o, cl) = const_pairs[data]
             # the placeholder's closing carries the constant back in
-            a.add_transition(name, enc[cl], push("C3", data, pos + 1), coeff=const_value[data])
+            a.add_transition(name, enc[cl], push("C3", data, pos + 1), coeff=value)
         elif kind == "C3":
             if pos + 1 > q:
                 continue
-            _o, cl = const_bracket[data]
+            _value, (_o, cl), _mid = const_pairs[data]
             a.add_transition(name, enc[cl], push("L", None, pos + 1))
         elif kind == "L":
             if pos + 1 > q:
@@ -228,9 +210,7 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
     right-multiplied variables on second-half edges.
     """
     field = c.table.field
-    witness = is_skew(c)
-    if not witness.ok:
-        raise ValueError(f"gate g{witness.gate} has two non-leaf children; circuit is not skew")
+    is_skew(c)  # refuse before homogenize renumbers the gates
     h = homogenize(c)
     sb = to_skew_bracketed(h)
 
@@ -261,14 +241,13 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
     a.add_state("S0@0", start=True)
     a.add_state(accept, accept=True)
 
-    def blind_entry(letter: int):
-        for gid, lt in twin_letter.items():
-            if lt == letter:
-                tw = sb.twins[gid]
-                if tw.payload_kind == "var" and tw.payload_side == "right":
-                    return field.one, (tw.payload_var,)
-                return field.one, ()
-        return field.one, ()
+    def emitted(vid: int, cnt: int) -> tuple:
+        """Coefficient and word of twin letter vid reached along cnt
+        addition paths: its recovery image, a scalar or a variable."""
+        img = sb.recovery[vid]
+        if isinstance(img, Var):
+            return field.from_int(cnt), (img.id,)
+        return field.from_int(cnt) * img, ()
 
     # padding chain; the all-padding word carries the constant term
     for i in range(r + 1):
@@ -305,38 +284,32 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
                 coeff, word = center_vars.get(letter, (field.zero, (g.var,)))
                 center_vars[letter] = (coeff + field.from_int(cnt), (g.var,))
             elif isinstance(g, Mul):
-                tw = sb.twins[member]
+                lv, _rv, inner = sb.twins[member]
                 letter = letters[twin_letter[member]]
-                if tw.payload_kind == "const":
-                    coeff = field.from_int(cnt) * tw.payload_value
-                    word = ()
-                elif tw.payload_side == "left":
-                    coeff = field.from_int(cnt)
-                    word = (tw.payload_var,)
-                else:
-                    coeff = field.from_int(cnt)
-                    word = ()
-                inner_degs = degs[tw.inner]
+                coeff, word = emitted(lv, cnt)
+                inner_degs = degs[inner]
                 inner_deg = max(inner_degs) if inner_degs else None
                 if inner_deg == 0:
                     if pos == r:
                         a.add_transition(
-                            name, letter, f"M@{r + 1}", coeff=coeff * val0[tw.inner], word=word
+                            name, letter, f"M@{r + 1}", coeff=coeff * val0[inner], word=word
                         )
                 elif inner_deg is not None and pos + 1 <= r:
-                    a.add_transition(name, letter, push(tw.inner, pos + 1), coeff=coeff, word=word)
+                    a.add_transition(name, letter, push(inner, pos + 1), coeff=coeff, word=word)
             # bare constants contribute only the empty parse word, which the
             # all-padding path already accounts for
         if pos == r:
             for letter, (coeff, word) in sorted(center_vars.items()):
                 a.add_transition(name, letter, f"M@{r + 1}", coeff=coeff, word=word)
 
-    # blind second half: the palindrome support forces the mirror letters
+    # blind second half: the palindrome support forces the mirror letters,
+    # and a right twin emits its recovery image
+    blind = {letters[twin_letter[gid]]: emitted(rv, 1) for gid, (_l, rv, _i) in sb.twins.items()}
     for pos in range(r + 1, q):
         frm = f"M@{r + 1}" if pos == r + 1 else f"B@{pos}"
         to = f"B@{pos + 1}"
         for letter in letters:
-            coeff, word = blind_entry(letter)
+            coeff, word = blind.get(letter, (field.one, ()))
             a.add_transition(frm, letter, to, coeff=coeff, word=word)
 
     sub = automaton_to_substitution(a)

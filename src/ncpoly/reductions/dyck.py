@@ -8,7 +8,7 @@ and block decoding, never a stack.
 """
 
 from ..abp import Abp
-from ..algebra import VarTable, Word
+from ..algebra import VarTable, Word, budget
 from ..automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution, product_cells
 from ..families import (
     FamilyInstance,
@@ -176,20 +176,11 @@ def two_chains_reduction(n: int, field: Field = QQ) -> AbpReduction:
     )
 
 
-def vbp_trivial_reduction(
-    f_abp: Abp, target: FamilyInstance, witness: Word
-) -> AbpReduction:
-    """Carry a branching program along a single coefficient-one target word.
-
-    The program's layer gaps are split into one group per witness letter;
-    each letter's matrix holds that group's path monomials at the global
-    vertex positions, so the layering forces every other target word to
-    zero and the extraction equals the program's polynomial times the
-    witness coefficient, which is one.  A group's matrix is the product of
-    its gap matrices through product_cells, so parallel edges with the same
-    variable add, and ValueError is raised when a group cell needs two
-    distinct words.
-    """
+def check_vbp_trivial(f_abp: Abp, target: FamilyInstance, witness: Word) -> None:
+    """Every check of vbp_trivial_reduction that comes before its products:
+    the program's size (the substitution's dimension) against the state
+    budget, its edge labels, the witness coefficient and the degrees."""
+    budget().check_states(f_abp.size)
     m = len(witness)
     if m < 1:
         raise ValueError("witness word must have degree at least 1")
@@ -205,7 +196,26 @@ def vbp_trivial_reduction(
         raise ValueError(f"witness degree {m} exceeds the program degree {d}")
     if (d + m - 1) // m > 3:
         raise ValueError("group entries would exceed the degree-3 cap")
+    if any(f.constant != 0 or len(f.coeffs) != 1 for gap in f_abp.edges for *_, f in gap):
+        raise ValueError("edge labels must be single-variable monomials")
 
+
+def vbp_trivial_reduction(
+    f_abp: Abp, target: FamilyInstance, witness: Word
+) -> AbpReduction:
+    """Carry a branching program along a single coefficient-one target word.
+
+    The program's layer gaps are split into one group per witness letter;
+    each letter's matrix holds that group's path monomials at the global
+    vertex positions, so the layering forces every other target word to
+    zero and the extraction equals the program's polynomial times the
+    witness coefficient, which is one.  A group's matrix is the product of
+    its gap matrices through product_cells, so parallel edges with the same
+    variable add, and ValueError is raised when a group cell needs two
+    distinct words.  check_vbp_trivial runs before any product is taken.
+    """
+    check_vbp_trivial(f_abp, target, witness)
+    m, d = len(witness), f_abp.degree
     # per-gap sparse matrices in global vertex indexing, in the rows form
     one = f_abp.table.field.one
     gap_rows = []
@@ -213,8 +223,6 @@ def vbp_trivial_reduction(
         row, col = f_abp.offsets[gap], f_abp.offsets[gap + 1]
         rows: dict = {}
         for u, v, form in gap_edges:
-            if form.constant != 0 or len(form.coeffs) != 1:
-                raise ValueError("edge labels must be single-variable monomials")
             ((vid, c),) = form.coeffs
             rows.setdefault(row + u, []).append((col + v, c, (vid,)))
         gap_rows.append(rows)

@@ -18,15 +18,14 @@ from ..fields import QQ, Field
 from .base import AbpReduction, IProjMap, ProjMap
 
 
-def per_to_idstar_reduction(n: int, field: Field = QQ, distinct_check: bool = True) -> AbpReduction:
+def per_to_idstar_reduction(n: int, field: Field = QQ) -> AbpReduction:
     """Select the permutation words out of the repeated-index family.
 
     The target's words are n^2 repeated blocks of one index word; block
     number i, read as a pair (j, k) with j != k, remembers the index chosen
     at position min(j, k) and dies if position max(j, k) repeats it.  Over
     all blocks this kills exactly the non-injective index words.  Block one
-    emits its variables, later blocks emit nothing.  The distinct_check
-    flag exists as a negative control for the tests.
+    emits its variables, later blocks emit nothing.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -50,7 +49,7 @@ def per_to_idstar_reduction(n: int, field: Field = QQ, distinct_check: bool = Tr
         j = (block - 1) // n + 1
         k = (block - 1) % n + 1
         lo, hi = min(j, k), max(j, k)
-        checking = distinct_check and j != k
+        checking = j != k
         for p in range(n):  # reading position p+1 of this block
             row = p + 1
             mems = [None]
@@ -250,10 +249,6 @@ class SplitVerdict:
 
     split: tuple | None
     checked: int
-
-    @property
-    def irreducible(self) -> bool:
-        return self.split is None
 
 
 def set_multilinear_rank1_split(f: NCPoly, max_degree: int = 12) -> SplitVerdict:

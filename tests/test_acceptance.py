@@ -31,7 +31,6 @@ from ncpoly.families import (
     gen_power_of_sum,
     gen_product_of_sums,
     gen_two_chains,
-    is_balanced,
     make_family,
 )
 from ncpoly.reductions import (
@@ -182,7 +181,7 @@ def test_criterion_5_counting_oracles():
                 brute = {
                     w
                     for w in itertools.product(letters, repeat=2 * n)
-                    if is_balanced(w, inst.meta["pairs"])
+                    if corpus.balanced(w, inst.meta["pairs"])
                 }
                 assert set(inst.poly.terms) == brute
             checked += 1
@@ -319,13 +318,13 @@ def test_criterion_8_structural_splits():
     # at n=1 the displayed product has a single quadratic factor, so no
     # bipartition exists; the factorization claim starts at n=2
     verdict1 = set_multilinear_rank1_split(commutative_version(gen_id_prime(1).poly))
-    assert verdict1.irreducible
+    assert verdict1.split is None
     for n in (2, 3):
         verdict = set_multilinear_rank1_split(commutative_version(gen_id_prime(n).poly))
         assert verdict.split is not None
     for n in (2, 3):
         verdict = set_multilinear_rank1_split(commutative_version(gen_dyck(2, 2 * n).poly))
-        assert verdict.irreducible
+        assert verdict.split is None
     report(8, "rank-one position splits")
 
 

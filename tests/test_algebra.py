@@ -16,8 +16,6 @@ from ncpoly.algebra import (
     format_poly,
     hadamard_bruteforce,
     parse_poly,
-    poly_add,
-    poly_mul,
     substitute_letters,
 )
 from ncpoly.fields import QQ, FieldError, PrimeField
@@ -39,27 +37,27 @@ def test_add_disjoint_terms():
     t = xy_table()
     a = NCPoly.variable(t, "x0")
     b = NCPoly.variable(t, "x1")
-    s = poly_add(a, b)
+    s = a + b
     assert s.terms == {t.word("x0"): 1, t.word("x1"): 1}
 
 
 def test_add_cancellation_gives_zero():
     t = xy_table()
     a = NCPoly.variable(t, "x0")
-    s = poly_add(a, a.scale(Fraction(-1)))
+    s = a + a.scale(Fraction(-1))
     assert not s
     assert s.degree() == -1
 
 
 def test_add_doubles_pal1():
     t = xy_table()
-    s = poly_add(pal1(t), pal1(t))
+    s = pal1(t) + pal1(t)
     assert s.terms == {t.word("x0", "x0"): 2, t.word("x1", "x1"): 2}
 
 
 def test_add_table_mismatch():
     with pytest.raises(TableMismatchError):
-        poly_add(NCPoly.variable(xy_table(), "x0"), NCPoly.variable(VarTable(["y"]), "y"))
+        NCPoly.variable(xy_table(), "x0") + NCPoly.variable(VarTable(["y"]), "y")
 
 
 # -- multiplication ---------------------------------------------------------
@@ -69,15 +67,15 @@ def test_mul_preserves_order():
     t = xy_table()
     a = NCPoly.variable(t, "x0")
     b = NCPoly.variable(t, "x1")
-    assert poly_mul(a, b).terms == {t.word("x0", "x1"): 1}
-    assert poly_mul(b, a).terms == {t.word("x1", "x0"): 1}
-    assert poly_mul(a, b) != poly_mul(b, a)
+    assert (a * b).terms == {t.word("x0", "x1"): 1}
+    assert (b * a).terms == {t.word("x1", "x0"): 1}
+    assert a * b != b * a
 
 
 def test_mul_full_expansion():
     t = xy_table()
-    s = poly_add(NCPoly.variable(t, "x0"), NCPoly.variable(t, "x1"))
-    sq = poly_mul(s, s)
+    s = NCPoly.variable(t, "x0") + NCPoly.variable(t, "x1")
+    sq = s * s
     assert len(sq.terms) == 4
     for u in ("x0", "x1"):
         for v in ("x0", "x1"):
@@ -88,7 +86,7 @@ def test_mul_pal1_squared():
     # brute-force concatenation of the two term sets
     t = xy_table()
     p = pal1(t)
-    sq = poly_mul(p, p)
+    sq = p * p
     expected = {}
     for u in p.terms:
         for v in p.terms:
@@ -124,8 +122,8 @@ def test_hadamard_all_words_identity():
 
 def test_hadamard_intersects_supports():
     t = xy_table()
-    s = poly_add(NCPoly.variable(t, "x0"), NCPoly.variable(t, "x1"))
-    a = poly_mul(s, s)
+    s = NCPoly.variable(t, "x0") + NCPoly.variable(t, "x1")
+    a = s * s
     b = NCPoly.monomial(t, t.word("x0", "x1"))
     assert hadamard_bruteforce(a, b).terms == {t.word("x0", "x1"): 1}
 
@@ -166,9 +164,9 @@ def small_polys(draw):
 def test_ring_laws(ta, tb, tc):
     t = xy_table()
     a, b, c = NCPoly(t, ta), NCPoly(t, tb), NCPoly(t, tc)
-    assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
-    assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
-    assert poly_mul(poly_add(b, c), a) == poly_add(poly_mul(b, a), poly_mul(c, a))
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (b + c) * a == b * a + c * a
 
 
 def test_support_of_product_is_concatenation_without_cancellation():
@@ -181,7 +179,7 @@ def test_support_of_product_is_concatenation_without_cancellation():
         b = NCPoly(
             t, {w: Fraction(rng.randint(1, 3)) for w in product(range(2), repeat=2) if rng.random() < 0.7}
         )
-        prod = poly_mul(a, b)
+        prod = a * b
         concat = {u + v for u in a.terms for v in b.terms}
         assert prod.support() == concat  # all-positive coefficients: no cancellation
 
@@ -309,8 +307,8 @@ def test_prime_field_polys():
     t = VarTable(["x0", "x1"], field=PrimeField(5))
     a = NCPoly(t, {t.word("x0"): t.field.from_int(3)})
     b = NCPoly(t, {t.word("x0"): t.field.from_int(2)})
-    assert not poly_add(a, b)  # 3 + 2 = 0 mod 5
-    assert poly_mul(a, b).terms == {t.word("x0", "x0"): t.field.from_int(1)}
+    assert not a + b  # 3 + 2 = 0 mod 5
+    assert (a * b).terms == {t.word("x0", "x0"): t.field.from_int(1)}
 
 
 # -- text format ------------------------------------------------------------

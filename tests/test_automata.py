@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 import corpus
 from ncpoly.abp import Abp, LinearForm
-from ncpoly.algebra import NCPoly, VarNameError, VarTable, hadamard_bruteforce, poly_mul
+from ncpoly.algebra import NCPoly, VarNameError, VarTable, hadamard_bruteforce
 from ncpoly.automata import (
     MatrixSubstitution,
-    NondeterminismError,
     SubstAutomaton,
     automaton_to_substitution,
     filter_by_automaton,
@@ -87,11 +86,11 @@ def test_palindrome_encoder_matrices_at_n1():
     a.add_transition("p1", c1, "p2", word=(x0,))
     a.add_transition("p1", c2, "p2", word=(x1,))
     sub = automaton_to_substitution(a)
-    assert sub.entry(o1, 0, 1) == (1, (x0,))
-    assert sub.entry(o2, 0, 1) == (1, (x1,))
-    assert sub.entry(c1, 1, 2) == (1, (x0,))
-    assert sub.entry(c2, 1, 2) == (1, (x1,))
-    assert sub.entry(c1, 0, 1) is None
+    assert sub.entries[o1].get((0, 1)) == (1, (x0,))
+    assert sub.entries[o2].get((0, 1)) == (1, (x1,))
+    assert sub.entries[c1].get((1, 2)) == (1, (x0,))
+    assert sub.entries[c2].get((1, 2)) == (1, (x1,))
+    assert sub.entries[c1].get((0, 1)) is None
 
 
 def test_dead_sink_gives_zero_rows():
@@ -112,7 +111,7 @@ def test_nondeterminism_rejected():
     a = SubstAutomaton(t, t)
     a.add_state("s", start=True)
     a.add_transition("s", 0, "p")
-    with pytest.raises(NondeterminismError):
+    with pytest.raises(ValueError, match="already has a transition"):
         a.add_transition("s", 0, "q")
 
 
@@ -311,7 +310,7 @@ def test_a_start_state_that_accepts_is_split(field):
     assert expected.terms == {(x0, x1): c(2), (x0, x1, x0, x1): c(12)}
     assert evaluate_both_orders(sub, g) == [expected, expected]
     back = parse_substitution(format_substitution(sub), VarTable(field=field))
-    assert back.accepts_empty and back.with_entry(x0, 0, 0, c(1)).accepts_empty
+    assert back.accepts_empty
     # one state that starts and accepts needs no split: the identity is 1
     one = SubstAutomaton(t, t)
     one.add_state("q", start=True, accept=True)
@@ -419,12 +418,10 @@ def test_hadamard_identity_case():
     # ABP computing the sum of all degree-2 words
     form = LinearForm.make(t, {0: Fraction(1), 1: Fraction(1)})
     g = Abp(t, [1, 1, 1], [[(0, 0, form)], [(0, 0, form)]])
-    f = poly_mul(
-        NCPoly.variable(t, "x0") + NCPoly.variable(t, "x1").scale(Fraction(2)),
-        NCPoly.variable(t, "x0"),
-    )
+    x0, x1 = NCPoly.variable(t, "x0"), NCPoly.variable(t, "x1")
+    f = (x0 + x1.scale(Fraction(2))) * x0
     assert hadamard_via_matrices(f, g) == f
-    assert abp_eval(g).num_terms() == 4
+    assert len(abp_eval(g).terms) == 4
 
 
 def test_hadamard_coefficients_multiply():
@@ -570,10 +567,3 @@ def test_parse_substitution_adds_new_names_in_first_seen_order_and_keeps_its_err
         with pytest.raises(error):
             parse_substitution(bad)
 
-
-def test_with_entry_is_nondestructive():
-    t = xy()
-    sub = automaton_to_substitution(identity_chain(t, 2))
-    corrupted = sub.with_entry(0, 0, 2, Fraction(1))
-    assert corrupted.entry(0, 0, 2) == (1, ())
-    assert sub.entry(0, 0, 2) is None

@@ -1,5 +1,6 @@
-"""Every family and every reduction kind honours the budgets, and the
-budgets reach the library only through algebra.using_budget."""
+"""Every family and every reduction kind honours the budgets and refuses
+unknown or repeated parameters, and the budgets reach the library only
+through algebra.using_budget."""
 
 import argparse
 import importlib
@@ -10,9 +11,18 @@ import re
 import pytest
 
 import ncpoly
-from ncpoly.algebra import Budget, TermBudgetError, budget, using_budget
+from ncpoly.abp import Abp, LinearForm, abp_eval, parse_abp
+from ncpoly.algebra import (
+    Budget,
+    StateBudgetError,
+    TermBudgetError,
+    VarTable,
+    budget,
+    using_budget,
+)
 from ncpoly.cli import build_parser, main
-from ncpoly.families import FAMILY_SPEC_HELP
+from ncpoly.families import FAMILY_SPEC_HELP, make_family
+from ncpoly.reductions import base, compose_abp, dyck, dyck_depth_reduction, vbp_trivial_reduction
 
 SKEW_CIRCUIT = "g0 const 3\ng1 input x1\ng2 mul g0 g1\noutput g2\n"
 # one-pair balanced words of length 4 as a branching program
@@ -133,3 +143,42 @@ def test_no_public_function_takes_a_budget_parameter():
                 if {"term_budget", "state_budget"} & set(params):
                     found.append(f"{module.__name__}.{qualname}")
     assert checked > 100 and found == []
+
+
+def test_reduce_and_family_refuse_unknown_and_repeated_parameters(tmp_path, capsys):
+    _inputs(tmp_path)
+    red = tmp_path / "r.txt"
+    for kind, params in REDUCE_PARAMS.items():
+        params = [p.format(dir=tmp_path) for p in params]
+        for extra, message in (("bogus=1", "no parameter 'bogus'"), (params[0], "repeats")):
+            code, out, err = run(capsys, "reduce", kind, *params, extra, "--out", str(red))
+            assert code == 2 and out == "", (kind, extra)
+            assert _one_error_line(err) and message in err, (kind, err)
+            assert not red.exists(), kind
+    code, out, err = run(capsys, "family", "pal:n=2,n=3", "--out", str(red))
+    assert code == 2 and _one_error_line(err) and "repeats parameter 'n'" in err
+    assert not red.exists()
+
+
+def test_state_budget_is_checked_before_any_product(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dyck, "product_cells", lambda *args: calls.append(args))
+    monkeypatch.setattr(base, "product_cells", lambda *args: calls.append(args))
+    program = parse_abp(DYCK_ABP, VarTable())
+    target = make_family("pal:n=2")
+    witness = (target.table.var("x0").id,) * 4
+    with using_budget(Budget(states=program.size - 1)), pytest.raises(StateBudgetError):
+        vbp_trivial_reduction(program, target, witness)
+    inner, outer = dyck_depth_reduction(1, 2, 3), dyck_depth_reduction(2, 3, 3)
+    dim = inner.substitution.dim * outer.substitution.dim
+    with using_budget(Budget(states=dim - 1)), pytest.raises(StateBudgetError):
+        compose_abp(inner, outer)
+    assert calls == []
+
+
+def test_abp_eval_checks_the_term_budget_edge_by_edge():
+    t = VarTable(["x0"])
+    x0 = LinearForm.make(t, {0: 1})
+    fan = Abp(t, [1, 10, 1], [[(0, v, x0) for v in range(10)], [(v, 0, x0) for v in range(10)]])
+    with using_budget(Budget(terms=3)), pytest.raises(TermBudgetError, match="layer 1 holds 4 terms"):
+        abp_eval(fan)

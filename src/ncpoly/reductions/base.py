@@ -12,11 +12,13 @@ meta["grammar"] (the balanced-word and palindrome families, whose supports
 are exponentially large) is instead read as that grammar, S -> 1 | o S c S
 by first return or P_n = sum_x x P_(n-1) x, and applied through one inside
 sum over the product of grammar and automaton.  Its keys are (start
-state, half-length[, depth budget]) reached through nonzero cells, and
-it makes three passes over them: a Boolean pass finds each key's end
-states as a bitset, a top-down pass keeps only the end states on an
+state, half-length[, depth budget]), and it makes three passes over
+them: a Boolean pass builds, bottom up by half-length, the end states of
+each nonempty key whose start state the automaton's start reaches in
+time to use it, a top-down pass keeps only the end states on an
 accepting derivation, and a polynomial pass builds just those.  The bit
-operations follow the reachable keys; the exact arithmetic follows the
+operations follow the nonempty keys of reachable states and their
+(left, tail) joins, never an empty key; the exact arithmetic follows the
 live keys times their intermediate terms, not the number of parse trees.
 The termwise route stays as the independent oracle, and the two are
 cross-checked in the test suite.
@@ -129,6 +131,151 @@ def _prune_or_raise(acc: dict) -> None:
     budget().check_terms(len(acc), "structured apply")
 
 
+def _fact_room(sub: MatrixSubstitution, letters, half: int, with_tail: bool) -> list:
+    """room[L]: the bitset of states where a key of half-length L can start
+    in a target word read from the start state.
+
+    For balanced words these are the states reached within 2 * (half - L)
+    letters, found breadth first so that each state is expanded once; for
+    palindromes, the states reached after exactly half - L letters.  The
+    list runs to 2 * half, with no state beyond L = half.
+    """
+    successors: dict[int, int] = {}
+    for v in letters:
+        for j, cells in sub.rows(v).items():
+            bits = successors.get(j, 0)
+            for k, _, _ in cells:
+                bits |= 1 << k
+            successors[j] = bits
+
+    def step(bits: int) -> int:
+        after = 0
+        while bits:
+            j = bits.bit_length() - 1
+            bits ^= 1 << j
+            after |= successors.get(j, 0)
+        return after
+
+    room = [0] * (2 * half + 1)
+    if with_tail:
+        seen = frontier = 1
+        for n in range(half, -1, -1):
+            room[n] = seen
+            for _ in range(2 if n else 0):
+                frontier = step(frontier) & ~seen
+                seen |= frontier
+    else:
+        room[half] = 1
+        for n in range(half, 0, -1):
+            room[n - 1] = step(room[n])
+    return room
+
+
+def _nonempty_facts(
+    sub: MatrixSubstitution,
+    pairs,
+    half: int,
+    with_tail: bool,
+    depth_cap: int | None,
+) -> tuple[dict, dict]:
+    """The Boolean pass of _inside_sum: its grammar over the Boolean semiring.
+
+    A fact (i, L, b) holds, as an int bitset, the states j such that some
+    target word of half-length L and depth budget b has a nonzero-cell path
+    from i to j.  Returns ends {(i, L, b): bitset}, whose keys come in
+    order of increasing L, and found {(i, b): {L: bitset}} over the same
+    facts.  Only nonempty facts are stored, and a fact (i, L) only when i
+    is in room[L] of _fact_room, where a target word read from the start
+    can use it.  Facts of half-length 0, {i}, are stored for the states an
+    opener reaches.
+
+    The facts are built by half-length, bottom up.  Once R(k, L, b-1) is
+    final, each opener cell i -> k and its closer c give the left bits of
+    o S_L c from i, the states after that prefix.  These join every tail
+    R(k2, t, b) already stored for a left bit k2, and each tail stored
+    later joins the left facts waiting at its start state.  So each
+    (left, tail) pair is joined once, no empty fact is ever stored, and
+    the cost is the nonempty facts plus their joins.
+    """
+    if half == 0:
+        return {(0, 0, depth_cap): 1}, {(0, depth_cap): {0: 1}}
+    room = _fact_room(sub, {v for pair in pairs for v in pair}, half, with_tail)
+    starts = 0
+    for bits in room[1:]:
+        starts |= bits
+    # into[k][c]: the starts i of the opener cells i -> k whose closer is c
+    into: dict[int, dict] = {}
+    for o, c in pairs:
+        for i, cells in sub.rows(o).items():
+            if starts >> i & 1:
+                for k, _, _ in cells:
+                    into.setdefault(k, {}).setdefault(c, []).append(i)
+
+    inner_budgets = [None] if depth_cap is None else range(depth_cap)
+    pending: list = [{} for _ in range(half + 1)]
+    for k in into:
+        if room[0] >> k & 1:
+            for b in inner_budgets:
+                pending[0][(k, b)] = 1 << k
+    ends: dict[tuple, int] = {}
+    found: dict[tuple, dict] = {}
+    # waiting[(k2, b)]: left facts (i, m1) with k2 among their left bits
+    # that a tail of a later half-length may still join
+    waiting: dict[tuple, list] = {}
+    for s in range(half + 1):
+        facts, pending[s] = pending[s], None
+        for (i, b), bits in facts.items():
+            ends[(i, s, b)] = bits
+            found.setdefault((i, b), {})[s] = bits
+        if s == half:
+            break
+        for (k2, b), tail in facts.items():
+            for i, m1 in waiting.get((k2, b), ()):
+                m = m1 + 1 + s
+                if room[m] >> i & 1:
+                    acc = pending[m]
+                    acc[(i, b)] = acc.get((i, b), 0) | tail
+        fit = room[s + 1]
+        left: dict[tuple, int] = {}
+        for (k, inner_b), inner in facts.items():
+            if inner_b is not None and inner_b == depth_cap:
+                continue
+            b = None if inner_b is None else inner_b + 1
+            for c, cell_starts in into.get(k, {}).items():
+                crow = sub.rows(c)
+                after, bits = 0, inner
+                while bits:
+                    j = bits.bit_length() - 1
+                    bits ^= 1 << j
+                    for k2, _, _ in crow.get(j, ()):
+                        after |= 1 << k2
+                if after:
+                    for i in cell_starts:
+                        if fit >> i & 1:
+                            left[(i, b)] = left.get((i, b), 0) | after
+        nxt = pending[s + 1]
+        for (i, b), after in left.items():
+            nxt[(i, b)] = nxt.get((i, b), 0) | after  # the empty tail
+            if not with_tail:
+                continue
+            later = room[2 * s + 2] >> i & 1
+            bits = after
+            while bits:
+                k2 = bits.bit_length() - 1
+                bits ^= 1 << k2
+                for t, tail in found.get((k2, b), {}).items():
+                    if not t:
+                        continue
+                    m = s + 1 + t
+                    if not room[m] >> i & 1:
+                        break
+                    acc = pending[m]
+                    acc[(i, b)] = acc.get((i, b), 0) | tail
+                if later:
+                    waiting.setdefault((k2, b), []).append((i, s))
+    return ends, found
+
+
 def _inside_sum(
     sub: MatrixSubstitution,
     pairs,
@@ -147,31 +294,28 @@ def _inside_sum(
     nonzero-cell paths between the two states; the depth budget is None
     unless the target caps nesting.  Three passes share the keys:
 
-    1. Boolean: the same recurrence over the Boolean semiring, run from
-       (start, half) through nonzero cells on an explicit stack, stores
-       each key's end states as an int bitset and records the order in
-       which keys finish.  Opener cells are grouped by the state they
-       reach; each key visits its inner keys once and then reads only the
-       nonempty ones, and the states that the closers reach from an inner
-       key's end states are found once per opener group.
-    2. Top-down: that order walked backwards, from (start, half) to the
-       accept state, marks per key the end states that lie on an
+    1. Boolean: _nonempty_facts runs the same recurrence over the Boolean
+       semiring, bottom up by half-length from the states the start
+       reaches, and stores each nonempty key's end states as an int
+       bitset, in order of increasing half-length.
+    2. Top-down: the keys walked backwards, from (start, half) to the
+       accept state, mark per key the end states that lie on an
        accepting derivation (the usual trimming of useless nonterminals)
-       and counts each marked key's consumers.
-    3. Polynomial: the order walked forwards, which is topological,
-       builds only the marked end states of marked keys.  A (cell, split)
-       whose tail reaches no marked end is skipped, cells whose
-       coefficients multiply to one add without multiplying, and a key is
-       freed once its last consumer is built.
+       and count each marked key's consumers.
+    3. Polynomial: the keys walked forwards, which is topological, build
+       only the marked end states of marked keys.  A (cell, split) whose
+       tail reaches no marked end is skipped, cells whose coefficients
+       multiply to one add without multiplying, and a key is freed once
+       its last consumer is built.
 
-    The Boolean pass costs the reachable keys times their nonempty inner
-    keys in bit operations, plus one membership test per (key, opener
-    group, split) the first time a group is read that far; the polynomial
-    pass costs the marked keys times their intermediate terms.  Zero
-    coefficients are dropped, so cancelling terms vanish, and no target
-    length depends on Python's recursion limit.  A target of half-length
-    0 is the empty word, which raises ValueError when the substitution is
-    marked accepts_empty.
+    The Boolean pass costs its nonempty keys plus their (left, tail)
+    joins in bit operations, and never stores an empty key; the top-down
+    pass costs the marked keys times their nonempty inner keys; the
+    polynomial pass costs the marked keys times their intermediate
+    terms.  Zero coefficients are dropped, so cancelling terms vanish,
+    and no target length depends on Python's recursion limit.  A target
+    of half-length 0 is the empty word, which raises ValueError when the
+    substitution is marked accepts_empty.
     """
     sub.check_empty_word(half == 0)
     limit = budget().terms
@@ -186,100 +330,18 @@ def _inside_sum(
             for k, co, wo in cells:
                 by_k.setdefault(k, []).append((co, wo, crow))
 
-    # 1. Boolean pass.  found[(state, depth budget)] holds the nonempty
-    # keys' end-state bitsets by half-length, and upto[...] a half-length
-    # below which every key of that state and budget is in ends.
-    # closed[(i, k, m1, budget)] holds the states that the closers of the
-    # opener group i -> k reach from the end states of inner key (k, m1).
-    # waiting[key] is None while the key's inner keys are built, then
-    # (end states so far, tail keys) while its tails are.
-    ends: dict[tuple, int] = {}
-    found: dict[tuple, dict] = {}
-    upto: dict[tuple, int] = {}
-    closed: dict[tuple, int] = {}
-    order: list[tuple] = []
-    waiting: dict[tuple, tuple | None] = {}
+    ends, found = _nonempty_facts(sub, pairs, half, with_tail, depth_cap)
     root = (0, half, depth_cap)
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in ends:
-            stack.pop()
-            continue
-        i, m, b = key
-        if m == 0 or b == 0 or i not in opens:
-            reach = 1 << i if m == 0 else 0
-        else:
-            inner_b = None if b is None else b - 1
-            lo = 0 if with_tail else m - 1
-            if key not in waiting:
-                waiting[key] = None
-                need = [
-                    (k, m1, inner_b)
-                    for k in opens[i]
-                    for m1 in range(max(lo, upto.get((k, inner_b), 0)), m)
-                    if (k, m1, inner_b) not in ends
-                ]
-                if need:
-                    stack.extend(need)
-                    continue
-            state = waiting[key]
-            if state is None:
-                left: dict[int, int] = {}  # tail length -> states after c
-                for k, cells in opens[i].items():
-                    if with_tail and upto.get((k, inner_b), 0) < m:
-                        upto[(k, inner_b)] = m
-                    for m1, inner in found.get((k, inner_b), {}).items():
-                        if not lo <= m1 < m:
-                            continue
-                        after = closed.get((i, k, m1, inner_b))
-                        if after is None:
-                            after = 0
-                            while inner:
-                                j1 = inner.bit_length() - 1
-                                inner ^= 1 << j1
-                                for _, _, crow in cells:
-                                    for k2, _, _ in crow.get(j1, ()):
-                                        after |= 1 << k2
-                            closed[(i, k, m1, inner_b)] = after
-                        if after:
-                            t = m - 1 - m1
-                            left[t] = left.get(t, 0) | after
-                reach = left.pop(0, 0)
-                need = []
-                for t, bits in left.items():
-                    while bits:
-                        k2 = bits.bit_length() - 1
-                        bits ^= 1 << k2
-                        tail = ends.get((k2, t, b))
-                        if tail is None:
-                            need.append((k2, t, b))
-                        else:
-                            reach |= tail
-                if need:
-                    waiting[key] = (reach, need)
-                    stack.extend(need)
-                    continue
-            else:
-                reach, need = state
-                for tail_key in need:
-                    reach |= ends[tail_key]
-            del waiting[key]
-        ends[key] = reach
-        if reach:
-            found.setdefault((i, b), {})[m] = reach
-        order.append(key)
-        stack.pop()
 
     # 2. Top-down pass: live[key] is the bitset of the key's end states on
     # an accepting derivation, reads[key] the marked keys it consumes.
     result = NCPoly.zero(sub.output_table)
-    live = {root: ends[root] & 1 << accept}
+    live = {root: ends.get(root, 0) & 1 << accept}
     if not live[root]:
         return result
     reads: dict[tuple, list] = {}
     consumers: dict[tuple, int] = {}
-    for key in reversed(order):
+    for key in reversed(ends):
         want = live.get(key)
         if not want or key[1] == 0:
             continue
@@ -303,7 +365,7 @@ def _inside_sum(
                                     used |= 1 << j1
                                 continue
                             tail_key = (k2, t, b)
-                            hit = ends[tail_key] & want
+                            hit = ends.get(tail_key, 0) & want
                             if hit:
                                 used |= 1 << j1
                                 live[tail_key] = live.get(tail_key, 0) | hit
@@ -318,7 +380,7 @@ def _inside_sum(
 
     # 3. Polynomial pass, bottom up over the marked keys.
     memo: dict[tuple, dict] = {}
-    for key in order:
+    for key in ends:
         want = live.get(key)
         if not want:
             continue
@@ -381,11 +443,12 @@ def apply_to_instance(
 
     A target that declares its grammar in meta["grammar"], as (pairs,
     half-length, tail flag, depth cap) in the arguments of _inside_sum,
-    goes through the inside sum and is never realized.  Its Boolean and
-    top-down passes cost bit operations over the reachable (state,
-    length[, depth]) keys; its polynomial pass costs the keys on an
-    accepting derivation times their intermediate terms, and raises
-    TermBudgetError when an intermediate polynomial exceeds the term budget.
+    goes through the inside sum and is never realized.  Its Boolean pass
+    costs bit operations over the nonempty (state, length[, depth]) keys
+    of the states the start reaches, plus their (left, tail) joins; its
+    polynomial pass costs the keys on an accepting derivation times their
+    intermediate terms, and raises TermBudgetError when an intermediate
+    polynomial exceeds the term budget.
     Every other target, and every target under force_expand, is expanded
     and applied termwise.
     """

@@ -384,6 +384,24 @@ def test_abp_text_roundtrip_over_q_and_gf5(p):
     assert parse_abp(fresh, VarTable(p.table.names, field)).edges == p.edges
 
 
+def test_parse_abp_parses_each_distinct_literal_once(monkeypatch):
+    p = bounded_depth_dyck_abp(3, 30)
+    text = format_abp(p)
+    literals = [
+        tok
+        for line in text.splitlines()
+        if line.startswith("edge")
+        for tok in line.split()[4::2]
+        if tok != "+"
+    ]
+    calls = []
+    parse = QQ.parse
+    monkeypatch.setattr(QQ, "parse", lambda s: calls.append(s) or parse(s))
+    back = parse_abp(text, VarTable(p.table.names))
+    assert sorted(calls) == sorted(set(literals)) and len(literals) > 100 * len(calls)
+    assert back.layers == p.layers and back.edges == p.edges
+
+
 def test_abp_parse_affine():
     text = "layers 0:1 1:1\nedge 0 0 0 2/1 x0 + 3\n"
     p = parse_abp(text)

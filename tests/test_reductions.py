@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -262,6 +263,15 @@ def test_pathsum_matches_termwise_on_medium_circuit_target():
     assert apply_to_instance(r, tgt) == apply_to_instance(r, tgt, force_expand=True)
 
 
+def walk_states(sub, states, word):
+    """The states reached from a set of states by reading word through
+    nonzero cells."""
+    for v in word:
+        rows = sub.rows(v)
+        states = {k for s in states for k, _, _ in rows.get(s, ())}
+    return states
+
+
 def live_target(r, target):
     """The target realized on its live words only: the words of the target's
     shape that have a nonzero-cell path from the start to the accept state.
@@ -271,11 +281,6 @@ def live_target(r, target):
     sub = r.substitution
     accept = sub.dim - 1
     words = []
-
-    def step(states, v):
-        rows = sub.rows(v)
-        return frozenset(col for s in states for col, _, _ in rows.get(s, ()))
-
     if target.name == "pal":
         half = target.params["n"]
 
@@ -283,15 +288,13 @@ def live_target(r, target):
             if not states:
                 return
             if len(prefix) == half:
-                for v in reversed(prefix):
-                    states = step(states, v)
-                if accept in states:
+                if accept in walk_states(sub, states, reversed(prefix)):
                     words.append(tuple(prefix) + tuple(reversed(prefix)))
                 return
             for v in target.meta["letters"]:
-                grow(prefix + [v], step(states, v))
+                grow(prefix + [v], walk_states(sub, states, (v,)))
 
-        grow([], frozenset([0]))
+        grow([], {0})
     else:
         length = target.params["d"] if target.name == "dyck" else 2 * target.params["n"]
         cap = target.meta.get("depth")
@@ -306,11 +309,11 @@ def live_target(r, target):
             room = length - len(prefix) - 1
             if len(stack) + 1 <= room and (cap is None or len(stack) < cap):
                 for o, c in target.meta["pairs"]:
-                    grow(prefix + [o], stack + [c], step(states, o))
+                    grow(prefix + [o], stack + [c], walk_states(sub, states, (o,)))
             if stack:
-                grow(prefix + [stack[-1]], stack[:-1], step(states, stack[-1]))
+                grow(prefix + [stack[-1]], stack[:-1], walk_states(sub, states, stack[-1:]))
 
-        grow([], [], frozenset([0]))
+        grow([], [], {0})
     poly = NCPoly(target.table, {w: target.table.field.one for w in words})
     return FamilyInstance(target.name, target.params, target.table, dict(target.meta), _poly=poly)
 
@@ -558,6 +561,133 @@ def test_inside_sum_respects_the_term_budget():
     small = pal_to_d2_reduction(5)
     with using_budget(Budget(terms=32)):
         assert len(apply_to_instance(small, make_family(small.target)).terms) == 32
+
+
+def grammar_words(pairs, half, with_tail, cap):
+    """Every word of one grammar shape, enumerated letter by letter: the
+    balanced words of length 2*half with nesting at most cap, or the
+    palindromes x_1..x_half x_half..x_1."""
+    if not with_tail:
+        return [w + w[::-1] for w in itertools.product([o for o, _ in pairs], repeat=half)]
+    words = []
+
+    def grow(prefix, stack):
+        if len(prefix) == 2 * half:
+            words.append(tuple(prefix))
+            return
+        if len(stack) + 1 <= 2 * half - len(prefix) - 1 and (cap is None or len(stack) < cap):
+            for o, c in pairs:
+                grow(prefix + [o], stack + [c])
+        if stack:
+            grow(prefix + [stack[-1]], stack[:-1])
+
+    grow([], [])
+    return words
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2])
+def test_boolean_pass_matches_brute_force_enumeration(cap):
+    # random 6-state matrices: states 0, 1, 2 and 5 are wired at random,
+    # state 3 is a sink that every letter loops on, and state 4 has edges
+    # out but none in, so the start never reaches it
+    from ncpoly.reductions.base import _nonempty_facts
+
+    rng = random.Random(40 + (cap or 0))
+    out = VarTable(["y0"])
+    targets = [gen_dyck(2, 8)] if cap is None else [gen_dyck_depth(cap, 4)]
+    if cap is None:
+        targets.append(gen_pal(4, 2))
+    seen_sink = pruned_unreachable = 0
+    for target in targets:
+        pairs, half, with_tail, depth_cap = target.meta["grammar"]
+        assert depth_cap == cap
+        letters = sorted({v for pair in pairs for v in pair})
+        for _ in range(6):
+            entries = random_matrices(rng, target.table, 6, out, [1], 0.3, (0, 1, 2, 5))
+            for v in letters:
+                entries[v][(3, 3)] = (1, ())
+                for r in (0, 1, 2, 5):
+                    if rng.random() < 0.2:
+                        entries[v][(r, 3)] = (1, ())
+                for c in (0, 1, 2, 4, 5):
+                    if rng.random() < 0.4:
+                        entries[v][(4, c)] = (1, ())
+            sub = as_reduction(target, out, 6, entries).substitution
+            ends, found = _nonempty_facts(sub, pairs, half, with_tail, cap)
+
+            def brute(i, m, b):
+                ends_at = set()
+                for w in grammar_words(pairs, m, with_tail, b):
+                    ends_at |= walk_states(sub, {i}, w)
+                return sum(1 << j for j in ends_at)
+
+            # level[p]: states reached from the start after exactly p letters
+            level = [{0}]
+            for _ in range(2 * half):
+                level.append({k for v in letters for k in walk_states(sub, level[-1], (v,))})
+
+            def fits(i, m):
+                if with_tail:
+                    return any(i in level[p] for p in range(2 * (half - m) + 1))
+                return i in level[half - m]
+
+            lengths = [m for _, m, _ in ends]
+            assert lengths == sorted(lengths)
+            regrouped = {}
+            for (i, m, b), bits in ends.items():
+                regrouped.setdefault((i, b), {})[m] = bits
+            assert regrouped == found
+            for (i, m, b), bits in ends.items():
+                assert bits and fits(i, m)
+                assert bits == (1 << i if m == 0 else brute(i, m, b))
+                seen_sink += i == 3 and m > 0
+            budgets = [None] if cap is None else range(1, cap + 1)
+            for m in range(1, half + 1):
+                for i in range(6):
+                    for b in budgets:
+                        expected = brute(i, m, b)
+                        if fits(i, m):
+                            assert ends.get((i, m, b), 0) == expected
+                        else:
+                            pruned_unreachable += i == 4 and expected != 0
+                            assert (i, m, b) not in ends
+            # the inner facts of half-length 0 of every opener group that
+            # a fact of half-length 1 may read
+            for o, _ in pairs:
+                for i, cells in sub.rows(o).items():
+                    if fits(i, 1):
+                        for k, _, _ in cells:
+                            for b in budgets:
+                                inner_b = None if b is None else b - 1
+                                assert ends[(k, 0, inner_b)] == 1 << k
+    assert seen_sink and pruned_unreachable
+
+
+def test_inside_sum_matches_termwise_when_most_states_are_unreachable():
+    # the composition has 15 * 18 = 270 states, and the start reaches 15 of
+    # them: the others pair an outer and an inner state that no word reaches
+    # together, so the Boolean pass must build no fact there
+    n = 5
+    comp = compose_abp(dyck_depth_reduction(2, 3, n), dyck_depth_reduction(3, 4, n))
+    target = make_family(comp.target)
+    inside = apply_to_instance(comp, target)
+    assert inside == apply_to_instance(comp, target, force_expand=True)
+    assert inside == gen_dyck_depth(2, n).poly
+    from ncpoly.reductions.base import _nonempty_facts
+
+    sub = comp.substitution
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [
+            k
+            for j in frontier
+            for v in target.table.vars()
+            for k, _, _ in sub.rows(v.id).get(j, ())
+            if k not in reached and not reached.add(k)
+        ]
+    ends, _ = _nonempty_facts(sub, *target.meta["grammar"])
+    assert {i for i, _, _ in ends} <= reached
+    assert len(reached) < sub.dim // 2
 
 
 # -- composition ---------------------------------------------------------------

@@ -92,27 +92,6 @@ class SubstAutomaton:
             return False, self.input_table.field.zero, ()
         return True, coeff, tuple(out)
 
-    def layer_map(self) -> dict | None:
-        """Distance from the start when every transition advances exactly one
-        layer; None when the automaton is not layered."""
-        if self.start is None:
-            return None
-        adjacency: dict[str, list] = {}
-        for (frm, _var), (to, _c, _w) in self.transitions.items():
-            adjacency.setdefault(frm, []).append(to)
-        layers = {self.start: 0}
-        queue = [self.start]
-        while queue:
-            s = queue.pop(0)
-            for to in adjacency.get(s, ()):
-                nxt = layers[s] + 1
-                if to not in layers:
-                    layers[to] = nxt
-                    queue.append(to)
-                elif layers[to] != nxt:
-                    return None
-        return layers
-
     def state_order(self) -> list[str]:
         """Start first, accept last unless it is the start, interior states
         in BFS order."""

@@ -253,7 +253,6 @@ class ChiTable:
 
     n: int
     values: dict
-    max_distinct: int | None = None
 
     def __post_init__(self):
         # checked key by key, so a short table for a large n is refused
@@ -268,12 +267,6 @@ class ChiTable:
         for sigma, v in self.values.items():
             if v == 0:
                 raise ValueError(f"chi value for {sigma} is zero")
-        if self.max_distinct is not None:
-            distinct = len(set(self.values.values()))
-            if distinct > self.max_distinct:
-                raise ValueError(
-                    f"{distinct} distinct chi values exceed the bound {self.max_distinct}"
-                )
 
     @classmethod
     def constant(cls, n: int, value=None, field: Field = QQ) -> "ChiTable":
@@ -282,7 +275,7 @@ class ChiTable:
         return cls(n, {s: value for s in itertools.permutations(range(1, n + 1))})
 
     @classmethod
-    def parse(cls, text: str, n: int, field: Field = QQ, max_distinct=None) -> "ChiTable":
+    def parse(cls, text: str, n: int, field: Field = QQ) -> "ChiTable":
         values = {}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -293,7 +286,7 @@ class ChiTable:
                 raise ValueError(f"bad chi line {raw!r}")
             sigma = tuple(int(tok) for tok in lhs.split())
             values[sigma] = field.parse(rhs.strip())
-        return cls(n, values, max_distinct)
+        return cls(n, values)
 
     def format(self, field: Field = QQ) -> str:
         lines = []
@@ -529,11 +522,7 @@ def parse_family_spec(spec: str) -> tuple:
     return name, Params(f"family {name!r}", rest.split(",") if rest else ())
 
 
-def make_family(
-    spec: str,
-    field: Field = QQ,
-    chi: ChiTable | None = None,
-) -> FamilyInstance:
+def make_family(spec: str, field: Field = QQ) -> FamilyInstance:
     """Build the instance a spec string names; realization stays lazy.
 
     Raises ValueError for an unknown family, a missing, repeated or
@@ -543,10 +532,7 @@ def make_family(
     num = params.num
 
     def chi_arg(n):
-        if chi is None:
-            return ChiTable.parse(Path(params.text("chi")).read_text(), n, field)
-        params.read.add("chi")
-        return chi
+        return ChiTable.parse(Path(params.text("chi")).read_text(), n, field)
 
     builders = {
         "dyck": lambda: gen_dyck(num("k"), num("d"), field),

@@ -16,10 +16,12 @@ state, half-length[, depth budget]), and it makes three passes over
 them: a Boolean pass builds, bottom up by half-length, the end states of
 each nonempty key whose start state the automaton's start reaches in
 time to use it, a top-down pass keeps only the end states on an
-accepting derivation, and a polynomial pass builds just those.  The bit
-operations follow the nonempty keys of reachable states and their
-(left, tail) joins, never an empty key; the exact arithmetic follows the
-live keys times their intermediate terms, not the number of parse trees.
+accepting derivation and records the joins that reach them, and a
+polynomial pass replays those joins, each key's held until the key is
+built.  The bit operations follow the nonempty keys of reachable states
+and their (left, tail) joins, never an empty key; the exact arithmetic
+follows the live joins times their intermediate terms, not the number of
+parse trees.
 The termwise route stays as the independent oracle, and the two are
 cross-checked in the test suite.
 """
@@ -103,26 +105,19 @@ def apply_abp_reduction(r: AbpReduction, g: NCPoly) -> NCPoly:
     return sub.evaluate(g)
 
 
-def _add_product(acc: dict, left: dict, right: dict | None, limit: int) -> None:
-    """acc += left * right on {word: coefficient} maps; right=None is 1.
+def _add_product(acc: dict, left: dict, right: dict, limit: int) -> None:
+    """acc += left * right on {word: coefficient} maps.
 
     Raises TermBudgetError once acc holds more nonzero terms than limit,
     the term budget, so an exponential sum stops at the budget.
     """
-    if right is None:
-        for w, c in left.items():
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            w = w1 + w2
             s = acc.get(w)
-            acc[w] = c if s is None else s + c
-    else:
-        for w1, c1 in left.items():
-            for w2, c2 in right.items():
-                w = w1 + w2
-                s = acc.get(w)
-                acc[w] = c1 * c2 if s is None else s + c1 * c2
-            if len(acc) > limit:
-                _prune_or_raise(acc)
-    if len(acc) > limit:
-        _prune_or_raise(acc)
+            acc[w] = c1 * c2 if s is None else s + c1 * c2
+        if len(acc) > limit:
+            _prune_or_raise(acc)
 
 
 def _prune_or_raise(acc: dict) -> None:
@@ -171,9 +166,24 @@ def _fact_room(sub: MatrixSubstitution, letters, half: int, with_tail: bool) -> 
     return room
 
 
+def _opener_cells(sub: MatrixSubstitution, pairs) -> dict:
+    """The opener-cell index of a bracket grammar, built once per inside sum:
+    state i -> {state k after o: [(coefficient, word, c, rows of c)]} over
+    the cells i -> k of each pair's opener o."""
+    opens: dict[int, dict] = {}
+    for o, c in pairs:
+        crow = sub.rows(c)
+        for i, cells in sub.rows(o).items():
+            by_k = opens.setdefault(i, {})
+            for k, co, wo in cells:
+                by_k.setdefault(k, []).append((co, wo, c, crow))
+    return opens
+
+
 def _nonempty_facts(
     sub: MatrixSubstitution,
     pairs,
+    opens: dict,
     half: int,
     with_tail: bool,
     depth_cap: int | None,
@@ -195,7 +205,8 @@ def _nonempty_facts(
     R(k2, t, b) already stored for a left bit k2, and each tail stored
     later joins the left facts waiting at its start state.  So each
     (left, tail) pair is joined once, no empty fact is ever stored, and
-    the cost is the nonempty facts plus their joins.
+    the cost is the nonempty facts plus their joins.  opens is the
+    _opener_cells index of the pairs, from which the opener cells are read.
     """
     if half == 0:
         return {(0, 0, depth_cap): 1}, {(0, depth_cap): {0: 1}}
@@ -205,10 +216,10 @@ def _nonempty_facts(
         starts |= bits
     # into[k][c]: the starts i of the opener cells i -> k whose closer is c
     into: dict[int, dict] = {}
-    for o, c in pairs:
-        for i, cells in sub.rows(o).items():
-            if starts >> i & 1:
-                for k, _, _ in cells:
+    for i, by_k in opens.items():
+        if starts >> i & 1:
+            for k, cells in by_k.items():
+                for _, _, c, _ in cells:
                     into.setdefault(k, {}).setdefault(c, []).append(i)
 
     inner_budgets = [None] if depth_cap is None else range(depth_cap)
@@ -292,7 +303,8 @@ def _inside_sum(
     state, half-length, depth budget) stands for one exact polynomial per
     end state, summed over all target words of that shape and all
     nonzero-cell paths between the two states; the depth budget is None
-    unless the target caps nesting.  Three passes share the keys:
+    unless the target caps nesting.  Three passes share the keys and one
+    opener-cell index, built once:
 
     1. Boolean: _nonempty_facts runs the same recurrence over the Boolean
        semiring, bottom up by half-length from the states the start
@@ -300,46 +312,44 @@ def _inside_sum(
        bitset, in order of increasing half-length.
     2. Top-down: the keys walked backwards, from (start, half) to the
        accept state, mark per key the end states that lie on an
-       accepting derivation (the usual trimming of useless nonterminals)
-       and count each marked key's consumers.
-    3. Polynomial: the keys walked forwards, which is topological, build
-       only the marked end states of marked keys.  A (cell, split) whose
-       tail reaches no marked end is skipped, cells whose coefficients
-       multiply to one add without multiplying, and a key is freed once
-       its last consumer is built.
+       accepting derivation (the usual trimming of useless nonterminals).
+       Each marked key records its live joins, the (opener cell, inner
+       end state, closer cell, split) whose tail reaches a marked end,
+       and the marked keys they read; the consumers of each key are
+       counted.
+    3. Polynomial: the keys walked forwards, which is topological, replay
+       the joins pass 2 recorded and build only the marked end states.
+       A key's joins are held until the key is built, cells whose
+       coefficients multiply to one add without multiplying, and a key is
+       freed once its last consumer is built.
 
     The Boolean pass costs its nonempty keys plus their (left, tail)
     joins in bit operations, and never stores an empty key; the top-down
     pass costs the marked keys times their nonempty inner keys; the
-    polynomial pass costs the marked keys times their intermediate
-    terms.  Zero coefficients are dropped, so cancelling terms vanish,
-    and no target length depends on Python's recursion limit.  A target
-    of half-length 0 is the empty word, which raises ValueError when the
+    polynomial pass costs the live joins times their intermediate terms.
+    Zero coefficients are dropped, so cancelling terms vanish, and no
+    target length depends on Python's recursion limit.  A target of
+    half-length 0 is the empty word, which raises ValueError when the
     substitution is marked accepts_empty.
     """
     sub.check_empty_word(half == 0)
     limit = budget().terms
     one = sub.input_table.field.one
     accept = sub.dim - 1
-    # state -> {state after o: [(coefficient, word, rows of the matching c)]}
-    opens: dict[int, dict] = {}
-    for o, c in pairs:
-        crow = sub.rows(c)
-        for i, cells in sub.rows(o).items():
-            by_k = opens.setdefault(i, {})
-            for k, co, wo in cells:
-                by_k.setdefault(k, []).append((co, wo, crow))
-
-    ends, found = _nonempty_facts(sub, pairs, half, with_tail, depth_cap)
+    opens = _opener_cells(sub, pairs)
+    ends, found = _nonempty_facts(sub, pairs, opens, half, with_tail, depth_cap)
     root = (0, half, depth_cap)
 
     # 2. Top-down pass: live[key] is the bitset of the key's end states on
-    # an accepting derivation, reads[key] the marked keys it consumes.
+    # an accepting derivation; joins[key] holds the key's live joins, as
+    # (inner key, inner end j1, opener * closer scale, opener word, closer
+    # word, tail key (k2, t, b) from the state k2 after the closer), and
+    # the marked keys it reads.
     result = NCPoly.zero(sub.output_table)
     live = {root: ends.get(root, 0) & 1 << accept}
     if not live[root]:
         return result
-    reads: dict[tuple, list] = {}
+    joins: dict[tuple, tuple] = {}
     consumers: dict[tuple, int] = {}
     for key in reversed(ends):
         want = live.get(key)
@@ -348,33 +358,33 @@ def _inside_sum(
         i, m, b = key
         inner_b = None if b is None else b - 1
         lo = 0 if with_tail else m - 1
+        key_joins = []
         used_keys = set()
         for k, cells in opens[i].items():
             for m1, inner in found.get((k, inner_b), {}).items():
                 if not lo <= m1 < m:
                     continue
                 t = m - 1 - m1
+                inner_key = (k, m1, inner_b)
                 used = 0
                 while inner:
                     j1 = inner.bit_length() - 1
                     inner ^= 1 << j1
-                    for _, _, crow in cells:
-                        for k2, _, _ in crow.get(j1, ()):
-                            if not t:
-                                if want >> k2 & 1:
-                                    used |= 1 << j1
-                                continue
+                    for co, wo, _, crow in cells:
+                        for k2, cc, wc in crow.get(j1, ()):
                             tail_key = (k2, t, b)
-                            hit = ends.get(tail_key, 0) & want
-                            if hit:
-                                used |= 1 << j1
+                            hit = (ends.get(tail_key, 0) if t else 1 << k2) & want
+                            if not hit:
+                                continue
+                            used |= 1 << j1
+                            key_joins.append((inner_key, j1, co * cc, wo, wc, tail_key))
+                            if t:
                                 live[tail_key] = live.get(tail_key, 0) | hit
                                 used_keys.add(tail_key)
                 if used:
-                    inner_key = (k, m1, inner_b)
                     live[inner_key] = live.get(inner_key, 0) | used
                     used_keys.add(inner_key)
-        reads[key] = list(used_keys)
+        joins[key] = (key_joins, used_keys)
         for used_key in used_keys:
             consumers[used_key] = consumers.get(used_key, 0) + 1
 
@@ -384,40 +394,35 @@ def _inside_sum(
         want = live.get(key)
         if not want:
             continue
-        i, m, b = key
+        i, m, _ = key
         if m == 0:
             memo[key] = {i: {(): one}}
             continue
-        inner_b = None if b is None else b - 1
-        lo = 0 if with_tail else m - 1
-        # (tail length, state after c) -> sum of o S_m1 c
-        left: dict[tuple, dict] = {}
-        for k, cells in opens[i].items():
-            for m1 in found.get((k, inner_b), ()):
-                inner = memo.get((k, m1, inner_b)) if lo <= m1 < m else None
-                if not inner:
-                    continue
-                t = m - 1 - m1
-                for j1, ipoly in inner.items():
-                    for co, wo, crow in cells:
-                        for k2, cc, wc in crow.get(j1, ()):
-                            if not (ends.get((k2, t, b), 0) if t else 1 << k2) & want:
-                                continue
-                            scale = co * cc
-                            unit = scale == one
-                            acc = left.setdefault((t, k2), {})
-                            for w, c in ipoly.items():
-                                w = wo + w + wc
-                                if not unit:
-                                    c = c * scale
-                                s = acc.get(w)
-                                acc[w] = c if s is None else s + c
-                            if len(acc) > limit:
-                                _prune_or_raise(acc)
+        key_joins, used_keys = joins.pop(key)
+        # out[j]: the key's polynomial at end state j, where the joins of
+        # tail length 0 land; left[tail key]: the sum of o S_m1 c that
+        # waits for that tail
         out: dict[int, dict] = {}
-        for (t, k2), lpoly in left.items():
-            tails = memo[(k2, t, b)] if t else {k2: None}
-            for j, tpoly in tails.items():
+        left: dict[tuple, dict] = {}
+        for inner_key, j1, scale, wo, wc, tail_key in key_joins:
+            ipoly = memo[inner_key].get(j1)
+            if ipoly is None:
+                continue
+            unit = scale == one
+            if tail_key[1]:
+                acc = left.setdefault(tail_key, {})
+            else:
+                acc = out.setdefault(tail_key[0], {})
+            for w, c in ipoly.items():
+                w = wo + w + wc
+                if not unit:
+                    c = c * scale
+                s = acc.get(w)
+                acc[w] = c if s is None else s + c
+            if len(acc) > limit:
+                _prune_or_raise(acc)
+        for tail_key, lpoly in left.items():
+            for j, tpoly in memo[tail_key].items():
                 if want >> j & 1:
                     _add_product(out.setdefault(j, {}), lpoly, tpoly, limit)
         entry = {}
@@ -426,7 +431,7 @@ def _inside_sum(
             if clean:
                 entry[j] = clean
         memo[key] = entry
-        for used_key in reads[key]:
+        for used_key in used_keys:
             consumers[used_key] -= 1
             if not consumers[used_key]:
                 del memo[used_key]
@@ -445,10 +450,12 @@ def apply_to_instance(
     half-length, tail flag, depth cap) in the arguments of _inside_sum,
     goes through the inside sum and is never realized.  Its Boolean pass
     costs bit operations over the nonempty (state, length[, depth]) keys
-    of the states the start reaches, plus their (left, tail) joins; its
-    polynomial pass costs the keys on an accepting derivation times their
-    intermediate terms, and raises TermBudgetError when an intermediate
-    polynomial exceeds the term budget.
+    of the states the start reaches, plus their (left, tail) joins.  Its
+    top-down pass records the joins on an accepting derivation, and its
+    polynomial pass replays them, holding each key's joins until the key
+    is built; it costs those joins times their intermediate terms, and
+    raises TermBudgetError when an intermediate polynomial exceeds the
+    term budget.
     Every other target, and every target under force_expand, is expanded
     and applied termwise.
     """
@@ -489,19 +496,12 @@ class Verdict:
         return "\n".join(lines)
 
 
-def verify_reduction(r, source: FamilyInstance, target: FamilyInstance) -> Verdict:
+def verify_reduction(r: AbpReduction, source: FamilyInstance, target: FamilyInstance) -> Verdict:
     """Apply a reduction to the target instance and compare with the source
     term for term.  A mismatch is a verdict carrying the first offending
     word, never an exception; the term budget bounds the structured apply."""
     t0 = time.perf_counter()
-    if isinstance(r, AbpReduction):
-        applied = apply_to_instance(r, target)
-    elif isinstance(r, IProjMap):
-        applied = apply_iproj(r, target.poly)
-    elif isinstance(r, ProjMap):
-        applied = apply_proj(r, target.poly)
-    else:
-        raise TypeError(f"cannot verify object of type {type(r).__name__}")
+    applied = apply_to_instance(r, target)
     expected = source.poly
     elapsed = time.perf_counter() - t0
     if applied.table != expected.table:

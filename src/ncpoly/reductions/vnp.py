@@ -100,20 +100,16 @@ def per_to_perstar_chi_reduction(n: int, chi: ChiTable, field: Field = QQ) -> Ab
     def var_of(table, row, idx):
         return table.var(f"x{row}_{idx}").id
 
-    if n == 1:
-        a.add_transition(
-            "s",
-            var_of(target.table, 1, 1),
-            accept,
-            coeff=field.inv(chi.values[(1,)]),
-            word=(var_of(source.table, 1, 1),),
-        )
-        sub = automaton_to_substitution(a)
-        return AbpReduction(
-            sub, source.spec_string, target.spec_string, kind="per-chi", automaton=a
-        )
+    def repeat_state(sigma, pos):
+        """The state after pos letters of sigma's word, with the coefficient
+        of the step into it: the step into the accept state cancels the
+        target's weight."""
+        if pos == n * n:
+            return accept, field.inv(chi.values[sigma])
+        return f"r{'.'.join(map(str, sigma))}@{pos}", None
 
-    # block one: identify sigma by its prefix
+    # block one: identify sigma by its prefix; for n = 1 its last letter
+    # goes straight to the accept state
     for p in range(n):
         row = p + 1
         for prefix in itertools.permutations(range(1, n + 1), p):
@@ -123,26 +119,24 @@ def per_to_perstar_chi_reduction(n: int, chi: ChiTable, field: Field = QQ) -> Ab
                     continue
                 nxt = prefix + (idx,)
                 if p + 1 == n:
-                    to = f"r{'.'.join(map(str, nxt))}@{n}"
+                    to, coeff = repeat_state(nxt, n)
                 else:
-                    to = "p" + "".join(f".{x}" for x in nxt)
+                    to, coeff = "p" + "".join(f".{x}" for x in nxt), None
                 a.add_transition(
-                    frm, var_of(target.table, row, idx), to, word=(var_of(source.table, row, idx),)
+                    frm,
+                    var_of(target.table, row, idx),
+                    to,
+                    coeff=coeff,
+                    word=(var_of(source.table, row, idx),),
                 )
 
-    # remaining blocks: walk the forced repeats of sigma; the last step
-    # cancels the target's weight
+    # remaining blocks: walk the forced repeats of sigma
     for sigma in itertools.permutations(range(1, n + 1)):
-        tag = ".".join(map(str, sigma))
-        inv = field.inv(chi.values[sigma])
         for pos in range(n, n * n):
-            row = pos % n + 1
-            idx = sigma[pos % n]
-            frm = f"r{tag}@{pos}"
-            last = pos + 1 == n * n
-            to = accept if last else f"r{tag}@{pos + 1}"
-            coeff = inv if last else None
-            a.add_transition(frm, var_of(target.table, row, idx), to, coeff=coeff)
+            frm, _ = repeat_state(sigma, pos)
+            to, coeff = repeat_state(sigma, pos + 1)
+            letter = var_of(target.table, pos % n + 1, sigma[pos % n])
+            a.add_transition(frm, letter, to, coeff=coeff)
     sub = automaton_to_substitution(a)
     return AbpReduction(
         sub, source.spec_string, target.spec_string, kind="per-chi", automaton=a

@@ -216,7 +216,7 @@ def test_criterion_6_concrete_reductions():
         r = per_to_idstar_reduction(n)
         assert verify_reduction(r, make_family(r.source), make_family(r.target)).passed
     done.append("per-idstar n in {2,3}")
-    for n in (2, 3):
+    for n in (1, 2, 3):
         perms = list(__import__("itertools").permutations(range(1, n + 1)))
         tables = [
             ChiTable.constant(n),
@@ -230,11 +230,12 @@ def test_criterion_6_concrete_reductions():
             assert verify_reduction(r, gen_per(n), target).passed
             extractions.append(apply_to_instance(r, target))
         assert extractions[0] == extractions[1] == extractions[2]
-    done.append("per-chi n in {2,3}, 3 tables, chi-independent")
+    done.append("per-chi n in {1,2,3}, 3 tables, chi-independent")
     for n in (1, 2):
         for i in (1, 2, 3):
-            m = hierarchy_iproj(i, n)
-            assert verify_reduction(m, gen_hierarchy(i, n), gen_hierarchy(i + 1, n)).passed
+            target = gen_hierarchy(i + 1, n)
+            r = iproj_to_abp(hierarchy_iproj(i, n), target.meta["degree"])
+            assert verify_reduction(r, gen_hierarchy(i, n), target).passed
     done.append("hier-iproj i<=3 n<=2")
     for n in (1, 2, 3):
         p = bounded_depth_dyck_abp(n, n, bracket_types=1)

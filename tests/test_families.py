@@ -203,8 +203,6 @@ def test_chi_validation():
         ChiTable(2, {(1, 2): Fraction(1)})
     with pytest.raises(ValueError, match="zero"):
         ChiTable(2, {(1, 2): Fraction(0), (2, 1): Fraction(1)})
-    with pytest.raises(ValueError, match="distinct"):
-        ChiTable(2, {(1, 2): Fraction(1), (2, 1): Fraction(2)}, max_distinct=1)
 
 
 def test_chi_parse_roundtrip():

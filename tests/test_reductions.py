@@ -563,6 +563,49 @@ def test_inside_sum_respects_the_term_budget():
         assert len(apply_to_instance(small, make_family(small.target)).terms) == 32
 
 
+def test_inside_sum_refuses_inside_the_left_times_tail_product():
+    # one state, each letter copied to its own output letter: under depth
+    # cap 1 every key is (o c) times a tail, so the 2^(n-1) terms of the
+    # root's tail fit the budget and its product with the two (o c) does not
+    n = 6
+    target = gen_dyck_depth(1, n)
+    one = target.table.field.one
+    out = VarTable([f"y{v.id}" for v in target.table.vars()])
+    entries = {v.id: {(0, 0): (one, (v.id,))} for v in target.table.vars()}
+    r = AbpReduction(MatrixSubstitution(target.table, out, 1, entries), "copy", target.spec_string)
+    assert len(apply_to_instance(r, target).terms) == 2**n
+    with using_budget(Budget(terms=2**n - 1)), pytest.raises(TermBudgetError) as refused:
+        apply_to_instance(r, target)
+    names = [entry.name for entry in refused.traceback]
+    assert names[-3:] == ["_add_product", "_prune_or_raise", "check_terms"]
+
+
+def test_inside_sum_prunes_cancelled_terms_before_the_term_budget():
+    # states 0 -> 1: a word's paths jump once, with sign +1 on an opener and
+    # -1 on a closer, so every balanced word's image cancels to zero.  The
+    # largest nonzero sums, such as the tail (1, n-1), hold Catalan(n-1)
+    # terms, while the root gathers all Catalan(n) words before they cancel:
+    # the apply fits the budget only because the zeros are pruned
+    from math import comb
+
+    n = 5
+    target = gen_dyck(1, 2 * n)
+    [(o, c)] = target.meta["grammar"][0]
+    out = VarTable(["y0", "y1"])
+    cells = {(0, 0): 1, (0, 1): 1, (1, 1): 1}
+    entries = {
+        o: {rc: (s, (0,)) for rc, s in cells.items()},
+        c: {rc: (-s if rc == (0, 1) else s, (1,)) for rc, s in cells.items()},
+    }
+    r = as_reduction(target, out, 2, entries)
+    assert not apply_to_instance(r, target, force_expand=True)
+    largest = comb(2 * n - 2, n - 1) // n  # Catalan(n-1)
+    with using_budget(Budget(terms=largest)):
+        assert not apply_to_instance(r, target)
+    with using_budget(Budget(terms=largest - 1)), pytest.raises(TermBudgetError):
+        apply_to_instance(r, target)
+
+
 def grammar_words(pairs, half, with_tail, cap):
     """Every word of one grammar shape, enumerated letter by letter: the
     balanced words of length 2*half with nesting at most cap, or the
@@ -590,7 +633,7 @@ def test_boolean_pass_matches_brute_force_enumeration(cap):
     # random 6-state matrices: states 0, 1, 2 and 5 are wired at random,
     # state 3 is a sink that every letter loops on, and state 4 has edges
     # out but none in, so the start never reaches it
-    from ncpoly.reductions.base import _nonempty_facts
+    from ncpoly.reductions.base import _nonempty_facts, _opener_cells
 
     rng = random.Random(40 + (cap or 0))
     out = VarTable(["y0"])
@@ -613,7 +656,8 @@ def test_boolean_pass_matches_brute_force_enumeration(cap):
                     if rng.random() < 0.4:
                         entries[v][(4, c)] = (1, ())
             sub = as_reduction(target, out, 6, entries).substitution
-            ends, found = _nonempty_facts(sub, pairs, half, with_tail, cap)
+            opens = _opener_cells(sub, pairs)
+            ends, found = _nonempty_facts(sub, pairs, opens, half, with_tail, cap)
 
             def brute(i, m, b):
                 ends_at = set()
@@ -673,7 +717,7 @@ def test_inside_sum_matches_termwise_when_most_states_are_unreachable():
     inside = apply_to_instance(comp, target)
     assert inside == apply_to_instance(comp, target, force_expand=True)
     assert inside == gen_dyck_depth(2, n).poly
-    from ncpoly.reductions.base import _nonempty_facts
+    from ncpoly.reductions.base import _nonempty_facts, _opener_cells
 
     sub = comp.substitution
     reached, frontier = {0}, [0]
@@ -685,7 +729,8 @@ def test_inside_sum_matches_termwise_when_most_states_are_unreachable():
             for k, _, _ in sub.rows(v.id).get(j, ())
             if k not in reached and not reached.add(k)
         ]
-    ends, _ = _nonempty_facts(sub, *target.meta["grammar"])
+    pairs, half, with_tail, cap = target.meta["grammar"]
+    ends, _ = _nonempty_facts(sub, pairs, _opener_cells(sub, pairs), half, with_tail, cap)
     assert {i for i, _, _ in ends} <= reached
     assert len(reached) < sub.dim // 2
 
@@ -873,11 +918,31 @@ def test_completeness_multiplicity_vanishing_in_small_characteristic():
     assert not apply_to_instance(r2, make_family(r2.target, f7))
 
 
+def layer_map(a) -> dict | None:
+    """Distance from the start when every transition of the automaton
+    advances exactly one layer; None when it is not layered."""
+    adjacency: dict[str, list] = {}
+    for (frm, _var), (to, _c, _w) in a.transitions.items():
+        adjacency.setdefault(frm, []).append(to)
+    layers = {a.start: 0}
+    queue = [a.start]
+    while queue:
+        s = queue.pop(0)
+        for to in adjacency.get(s, ()):
+            nxt = layers[s] + 1
+            if to not in layers:
+                layers[to] = nxt
+                queue.append(to)
+            elif layers[to] != nxt:
+                return None
+    return layers
+
+
 def test_construction_automata_are_layered():
     r1 = pal_to_d2_reduction(2)
     r2 = dyck_completeness_reduction(corpus.hand_circuits()[4])
     for r in (r1, r2):
-        layers = r.automaton.layer_map()
+        layers = layer_map(r.automaton)
         assert layers is not None
         assert layers[r.automaton.start] == 0
 
@@ -1093,7 +1158,9 @@ def test_per_chi_zero_value_in_prime_field():
 def test_hierarchy_iproj_levels():
     for i, n in [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]:
         m = hierarchy_iproj(i, n)
-        assert verify_reduction(m, gen_hierarchy(i, n), gen_hierarchy(i + 1, n)).passed
+        source, target = gen_hierarchy(i, n), gen_hierarchy(i + 1, n)
+        assert apply_iproj(m, target.poly) == source.poly
+        assert verify_reduction(iproj_to_abp(m, target.meta["degree"]), source, target).passed
 
 
 def test_hierarchy_selected_monomial():

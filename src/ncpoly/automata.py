@@ -6,11 +6,11 @@ transition, a scalar times a short word over an output alphabet; undefined
 monomials get killed.  Compiling the automaton yields one sparse matrix per
 input variable: rows and columns are states (start first, accept last,
 interior in breadth-first order) and the (i, j) entry is the output of the
-transition i --x--> j.  A start state that also accepts is split in two,
-since the start must be row 1 and the accept state column q; the empty
-word it accepts cannot be read off the identity, so a constant term is
-refused.  Evaluating a polynomial on those matrices and reading the
-(start, accept) entry realizes automaton-filtered substitution, and with
+transition i --x--> j.  The start must be row 1 and the accept state
+column q, so a start state that also accepts compiles only when it is the
+only state; any other such automaton is refused.  Evaluating a
+polynomial on those matrices and reading the (start, accept) entry
+realizes automaton-filtered substitution, and with
 the sparse transition matrices of a branching program re-attached to
 their variables it computes Hadamard products.  One sparse row-vector
 product, row_times_matrix, does every such evaluation and every matrix
@@ -93,8 +93,7 @@ class SubstAutomaton:
         return True, coeff, tuple(out)
 
     def state_order(self) -> list[str]:
-        """Start first, accept last unless it is the start, interior states
-        in BFS order."""
+        """Start first, accept last, interior states in BFS order."""
         if self.start is None or self.accept is None:
             raise ValueError("automaton needs designated start and accept states")
         adjacency: dict[str, list] = {}
@@ -114,9 +113,8 @@ class SubstAutomaton:
             if s not in seen:
                 order.append(s)
                 seen.add(s)
-        if self.accept != self.start:
-            order.remove(self.accept)
-            order.append(self.accept)
+        order.remove(self.accept)
+        order.append(self.accept)
         return order
 
 
@@ -124,26 +122,15 @@ class MatrixSubstitution:
     """One sparse q x q matrix per input variable; extraction at (1, q).
 
     The empty word evaluates to the identity, whose (1, q) entry is zero
-    when q > 1.  accepts_empty marks a substitution compiled from an
-    automaton that accepts the empty word although q > 1; evaluating a
-    constant term on it raises ValueError instead of dropping the term.
-    A dimension over the state budget raises StateBudgetError before any
-    entry is read.
+    when q > 1.  A dimension over the state budget raises StateBudgetError
+    before any entry is read.
     """
 
-    def __init__(
-        self,
-        input_table: VarTable,
-        output_table: VarTable,
-        dim: int,
-        entries: dict,
-        accepts_empty: bool = False,
-    ):
+    def __init__(self, input_table: VarTable, output_table: VarTable, dim: int, entries: dict):
         budget().check_states(dim)
         self.input_table = input_table
         self.output_table = output_table
         self.dim = dim
-        self.accepts_empty = accepts_empty and dim > 1
         self.entries = {}
         for vid, cells in entries.items():
             clean = {}
@@ -170,14 +157,6 @@ class MatrixSubstitution:
             self._rows_cache[vid] = adj
         return self._rows_cache[vid]
 
-    def check_empty_word(self, has_constant: bool) -> None:
-        """Raise ValueError when a constant term meets accepts_empty."""
-        if has_constant and self.accepts_empty:
-            raise ValueError(
-                "the automaton accepts the empty word, but a "
-                f"{self.dim} x {self.dim} matrix substitution maps it to 0"
-            )
-
     def evaluate(self, g: NCPoly) -> NCPoly:
         """The (start, accept) entry of g evaluated on these matrices.
 
@@ -193,10 +172,8 @@ class MatrixSubstitution:
         at the end; scalars commute, so this is exact.  Like words merge
         per column, so the cost follows the (column, word) pairs, not the
         automaton paths.  Variables without a matrix act as zero matrices
-        and kill their words.  A constant term raises ValueError when
-        accepts_empty is set.
+        and kill their words.
         """
-        self.check_empty_word(() in g.terms)
         accept = self.dim - 1
         out = NCPoly.zero(self.output_table)
         acc = out.terms
@@ -293,22 +270,17 @@ def product_cells(matrices: list, starts, one) -> dict:
 def automaton_to_substitution(a: SubstAutomaton) -> MatrixSubstitution:
     """One matrix per input variable over the states in state_order.
 
-    When the start state is also the accept state and there are other
-    states, the state is split: a fresh last state receives a copy of every
-    transition into the start, so the (start, accept) entry sums the
-    nonempty accepted words, and the result is marked accepts_empty.
+    A start state that also accepts must be the only state: otherwise it
+    would be both row 1 and column q, and ValueError is raised.
     """
     order = a.state_order()
+    if a.start == a.accept and len(order) > 1:
+        raise ValueError("the start state also accepts, so it must be the only state")
     index = {s: i for i, s in enumerate(order)}
-    split = a.start == a.accept and len(order) > 1
-    dim = len(order) + split
     entries: dict[int, dict] = {}
     for (frm, var), (to, coeff, word) in a.transitions.items():
-        cells = entries.setdefault(var, {})
-        cells[(index[frm], index[to])] = (coeff, word)
-        if split and to == a.start:
-            cells[(index[frm], dim - 1)] = (coeff, word)
-    return MatrixSubstitution(a.input_table, a.output_table, dim, entries, split)
+        entries.setdefault(var, {})[(index[frm], index[to])] = (coeff, word)
+    return MatrixSubstitution(a.input_table, a.output_table, len(order), entries)
 
 
 def filter_by_automaton(f: NCPoly, a: SubstAutomaton) -> NCPoly:
@@ -420,8 +392,6 @@ def format_substitution(sub: MatrixSubstitution) -> str:
         "input-vars " + " ".join(sub.input_table.names),
         "output-vars " + " ".join(sub.output_table.names),
     ]
-    if sub.accepts_empty:
-        lines.append("accepts-empty")
     for vid in sorted(sub.entries):
         cells = sub.entries[vid]
         if not cells:
@@ -455,7 +425,6 @@ def parse_substitution(
     parse = input_table.field.parse
     scalars: dict[str, object] = {}
     dim = None
-    accepts_empty = False
     entries: dict[int, dict] = {}
     current: dict | None = None
     min_tokens = {"dim": 2, "var": 2, "entry": 4}
@@ -491,10 +460,8 @@ def parse_substitution(
         elif tokens[0] == "output-vars":
             for name in tokens[1:]:
                 output_table.get_or_add(name)
-        elif tokens == ["accepts-empty"]:
-            accepts_empty = True
         else:
             raise ValueError(f"bad substitution line {line!r}")
     if dim is None:
         raise ValueError("missing dim line")
-    return MatrixSubstitution(input_table, output_table, dim, entries, accepts_empty)
+    return MatrixSubstitution(input_table, output_table, dim, entries)

@@ -215,9 +215,9 @@ class Bracketed:
     and the recovery substitution."""
 
     circuit: Circuit
-    gate_pair: dict  # product gate id -> (open, close) var ids
-    var_pair: dict  # source var id -> (open, close)
-    const_pairs: dict  # formatted scalar -> (value, outer pair, placeholder pair)
+    pairs: list  # (open, close) var ids, in creation order
+    gate_pair: dict  # product gate id -> its (open, close)
+    leaf_word: dict  # input or constant gate id -> its bracket word
     recovery: dict  # new var id -> Var or scalar
 
 
@@ -227,32 +227,20 @@ def to_bracketed(c: Circuit) -> Bracketed:
     Product gates f = g*h become (_f g )_f h; constants a become the
     four-letter word (_a [_za ]_za )_a; input variables y become [_y ]_y.
     Every monomial of the result is a balanced string over the bracket
-    pairs.  Pairs are made in gate order, open then close, so pair k is
-    variables (2k, 2k+1).  Recovery sends [_y to y, [_za to a and every
-    other bracket to one, which restores the source polynomial.
+    pairs, which are made in gate order.  Recovery sends ]_y to y, ]_za to
+    a and every other bracket to one, so each image sits on a closing
+    bracket; substituting it restores the source polynomial.
     """
     fmt, one = c.table.field.format, c.table.field.one
     table = VarTable(field=c.table.field)
+    pairs: list[tuple] = []
     recovery: dict = {}
 
-    def pair(brackets: str, suffix: str, rec_open=one) -> tuple:
+    def pair(brackets: str, suffix: str, rec_close=one) -> tuple:
         o, cl = (table.add(f"{b}_{suffix}").id for b in brackets)
-        recovery[o], recovery[cl] = rec_open, one
+        recovery[o], recovery[cl] = one, rec_close
+        pairs.append((o, cl))
         return o, cl
-
-    gate_pair: dict[int, tuple] = {}
-    const_pairs: dict[str, tuple] = {}
-    var_pair: dict[int, tuple] = {}
-    for gid, g in enumerate(c.gates):
-        if isinstance(g, Mul):
-            gate_pair[gid] = pair("()", f"g{gid}")
-        elif isinstance(g, Const):
-            key = fmt(g.value)
-            if key not in const_pairs:
-                const_pairs[key] = (g.value, pair("()", f"a{key}"), pair("[]", f"z{key}", g.value))
-        elif isinstance(g, Input) and g.var not in var_pair:
-            name = c.table.name(g.var)
-            var_pair[g.var] = pair("[]", name, Var(g.var, name))
 
     gates: list = []
     inputs: dict[int, int] = {}  # new var id -> its Input gate
@@ -267,30 +255,34 @@ def to_bracketed(c: Circuit) -> Bracketed:
         gates.append(Mul(a, b))
         return len(gates) - 1
 
-    word_for_var: dict[int, int] = {}
-    word_for_const: dict[str, int] = {}
+    gate_pair: dict[int, tuple] = {}
+    leaf_word: dict[int, tuple] = {}
+    words: dict = {}  # source variable or formatted scalar -> (word, its gate)
     mapped: dict[int, int] = {}
     for gid, g in enumerate(c.gates):
-        if isinstance(g, Input):
-            if g.var not in word_for_var:
-                o, cl = var_pair[g.var]
-                word_for_var[g.var] = mul(leaf(o), leaf(cl))
-            mapped[gid] = word_for_var[g.var]
-        elif isinstance(g, Const):
-            key = fmt(g.value)
-            if key not in word_for_const:
-                _value, (ob, cb), (oz, cz) = const_pairs[key]
-                word_for_const[key] = mul(mul(mul(leaf(ob), leaf(oz)), leaf(cz)), leaf(cb))
-            mapped[gid] = word_for_const[key]
-        elif isinstance(g, Add):
+        if isinstance(g, Add):
             gates.append(Add(mapped[g.left], mapped[g.right]))
             mapped[gid] = len(gates) - 1
-        else:
-            o, cl = gate_pair[gid]
+        elif isinstance(g, Mul):
+            o, cl = gate_pair[gid] = pair("()", f"g{gid}")
             mapped[gid] = mul(mul(mul(leaf(o), mapped[g.left]), leaf(cl)), mapped[g.right])
+        else:
+            key = g.var if isinstance(g, Input) else fmt(g.value)
+            if key not in words:
+                if isinstance(g, Input):
+                    name = c.table.name(g.var)
+                    word = pair("[]", name, Var(g.var, name))
+                else:
+                    (ob, cb), (oz, cz) = pair("()", f"a{key}"), pair("[]", f"z{key}", g.value)
+                    word = (ob, oz, cz, cb)
+                top = leaf(word[0])
+                for vid in word[1:]:
+                    top = mul(top, leaf(vid))
+                words[key] = word, top
+            leaf_word[gid], mapped[gid] = words[key]
 
     circ = Circuit(table, gates, mapped[c.output])
-    return Bracketed(circ, gate_pair, var_pair, const_pairs, recovery)
+    return Bracketed(circ, pairs, gate_pair, leaf_word, recovery)
 
 
 @dataclass

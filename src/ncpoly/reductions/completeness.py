@@ -5,9 +5,12 @@ every monomial of the circuit a parse word; a fixed-length prefix padding
 makes all parse words the same even length; a layered deterministic
 automaton walks that word, entering subcircuits through addition closures,
 and its matrices substitute the original variables and scalars back in.
-The automata read the tables each transform returns: the bracket pairs
-of product gates, variables and scalars, or the twin pairs of skew
-products and input doubles with the recovery image each twin emits.
+The automata read the tables each transform returns and re-spell none of
+them: the Dyck walk numbers its target pairs from the bracket pairs in
+creation order and reads each leaf's bracket word, the palindrome walk
+reads the twin pairs of skew products and input doubles, and every letter
+emits its recovery image (_image), so the bracket encoding and the letter
+that carries each image are decided once, in ncpoly.circuits.
 Balance (or the mirror structure of palindromes) supplied by the target's
 own support does the bracket matching that a finite automaton cannot.
 
@@ -70,36 +73,45 @@ def _const_values(circuit: Circuit) -> list:
     return vals
 
 
+def _image(recovery: dict, vid: int, cnt: int, field) -> tuple:
+    """Coefficient and word that letter vid emits when reached along cnt
+    addition paths: cnt times its recovery image, a variable or a scalar."""
+    img = recovery[vid]
+    if isinstance(img, Var):
+        return field.from_int(cnt), (img.id,)
+    return field.from_int(cnt) * img, ()
+
+
 def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
     """Reduce an arbitrary circuit to a balanced-word target.
 
-    The target has one bracket pair per bracket type of the parsed circuit
+    The target has one bracket pair per bracket pair of the parsed circuit
     plus r+1 padding pairs, where 2r bounds the parse-word degree; words
     are padded to degree 2r+2.  The automaton reads the numbered padding,
-    then walks the parse word: opening a product's bracket descends to its
-    left argument, a leaf pair emits the variable (or the constant, on the
-    placeholder pair), and a product's closing bracket resumes at its right
-    argument.  Everything else is dead, and balance pins each closing to
-    its product gate.
+    then walks the parse word in three kinds of state: at a gate's entry,
+    a product's opening bracket descends to its left argument and a leaf's
+    first letter enters its bracket word; inside a leaf word the next
+    letter is read; after a left argument, a product's closing bracket
+    resumes at its right argument.  Every letter emits its recovery image,
+    weighted on entry by the addition paths; everything else is dead, and
+    balance pins each closing to its product gate.
     """
     field = c.table.field
     br = to_bracketed(c)
-    gate_pair, var_pair, const_pairs = br.gate_pair, br.var_pair, br.const_pairs
-
     two_r = max(br.circuit.syntactic_degree(), 0)
     r = two_r // 2
     q = 2 * r + 2
-    t = len(br.circuit.table) // 2 + r + 1
-    target = gen_dyck(t, q, field)
+    target = gen_dyck(len(br.pairs) + r + 1, q, field)
     t_pairs = target.meta["pairs"]
-    # bracket pair k is variables (2k, 2k+1); it becomes target pair r+1+k
-    enc = {vid: t_pairs[r + 1 + vid // 2][vid % 2] for vid in range(len(br.circuit.table))}
+    # bracket pair k becomes target pair r+1+k
+    enc = {}
+    for k, pair in enumerate(br.pairs):
+        enc.update(zip(pair, t_pairs[r + 1 + k]))
 
     closures = _add_closures(c.gates)
     a = SubstAutomaton(target.table, c.table)
-    accept = f"L@{q}"
     a.add_state("P0@0", start=True)
-    a.add_state(accept, accept=True)
+    a.add_state(f"L@{q}", accept=True)
 
     seen = set()
     queue: deque = deque()
@@ -111,86 +123,44 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
             queue.append((kind, data, pos, name))
         return name
 
+    def step(frm: str, vid: int, to: str, cnt: int = 1) -> None:
+        coeff, word = _image(br.recovery, vid, cnt, field)
+        a.add_transition(frm, enc[vid], to, coeff=coeff, word=word)
+
     # padding: numbered pairs in order, then pair 0 hands over to the walk
+    o0, c0 = t_pairs[0]
     for i in range(r):
-        st = f"P{i}@{2 * i}" if i == 0 else push("P", i, 2 * i)
+        st = f"P{i}@{2 * i}"
         if i + 1 <= r - 1:
             o, cl = t_pairs[i + 1]
-            mid = push("Pi", i + 1, 2 * i + 1)
-            a.add_transition(st, o, mid)
-            a.add_transition(mid, cl, push("P", i + 1, 2 * i + 2))
-        o0, c0 = t_pairs[0]
-        mid0 = push("Pz", i, 2 * i + 1)
-        a.add_transition(st, o0, mid0)
-        a.add_transition(mid0, c0, push("E", c.output, 2 * i + 2))
-    seen.add(("P", 0, 0))
+            a.add_transition(st, o, f"Pi{i + 1}@{2 * i + 1}")
+            a.add_transition(f"Pi{i + 1}@{2 * i + 1}", cl, f"P{i + 1}@{2 * i + 2}")
+        a.add_transition(st, o0, f"Pz{i}@{2 * i + 1}")
+        a.add_transition(f"Pz{i}@{2 * i + 1}", c0, push("E", c.output, 2 * i + 2))
 
     while queue:
         kind, data, pos, name = queue.popleft()
-        if kind in ("P", "Pi", "Pz"):
-            continue  # transitions were generated above
-        if kind == "E":
-            if pos + 1 > q:
-                continue
-            mul_edges: dict = {}
-            var_edges: dict = {}
-            const_edges: dict = {}
+        if pos >= q:
+            continue
+        if kind == "E":  # entry of gate `data`
+            paths: dict = {}  # (first letter, next state) -> addition paths
             for h, cnt in closures[data].items():
                 g = c.gates[h]
                 if isinstance(g, Mul):
-                    mul_edges[h] = cnt
-                elif isinstance(g, Input):
-                    var_edges[g.var] = var_edges.get(g.var, 0) + cnt
+                    key = br.gate_pair[h][0], ("E", g.left)
                 else:
-                    key = field.format(g.value)
-                    const_edges[key] = const_edges.get(key, 0) + cnt
-            for h in sorted(mul_edges):
-                o, _cl = gate_pair[h]
-                a.add_transition(
-                    name,
-                    enc[o],
-                    push("E", c.gates[h].left, pos + 1),
-                    coeff=field.from_int(mul_edges[h]),
-                )
-            for varid in sorted(var_edges):
-                o, _cl = var_pair[varid]
-                a.add_transition(
-                    name, enc[o], push("V", varid, pos + 1), coeff=field.from_int(var_edges[varid])
-                )
-            for key in sorted(const_edges):
-                _value, (o, _cl), _mid = const_pairs[key]
-                a.add_transition(
-                    name, enc[o], push("C1", key, pos + 1), coeff=field.from_int(const_edges[key])
-                )
-        elif kind == "V":
-            if pos + 1 > q:
-                continue
-            _o, cl = var_pair[data]
-            a.add_transition(
-                name, enc[cl], push("L", None, pos + 1), word=(data,)
-            )
-        elif kind == "C1":
-            if pos + 1 > q:
-                continue
-            _value, _outer, (o, _cl) = const_pairs[data]
-            a.add_transition(name, enc[o], push("C2", data, pos + 1))
-        elif kind == "C2":
-            if pos + 1 > q:
-                continue
-            value, _outer, (_o, cl) = const_pairs[data]
-            # the placeholder's closing carries the constant back in
-            a.add_transition(name, enc[cl], push("C3", data, pos + 1), coeff=value)
-        elif kind == "C3":
-            if pos + 1 > q:
-                continue
-            _value, (_o, cl), _mid = const_pairs[data]
-            a.add_transition(name, enc[cl], push("L", None, pos + 1))
-        elif kind == "L":
-            if pos + 1 > q:
-                continue
-            for h in sorted(gate_pair):
-                _o, cl = gate_pair[h]
-                a.add_transition(name, enc[cl], push("E", c.gates[h].right, pos + 1))
+                    word = br.leaf_word[h]
+                    key = word[0], ("W", (word, 1))
+                paths[key] = paths.get(key, 0) + cnt
+            for (first, nxt), cnt in sorted(paths.items()):
+                step(name, first, push(*nxt, pos + 1), cnt)
+        elif kind == "W":  # inside a leaf word, before its letter i
+            word, i = data
+            nxt = ("W", (word, i + 1)) if i + 1 < len(word) else ("L", None)
+            step(name, word[i], push(*nxt, pos + 1))
+        else:  # after a left argument
+            for h, (_o, cl) in sorted(br.gate_pair.items()):
+                step(name, cl, push("E", c.gates[h].right, pos + 1))
 
     sub = automaton_to_substitution(a)
     return AbpReduction(sub, "circuit", target.spec_string, kind="dyck-complete", automaton=a)
@@ -241,14 +211,6 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
     a.add_state("S0@0", start=True)
     a.add_state(accept, accept=True)
 
-    def emitted(vid: int, cnt: int) -> tuple:
-        """Coefficient and word of twin letter vid reached along cnt
-        addition paths: its recovery image, a scalar or a variable."""
-        img = sb.recovery[vid]
-        if isinstance(img, Var):
-            return field.from_int(cnt), (img.id,)
-        return field.from_int(cnt) * img, ()
-
     # padding chain; the all-padding word carries the constant term
     for i in range(r + 1):
         st = f"S{i}@{i}"
@@ -276,17 +238,15 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
         name = f"W{gid}@{pos}"
         if pos > r:
             continue
-        center_vars: dict = {}  # letter -> (total coeff, payload word)
+        center: dict = {}  # input variable -> addition paths
         for member, cnt in closures[gid].items():
             g = h.gates[member]
             if isinstance(g, Input):
-                letter = letters[double_letter[g.var]]
-                coeff, word = center_vars.get(letter, (field.zero, (g.var,)))
-                center_vars[letter] = (coeff + field.from_int(cnt), (g.var,))
+                center[g.var] = center.get(g.var, 0) + cnt
             elif isinstance(g, Mul):
                 lv, _rv, inner = sb.twins[member]
                 letter = letters[twin_letter[member]]
-                coeff, word = emitted(lv, cnt)
+                coeff, word = _image(sb.recovery, lv, cnt, field)
                 inner_degs = degs[inner]
                 inner_deg = max(inner_degs) if inner_degs else None
                 if inner_deg == 0:
@@ -299,12 +259,16 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
             # bare constants contribute only the empty parse word, which the
             # all-padding path already accounts for
         if pos == r:
-            for letter, (coeff, word) in sorted(center_vars.items()):
+            for vid in sorted(center):
+                coeff, word = _image(sb.recovery, sb.doubles[vid][0], center[vid], field)
+                letter = letters[double_letter[vid]]
                 a.add_transition(name, letter, f"M@{r + 1}", coeff=coeff, word=word)
 
     # blind second half: the palindrome support forces the mirror letters,
-    # and a right twin emits its recovery image
-    blind = {letters[twin_letter[gid]]: emitted(rv, 1) for gid, (_l, rv, _i) in sb.twins.items()}
+    # and each right twin emits its recovery image
+    rights = [(twin_letter[gid], rv) for gid, (_l, rv, _i) in sb.twins.items()]
+    rights += [(double_letter[vid], rv) for vid, (_l, rv) in sb.doubles.items()]
+    blind = {letters[i]: _image(sb.recovery, rv, 1, field) for i, rv in rights}
     for pos in range(r + 1, q):
         frm = f"M@{r + 1}" if pos == r + 1 else f"B@{pos}"
         to = f"B@{pos + 1}"

@@ -90,16 +90,16 @@ def dk_to_d2_reduction(k: int, d: int, field: Field = QQ) -> AbpReduction:
     width = k + 1
     target = gen_dyck(2, d * width, field)
     source = gen_dyck(k, d, field)
-    (o1, c1), (o2, c2) = target.meta["pairs"]
     src_pairs = source.meta["pairs"]
     a = SubstAutomaton(target.table, source.table)
     a.add_state("b0", start=True)
     a.add_state(f"b{d}", accept=True)
 
-    patterns = []
-    for i, (o_src, c_src) in enumerate(src_pairs, start=1):
-        patterns.append(((o1,) + (o2,) * i + (o1,) * (k - i), o_src))
-        patterns.append(((c1,) * (k - i) + (c2,) * i + (c1,), c_src))
+    patterns = [
+        (dk_encode_word((v,), k, src_pairs, target.meta["pairs"]), v)
+        for pair in src_pairs
+        for v in pair
+    ]
 
     def add_once(frm, letter, to, word):
         existing = a.transitions.get((frm, letter))

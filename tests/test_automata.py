@@ -260,14 +260,14 @@ def test_evaluate_matches_run_on_random_polynomials_over_q_and_gf3():
     from itertools import product
 
     rng = random.Random(41)
-    split = 0
+    refused = 0
     for field in (QQ, PrimeField(3)):
         t = VarTable(["x0", "x1"], field=field)
         for _ in range(20):
             a = SubstAutomaton(t, t)
             states = ["q0", "q1", "q2", "q3"]
             a.add_state("q0", start=True)
-            # the accept state may be the start, which compiles by splitting it
+            # the accept state may be the start, which does not compile
             a.add_state(rng.choice(states), accept=True)
             for state in states:
                 for v in (0, 1):
@@ -275,48 +275,41 @@ def test_evaluate_matches_run_on_random_polynomials_over_q_and_gf3():
                         word = tuple(rng.choice((0, 1)) for _ in range(rng.randint(0, 2)))
                         coeff = field.from_int(rng.randint(1, 4))
                         a.add_transition(state, v, rng.choice(states), coeff, word)
-            sub = automaton_to_substitution(a)
             words = [w for d in range(5) for w in product((0, 1), repeat=d)]
             g = NCPoly(t, {w: field.from_int(rng.randint(-3, 3)) for w in rng.sample(words, 12)})
-            if sub.accepts_empty:
-                split += 1
-                g.terms[()] = field.one
-                with pytest.raises(ValueError, match="empty word"):
-                    sub.evaluate(g)
-                del g.terms[()]
+            if a.accept == a.start:
+                refused += 1
+                with pytest.raises(ValueError, match="only state"):
+                    automaton_to_substitution(a)
+                continue
+            sub = automaton_to_substitution(a)
             expected = run_oracle(a, g)
             assert evaluate_both_orders(sub, g) == [expected, expected]
-    assert split >= 4
+    assert refused >= 4
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "GF5"])
-def test_a_start_state_that_accepts_is_split(field):
-    # q0 (start and accept) -x0-> q1 -x1-> q0 accepts (x0 x1)^n for n >= 0
+def test_a_start_state_that_accepts_is_refused(field):
+    # q0 (start and accept) -x0-> q1 -x1-> q0 accepts (x0 x1)^n for n >= 0,
+    # but q0 cannot be both row 1 and column q of its matrices
     t = VarTable(["x0", "x1"], field=field)
     x0, x1 = t.var("x0").id, t.var("x1").id
     a = SubstAutomaton(t, t)
     a.add_state("q0", start=True, accept=True)
     a.add_transition("q0", x0, "q1", word=(x0,))
     a.add_transition("q1", x1, "q0", field.from_int(2), (x1,))
-    sub = automaton_to_substitution(a)
-    assert (sub.dim, sub.accepts_empty) == (3, True)
+    with pytest.raises(ValueError, match="only state"):
+        automaton_to_substitution(a)
+    text = "substitution\ndim 3\ninput-vars x0 x1\noutput-vars x0 x1\naccepts-empty\n"
+    with pytest.raises(ValueError, match="accepts-empty"):
+        parse_substitution(text, VarTable(field=field))
+    # one state that starts and accepts compiles: the identity is 1
     c = field.from_int
-    # 1 + x0 x1 cannot evaluate to 1 + 2 x0 x1 on 3 x 3 matrices, and must
-    # not evaluate to 0 (or to 2 x0 x1): it is refused
-    with pytest.raises(ValueError, match="empty word"):
-        sub.evaluate(NCPoly(t, {(): c(1), (x0, x1): c(1)}))
-    g = NCPoly(t, {(x0, x1): c(1), (x0, x1, x0, x1): c(3), (x0,): c(4), (x1, x0): c(1)})
-    expected = run_oracle(a, g)
-    assert expected.terms == {(x0, x1): c(2), (x0, x1, x0, x1): c(12)}
-    assert evaluate_both_orders(sub, g) == [expected, expected]
-    back = parse_substitution(format_substitution(sub), VarTable(field=field))
-    assert back.accepts_empty
-    # one state that starts and accepts needs no split: the identity is 1
     one = SubstAutomaton(t, t)
     one.add_state("q", start=True, accept=True)
     one.add_transition("q", x0, "q", word=(x0,))
     sub1 = automaton_to_substitution(one)
-    assert (sub1.dim, sub1.accepts_empty) == (1, False)
+    assert sub1.dim == 1
     h = NCPoly(t, {(): c(1), (x0, x0): c(1), (x1,): c(1)})
     assert sub1.evaluate(h) == run_oracle(one, h) == NCPoly(t, {(): c(1), (x0, x0): c(1)})
 
@@ -511,7 +504,7 @@ def substitution_key(sub):
     """Everything a substitution means; a variable with no cells is a zero
     matrix whether or not it has an entry."""
     cells = {vid: c for vid, c in sub.entries.items() if c}
-    return sub.input_table, sub.output_table, sub.dim, sub.accepts_empty, cells
+    return sub.input_table, sub.output_table, sub.dim, cells
 
 
 @st.composite
@@ -532,7 +525,7 @@ def substitutions(draw):
         vid: draw(st.dictionaries(cell, st.tuples(scalars, words.map(tuple)), max_size=6))
         for vid in range(len(inputs))
     }
-    return MatrixSubstitution(inputs, outputs, dim, entries, draw(st.booleans()))
+    return MatrixSubstitution(inputs, outputs, dim, entries)
 
 
 @settings(max_examples=80, deadline=None)

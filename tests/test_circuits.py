@@ -161,12 +161,11 @@ def test_bracketed_recovery_and_balance_on_corpus():
         br = to_bracketed(c)
         f = expand(br.circuit)
         assert recover(br, f, c.table) == expand(c)
-        consts = [p for _value, outer, mid in br.const_pairs.values() for p in (outer, mid)]
-        pairs = [*br.gate_pair.values(), *br.var_pair.values(), *consts]
-        # the numbering the Dyck reduction relies on: pair k is (2k, 2k+1)
-        assert sorted(pairs) == [(2 * k, 2 * k + 1) for k in range(len(br.circuit.table) // 2)]
+        # the returned pairs partition the bracketed table
+        letters = sorted(v for pair in br.pairs for v in pair)
+        assert letters == list(range(len(br.circuit.table)))
         for w in f.terms:
-            assert corpus.balanced(w, pairs)
+            assert corpus.balanced(w, br.pairs)
 
 
 # -- skew bracketing -------------------------------------------------------

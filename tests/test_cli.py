@@ -596,3 +596,66 @@ def test_reduce_vbp_trivial_reads_one_target_coefficient(tmp_path, capsys):
     witness = "witness=" + ",".join(["(1"] * 20)
     code, out, err = run(capsys, *argv, "target=dyck:k=2,d=20", witness)
     assert code == 2 and _one_error_line(err) and "coefficient exactly 1" in err, err
+
+
+def test_verify_exits_2_on_an_alphabet_mismatch(tmp_path, capsys):
+    # a source over another alphabet is a usage error, not a mismatch
+    red = tmp_path / "r.txt"
+    assert run(capsys, "reduce", "pal-d2", "n=3", "--out", str(red))[0] == 0
+    code, out, err = run(capsys, "verify", str(red), "--source", "dyck:k=1,d=2")
+    assert code == 2 and out == "" and _one_error_line(err), err
+    code, out, err = run(capsys, "verify", str(red), "--target", "dyck:k=3,d=6")
+    assert code == 2 and out == "" and _one_error_line(err), err
+
+
+def test_a_substitution_marked_accepts_empty_exits_2(tmp_path, capsys):
+    red = tmp_path / "r.txt"
+    assert run(capsys, "reduce", "pal-d2", "n=1", "--out", str(red))[0] == 0
+    text = red.read_text()
+    red.write_text(text.replace("output-vars x0 x1\n", "output-vars x0 x1\naccepts-empty\n", 1))
+    code, out, err = run(capsys, "verify", str(red))
+    assert code == 2 and out == "" and _one_error_line(err), err
+    assert "accepts-empty" in err
+
+
+def test_a_closed_output_pipe_keeps_the_exit_status(tmp_path, capsys):
+    # `ncpoly verify r.txt | head -1`: the reader may close its end before
+    # the output is written, which must not turn a pass or a fail into an
+    # error, whether or not stdout is buffered
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ncpoly
+
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    assert run(capsys, "reduce", "pal-d2", "n=1", "--out", str(good))[0] == 0
+    text = good.read_text()
+    bad.write_text(text.replace("entry 1 2 1 x0\n", "entry 1 2 2 x0\n", 1))
+    src = str(Path(ncpoly.__file__).resolve().parents[1])
+    cases = [
+        (["verify", str(good)], 0),
+        (["verify", str(bad)], 1),
+        (["rank", "dyck:k=2,d=4", "--cut", "2"], 0),
+        (["family", "dyck:k=2,d=10"], 0),
+    ]
+    for unbuffered in (False, True):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for argv, status in cases:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ncpoly.cli", *argv],
+                    stdout=write_end,
+                    stderr=subprocess.PIPE,
+                    env=env,
+                    timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (status, b""), (argv, unbuffered)

@@ -10,6 +10,7 @@ from ncpoly.algebra import (
     Budget,
     NCPoly,
     StateBudgetError,
+    TableMismatchError,
     TermBudgetError,
     Var,
     VarTable,
@@ -239,16 +240,16 @@ def test_pathsum_matches_termwise_on_dyck_and_pal():
     # brute-force expansion plus termwise application
     r = pal_to_d2_reduction(2)
     tgt = make_family(r.target)
-    assert apply_to_instance(r, tgt) == apply_to_instance(r, tgt, force_expand=True)
+    assert apply_to_instance(r, tgt) == apply_abp_reduction(r, tgt.poly)
     r2 = pal_vsk_reduction(corpus.hand_skew_circuits()[3])
     tgt2 = make_family(r2.target)
-    assert apply_to_instance(r2, tgt2) == apply_to_instance(r2, tgt2, force_expand=True)
+    assert apply_to_instance(r2, tgt2) == apply_abp_reduction(r2, tgt2.poly)
     r3 = dk_to_d2_reduction(3, 2)
     tgt3 = make_family(r3.target)
-    assert apply_to_instance(r3, tgt3) == apply_to_instance(r3, tgt3, force_expand=True)
+    assert apply_to_instance(r3, tgt3) == apply_abp_reduction(r3, tgt3.poly)
     r4 = dyck_depth_reduction(1, 2, 3)
     tgt4 = make_family(r4.target)
-    assert apply_to_instance(r4, tgt4) == apply_to_instance(r4, tgt4, force_expand=True)
+    assert apply_to_instance(r4, tgt4) == apply_abp_reduction(r4, tgt4.poly)
 
 
 def test_pathsum_matches_termwise_on_medium_circuit_target():
@@ -260,7 +261,7 @@ def test_pathsum_matches_termwise_on_medium_circuit_target():
     r = dyck_completeness_reduction(c)
     tgt = make_family(r.target)
     assert len(tgt.poly.terms) == 33614
-    assert apply_to_instance(r, tgt) == apply_to_instance(r, tgt, force_expand=True)
+    assert apply_to_instance(r, tgt) == apply_abp_reduction(r, tgt.poly)
 
 
 def walk_states(sub, states, word):
@@ -322,7 +323,7 @@ def assert_inside_matches_termwise(r, source_poly):
     target = make_family(r.target, r.substitution.input_table.field)
     live = live_target(r, target)
     inside = apply_to_instance(r, target)
-    assert inside == apply_to_instance(r, live, force_expand=True)
+    assert inside == apply_abp_reduction(r, live.poly)
     assert inside == source_poly
     return live
 
@@ -385,13 +386,13 @@ def test_inside_matches_termwise_on_depth_caps(k2):
     target = gen_dyck_depth(k2, 5)
     r = identity_reduction(target.table, 10, target="dyckdepth")
     inside = apply_to_instance(r, target)
-    assert inside == apply_to_instance(r, target, force_expand=True) == target.poly
+    assert inside == apply_abp_reduction(r, target.poly) == target.poly
     for k1 in range(1, k2 + 1):
         r = dyck_depth_reduction(k1, k2, 5)
         target = make_family(r.target)
         assert target.meta["depth"] == k2
         inside = apply_to_instance(r, target)
-        assert inside == apply_to_instance(r, target, force_expand=True)
+        assert inside == apply_abp_reduction(r, target.poly)
         assert inside == gen_dyck_depth(k1, 5).poly
 
 
@@ -461,7 +462,7 @@ def test_inside_matches_termwise_on_depth_caps_through_random_matrices(cap):
         entries = random_matrices(rng, target.table, 4, out, [1, 2, -1, 3], 0.35)
         r = as_reduction(target, out, 4, entries)
         inside = apply_to_instance(r, target)
-        assert inside == apply_to_instance(r, target, force_expand=True)
+        assert inside == apply_abp_reduction(r, target.poly)
         uncapped = gen_dyck(2, 8)
         live += bool(inside)
         differ += inside != apply_to_instance(as_reduction(uncapped, out, 4, entries), uncapped)
@@ -486,7 +487,7 @@ def test_inside_matches_termwise_when_dead_keys_hold_nonzero_polynomials():
                         entries[v.id][(r, 1)] = (1, ())
             r = as_reduction(target, out, 4, entries)
             inside = apply_to_instance(r, target)
-            assert inside == apply_to_instance(r, target, force_expand=True)
+            assert inside == apply_abp_reduction(r, target.poly)
             live += bool(inside)
     assert live >= 9
 
@@ -504,7 +505,7 @@ def test_inside_matches_termwise_when_terms_cancel_over_prime_fields(p):
             entries = random_matrices(rng, target_q.table, 3, out_q, [1, 2, 4, 5], 0.5)
             r_p = as_reduction(target_p, out_p, 3, entries)
             inside = apply_to_instance(r_p, target_p)
-            assert inside == apply_to_instance(r_p, target_p, force_expand=True)
+            assert inside == apply_abp_reduction(r_p, target_p.poly)
             over_q = apply_to_instance(as_reduction(target_q, out_q, 3, entries), target_q)
             assert {w: c % p for w, c in over_q.terms.items() if c % p} == {
                 w: c.value for w, c in inside.terms.items()
@@ -513,27 +514,34 @@ def test_inside_matches_termwise_when_terms_cancel_over_prime_fields(p):
     assert cancelled >= 4
 
 
-def test_inside_refuses_the_empty_word_of_a_split_start_state():
-    # q0 (start and accept) -(-> q1 -)-> q0 accepts ()^n; its compiled form
-    # splits q0, so the structured route must agree with the termwise one on
-    # every nonempty target and refuse the empty target like evaluate does
+def test_inside_matches_termwise_on_loops_and_the_empty_target():
+    # q0 -(-> q1 -)-> q2 (accept) -(-> q1 accepts ()^n for n >= 1: the
+    # structured route must agree with the termwise one on every target,
+    # the empty one included, which it sends to 0.  One state that starts
+    # and accepts, reading each letter as itself, compiles to a 1 x 1
+    # substitution that keeps every target, the empty word too.
     from ncpoly.automata import SubstAutomaton, automaton_to_substitution
 
     t = gen_dyck(1, 0).table
     o, c = gen_dyck(1, 0).meta["pairs"][0]
     a = SubstAutomaton(t, t)
-    a.add_state("q0", start=True, accept=True)
+    a.add_state("q0", start=True)
+    a.add_state("q2", accept=True)
     a.add_transition("q0", o, "q1", word=(o,))
-    a.add_transition("q1", c, "q0", word=(c,))
+    a.add_transition("q1", c, "q2", word=(c,))
+    a.add_transition("q2", o, "q1", word=(o,))
+    one = SubstAutomaton(t, t)
+    one.add_state("q", start=True, accept=True)
+    one.add_transition("q", o, "q", word=(o,))
+    one.add_transition("q", c, "q", word=(c,))
     r = AbpReduction(automaton_to_substitution(a), "loop", "dyck")
-    for d in (2, 4, 6):
+    r1 = AbpReduction(automaton_to_substitution(one), "identity", "dyck")
+    for d in (0, 2, 4, 6):
         target = gen_dyck(1, d)
         inside = apply_to_instance(r, target)
-        assert inside == apply_to_instance(r, target, force_expand=True)
-        assert inside.terms == {(o, c) * (d // 2): 1}
-    for force_expand in (False, True):
-        with pytest.raises(ValueError, match="empty word"):
-            apply_to_instance(r, gen_dyck(1, 0), force_expand=force_expand)
+        assert inside == apply_abp_reduction(r, target.poly)
+        assert inside.terms == ({(o, c) * (d // 2): 1} if d else {})
+        assert apply_to_instance(r1, target) == apply_abp_reduction(r1, target.poly) == target.poly
 
 
 def test_inside_sum_is_iterative_on_long_targets():
@@ -598,7 +606,7 @@ def test_inside_sum_prunes_cancelled_terms_before_the_term_budget():
         c: {rc: (-s if rc == (0, 1) else s, (1,)) for rc, s in cells.items()},
     }
     r = as_reduction(target, out, 2, entries)
-    assert not apply_to_instance(r, target, force_expand=True)
+    assert not apply_abp_reduction(r, target.poly)
     largest = comb(2 * n - 2, n - 1) // n  # Catalan(n-1)
     with using_budget(Budget(terms=largest)):
         assert not apply_to_instance(r, target)
@@ -715,7 +723,7 @@ def test_inside_sum_matches_termwise_when_most_states_are_unreachable():
     comp = compose_abp(dyck_depth_reduction(2, 3, n), dyck_depth_reduction(3, 4, n))
     target = make_family(comp.target)
     inside = apply_to_instance(comp, target)
-    assert inside == apply_to_instance(comp, target, force_expand=True)
+    assert inside == apply_abp_reduction(comp, target.poly)
     assert inside == gen_dyck_depth(2, n).poly
     from ncpoly.reductions.base import _nonempty_facts, _opener_cells
 
@@ -796,11 +804,13 @@ def test_verify_pass_and_fail_witness():
     assert v.witness is not None
 
 
-def test_verify_table_mismatch_is_a_verdict():
+def test_verify_table_mismatch_is_refused_before_applying():
+    # a source or target over another alphabet is no mismatch to report
     r = pal_to_d2_reduction(1)
-    wrong_src = gen_per(2)
-    v = verify_reduction(r, wrong_src, make_family(r.target))
-    assert not v.passed
+    with pytest.raises(TableMismatchError, match="source alphabet"):
+        verify_reduction(r, gen_per(2), make_family(r.target))
+    with pytest.raises(TableMismatchError, match="target family alphabet"):
+        verify_reduction(r, make_family(r.source), gen_per(2))
 
 
 # -- circuit completeness constructions ------------------------------------------

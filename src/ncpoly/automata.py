@@ -4,11 +4,13 @@ A substitution automaton reads words over an input alphabet and emits, per
 transition, a scalar times a short word over an output alphabet; undefined
 (state, letter) pairs are dead and never materialized, which is how whole
 monomials get killed.  Compiling the automaton yields one sparse matrix per
-input variable: rows and columns are states (start first, accept last,
-interior in breadth-first order) and the (i, j) entry is the output of the
-transition i --x--> j.  The start must be row 1 and the accept state
-column q, so a start state that also accepts compiles only when it is the
-only state; any other such automaton is refused.  Evaluating a
+input variable: rows and columns are the states on a start -> accept path
+(start first, accept last, interior in breadth-first order), and the
+(i, j) entry is the output of the transition i --x--> j.  Every other
+state is dropped with its transitions, which leaves the (start, accept)
+entry of every word unchanged.  The start must be row 1 and the accept
+state column q, so a start state that also accepts compiles only when it
+is the only state; any other such automaton is refused.  Evaluating a
 polynomial on those matrices and reading the (start, accept) entry
 realizes automaton-filtered substitution, and with
 the sparse transition matrices of a branching program re-attached to
@@ -92,30 +94,37 @@ class SubstAutomaton:
             return False, self.input_table.field.zero, ()
         return True, coeff, tuple(out)
 
-    def state_order(self) -> list[str]:
-        """Start first, accept last, interior states in BFS order."""
-        if self.start is None or self.accept is None:
-            raise ValueError("automaton needs designated start and accept states")
-        adjacency: dict[str, list] = {}
-        for (frm, var), (to, _c, _w) in self.transitions.items():
-            adjacency.setdefault(frm, []).append((var, to))
-        order = [self.start]
-        seen = {self.start}
-        queue = [self.start]
-        while queue:
-            s = queue.pop(0)
-            for _var, to in sorted(adjacency.get(s, [])):
-                if to not in seen:
-                    seen.add(to)
-                    order.append(to)
-                    queue.append(to)
-        for s in self.states:  # keep declared but unreachable states addressable
-            if s not in seen:
-                order.append(s)
-                seen.add(s)
-        order.remove(self.accept)
-        order.append(self.accept)
-        return order
+
+def path_order(start, accept, before, after) -> list:
+    """The states on a start -> accept path: start first, accept last, the
+    others in breadth-first order from the start.
+
+    before(s) and after(s) give the states one step before and after s.
+    One backward walk from the accept state finds the states that reach
+    it, charging the state budget for each, and the breadth-first walk
+    from the start keeps only those.  A start that reaches no accept state
+    leaves the start and accept alone, with no path between them.
+    """
+    limits = budget()
+    live = {accept}
+    stack = [accept]
+    while stack:
+        for s in before(stack.pop()):
+            if s not in live:
+                limits.check_states(len(live) + 1)
+                live.add(s)
+                stack.append(s)
+    queue = [start] if start in live else []
+    seen = set(queue)
+    for s in queue:  # the list grows while it is walked: breadth first
+        for t in after(s):
+            if t not in seen and t in live:
+                seen.add(t)
+                queue.append(t)
+    order = [start] + [s for s in queue if s not in (start, accept)]
+    if accept != start:
+        order.append(accept)
+    return order
 
 
 class MatrixSubstitution:
@@ -268,18 +277,30 @@ def product_cells(matrices: list, starts, one) -> dict:
 
 
 def automaton_to_substitution(a: SubstAutomaton) -> MatrixSubstitution:
-    """One matrix per input variable over the states in state_order.
+    """One matrix per input variable over the states on a start -> accept
+    path, in path_order, successors read in variable order.
 
-    A start state that also accepts must be the only state: otherwise it
+    Every other state gets no row or column and its transitions no cell,
+    so the (start, accept) entry of every word is unchanged.  A start
+    state that also accepts must be the only declared state: otherwise it
     would be both row 1 and column q, and ValueError is raised.
     """
-    order = a.state_order()
-    if a.start == a.accept and len(order) > 1:
+    if a.start is None or a.accept is None:
+        raise ValueError("automaton needs designated start and accept states")
+    if a.start == a.accept and len(a.states) > 1:
         raise ValueError("the start state also accepts, so it must be the only state")
+    after: dict[str, list] = {}
+    before: dict[str, list] = {}
+    for frm, var in sorted(a.transitions, key=lambda key: key[1]):
+        to = a.transitions[(frm, var)][0]
+        after.setdefault(frm, []).append(to)
+        before.setdefault(to, []).append(frm)
+    order = path_order(a.start, a.accept, lambda s: before.get(s, ()), lambda s: after.get(s, ()))
     index = {s: i for i, s in enumerate(order)}
     entries: dict[int, dict] = {}
     for (frm, var), (to, coeff, word) in a.transitions.items():
-        entries.setdefault(var, {})[(index[frm], index[to])] = (coeff, word)
+        if frm in index and to in index:
+            entries.setdefault(var, {})[(index[frm], index[to])] = (coeff, word)
     return MatrixSubstitution(a.input_table, a.output_table, len(order), entries)
 
 

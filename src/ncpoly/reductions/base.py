@@ -30,7 +30,13 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from ..algebra import NCPoly, TableMismatchError, Var, VarTable, budget, substitute_letters
-from ..automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution, product_cells
+from ..automata import (
+    MatrixSubstitution,
+    SubstAutomaton,
+    automaton_to_substitution,
+    path_order,
+    product_cells,
+)
 from ..families import FamilyInstance
 
 
@@ -570,15 +576,31 @@ def identity_reduction(table: VarTable, d: int, source="", target="") -> AbpRedu
 
 
 def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:
-    """Composition by block substitution: each entry word of the outer
-    reduction is replaced by the product of the inner reduction's matrices,
-    giving one (q1*q2)-dimensional matrix per outermost variable.
+    """Composition by block substitution, trimmed to the start -> accept
+    paths of the product.
 
-    Requires the inner reduction's input alphabet to equal the outer one's
-    output alphabet.  Each distinct entry word is multiplied out once by
-    product_cells and placed at block (i2, j2); the block keys
-    (i2*q1 + i1, j2*q1 + j1) are injective, so no two products share a
-    cell.  Raises ValueError if a blown-up entry would need a sum of
+    Each entry word of the outer reduction r2 is replaced by the product
+    of the inner reduction r1's matrices, so a product state is a pair
+    (i2, i1) of an outer and an inner state, and the composite reads one
+    matrix per outermost variable.  Of the q1*q2 pairs only those on a
+    start -> accept path are built, by the two walks of path_order:
+
+    1. Backward from (accept2, accept1): a pair (j2, j1) reaches back to
+       (i2, i1) through each outer cell i2 -> j2 whose entry word spells a
+       nonzero-cell path i1 -> j1 through the inner matrices, found by
+       following the inner matrices' columns in reverse letter order,
+       memoized per (entry word, column).
+    2. Forward from (start2, start1) over the pairs the backward walk
+       found: product_cells multiplies each entry word out once per row
+       i1 of a kept pair, and only cells between kept pairs are filed.
+
+    The cost follows the pairs that reach the accept pair and the cells
+    of the kept ones, not q1*q2; the state budget is charged for each pair
+    as the backward walk finds it.  Start first, accept last and the other
+    kept pairs in breadth-first order give the composite's states, and its
+    (start, accept) entry is that of the full block product.  Requires
+    the inner reduction's input alphabet to equal the outer one's output
+    alphabet.  Raises ValueError if a kept entry would need a sum of
     distinct monomials or a degree above the entry cap; the concrete
     constructions in this package never trigger either.
     """
@@ -587,21 +609,55 @@ def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:
         raise TableMismatchError(
             "inner reduction's alphabet does not match the outer reduction's output"
         )
-    q1, q2 = s1.dim, s2.dim
-    budget().check_states(q1 * q2)  # before any entry word is multiplied out
     one = s1.input_table.field.one
-    products: dict = {}  # entry word -> its product's cells
-    entries: dict[int, dict] = {}
-    for zid, zcells in s2.entries.items():
-        out_cells: dict = {}
-        for (i2, j2), (coeff, word) in zcells.items():
-            cells = products.get(word)
-            if cells is None:
-                cells = products[word] = product_cells(
-                    [s1.rows(y) for y in word], range(q1), one
-                )
-            for (i1, j1), (c, w) in cells.items():
-                out_cells[(i2 * q1 + i1, j2 * q1 + j1)] = (coeff * c, w)
-        entries[zid] = out_cells
-    sub = MatrixSubstitution(s2.input_table, s1.output_table, q1 * q2, entries)
+    into: dict[int, set] = {}  # j2 -> {(i2, entry word)} of the outer cells
+    for zcells in s2.entries.values():
+        for (i2, j2), (_coeff, word) in zcells.items():
+            into.setdefault(j2, set()).add((i2, word))
+    columns: dict[int, dict] = {}  # letter -> inner column j1 -> its rows i1
+    for y, cells in s1.entries.items():
+        col = columns[y] = {}
+        for i1, j1 in cells:
+            col.setdefault(j1, []).append(i1)
+    sources: dict[tuple, set] = {}  # (entry word, j1) -> the rows i1 reaching j1
+
+    def before(pair):
+        j2, j1 = pair
+        for i2, word in into.get(j2, ()):
+            rows = sources.get((word, j1))
+            if rows is None:
+                rows = {j1}
+                for y in reversed(word):
+                    col = columns.get(y, {})
+                    rows = {i1 for j in rows for i1 in col.get(j, ())}
+                sources[(word, j1)] = rows
+            for i1 in rows:
+                yield i2, i1
+
+    outer = [(zid, s2.rows(zid)) for zid in sorted(s2.entries)]
+    products: dict[tuple, dict] = {}  # (entry word, i1) -> row i1's cells
+    kept: dict[tuple, list] = {}  # kept pair -> [(variable, next pair, coefficient, word)]
+
+    def after(pair):
+        i2, i1 = pair
+        cells_out = kept[pair] = []
+        for zid, rows in outer:
+            for j2, coeff, word in rows.get(i2, ()):
+                cells = products.get((word, i1))
+                if cells is None:
+                    cells = products[(word, i1)] = product_cells(
+                        [s1.rows(y) for y in word], (i1,), one
+                    )
+                for (_, j1), (c, w) in cells.items():
+                    cells_out.append((zid, (j2, j1), coeff * c, w))
+        return [nxt for _, nxt, _, _ in cells_out]
+
+    order = path_order((0, 0), (s2.dim - 1, s1.dim - 1), before, after)
+    index = {p: n for n, p in enumerate(order)}
+    entries: dict[int, dict] = {zid: {} for zid in s2.entries}
+    for pair, cells_out in kept.items():
+        for zid, nxt, c, w in cells_out:
+            if nxt in index:
+                entries[zid][(index[pair], index[nxt])] = (c, w)
+    sub = MatrixSubstitution(s2.input_table, s1.output_table, len(order), entries)
     return AbpReduction(sub, r1.source, r2.target, kind="compose")

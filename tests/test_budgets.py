@@ -161,6 +161,10 @@ def test_reduce_and_family_refuse_unknown_and_repeated_parameters(tmp_path, caps
 
 
 def test_state_budget_is_checked_before_any_product(monkeypatch):
+    # the composition is charged for the states its backward walk finds,
+    # which are the trimmed composite's, before any entry word is multiplied
+    inner, outer = dyck_depth_reduction(1, 2, 3), dyck_depth_reduction(2, 3, 3)
+    dim = compose_abp(inner, outer).dim
     calls = []
     monkeypatch.setattr(dyck, "product_cells", lambda *args: calls.append(args))
     monkeypatch.setattr(base, "product_cells", lambda *args: calls.append(args))
@@ -169,8 +173,6 @@ def test_state_budget_is_checked_before_any_product(monkeypatch):
     witness = (target.table.var("x0").id,) * 4
     with using_budget(Budget(states=program.size - 1)), pytest.raises(StateBudgetError):
         vbp_trivial_reduction(program, target, witness)
-    inner, outer = dyck_depth_reduction(1, 2, 3), dyck_depth_reduction(2, 3, 3)
-    dim = inner.substitution.dim * outer.substitution.dim
     with using_budget(Budget(states=dim - 1)), pytest.raises(StateBudgetError):
         compose_abp(inner, outer)
     assert calls == []

@@ -180,6 +180,45 @@ def test_compose_command(tmp_path, capsys):
     assert code == 0, msg
 
 
+def test_composed_chain_to_d2_fails_on_any_planted_start_row_cell(tmp_path, capsys):
+    # circuit -> D_k by dyck-complete, then D_k -> D_2 by dk-d2, composed
+    circ = tmp_path / "c.txt"
+    circ.write_text("g0 input x\ng1 const 1\ng2 add g1 g0\ng3 mul g2 g2\ng4 mul g3 g2\noutput g4\n")
+    first, second, comp = tmp_path / "dc.red", tmp_path / "dk.red", tmp_path / "comp.red"
+    assert run(capsys, "reduce", "dyck-complete", f"circuit={circ}", "--out", str(first))[0] == 0
+    k, d = first.read_text().splitlines()[2].split(":")[1].split(",")
+    assert run(capsys, "reduce", "dk-d2", k, d, "--out", str(second))[0] == 0
+    assert run(capsys, "compose", str(first), str(second), "--out", str(comp))[0] == 0
+    code, out, _ = run(capsys, "verify", str(comp))
+    assert code == 0 and "verdict pass" in out
+    # every cell on the start row of the trimmed composite lies on a path
+    # to the accept state, and all coefficients are positive, so raising
+    # any of them changes the result
+    lines = comp.read_text().splitlines()
+    start_row = [i for i, line in enumerate(lines) if line.startswith("entry 1 ")]
+    assert start_row
+    bad = tmp_path / "bad.red"
+    for i in start_row:
+        tokens = lines[i].split()
+        tokens[3] = str(int(tokens[3]) + 1)
+        bad.write_text("\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1 :]) + "\n")
+        code, out, _ = run(capsys, "verify", str(bad))
+        assert code == 1 and "witness" in out, lines[i]
+
+
+def test_dyck_complete_over_gf2_keeps_no_dead_states(tmp_path, capsys):
+    # 2x vanishes over GF(2), so the walk's transitions through g3 drop
+    # and the whole circuit is zero: only the start and accept states stay
+    circ = tmp_path / "c.txt"
+    circ.write_text("g0 const 0\ng1 input x\ng2 add g0 g1\ng3 add g2 g2\ng4 mul g3 g2\noutput g4\n")
+    red = tmp_path / "r.red"
+    argv = ("--field", "p=2", "reduce", "dyck-complete", f"circuit={circ}", "--out", str(red))
+    assert run(capsys, *argv)[0] == 0
+    assert "\ndim 2\n" in red.read_text()
+    code, out, _ = run(capsys, "--field", "p=2", "verify", str(red))
+    assert code == 0 and "verdict pass" in out
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run(capsys, "reduce", "per-idstar", "n=2", "--out", str(a))
@@ -359,15 +398,22 @@ def test_reduce_state_budget_is_checked_during_the_build(tmp_path, capsys):
         assert code == 2 and out == ""
         assert _one_error_line(err) and "state budget 10 exceeded" in err, (params, err)
         assert not red.exists()
-    # so does the dimension of a composition
-    first, second = tmp_path / "d23.txt", tmp_path / "d34.txt"
-    assert run(capsys, "reduce", "depth", "k1=2", "k2=3", "n=6", "--out", str(first))[0] == 0
-    assert run(capsys, "reduce", "depth", "k1=3", "k2=4", "n=6", "--out", str(second))[0] == 0
-    argv = ("--state-budget", "50", "compose", str(first), str(second), "--out", str(red))
+    # so does the dimension of a composition: cycles of 3 and 5 states,
+    # each within the budget, compose to 15 states on start -> accept paths
+    first, second = tmp_path / "cycle3.txt", tmp_path / "cycle5.txt"
+    for path, q, letter, image in ((first, 3, "a", "x"), (second, 5, "z", "a")):
+        cells = "".join(f"entry {i + 1} {(i + 1) % q + 1} 1 {image}\n" for i in range(q))
+        path.write_text(
+            f"reduction abp\nsource s\ntarget t\nsubstitution\ndim {q}\n"
+            f"input-vars {letter}\noutput-vars {image}\nvar {letter}\n{cells}"
+        )
+    argv = ("--state-budget", "10", "compose", str(first), str(second), "--out", str(red))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert _one_error_line(err) and "state budget 50 exceeded" in err
+    assert _one_error_line(err) and "state budget 10 exceeded" in err
     assert not red.exists()
+    assert run(capsys, "compose", str(first), str(second), "--out", str(red))[0] == 0
+    assert "dim 15\n" in red.read_text()
 
 
 def test_hadamard_circuit_honours_term_budget(tmp_path, capsys):

@@ -16,7 +16,7 @@ from ncpoly.algebra import (
     VarTable,
     using_budget,
 )
-from ncpoly.automata import MatrixSubstitution
+from ncpoly.automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution
 from ncpoly.circuits import expand, parse_circuit
 from ncpoly.families import (
     ChiTable,
@@ -715,12 +715,41 @@ def test_boolean_pass_matches_brute_force_enumeration(cap):
     assert seen_sink and pruned_unreachable
 
 
+def padded_with_dead_states(r: AbpReduction, copies: int) -> AbpReduction:
+    """r with copies of its states that the start never reaches, placed
+    before the accept state.  Each copy has all of r's cells among its own
+    states, and its cells into the accept state reach the real one, so the
+    dead states lie on paths to the accept state, as in an untrimmed block
+    product or a hand-written file."""
+    sub = r.substitution
+    q = sub.dim
+    dim = q + copies * (q - 1)
+
+    def place(state: int, copy: int) -> int:
+        if state == q - 1:
+            return dim - 1
+        return state if copy < 0 else q - 1 + copy * (q - 1) + state
+
+    entries = {
+        vid: {
+            (place(i, copy), place(j, copy)): cell
+            for (i, j), cell in cells.items()
+            for copy in range(-1, copies)
+        }
+        for vid, cells in sub.entries.items()
+    }
+    padded = MatrixSubstitution(sub.input_table, sub.output_table, dim, entries)
+    return AbpReduction(padded, r.source, r.target)
+
+
 def test_inside_sum_matches_termwise_when_most_states_are_unreachable():
-    # the composition has 15 * 18 = 270 states, and the start reaches 15 of
-    # them: the others pair an outer and an inner state that no word reaches
-    # together, so the Boolean pass must build no fact there
+    # the trimmed composition has 15 states; 17 unreachable copies of its
+    # 14 non-accept states pad it to 253, so the Boolean pass must build no
+    # fact at the 238 states the start does not reach
     n = 5
     comp = compose_abp(dyck_depth_reduction(2, 3, n), dyck_depth_reduction(3, 4, n))
+    assert comp.dim == 15
+    comp = padded_with_dead_states(comp, 17)
     target = make_family(comp.target)
     inside = apply_to_instance(comp, target)
     assert inside == apply_abp_reduction(comp, target.poly)
@@ -751,7 +780,8 @@ def test_compose_with_identity_is_behaviorally_equal():
     tgt = make_family(r.target)
     lift = identity_reduction(tgt.table, 4, source=r.target, target=r.target)
     comp = compose_abp(r, lift)
-    assert comp.dim == r.dim * lift.dim
+    # of the 5 * 5 block states, the trimmed composite keeps r's own five
+    assert comp.dim == r.dim == 5
     assert apply_to_instance(comp, tgt) == apply_to_instance(r, tgt)
     assert verify_reduction(comp, make_family(r.source), tgt).passed
 
@@ -765,6 +795,120 @@ def test_compose_matches_sequential_application():
     mid = apply_abp_reduction(r2, pows.poly)
     expected = apply_abp_reduction(r1, mid)
     assert apply_abp_reduction(comp, pows.poly) == expected
+
+
+def binary_block_pal_reduction(n: int, k: int) -> AbpReduction:
+    """Palindromes over k letters from palindromes over two letters: each
+    letter is a block of b bits, its code most significant bit first, and
+    the mirrored half reads each block reversed.  A block whose code is k
+    or more dies, so the surviving target words u u^R are those where u
+    encodes a source half w, and each maps to w w^R.  A test bridge that
+    lets pal-vsk, whose targets have three or more letters, compose with
+    pal-d2."""
+    bits = max(1, (k - 1).bit_length())
+    half = n * bits
+    source, target = gen_pal(n, k), gen_pal(half)
+    a = SubstAutomaton(target.table, source.table)
+    a.add_state((0, 0), start=True)
+    a.add_state((2 * half, 0), accept=True)
+    partial = {(0, 0)}
+    for pos in range(2 * half):
+        mirrored, offset = pos >= half, (pos - half if pos >= half else pos) % bits
+        grown = set()
+        for p, value in sorted(partial):
+            for bit in (0, 1):
+                value2 = value + (bit << offset) if mirrored else 2 * value + bit
+                if offset < bits - 1:
+                    a.add_transition((p, value), bit, (p + 1, value2))
+                    grown.add((p + 1, value2))
+                elif value2 < k:
+                    a.add_transition((p, value), bit, (p + 1, 0), word=(value2,))
+                    grown.add((p + 1, 0))
+        partial = grown
+    return AbpReduction(
+        automaton_to_substitution(a), source.spec_string, target.spec_string, automaton=a
+    )
+
+
+def off_path_states(sub: MatrixSubstitution) -> set:
+    """The states of sub that lie on no start -> accept path of nonzero
+    cells, found by a forward and a backward walk over all its cells; the
+    start and the accept state themselves are exempt."""
+    succ: dict[int, set] = {}
+    pred: dict[int, set] = {}
+    for cells in sub.entries.values():
+        for i, j in cells:
+            succ.setdefault(i, set()).add(j)
+            pred.setdefault(j, set()).add(i)
+
+    def closure(state: int, edges: dict) -> set:
+        seen, stack = {state}, [state]
+        while stack:
+            for nxt in edges.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    on_path = closure(0, succ) & closure(sub.dim - 1, pred)
+    return set(range(1, sub.dim - 1)) - on_path
+
+
+def test_every_construction_keeps_only_states_on_start_accept_paths():
+    built = []
+    for c in corpus.hand_circuits() + corpus.random_circuits(seed=7, count=25):
+        built.append(dyck_completeness_reduction(c))
+    for c in corpus.hand_skew_circuits() + corpus.random_skew_circuits(seed=7, count=25):
+        built += [pal_vsk_reduction(c), dyck_completeness_reduction(c)]
+    built += [dyck_depth_reduction(k1, k2, 5) for k1, k2 in ((1, 2), (2, 3), (2, 5))]
+    built += [dk_to_d2_reduction(k, d) for k in (2, 3, 5) for d in (2, 4, 6)]
+    built += [pal_to_d2_reduction(n) for n in (1, 2, 3)]
+    built += [per_to_idstar_reduction(n) for n in (2, 3)]
+    built += [per_to_perstar_chi_reduction(n, ChiTable.constant(n)) for n in (1, 2, 3)]
+    built.append(compose_abp(dyck_depth_reduction(2, 3, 6), dyck_depth_reduction(3, 4, 6)))
+    built += [compose_abp(first, second) for _, first, second, _ in composition_cases()]
+    for r in built:
+        assert off_path_states(r.substitution) == set(), (r.kind, r.target)
+    # a start that reaches no accepting path keeps the start and accept only
+    zero = corpus.hand_circuits()[2]
+    assert dyck_completeness_reduction(zero).dim == pal_vsk_reduction(zero).dim == 2
+
+
+def composition_cases():
+    """(first, second, source polynomial): the first reduction realizes the
+    source from the second's source, and the second realizes that from its
+    own target."""
+    t = VarTable()
+    plain = parse_circuit("g0 input x\ng1 const 2\ng2 add g0 g1\noutput g2\n", t)
+    dc = dyck_completeness_reduction(plain)
+    k, d = (make_family(dc.target).params[key] for key in ("k", "d"))
+    yield "dyck-complete,dk-d2", dc, dk_to_d2_reduction(k, d), expand(plain)
+    skew = corpus.hand_skew_circuits()[11]  # 2 x1 x2, as x1 x2 + x1 x2
+    pv = pal_vsk_reduction(skew)
+    n, k = (make_family(pv.target).params[key] for key in ("n", "k"))
+    bridge = binary_block_pal_reduction(n, k)
+    half = make_family(bridge.target).params["n"]
+    yield "pal-vsk,pal-d2", compose_abp(pv, bridge), pal_to_d2_reduction(half), expand(skew)
+    yield "depth", dyck_depth_reduction(2, 3, 5), dyck_depth_reduction(3, 4, 5), gen_dyck_depth(
+        2, 5
+    ).poly
+
+
+@pytest.mark.parametrize("case", list(composition_cases()), ids=lambda case: case[0])
+def test_composite_equals_two_termwise_applies(case):
+    # the oracle applies the two reductions one after the other, termwise
+    # and never through compose_abp, to the target words that the second
+    # reduction does not kill; every other word maps to zero both ways
+    _name, first, second, source = case
+    comp = compose_abp(first, second)
+    target = make_family(comp.target)
+    live = live_target(second, target)
+    expected = apply_abp_reduction(first, apply_abp_reduction(second, live.poly))
+    assert expected == source and expected.terms
+    assert apply_abp_reduction(comp, live.poly) == expected
+    assert apply_to_instance(comp, target) == expected
+    assert off_path_states(comp.substitution) == set()
+    assert comp.dim < first.dim * second.dim
 
 
 def test_compose_refuses_an_entry_that_needs_a_sum_of_distinct_monomials():

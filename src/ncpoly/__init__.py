@@ -42,11 +42,13 @@ from .abp import (
     Abp,
     LinearForm,
     abp_eval,
+    abp_hankel_rank,
     bounded_depth_dyck_abp,
     format_abp,
     hankel_block,
     hankel_rank,
     parse_abp,
+    permanent_abp,
     transition_matrices,
 )
 from .automata import (

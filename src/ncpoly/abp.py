@@ -5,14 +5,17 @@ linear forms; it computes the sum over source-to-sink paths of the
 ordered product of the edge labels.  Size is the vertex count.  The
 module also builds the coefficient ("Hankel") block of a homogeneous
 polynomial at a cut and its exact rank, which lower-bounds the width of
-any ABP layer at that cut, and the stack-in-state ABP for Dyck words of
-bounded nesting depth.
+any ABP layer at that cut.  abp_hankel_rank finds the same rank from an
+ABP without expanding it: bases of the forward and backward spans at the
+cut, built layer by layer, hold at most the layer's width of vectors.
+Two ABP constructions feed it: the stack-in-state ABP for Dyck words of
+bounded nesting depth and Nisan's subset ABP for the permanent.
 """
 
 from dataclasses import dataclass
 from functools import cache
 
-from .algebra import NCPoly, VarTable, budget, exact_rank
+from .algebra import NCPoly, VarTable, budget, eliminate, exact_rank
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,78 @@ def hankel_rank(f: NCPoly, cut: int) -> int:
     return exact_rank(hankel_block(f, cut).matrix, f.table.field)
 
 
+def _span(steps, field) -> list:
+    """A basis of the span of the images of vertex 0's unit vector under
+    every word of steps.
+
+    Each step maps a vertex to its (vertex, variable id, coefficient)
+    edges.  The basis after a step holds, row-reduced by eliminate, the
+    images of the previous basis under each variable separately.
+    """
+    basis = [{0: field.one}]
+    for step in steps:
+        pivots: dict = {}
+        for b in basis:
+            images: dict = {}
+            for u, a in b.items():
+                for v, vid, c in step.get(u, ()):
+                    image = images.setdefault(vid, {})
+                    x = image.get(v)
+                    image[v] = a * c if x is None else x + a * c
+            for image in images.values():
+                eliminate(pivots, {v: x for v, x in image.items() if x != 0}, field)
+        basis = list(pivots.values())
+    return basis
+
+
+def abp_hankel_rank(p: Abp, cut: int) -> int:
+    """The Hankel rank of abp_eval(p) at a cut, without expanding it.
+
+    Through layer cut the block factors as F·B: F[u, q] sums the paths
+    from the source to vertex q that spell the prefix u, and B[q, v] the
+    paths from q to the sink that spell the suffix v.  A basis of F's row
+    span is pushed forward from the source's unit vector, and a basis of
+    B's column span pulled backward from the sink's, one gap and one
+    letter at a time (Nisan, STOC 1991; Tzeng 1992).  rank(F·B) is the
+    rank of the product of the two bases, which is exact.  Its rows are
+    handed to exact_rank with zero rows dropped and columns numbered in
+    first-seen order.
+    """
+    if not p.is_homogeneous():
+        raise ValueError("Hankel ranks need homogeneous edge labels")
+    if not 0 <= cut <= p.degree:
+        raise ValueError(f"cut {cut} outside 0..{p.degree}")
+    field = p.table.field
+
+    def steps(gaps, backward):
+        for gap in gaps:
+            step: dict = {}
+            for u, v, form in p.edges[gap]:
+                if backward:
+                    u, v = v, u
+                step.setdefault(u, []).extend((v, vid, c) for vid, c in form.coeffs)
+            yield step
+
+    rows = _span(steps(range(cut), False), field)
+    cols = _span(steps(reversed(range(cut, p.degree)), True), field)
+    at: dict = {}  # vertex of layer cut -> [(column, entry)]
+    for j, col in enumerate(cols):
+        for q, b in col.items():
+            at.setdefault(q, []).append((j, b))
+    number: dict = {}
+    product = []
+    for row in rows:
+        acc: dict = {}
+        for q, a in row.items():
+            for j, b in at.get(q, ()):
+                x = acc.get(j)
+                acc[j] = a * b if x is None else x + a * b
+        r = {number.setdefault(j, len(number)): x for j, x in acc.items() if x != 0}
+        if r:
+            product.append(r)
+    return exact_rank(tuple(product), field)
+
+
 # ---------------------------------------------------------------------------
 # Stack-in-state ABP for depth-bounded Dyck polynomials
 
@@ -204,54 +279,71 @@ def bounded_depth_dyck_abp(
     Layer i holds the reachable, completable stacks after i letters; the
     vertex count is at most (2n+1) * 2^(k+1) for two bracket types, and
     StateBudgetError is raised once the layers built so far exceed the
-    state budget.
+    state budget.  n = 0 gives the one-vertex program of the empty word.
     """
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
+    if k < 1 or n < 0:
+        raise ValueError("need k >= 1 and n >= 0")
     if table is None:
         table = dyck_table(bracket_types)
     pairs = dyck_pairs(table)
     if len(pairs) != bracket_types:
         raise ValueError("table does not match the requested bracket types")
+    close_of = dict(pairs)
+    one = table.field.one
+    form = {vid: LinearForm.make(table, {vid: one}) for pair in pairs for vid in pair}
 
     def completable(stack_len: int, pos: int) -> bool:
         rem = 2 * n - pos
         return stack_len <= rem and (rem - stack_len) % 2 == 0
 
     limits = budget()
-    layers_states: list[list[tuple]] = [[()]]
-    transitions: list[list] = []
+    layer: dict[tuple, int] = {(): 0}  # stack -> vertex
+    layers = [1]
+    edges: list[list] = []
     count = 1
     for pos in range(2 * n):
-        index = {s: i for i, s in enumerate(layers_states[pos])}
         nxt: dict[tuple, int] = {}
         gap = []
-        for s, si in index.items():
+        for s, si in layer.items():
             if len(s) < k and completable(len(s) + 1, pos + 1):
-                for open_id, _close in pairs:
-                    s2 = s + (open_id,)
-                    if s2 not in nxt:
-                        nxt[s2] = len(nxt)
-                    gap.append((si, nxt[s2], open_id))
+                for open_id in close_of:
+                    v = nxt.setdefault(s + (open_id,), len(nxt))
+                    gap.append((si, v, form[open_id]))
             if s and completable(len(s) - 1, pos + 1):
-                open_id = s[-1]
-                close_id = dict(pairs)[open_id]
-                s2 = s[:-1]
-                if s2 not in nxt:
-                    nxt[s2] = len(nxt)
-                gap.append((si, nxt[s2], close_id))
-        ordered = sorted(nxt, key=lambda s: nxt[s])
-        layers_states.append(ordered)
-        count += len(ordered)
+                v = nxt.setdefault(s[:-1], len(nxt))
+                gap.append((si, v, form[close_of[s[-1]]]))
+        layer = nxt
+        layers.append(len(nxt))
+        count += len(nxt)
         limits.check_states(count)
-        transitions.append(gap)
+        edges.append(gap)
+    return Abp(table, layers, edges)
 
+
+def permanent_abp(n: int, table: VarTable) -> Abp:
+    """Nisan's ABP for the permanent over the variables x{i}_{j} of table.
+
+    Layer i holds the i-subsets of columns used by rows 1..i, and the edge
+    S -> S + {j} reads x{i+1}_{j}, so layer i has C(n, i) vertices and the
+    program 2^n, which is checked against the state budget before any is
+    built.
+    """
+    budget().check_states(2**n)
     one = table.field.one
-    layers = [len(s) for s in layers_states]
-    edges = [
-        [(u, v, LinearForm.make(table, {vid: one})) for u, v, vid in gap]
-        for gap in transitions
-    ]
+    layer = {0: 0}  # bitmask of used columns -> vertex
+    layers = [1]
+    edges: list[list] = []
+    for i in range(1, n + 1):
+        forms = [LinearForm.make(table, {table.var(f"x{i}_{j}").id: one}) for j in range(1, n + 1)]
+        nxt: dict[int, int] = {}
+        gap = []
+        for used, u in layer.items():
+            for j, form in enumerate(forms):
+                if not used >> j & 1:
+                    gap.append((u, nxt.setdefault(used | 1 << j, len(nxt)), form))
+        layer = nxt
+        layers.append(len(nxt))
+        edges.append(gap)
     return Abp(table, layers, edges)
 
 

@@ -370,6 +370,37 @@ def substitute_letters(
 # Exact rank of scalar matrices
 
 
+def eliminate(pivots: dict, r: dict, field: Field) -> None:
+    """Reduce the row ``r`` against ``pivots``; keep it as a pivot row if it survives.
+
+    ``pivots`` maps each pivot row's leading (least) column to the row, a
+    dict {column: nonzero scalar} with leading coefficient one.  ``r``
+    holds only nonzero entries and is consumed.  It is reduced until it
+    vanishes or its lead is no pivot's; then it is scaled to lead one and
+    stored under its lead.  It is multiplied by ``field.inv`` of the lead
+    only when the lead is not one, and no scalar is ever divided (``/`` on
+    two ints would give a float).
+    """
+    while r:
+        lead = min(r)
+        p = pivots.get(lead)
+        if p is None:
+            c = r[lead]
+            if c != 1:
+                inv = field.inv(c)
+                r = {j: x * inv for j, x in r.items()}
+            pivots[lead] = r
+            return
+        factor = r[lead]
+        for j, x in p.items():
+            y = r.get(j)
+            y = -factor * x if y is None else y - factor * x
+            if y != 0:
+                r[j] = y
+            else:
+                del r[j]
+
+
 def exact_rank(rows: Iterable[Mapping | Sequence], field: Field) -> int:
     """Rank over ``field`` via exact sparse elimination.
 
@@ -377,11 +408,8 @@ def exact_rank(rows: Iterable[Mapping | Sequence], field: Field) -> int:
     Fraction, over Z_p a ModInt); a plain sequence is read as
     ``enumerate(row)``, and zero entries may be present or absent.  Zero
     rows and rows equal to an earlier row are dropped first, which leaves
-    the rank unchanged.  Every remaining row is reduced against the pivot
-    rows found so far, keyed by leading (least) column, until it vanishes or
-    becomes a new pivot row.  Pivot rows are scaled to leading coefficient
-    one by multiplying with ``field.inv`` of the lead, so no scalar is ever
-    divided (``/`` on two ints would give a float).
+    the rank unchanged.  Every remaining row goes through ``eliminate``
+    against the pivot rows found so far.
     """
     by_support: dict = {}  # column set -> distinct rows with that support
     pivots: dict = {}
@@ -394,22 +422,7 @@ def exact_rank(rows: Iterable[Mapping | Sequence], field: Field) -> int:
         if r in same_support:
             continue
         same_support.append(r)
-        r = dict(r)
-        while r:
-            lead = min(r)
-            p = pivots.get(lead)
-            if p is None:
-                inv = field.inv(r[lead])
-                pivots[lead] = {j: x * inv for j, x in r.items()}
-                break
-            factor = r[lead]
-            for j, x in p.items():
-                y = r.get(j)
-                y = -factor * x if y is None else y - factor * x
-                if y != 0:
-                    r[j] = y
-                else:
-                    del r[j]
+        eliminate(pivots, dict(r), field)
     return len(pivots)
 
 

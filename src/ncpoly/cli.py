@@ -12,9 +12,10 @@ import argparse
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
-from .abp import abp_eval, hankel_rank, parse_abp
+from .abp import abp_eval, abp_hankel_rank, hankel_rank, parse_abp
 from .algebra import (
     Budget,
     StateBudgetError,
@@ -180,13 +181,20 @@ def cmd_verify(args, field: Field) -> int:
 
 
 def cmd_rank(args, field: Field) -> int:
+    """A family with an ABP builder (meta["abp"]) is ranked from span
+    bases of its ABP; every other family is expanded."""
     inst = make_family(args.spec, field)
-    poly = inst.poly
-    if not poly.is_homogeneous():
-        raise UsageError("Hankel ranks need a homogeneous family")
+    build_abp = inst.meta.get("abp")
+    if build_abp is not None:
+        rank_at = partial(abp_hankel_rank, build_abp())
+    else:
+        poly = inst.poly
+        if not poly.is_homogeneous():
+            raise UsageError("Hankel ranks need a homogeneous family")
+        rank_at = partial(hankel_rank, poly)
     lines = []
     for cut in args.cut:
-        rank = hankel_rank(poly, cut)
+        rank = rank_at(cut)
         if args.fmt == "structured":
             lines.append(f"cut={cut} rank={rank}")
         else:

@@ -14,7 +14,9 @@ is lazy: reduction targets such as high-arity Dyck instances are often
 only consumed through their support structure, never expanded.  The
 balanced-word and palindrome families record that structure in
 meta["grammar"] as (pairs, half-length, tail flag, depth cap), which the
-structured apply of a reduction reads.
+structured apply of a reduction reads.  The balanced-word families and
+per also carry a lazy ABP builder in meta["abp"], from which `rank`
+reads Hankel ranks without expanding them.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from math import factorial, prod
 from operator import getitem
 from pathlib import Path
 
-from .abp import dyck_pairs, dyck_table
+from .abp import bounded_depth_dyck_abp, dyck_pairs, dyck_table, permanent_abp
 from .algebra import NCPoly, VarTable, Word, budget
 from .fields import QQ, Field
 
@@ -163,8 +165,14 @@ def _dyck_family(name, params, k, half, depth_cap, field) -> FamilyInstance:
     def build():
         return _poly(table, _balanced_words(pairs, 2 * half, depth_cap))
 
+    def build_abp():
+        cap = max(half, 1) if depth_cap is None else depth_cap
+        return bounded_depth_dyck_abp(cap, half, k, table)
+
     grammar = (pairs, half, True, depth_cap)
-    return _instance(name, params, table, build, pairs=pairs, depth=depth_cap, grammar=grammar)
+    return _instance(
+        name, params, table, build, pairs=pairs, depth=depth_cap, grammar=grammar, abp=build_abp
+    )
 
 
 def gen_dyck(k: int, d: int, field: Field = QQ) -> FamilyInstance:
@@ -316,7 +324,9 @@ def _perm_family(name, n, chi, power, field) -> FamilyInstance:
 
 def gen_per(n: int, field: Field = QQ) -> FamilyInstance:
     """Permutation words x_{1,s(1)} ... x_{n,s(n)}, coefficient 1."""
-    return _perm_family("per", n, None, 1, field)
+    inst = _perm_family("per", n, None, 1, field)
+    inst.meta["abp"] = lambda: permanent_abp(n, inst.table)
+    return inst
 
 
 def gen_per_chi(n: int, chi: ChiTable, field: Field = QQ) -> FamilyInstance:

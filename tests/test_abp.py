@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -11,6 +12,7 @@ from ncpoly.abp import (
     Abp,
     LinearForm,
     abp_eval,
+    abp_hankel_rank,
     bounded_depth_dyck_abp,
     dyck_pairs,
     dyck_table,
@@ -20,7 +22,7 @@ from ncpoly.abp import (
     transition_matrices,
 )
 from ncpoly.algebra import NCPoly, VarTable
-from ncpoly.fields import QQ
+from ncpoly.fields import QQ, PrimeField
 from ncpoly.families import make_family
 
 
@@ -258,7 +260,99 @@ def test_nisan_inequality_on_random_abps():
             assert hankel_rank(f, cut) <= p.layers[cut]
 
 
+# -- Hankel rank from span bases ------------------------------------------------
+
+
+def cancelling_abp(rng, field, n_vars=2):
+    """A random homogeneous layered program whose paths often cancel.
+
+    Labels carry signed coefficients; some edges get a parallel twin with
+    the negated label or a second, different label; some vertices get no
+    outgoing edges, so every path through them is dead.
+    """
+    t = VarTable([f"x{i}" for i in range(n_vars)], field=field)
+    d = rng.randint(1, 5)
+    layers = [1] + [rng.randint(1, 4) for _ in range(d - 1)] + [1]
+    edges = []
+    for gap in range(d):
+        gap_edges = []
+        for u in range(layers[gap]):
+            if gap and rng.random() < 0.1:
+                continue  # a vertex that leads nowhere
+            for v in range(layers[gap + 1]):
+                if rng.random() < 0.3:
+                    continue
+                coeffs = {
+                    vid: field.from_int(rng.choice((-2, -1, 1, 2)))
+                    for vid in rng.sample(range(n_vars), rng.randint(1, n_vars))
+                }
+                form = LinearForm.make(t, coeffs)
+                gap_edges.append((u, v, form))
+                twin = rng.random()
+                if twin < 0.1:
+                    gap_edges.append((u, v, LinearForm.make(t, {i: -c for i, c in coeffs.items()})))
+                elif twin < 0.3:
+                    vid = rng.randrange(n_vars)
+                    gap_edges.append((u, v, LinearForm.make(t, {vid: field.from_int(rng.choice((-1, 1)))})))
+        edges.append(gap_edges)
+    return Abp(t, layers, edges)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "GF2", "GF5"])
+def test_span_rank_equals_expanded_rank_on_random_cancelling_abps(field):
+    rng = random.Random(1991)
+    below_width = 0
+    for _ in range(150):
+        p = cancelling_abp(rng, field)
+        f = abp_eval(p)
+        for cut in range(p.degree + 1):
+            rank = abp_hankel_rank(p, cut)
+            assert rank == hankel_rank(f, cut), (format_abp(p), cut)
+            below_width += rank < p.layers[cut]
+    assert below_width  # cancellation and dead vertices occurred
+
+
+FAMILY_GRID = (
+    [f"dyck:k={k},d={d}" for k in (1, 2, 3) for d in range(0, 11, 2)]
+    + [f"dyckdepth:k={k},n={n}" for n in range(1, 6) for k in range(1, n + 1)]
+    + [f"per:n={n}" for n in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "GF2", "GF5"])
+def test_family_abps_compute_the_family_and_its_ranks_at_every_cut(field):
+    for spec in FAMILY_GRID:
+        inst = make_family(spec, field)
+        p = inst.meta["abp"]()
+        assert abp_eval(p) == inst.poly, spec
+        for cut in range(p.degree + 1):
+            assert abp_hankel_rank(p, cut) == hankel_rank(inst.poly, cut), (spec, cut)
+
+
+def test_permanent_abp_has_binomial_layers():
+    for n in range(1, 8):
+        p = make_family(f"per:n={n}").meta["abp"]()
+        assert p.layers == [comb(n, i) for i in range(n + 1)]
+
+
+def test_span_rank_refuses_bad_cuts_and_affine_labels():
+    p = bounded_depth_dyck_abp(2, 2)
+    for cut in (-1, 5):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            abp_hankel_rank(p, cut)
+    t = xy()
+    affine = Abp(t, [1, 1], [[(0, 0, LinearForm.make(t, {0: Fraction(1)}, Fraction(2)))]])
+    with pytest.raises(ValueError):
+        abp_hankel_rank(affine, 0)
+
+
 # -- bounded-depth Dyck ABP ----------------------------------------------------
+
+
+def test_empty_word_program():
+    p = bounded_depth_dyck_abp(1, 0)
+    assert p.layers == [1] and abp_eval(p) == NCPoly.const(p.table, 1)
+    assert abp_hankel_rank(p, 0) == 1
 
 
 def test_depth1_length2():

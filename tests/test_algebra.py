@@ -290,6 +290,21 @@ def test_rank_prime_field():
     assert exact_rank(rows, f) == 2
 
 
+def test_rank_inverts_only_leads_that_are_not_one():
+    class CountingQ(type(QQ)):
+        calls = 0
+
+        def inv(self, x):
+            CountingQ.calls += 1
+            return super().inv(x)
+
+    field = CountingQ()
+    assert exact_rank([{0: 1, 2: 3}, {1: 1}, {0: 1, 1: 1, 2: 3}], field) == 2
+    assert CountingQ.calls == 0
+    assert exact_rank([{0: 2, 1: 1}, {0: 1}], field) == 2
+    assert CountingQ.calls == 2  # leads 2 and then -1/2
+
+
 # -- prime field scalars ----------------------------------------------------
 
 

@@ -150,6 +150,31 @@ def test_rank_table(capsys):
     assert out == "cut=2 rank=4\n"
 
 
+def test_rank_from_abps_past_the_reach_of_expansion(capsys):
+    # under the default budgets; expanding dyck:k=2,d=24 would build
+    # 2,489,344 terms and per:n=9 362,880
+    for spec, cut, rank in (
+        ("dyck:k=2,d=24", 12, 5461),
+        ("per:n=9", 4, 126),
+        ("dyckdepth:k=3,n=20", 20, 5),
+        ("dyck:k=2,d=0", 0, 1),
+    ):
+        assert run(capsys, "rank", spec, "--cut", str(cut)) == (0, f"{cut} {rank}\n", ""), spec
+
+
+def test_rank_cut_outside_the_degree_exits_2(capsys):
+    for spec, cut, degree in (
+        ("dyck:k=2,d=6", "7", 6),
+        ("dyckdepth:k=1,n=2", "-1", 4),
+        ("per:n=3", "4", 3),
+        ("dyck:k=1,d=0", "1", 0),
+        ("pal:n=2", "5", 4),
+    ):
+        code, out, err = run(capsys, "rank", spec, "--cut", "1", "--cut", cut)
+        assert code == 2 and out == "", spec
+        assert _one_error_line(err) and f"outside 0..{degree}" in err, (spec, err)
+
+
 def test_hadamard_command(tmp_path, capsys):
     circ = tmp_path / "c.txt"
     circ.write_text("g0 input x0\ng1 input x1\ng2 add g0 g1\ng3 mul g2 g2\noutput g3\n")
@@ -291,13 +316,21 @@ def _one_error_line(err):
 
 
 def test_rank_honours_term_budget(capsys):
+    # dyck and per are ranked from their ABPs, which hold states, not terms;
+    # pal is still expanded
     for argv in (
-        ("--term-budget", "10", "rank", "dyck:k=2,d=8", "--cut", "4"),
-        ("--term-budget", "100", "rank", "per:n=6", "--cut", "3"),
+        ("--state-budget", "10", "rank", "dyck:k=2,d=8", "--cut", "4"),
+        ("--state-budget", "10", "rank", "per:n=6", "--cut", "3"),
+        ("--term-budget", "10", "rank", "pal:n=6", "--cut", "6"),
     ):
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert _one_error_line(err)
+        assert code == 2 and out == "", argv
+        assert _one_error_line(err), (argv, err)
+    for argv, line in (
+        (("--term-budget", "10", "rank", "dyck:k=2,d=8", "--cut", "4"), "4 21\n"),
+        (("--term-budget", "10", "rank", "per:n=6", "--cut", "3"), "3 20\n"),
+    ):
+        assert run(capsys, *argv) == (0, line, ""), argv
 
 
 def test_weighted_permanent_families_honour_term_budget(tmp_path, capsys):
@@ -364,7 +397,6 @@ def test_long_balanced_words_exit_2_without_recursion(capsys):
     # budget takes a handful
     for argv in (
         ("--term-budget", "10", "family", "dyck:k=1,d=2400"),
-        ("--term-budget", "10", "rank", "dyckdepth:k=2,n=1200", "--cut", "1200"),
         ("--term-budget", "10", "family", "dyck:k=1,d=200000"),
         ("--term-budget", "10", "family", "dyckdepth:k=2,n=100000"),
     ):
@@ -373,6 +405,11 @@ def test_long_balanced_words_exit_2_without_recursion(capsys):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == ""
         assert _one_error_line(err), (argv, err)
+    # the rank of the same words comes from their 2,401-layer ABP, unexpanded
+    start = time.perf_counter()
+    argv = ("--term-budget", "10", "rank", "dyckdepth:k=2,n=1200", "--cut", "1200")
+    assert run(capsys, *argv) == (0, "1200 5\n", "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reduce_state_budget_is_checked_during_the_build(tmp_path, capsys):

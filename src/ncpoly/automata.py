@@ -29,7 +29,7 @@ MAX_ENTRY_DEGREE = 3
 
 
 class SubstAutomaton:
-    """Layered deterministic finite substitution automaton.
+    """Deterministic finite substitution automaton.
 
     The state budget in force at construction bounds the states:
     add_state raises StateBudgetError before it adds one state too many,

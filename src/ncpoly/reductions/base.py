@@ -27,7 +27,7 @@ cross-checked in the test suite.
 """
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from ..algebra import NCPoly, TableMismatchError, Var, VarTable, budget, substitute_letters
 from ..automata import (
@@ -91,7 +91,6 @@ class AbpReduction:
     source: str  # descriptor: family spec, "circuit", or free-form
     target: str  # family spec string of the target instance
     kind: str = ""  # construction name, for serialization headers
-    automaton: SubstAutomaton | None = dc_field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -564,7 +563,7 @@ def iproj_to_abp(m: IProjMap, d: int, source="", target="") -> AbpReduction:
             a.add_transition(f"p{pos - 1}", vid, f"p{pos}", word=(img.id,))
         elif img != 0:
             a.add_transition(f"p{pos - 1}", vid, f"p{pos}", coeff=img)
-    return AbpReduction(automaton_to_substitution(a), source, target, kind="iproj-chain", automaton=a)
+    return AbpReduction(automaton_to_substitution(a), source, target, kind="iproj-chain")
 
 
 def identity_reduction(table: VarTable, d: int, source="", target="") -> AbpReduction:

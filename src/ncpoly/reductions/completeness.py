@@ -2,9 +2,12 @@
 
 Both constructions follow the same scheme.  The bracketing transform gives
 every monomial of the circuit a parse word; a fixed-length prefix padding
-makes all parse words the same even length; a layered deterministic
-automaton walks that word, entering subcircuits through addition closures,
-and its matrices substitute the original variables and scalars back in.
+makes all parse words the same even length; a deterministic automaton
+walks that word, entering subcircuits through addition closures, and its
+matrices substitute the original variables and scalars back in.  The
+Dyck walk's states are places in the circuit, and the target's one
+degree does the counting; the palindrome walk keeps positions, so that
+every accepted word has its center at the middle.
 The automata read the tables each transform returns and re-spell none of
 them: the Dyck walk numbers its target pairs from the bracket pairs in
 creation order and reads each leaf's bracket word, the palindrome walk
@@ -91,17 +94,18 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
     then walks the parse word in three kinds of state: at a gate's entry,
     a product's opening bracket descends to its left argument and a leaf's
     first letter enters its bracket word; inside a leaf word the next
-    letter is read; after a left argument, a product's closing bracket
-    resumes at its right argument.  Every letter emits its recovery image,
+    letter is read; after a subterm, a product's closing bracket resumes
+    at its right argument.  No state holds a position: "after a subterm"
+    is also the accept state, and the target's degree picks the paths that
+    end there after the whole word.  Every letter emits its recovery image,
     weighted on entry by the addition paths; everything else is dead, and
     balance pins each closing to its product gate.
     """
     field = c.table.field
     br = to_bracketed(c)
-    two_r = max(br.circuit.syntactic_degree(), 0)
-    r = two_r // 2
-    q = 2 * r + 2
-    target = gen_dyck(len(br.pairs) + r + 1, q, field)
+    lengths = br.circuit.degree_sets()[br.circuit.output]  # of the parse words
+    r = max(lengths, default=0) // 2
+    target = gen_dyck(len(br.pairs) + r + 1, 2 * r + 2, field)
     t_pairs = target.meta["pairs"]
     # bracket pair k becomes target pair r+1+k
     enc = {}
@@ -110,38 +114,37 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
 
     closures = _add_closures(c.gates)
     a = SubstAutomaton(target.table, c.table)
-    a.add_state("P0@0", start=True)
-    a.add_state(f"L@{q}", accept=True)
+    a.add_state("P0", start=True)
+    a.add_state("L", accept=True)
 
     seen = set()
     queue: deque = deque()
 
-    def push(kind, data, pos) -> str:
-        name = f"{kind}{data if data is not None else ''}@{pos}"
-        if (kind, data, pos) not in seen:
-            seen.add((kind, data, pos))
-            queue.append((kind, data, pos, name))
+    def push(kind, data) -> str:
+        name = f"{kind}{data if data is not None else ''}"
+        if (kind, data) not in seen:
+            seen.add((kind, data))
+            queue.append((kind, data, name))
         return name
 
     def step(frm: str, vid: int, to: str, cnt: int = 1) -> None:
         coeff, word = _image(br.recovery, vid, cnt, field)
         a.add_transition(frm, enc[vid], to, coeff=coeff, word=word)
 
-    # padding: numbered pairs in order, then pair 0 hands over to the walk
+    # padding: numbered pairs while a parse word is short enough to need the
+    # next one; pair 0 hands over to the walk where a parse word fits
     o0, c0 = t_pairs[0]
     for i in range(r):
-        st = f"P{i}@{2 * i}"
-        if i + 1 <= r - 1:
+        if 2 * (r - i - 1) >= min(lengths):
             o, cl = t_pairs[i + 1]
-            a.add_transition(st, o, f"Pi{i + 1}@{2 * i + 1}")
-            a.add_transition(f"Pi{i + 1}@{2 * i + 1}", cl, f"P{i + 1}@{2 * i + 2}")
-        a.add_transition(st, o0, f"Pz{i}@{2 * i + 1}")
-        a.add_transition(f"Pz{i}@{2 * i + 1}", c0, push("E", c.output, 2 * i + 2))
+            a.add_transition(f"P{i}", o, f"Pi{i + 1}")
+            a.add_transition(f"Pi{i + 1}", cl, f"P{i + 1}")
+        if 2 * (r - i) in lengths:
+            a.add_transition(f"P{i}", o0, f"Pz{i}")
+            a.add_transition(f"Pz{i}", c0, push("E", c.output))
 
     while queue:
-        kind, data, pos, name = queue.popleft()
-        if pos >= q:
-            continue
+        kind, data, name = queue.popleft()
         if kind == "E":  # entry of gate `data`
             paths: dict = {}  # (first letter, next state) -> addition paths
             for h, cnt in closures[data].items():
@@ -153,17 +156,17 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
                     key = word[0], ("W", (word, 1))
                 paths[key] = paths.get(key, 0) + cnt
             for (first, nxt), cnt in sorted(paths.items()):
-                step(name, first, push(*nxt, pos + 1), cnt)
+                step(name, first, push(*nxt), cnt)
         elif kind == "W":  # inside a leaf word, before its letter i
             word, i = data
             nxt = ("W", (word, i + 1)) if i + 1 < len(word) else ("L", None)
-            step(name, word[i], push(*nxt, pos + 1))
-        else:  # after a left argument
+            step(name, word[i], push(*nxt))
+        else:  # after a subterm
             for h, (_o, cl) in sorted(br.gate_pair.items()):
-                step(name, cl, push("E", c.gates[h].right, pos + 1))
+                step(name, cl, push("E", c.gates[h].right))
 
     sub = automaton_to_substitution(a)
-    return AbpReduction(sub, "circuit", target.spec_string, kind="dyck-complete", automaton=a)
+    return AbpReduction(sub, "circuit", target.spec_string, kind="dyck-complete")
 
 
 def pal_vsk_reduction(c: Circuit) -> AbpReduction:
@@ -188,6 +191,7 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
     r = two_r // 2
     q = 2 * r + 2
     degs = h.degree_sets()
+    inner_deg = {m: max(degs[inner], default=None) for m, (_l, _r, inner) in sb.twins.items()}
     closures = _add_closures(h.gates)
     # empty parse words come only from constants reached through additions;
     # constant products pass through a twin pair and are handled by the walk
@@ -211,33 +215,39 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
     a.add_state("S0@0", start=True)
     a.add_state(accept, accept=True)
 
+    # lengths[g]: the first-half lengths of g's parse words, from W{g} to M
+    lengths: list[set] = []
+    for gid in range(len(h.gates)):
+        lengths.append(set())
+        for member in closures[gid]:
+            if isinstance(h.gates[member], Input) or inner_deg.get(member) == 0:
+                lengths[gid].add(1)
+            elif inner_deg.get(member) is not None:
+                lengths[gid].update(1 + n for n in lengths[sb.twins[member][2]])
+
+    # gate walk over the first half, through the states that reach M
+    seen = set()
+    queue: deque = deque()
+
+    def push(frm, letter, gid, pos, coeff=None, word=()) -> None:
+        if r + 1 - pos in lengths[gid]:
+            if (gid, pos) not in seen:
+                seen.add((gid, pos))
+                queue.append((gid, pos))
+            a.add_transition(frm, letter, f"W{gid}@{pos}", coeff=coeff, word=word)
+
     # padding chain; the all-padding word carries the constant term
     for i in range(r + 1):
         st = f"S{i}@{i}"
         if i < r:
             a.add_transition(st, letters[i + 1], f"S{i + 1}@{i + 1}")
-            a.add_transition(st, letters[0], f"W{h.output}@{i + 1}")
+            push(st, letters[0], h.output, i + 1)
         elif const_term != 0:
             a.add_transition(st, letters[0], f"M@{r + 1}", coeff=const_term)
-
-    # gate walk over the first half
-    seen = set()
-    queue: deque = deque()
-
-    def push(gid, pos) -> str:
-        if (gid, pos) not in seen:
-            seen.add((gid, pos))
-            queue.append((gid, pos))
-        return f"W{gid}@{pos}"
-
-    for i in range(r):
-        push(h.output, i + 1)
 
     while queue:
         gid, pos = queue.popleft()
         name = f"W{gid}@{pos}"
-        if pos > r:
-            continue
         center: dict = {}  # input variable -> addition paths
         for member, cnt in closures[gid].items():
             g = h.gates[member]
@@ -247,15 +257,13 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
                 lv, _rv, inner = sb.twins[member]
                 letter = letters[twin_letter[member]]
                 coeff, word = _image(sb.recovery, lv, cnt, field)
-                inner_degs = degs[inner]
-                inner_deg = max(inner_degs) if inner_degs else None
-                if inner_deg == 0:
+                if inner_deg[member] == 0:
                     if pos == r:
                         a.add_transition(
                             name, letter, f"M@{r + 1}", coeff=coeff * val0[inner], word=word
                         )
-                elif inner_deg is not None and pos + 1 <= r:
-                    a.add_transition(name, letter, push(inner, pos + 1), coeff=coeff, word=word)
+                elif inner_deg[member] is not None:
+                    push(name, letter, inner, pos + 1, coeff, word)
             # bare constants contribute only the empty parse word, which the
             # all-padding path already accounts for
         if pos == r:
@@ -277,4 +285,4 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
             a.add_transition(frm, letter, to, coeff=coeff, word=word)
 
     sub = automaton_to_substitution(a)
-    return AbpReduction(sub, "circuit", target.spec_string, kind="pal-vsk", automaton=a)
+    return AbpReduction(sub, "circuit", target.spec_string, kind="pal-vsk")

@@ -1,10 +1,11 @@
-"""Positional substitution reductions between bracket-structured families.
+"""Substitution reductions between bracket-structured families.
 
-These constructions share one shape: a layered automaton walks the target
-word position by position, kills everything outside the wanted sublanguage
-through dead cells, and rewrites the survivors letterwise.  Balance of the
-target support does the matching work, so the automata only need counters
-and block decoding, never a stack.
+These constructions share one shape: an automaton walks the target word,
+kills everything outside the wanted sublanguage through dead cells, and
+rewrites the survivors letterwise.  Balance of the target support does
+the matching work, so the automata only need counters and block
+decoding, never a stack.  Where the target has one degree, the states
+carry no position, and the target's length does the counting.
 """
 
 from ..abp import Abp
@@ -80,20 +81,22 @@ def dk_encode_word(word: Word, k: int, source_pairs, target_pairs) -> Word:
 def dk_to_d2_reduction(k: int, d: int, field: Field = QQ) -> AbpReduction:
     """Decode fixed-width two-type blocks back into k bracket types.
 
-    The automaton reads the target word in blocks of k+1 letters, pattern
-    matches each block, and emits the decoded bracket on the block's last
-    letter; non-image words are dead.  Balance of the encoded word forces
+    The automaton reads the target word in blocks of k+1 letters through a
+    trie of the block patterns, and emits the decoded bracket on the
+    block's last letter, which leads to the block end b, the accept state;
+    non-image words are dead.  One trie starts at the start state and one
+    at b, since the start must not accept, and the target's degree d(k+1)
+    fixes the number of blocks.  Balance of the encoded word forces
     balance (with types) of the decoded word.
     """
     if k < 2:
         raise ValueError("need at least two source bracket types")
-    width = k + 1
-    target = gen_dyck(2, d * width, field)
+    target = gen_dyck(2, d * (k + 1), field)
     source = gen_dyck(k, d, field)
     src_pairs = source.meta["pairs"]
     a = SubstAutomaton(target.table, source.table)
-    a.add_state("b0", start=True)
-    a.add_state(f"b{d}", accept=True)
+    a.add_state("s", start=True)
+    a.add_state("b" if d else "s", accept=True)  # d = 0: the empty word alone
 
     patterns = [
         (dk_encode_word((v,), k, src_pairs, target.meta["pairs"]), v)
@@ -108,27 +111,26 @@ def dk_to_d2_reduction(k: int, d: int, field: Field = QQ) -> AbpReduction:
         elif existing != (to, a.input_table.field.one, word):
             raise AssertionError("block patterns are not prefix-deterministic")
 
-    for b in range(d):
-        # patterns with a common prefix share trie states inside the block
+    # one trie of the block patterns from the start, one from the block end
+    for root in ("s", "b") if d else ():
         for path, emit in patterns:
-            prev = f"b{b}"
-            for off, letter in enumerate(path):
-                if off == width - 1:
-                    add_once(prev, letter, f"b{b + 1}", (emit,))
-                else:
-                    state = f"b{b}|" + ".".join(map(str, path[: off + 1]))
-                    add_once(prev, letter, state, ())
-                    prev = state
+            prev = root
+            for off, letter in enumerate(path[:-1]):
+                state = f"{root}|" + ".".join(map(str, path[: off + 1]))
+                add_once(prev, letter, state, ())
+                prev = state
+            add_once(prev, path[-1], "b", (emit,))
     sub = automaton_to_substitution(a)
-    return AbpReduction(sub, source.spec_string, target.spec_string, kind="dk-d2", automaton=a)
+    return AbpReduction(sub, source.spec_string, target.spec_string, kind="dk-d2")
 
 
 def dyck_depth_reduction(k1: int, k2: int, n: int, field: Field = QQ) -> AbpReduction:
     """Keep only the balanced words whose bracket excess never exceeds k1.
 
-    States are (position, excess); opening past the bound is dead, outputs
-    are the identity, so applying this to the depth-k2 family yields the
-    depth-k1 family.
+    States are the excess e0..e(k1), and a start s that reads like e0;
+    e0 accepts, and the target's length 2n does the counting.  Opening
+    past the bound is dead, outputs are the identity, so applying this to
+    the depth-k2 family yields the depth-k1 family.
     """
     if not 1 <= k1 <= k2 <= n:
         raise ValueError("need 1 <= k1 <= k2 <= n")
@@ -136,21 +138,16 @@ def dyck_depth_reduction(k1: int, k2: int, n: int, field: Field = QQ) -> AbpRedu
     source = gen_dyck_depth(k1, n, field)
     pairs = source.meta["pairs"]
     a = SubstAutomaton(target.table, source.table)
-    a.add_state("e0.0", start=True)
-    a.add_state(f"e{2 * n}.0", accept=True)
-    for pos in range(2 * n):
-        # reachable excesses share the position's parity and fit the bound
-        for excess in range(pos % 2, min(k1, pos, 2 * n - pos) + 1, 2):
-            state = f"e{pos}.{excess}"
-            for o, c in pairs:
-                if excess + 1 <= min(k1, 2 * n - pos - 1):
-                    a.add_transition(state, o, f"e{pos + 1}.{excess + 1}", word=(o,))
-                if excess > 0:
-                    a.add_transition(state, c, f"e{pos + 1}.{excess - 1}", word=(c,))
+    a.add_state("s", start=True)
+    a.add_state("e0", accept=True)
+    for state, excess in [("s", 0)] + [(f"e{e}", e) for e in range(k1 + 1)]:
+        for o, c in pairs:
+            if excess < k1:
+                a.add_transition(state, o, f"e{excess + 1}", word=(o,))
+            if excess > 0:
+                a.add_transition(state, c, f"e{excess - 1}", word=(c,))
     sub = automaton_to_substitution(a)
-    return AbpReduction(
-        sub, source.spec_string, target.spec_string, kind="dyck-depth", automaton=a
-    )
+    return AbpReduction(sub, source.spec_string, target.spec_string, kind="dyck-depth")
 
 
 def two_chains_reduction(n: int, field: Field = QQ) -> AbpReduction:
@@ -171,9 +168,7 @@ def two_chains_reduction(n: int, field: Field = QQ) -> AbpReduction:
             a.add_transition(prev, vid, state, word=(out,))
             prev = state
     sub = automaton_to_substitution(a)
-    return AbpReduction(
-        sub, source.spec_string, target.spec_string, kind="two-chains", automaton=a
-    )
+    return AbpReduction(sub, source.spec_string, target.spec_string, kind="two-chains")
 
 
 def check_vbp_trivial(f_abp: Abp, target: FamilyInstance, witness: Word) -> None:

@@ -73,9 +73,7 @@ def per_to_idstar_reduction(n: int, field: Field = QQ) -> AbpReduction:
                     word = (var_of(source.table, row, idx),) if block == 1 else ()
                     a.add_transition(frm, var_of(target.table, row, idx), to, word=word)
     sub = automaton_to_substitution(a)
-    return AbpReduction(
-        sub, source.spec_string, target.spec_string, kind="per-idstar", automaton=a
-    )
+    return AbpReduction(sub, source.spec_string, target.spec_string, kind="per-idstar")
 
 
 def per_to_perstar_chi_reduction(n: int, chi: ChiTable, field: Field = QQ) -> AbpReduction:
@@ -138,9 +136,7 @@ def per_to_perstar_chi_reduction(n: int, chi: ChiTable, field: Field = QQ) -> Ab
             letter = var_of(target.table, pos % n + 1, sigma[pos % n])
             a.add_transition(frm, letter, to, coeff=coeff)
     sub = automaton_to_substitution(a)
-    return AbpReduction(
-        sub, source.spec_string, target.spec_string, kind="per-chi", automaton=a
-    )
+    return AbpReduction(sub, source.spec_string, target.spec_string, kind="per-chi")
 
 
 def hierarchy_iproj(i: int, n: int, field: Field = QQ) -> IProjMap:

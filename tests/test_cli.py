@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 from ncpoly.cli import main
 
@@ -451,6 +452,53 @@ def test_reduce_state_budget_is_checked_during_the_build(tmp_path, capsys):
     assert not red.exists()
     assert run(capsys, "compose", str(first), str(second), "--out", str(red))[0] == 0
     assert "dim 15\n" in red.read_text()
+
+
+def test_reduce_builds_no_state_that_the_trim_drops(tmp_path, capsys):
+    # dyck-complete hands its padding over to the walk only where a parse
+    # word fits, and pal-vsk adds only gate states whose parse words reach
+    # the center at the middle: each build fits a state budget of the dim
+    # it writes, and one state fewer refuses
+    plain = ["g0 input x", "g1 const 1", "g2 add g1 g0"]  # (1+x)^28, left chain
+    plain += [f"g{i} mul g{i - 1} g2" for i in range(3, 30)]
+    skew, cur = ["g0 const 3", "g1 input u"], 0  # p <- p + u*p twelve times
+    for _ in range(12):
+        gid = len(skew)
+        skew += [f"g{gid} mul g1 g{cur}", f"g{gid + 1} add g{cur} g{gid}"]
+        cur = gid + 1
+    circ, red = tmp_path / "c.txt", tmp_path / "r.red"
+    for kind, lines, dim in (("dyck-complete", plain, 119), ("pal-vsk", skew, 105)):
+        circ.write_text("\n".join(lines) + f"\noutput {lines[-1].split()[0]}\n")
+        argv = ("reduce", kind, f"circuit={circ}", "--out", str(red))
+        assert run(capsys, "--state-budget", str(dim), *argv)[0] == 0
+        assert f"dim {dim}\n" in red.read_text()
+        assert run(capsys, "--state-budget", str(dim), "verify", str(red))[0] == 0
+        assert run(capsys, "--state-budget", str(dim - 1), *argv)[0] == 2
+
+
+def test_raising_a_start_row_or_accept_column_cell_fails_verify(tmp_path, capsys):
+    # the dyck-complete accept state also has cells out of it; every cell
+    # on the start row or into the accept column still carries part of the
+    # result, so raising its coefficient is reported with a witness
+    circ = tmp_path / "c.txt"
+    circ.write_text(
+        "g0 input u\ng1 const 3\ng2 add g1 g0\n"
+        "g3 mul g2 g2\ng4 mul g3 g3\ng5 mul g4 g4\noutput g5\n"
+    )
+    red, bad = tmp_path / "r.red", tmp_path / "bad.red"
+    assert run(capsys, "reduce", "dyck-complete", f"circuit={circ}", "--out", str(red))[0] == 0
+    lines = red.read_text().splitlines()
+    dim = next(line.split()[1] for line in lines if line.startswith("dim "))
+    planted = 0
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if line.startswith("entry ") and (tokens[1] == "1" or tokens[2] == dim):
+            tokens[3] = str(Fraction(tokens[3]) + 1)
+            bad.write_text("\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1 :]) + "\n")
+            code, out, _ = run(capsys, "verify", str(bad))
+            assert code == 1 and "\nwitness " in out, line
+            planted += 1
+    assert planted > 2
 
 
 def test_hadamard_circuit_honours_term_budget(tmp_path, capsys):

@@ -720,7 +720,9 @@ def padded_with_dead_states(r: AbpReduction, copies: int) -> AbpReduction:
     before the accept state.  Each copy has all of r's cells among its own
     states, and its cells into the accept state reach the real one, so the
     dead states lie on paths to the accept state, as in an untrimmed block
-    product or a hand-written file."""
+    product or a hand-written file.  No copy has the cells out of the
+    accept state, which would lead from the real one into the copy and
+    make it live."""
     sub = r.substitution
     q = sub.dim
     dim = q + copies * (q - 1)
@@ -735,6 +737,7 @@ def padded_with_dead_states(r: AbpReduction, copies: int) -> AbpReduction:
             (place(i, copy), place(j, copy)): cell
             for (i, j), cell in cells.items()
             for copy in range(-1, copies)
+            if copy < 0 or i != q - 1
         }
         for vid, cells in sub.entries.items()
     }
@@ -743,12 +746,12 @@ def padded_with_dead_states(r: AbpReduction, copies: int) -> AbpReduction:
 
 
 def test_inside_sum_matches_termwise_when_most_states_are_unreachable():
-    # the trimmed composition has 15 states; 17 unreachable copies of its
-    # 14 non-accept states pad it to 253, so the Boolean pass must build no
-    # fact at the 238 states the start does not reach
+    # the trimmed composition has 4 states; 17 unreachable copies of its
+    # 3 non-accept states pad it to 55, so the Boolean pass must build no
+    # fact at the 51 states the start does not reach
     n = 5
     comp = compose_abp(dyck_depth_reduction(2, 3, n), dyck_depth_reduction(3, 4, n))
-    assert comp.dim == 15
+    assert comp.dim == 4
     comp = padded_with_dead_states(comp, 17)
     target = make_family(comp.target)
     inside = apply_to_instance(comp, target)
@@ -825,9 +828,7 @@ def binary_block_pal_reduction(n: int, k: int) -> AbpReduction:
                     a.add_transition((p, value), bit, (p + 1, 0), word=(value2,))
                     grown.add((p + 1, 0))
         partial = grown
-    return AbpReduction(
-        automaton_to_substitution(a), source.spec_string, target.spec_string, automaton=a
-    )
+    return AbpReduction(automaton_to_substitution(a), source.spec_string, target.spec_string)
 
 
 def off_path_states(sub: MatrixSubstitution) -> set:
@@ -852,6 +853,18 @@ def off_path_states(sub: MatrixSubstitution) -> set:
 
     on_path = closure(0, succ) & closure(sub.dim - 1, pred)
     return set(range(1, sub.dim - 1)) - on_path
+
+
+def test_dyck_target_constructions_do_not_grow_with_the_target_length():
+    # their states carry no position: the target's length does the counting
+    for k1, k2 in ((1, 2), (3, 5)):
+        assert {dyck_depth_reduction(k1, k2, n).dim for n in (5, 40)} == {k1 + 2}
+    for k in (2, 5):
+        assert dk_to_d2_reduction(k, 2).dim == dk_to_d2_reduction(k, 40).dim
+    # d = 0 keeps the empty word, on one state that starts and accepts
+    r = dk_to_d2_reduction(3, 0)
+    assert r.dim == 1
+    assert verify_reduction(r, make_family(r.source), make_family(r.target)).passed
 
 
 def test_every_construction_keeps_only_states_on_start_accept_paths():
@@ -1032,7 +1045,8 @@ def test_pal_vsk_accepted_palindromes_are_the_parse_words():
     for c in cases:
         r = pal_vsk_reduction(c)
         tgt = make_family(r.target)
-        accepted = [w for w in tgt.poly.terms if r.automaton.run(w)[0]]
+        accept = r.dim - 1
+        accepted = [w for w in tgt.poly.terms if accept in walk_states(r.substitution, {0}, w)]
         parse = expand(to_skew_bracketed(homogenize(c)).circuit)
         assert len(accepted) == len(parse.terms)
 
@@ -1047,7 +1061,8 @@ def test_dyck_accepted_balanced_words_are_the_parse_words():
     ]:
         r = dyck_completeness_reduction(c)
         tgt = make_family(r.target)
-        accepted = [w for w in tgt.poly.terms if r.automaton.run(w)[0]]
+        accept = r.dim - 1
+        accepted = [w for w in tgt.poly.terms if accept in walk_states(r.substitution, {0}, w)]
         from ncpoly.circuits import to_bracketed
 
         parse = expand(to_bracketed(c).circuit)
@@ -1072,14 +1087,15 @@ def test_completeness_multiplicity_vanishing_in_small_characteristic():
     assert not apply_to_instance(r2, make_family(r2.target, f7))
 
 
-def layer_map(a) -> dict | None:
-    """Distance from the start when every transition of the automaton
+def layer_map(sub: MatrixSubstitution) -> dict | None:
+    """Distance from the start when every nonzero cell of the substitution
     advances exactly one layer; None when it is not layered."""
-    adjacency: dict[str, list] = {}
-    for (frm, _var), (to, _c, _w) in a.transitions.items():
-        adjacency.setdefault(frm, []).append(to)
-    layers = {a.start: 0}
-    queue = [a.start]
+    adjacency: dict[int, list] = {}
+    for cells in sub.entries.values():
+        for i, j in cells:
+            adjacency.setdefault(i, []).append(j)
+    layers = {0: 0}
+    queue = [0]
     while queue:
         s = queue.pop(0)
         for to in adjacency.get(s, ()):
@@ -1093,12 +1109,15 @@ def layer_map(a) -> dict | None:
 
 
 def test_construction_automata_are_layered():
+    # pal-d2 substitutes by position and pal-vsk must meet the center at
+    # the middle, so both keep a position in every state; the accept
+    # state sits on the last layer
     r1 = pal_to_d2_reduction(2)
-    r2 = dyck_completeness_reduction(corpus.hand_circuits()[4])
-    for r in (r1, r2):
-        layers = layer_map(r.automaton)
+    r2 = pal_vsk_reduction(corpus.hand_skew_circuits()[11])
+    for r, degree in ((r1, 4), (r2, 2 * make_family(r2.target).params["n"])):
+        layers = layer_map(r.substitution)
         assert layers is not None
-        assert layers[r.automaton.start] == 0
+        assert layers[r.dim - 1] == degree
 
 
 # -- bracket-family reductions ----------------------------------------------------

@@ -278,8 +278,8 @@ def bounded_depth_dyck_abp(
 
     Layer i holds the reachable, completable stacks after i letters; the
     vertex count is at most (2n+1) * 2^(k+1) for two bracket types, and
-    StateBudgetError is raised once the layers built so far exceed the
-    state budget.  n = 0 gives the one-vertex program of the empty word.
+    StateBudgetError is raised at the first vertex over the state budget.
+    n = 0 gives the one-vertex program of the empty word.
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
@@ -303,19 +303,23 @@ def bounded_depth_dyck_abp(
     count = 1
     for pos in range(2 * n):
         nxt: dict[tuple, int] = {}
+        room = limits.states - count  # vertices numbered room or more are over
         gap = []
         for s, si in layer.items():
             if len(s) < k and completable(len(s) + 1, pos + 1):
                 for open_id in close_of:
                     v = nxt.setdefault(s + (open_id,), len(nxt))
+                    if v >= room:
+                        limits.check_states(count + v + 1)
                     gap.append((si, v, form[open_id]))
             if s and completable(len(s) - 1, pos + 1):
                 v = nxt.setdefault(s[:-1], len(nxt))
+                if v >= room:
+                    limits.check_states(count + v + 1)
                 gap.append((si, v, form[close_of[s[-1]]]))
         layer = nxt
         layers.append(len(nxt))
         count += len(nxt)
-        limits.check_states(count)
         edges.append(gap)
     return Abp(table, layers, edges)
 

@@ -181,8 +181,11 @@ class MatrixSubstitution:
         at the end; scalars commute, so this is exact.  Like words merge
         per column, so the cost follows the (column, word) pairs, not the
         automaton paths.  Variables without a matrix act as zero matrices
-        and kill their words.
+        and kill their words.  TermBudgetError is raised once a row vector
+        or the result holds more terms than the budget; a product by a
+        letter with one cell per row adds no term and is not counted.
         """
+        growing = {vid for vid in self.entries if any(len(c) > 1 for c in self.rows(vid).values())}
         accept = self.dim - 1
         out = NCPoly.zero(self.output_table)
         acc = out.terms
@@ -199,6 +202,8 @@ class MatrixSubstitution:
             for vid in w[n:]:
                 if vec:
                     vec = row_times_matrix(vec, self.rows(vid))
+                    if vid in growing:
+                        budget().check_terms(sum(map(len, vec.values())), "termwise apply")
                 stack.append(vec)
             prev = w
             if accept not in vec:
@@ -212,6 +217,7 @@ class MatrixSubstitution:
                     acc[word] = s
                 else:
                     del acc[word]
+            budget().check_terms(len(acc), "termwise apply")
         return out
 
 

@@ -21,7 +21,7 @@ from ncpoly.abp import (
     parse_abp,
     transition_matrices,
 )
-from ncpoly.algebra import NCPoly, VarTable
+from ncpoly.algebra import Budget, NCPoly, StateBudgetError, VarTable, using_budget
 from ncpoly.fields import QQ, PrimeField
 from ncpoly.families import make_family
 
@@ -502,3 +502,15 @@ def test_abp_parse_affine():
     f = abp_eval(p)
     assert f.coeff(()) == 3
     assert f.coeff(p.table.word("x0")) == 2
+
+
+def test_bounded_depth_dyck_abp_charges_the_state_budget_for_each_vertex():
+    # the budget refuses the first vertex over it, inside a layer, not once
+    # the layer is finished
+    size = bounded_depth_dyck_abp(2, 6).size
+    with using_budget(Budget(states=size)):
+        assert bounded_depth_dyck_abp(2, 6).size == size
+    for cap in (1, 2, 20, size - 1):
+        with using_budget(Budget(states=cap)):
+            with pytest.raises(StateBudgetError, match=f"exceeded: {cap + 1} states$"):
+                bounded_depth_dyck_abp(2, 6)

@@ -14,12 +14,14 @@ import ncpoly
 from ncpoly.abp import Abp, LinearForm, abp_eval, parse_abp
 from ncpoly.algebra import (
     Budget,
+    NCPoly,
     StateBudgetError,
     TermBudgetError,
     VarTable,
     budget,
     using_budget,
 )
+from ncpoly.automata import MatrixSubstitution
 from ncpoly.cli import build_parser, main
 from ncpoly.families import FAMILY_SPEC_HELP, make_family
 from ncpoly.reductions import base, compose_abp, dyck, dyck_depth_reduction, vbp_trivial_reduction
@@ -184,3 +186,38 @@ def test_abp_eval_checks_the_term_budget_edge_by_edge():
     fan = Abp(t, [1, 10, 1], [[(0, v, x0) for v in range(10)], [(v, 0, x0) for v in range(10)]])
     with using_budget(Budget(terms=3)), pytest.raises(TermBudgetError, match="layer 1 holds 4 terms"):
         abp_eval(fan)
+
+
+def test_termwise_apply_checks_the_term_budget():
+    t, out = VarTable(["x0", "x1"]), VarTable(["a", "b"])
+    a, b = (0,), (1,)
+    # two cells in every row: each letter doubles the terms of the row vector
+    doubling = {(0, 0): (1, a), (0, 1): (1, b), (1, 0): (1, b), (1, 1): (1, a)}
+    sub = MatrixSubstitution(t, out, 2, {0: doubling, 1: doubling})
+    x0_cubed = NCPoly(t, {(0, 0, 0): 1})
+    with using_budget(Budget(terms=5)):
+        with pytest.raises(TermBudgetError, match="termwise apply holds 8 terms"):
+            sub.evaluate(x0_cubed)
+    with using_budget(Budget(terms=8)):
+        assert len(sub.evaluate(x0_cubed).terms) == 4
+    # one cell per row: the row vectors keep one term, and the result grows
+    renaming = MatrixSubstitution(t, out, 1, {0: {(0, 0): (1, a)}, 1: {(0, 0): (1, b)}})
+    squares = NCPoly(t, {w: 1 for w in ((0, 0), (0, 1), (1, 0), (1, 1))})
+    with using_budget(Budget(terms=3)):
+        with pytest.raises(TermBudgetError, match="termwise apply holds 4 terms"):
+            renaming.evaluate(squares)
+
+
+def test_verify_on_the_termwise_route_exits_2_over_the_term_budget(tmp_path, capsys):
+    # id has no grammar record, so verify applies the substitution termwise;
+    # its result holds 8192 terms
+    cells = "".join(f"entry {i} {j} 1 {'a' if i == j else 'b'}\n" for i in (1, 2) for j in (1, 2))
+    red, empty = tmp_path / "r.red", tmp_path / "empty.poly"
+    red.write_text(
+        "reduction abp\nsource s\ntarget id:n=7\nsubstitution\ndim 2\n"
+        f"input-vars x0 x1\noutput-vars a b\nvar x0\n{cells}var x1\n{cells}"
+    )
+    empty.write_text("")
+    code, out, err = run(capsys, "--term-budget", "1000", "verify", str(red), "--source", f"poly:{empty}")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "termwise apply" in err

@@ -455,10 +455,10 @@ def test_reduce_state_budget_is_checked_during_the_build(tmp_path, capsys):
 
 
 def test_reduce_builds_no_state_that_the_trim_drops(tmp_path, capsys):
-    # dyck-complete hands its padding over to the walk only where a parse
-    # word fits, and pal-vsk adds only gate states whose parse words reach
-    # the center at the middle: each build fits a state budget of the dim
-    # it writes, and one state fewer refuses
+    # dyck-complete pads with one looping pair and one handover pair, and
+    # pal-vsk adds only gate states whose parse words reach the center at
+    # the middle: each build fits a state budget of the dim it writes, and
+    # one state fewer refuses
     plain = ["g0 input x", "g1 const 1", "g2 add g1 g0"]  # (1+x)^28, left chain
     plain += [f"g{i} mul g{i - 1} g2" for i in range(3, 30)]
     skew, cur = ["g0 const 3", "g1 input u"], 0  # p <- p + u*p twelve times
@@ -467,7 +467,7 @@ def test_reduce_builds_no_state_that_the_trim_drops(tmp_path, capsys):
         skew += [f"g{gid} mul g1 g{cur}", f"g{gid + 1} add g{cur} g{gid}"]
         cur = gid + 1
     circ, red = tmp_path / "c.txt", tmp_path / "r.red"
-    for kind, lines, dim in (("dyck-complete", plain, 119), ("pal-vsk", skew, 105)):
+    for kind, lines, dim in (("dyck-complete", plain, 36), ("pal-vsk", skew, 93)):
         circ.write_text("\n".join(lines) + f"\noutput {lines[-1].split()[0]}\n")
         argv = ("reduce", kind, f"circuit={circ}", "--out", str(red))
         assert run(capsys, "--state-budget", str(dim), *argv)[0] == 0

@@ -17,7 +17,7 @@ from ncpoly.algebra import (
     using_budget,
 )
 from ncpoly.automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution
-from ncpoly.circuits import expand, parse_circuit
+from ncpoly.circuits import expand, format_circuit, parse_circuit
 from ncpoly.families import (
     ChiTable,
     FamilyInstance,
@@ -253,12 +253,15 @@ def test_pathsum_matches_termwise_on_dyck_and_pal():
 
 
 def test_pathsum_matches_termwise_on_medium_circuit_target():
-    # same dual route on a 33614-word balanced target for a circuit reduction
-    from ncpoly.circuits import Circuit, Input, Mul
+    # same dual route on a 33614-word balanced target for a circuit reduction:
+    # x1 x2 + 5 has five bracket pairs and parse words of length 6 and 4, so
+    # its target is dyck:k=7,d=8 and the padding loop is used
+    from ncpoly.circuits import Add, Circuit, Const, Input, Mul
 
     t = VarTable(["x1", "x2"])
-    c = Circuit(t, [Input(0), Input(1), Mul(0, 1)], 2)
+    c = Circuit(t, [Input(0), Input(1), Mul(0, 1), Const(Fraction(5)), Add(2, 3)], 4)
     r = dyck_completeness_reduction(c)
+    assert r.target == "dyck:k=7,d=8"
     tgt = make_family(r.target)
     assert len(tgt.poly.terms) == 33614
     assert apply_to_instance(r, tgt) == apply_abp_reduction(r, tgt.poly)
@@ -887,6 +890,54 @@ def test_every_construction_keeps_only_states_on_start_accept_paths():
     assert dyck_completeness_reduction(zero).dim == pal_vsk_reduction(zero).dim == 2
 
 
+def test_completeness_targets_carry_two_padding_letters():
+    # the target's degree does the padding's counting, so dyck-complete adds
+    # two bracket pairs to the bracketed circuit's and pal-vsk two letters
+    # to its twin pairs and input doubles
+    from ncpoly.circuits import homogenize, to_bracketed, to_skew_bracketed
+
+    for c in corpus.hand_circuits() + corpus.random_circuits(seed=7, count=25):
+        target = make_family(dyck_completeness_reduction(c).target)
+        assert target.params["k"] == len(to_bracketed(c).pairs) + 2
+    for c in corpus.hand_skew_circuits() + corpus.random_skew_circuits(seed=7, count=25):
+        sb = to_skew_bracketed(homogenize(c))
+        target = make_family(pal_vsk_reduction(c).target)
+        assert len(target.meta["letters"]) == len(sb.twins) + len(sb.doubles) + 2
+
+
+def test_completeness_walks_build_no_state_that_the_trim_drops():
+    # each walk fits a state budget of the dim it keeps: zero constants,
+    # addition-path counts divisible by p and padding past the last
+    # handover leave no dead state behind
+    from test_reduce_digests import corpora
+
+    gf2 = PrimeField(2)
+    zero = parse_circuit("g0 const 0\noutput g0\n", VarTable())
+    # 2x vanishes over GF(2), so the product g4 is zero
+    vanishing = parse_circuit(
+        "g0 const 0\ng1 input x\ng2 add g0 g1\ng3 add g2 g2\ng4 mul g3 g2\noutput g4\n",
+        VarTable(field=gf2),
+    )
+    cases = [(dyck_completeness_reduction, zero), (pal_vsk_reduction, zero)]
+    cases.append((dyck_completeness_reduction, vanishing))
+    assert [build(c).dim for build, c in cases] == [2, 2, 2]
+    builders = {"dyck-complete": dyck_completeness_reduction, "pal-vsk": pal_vsk_reduction}
+    for corpus_cases in corpora().values():
+        for kind, text, _params in corpus_cases:
+            if text is not None:
+                cases.append((builders[kind], parse_circuit(text, VarTable())))
+    for c in corpus.random_circuits(seed=31, count=40):
+        c = parse_circuit(format_circuit(c), VarTable(field=gf2))
+        cases.append((dyck_completeness_reduction, c))
+    for c in corpus.random_skew_circuits(seed=31, count=40):
+        c = parse_circuit(format_circuit(c), VarTable(field=gf2))
+        cases += [(dyck_completeness_reduction, c), (pal_vsk_reduction, c)]
+    for build, c in cases:
+        dim = build(c).dim
+        with using_budget(Budget(states=dim)):
+            assert build(c).dim == dim
+
+
 def composition_cases():
     """(first, second, source polynomial): the first reduction realizes the
     source from the second's source, and the second realizes that from its
@@ -1087,13 +1138,15 @@ def test_completeness_multiplicity_vanishing_in_small_characteristic():
     assert not apply_to_instance(r2, make_family(r2.target, f7))
 
 
-def layer_map(sub: MatrixSubstitution) -> dict | None:
-    """Distance from the start when every nonzero cell of the substitution
-    advances exactly one layer; None when it is not layered."""
+def layer_map(sub: MatrixSubstitution, skip=()) -> dict | None:
+    """Distance from the start when every nonzero cell of the substitution,
+    apart from the cells out of the rows in skip, advances exactly one
+    layer; None when it is not layered."""
     adjacency: dict[int, list] = {}
     for cells in sub.entries.values():
         for i, j in cells:
-            adjacency.setdefault(i, []).append(j)
+            if i not in skip:
+                adjacency.setdefault(i, []).append(j)
     layers = {0: 0}
     queue = [0]
     while queue:
@@ -1109,15 +1162,23 @@ def layer_map(sub: MatrixSubstitution) -> dict | None:
 
 
 def test_construction_automata_are_layered():
-    # pal-d2 substitutes by position and pal-vsk must meet the center at
-    # the middle, so both keep a position in every state; the accept
-    # state sits on the last layer
+    # pal-d2 substitutes by position: every cell advances one layer and the
+    # accept state sits on the last one
     r1 = pal_to_d2_reduction(2)
+    layers = layer_map(r1.substitution)
+    assert layers is not None and layers[r1.dim - 1] == 4
+    # pal-vsk keeps a position in every first-half state, so the center M
+    # meets the middle; its second half is the accept state alone, entered
+    # from M and looping on every letter, so only the first half is layered
     r2 = pal_vsk_reduction(corpus.hand_skew_circuits()[11])
-    for r, degree in ((r1, 4), (r2, 2 * make_family(r2.target).params["n"])):
-        layers = layer_map(r.substitution)
-        assert layers is not None
-        assert layers[r.dim - 1] == degree
+    sub, accept = r2.substitution, r2.dim - 1
+    into_accept = {i for cells in sub.entries.values() for i, j in cells if j == accept}
+    (center,) = into_accept - {accept}
+    assert accept in into_accept
+    layers = layer_map(sub, skip=(accept,))
+    assert layers is not None
+    assert layers[center] == make_family(r2.target).params["n"]
+    assert layers[accept] == layers[center] + 1
 
 
 # -- bracket-family reductions ----------------------------------------------------

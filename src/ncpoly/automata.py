@@ -15,12 +15,15 @@ polynomial on those matrices and reading the (start, accept) entry
 realizes automaton-filtered substitution, and with
 the sparse transition matrices of a branching program re-attached to
 their variables it computes Hadamard products.  One sparse row-vector
-product, row_times_matrix, does every such evaluation and every matrix
-product: on a polynomial it runs once per distinct prefix of the support,
-since terms that share a prefix share its row vector, and product_cells
-pushes unit rows through it to multiply monomial matrices for
-composition and branching-program embedding.
+product, row_times_matrix, does every matrix product.  Evaluation in
+sorted word order calls it at most once per distinct live prefix of the
+support, since terms that share a prefix share its row vector, and not
+at all for a unit step, which only moves a one-column vector; product_cells pushes unit rows
+through it to multiply monomial matrices for composition and
+branching-program embedding.
 """
+
+from collections.abc import Iterable
 
 from .abp import Abp, transition_matrices
 from .algebra import NCPoly, TableMismatchError, VarTable, Word, budget
@@ -166,49 +169,85 @@ class MatrixSubstitution:
             self._rows_cache[vid] = adj
         return self._rows_cache[vid]
 
-    def evaluate(self, g: NCPoly) -> NCPoly:
+    def evaluate(self, g: NCPoly | Iterable) -> NCPoly:
         """The (start, accept) entry of g evaluated on these matrices.
 
-        The terms are walked in sorted word order over a stack of row
+        g is a polynomial, walked in sorted word order, or any iterable of
+        (word, coefficient) pairs, walked in the order given, so a family
+        stream is never held whole.  The walk keeps a stack of row
         vectors, entry i being the start row times the first i letters of
-        the previous word.  Each word keeps the stack up to its longest
-        common prefix with the previous one and pushes one row_times_matrix
-        product per remaining letter, so the kernel runs once per distinct
-        prefix of the support (once per node of its trie), not once per
-        letter of each term.  A dead prefix stays on the stack as an empty
-        vector, so the words sharing it cost no product.  The walk starts
-        from one, and each term's coefficient multiplies the accept column
-        at the end; scalars commute, so this is exact.  Like words merge
-        per column, so the cost follows the (column, word) pairs, not the
-        automaton paths.  Variables without a matrix act as zero matrices
-        and kill their words.  TermBudgetError is raised once a row vector
-        or the result holds more terms than the budget; a product by a
-        letter with one cell per row adds no term and is not counted.
+        the current word.  With one word of lookahead it stores a prefix's
+        vector only up to the common prefix with the next word, so in
+        sorted order each distinct prefix of the support (each node of its
+        trie) is stepped into once; any other order only shares less.  A
+        word stops at its first dead prefix, whose empty vector stays on
+        the stack for the next words that share it.  A step whose vector
+        has one column, and whose row for the letter holds one cell of
+        coefficient one and the empty word, moves the vector to that
+        cell's column without calling row_times_matrix or touching the
+        polynomial; every other step is one row_times_matrix product.  So
+        the cost follows the live non-unit steps.  Each term's coefficient
+        multiplies the accept column at the end; scalars commute, so this
+        is exact.  Like words merge per column, so the cost follows the
+        (column, word) pairs, not the automaton paths.  Variables without
+        a matrix act as zero matrices and kill their words.
+        TermBudgetError is raised once a row vector or the result holds
+        more terms than the budget; a product by a letter with one cell
+        per row adds no term and is not counted.
         """
-        growing = {vid for vid in self.entries if any(len(c) > 1 for c in self.rows(vid).values())}
+        terms = iter(sorted(g.terms.items()) if isinstance(g, NCPoly) else g)
+        one = self.input_table.field.one
+        limits = budget()
+        rows = {vid: self.rows(vid) for vid in self.entries}
+        growing = {vid for vid, m in rows.items() if any(len(c) > 1 for c in m.values())}
+        # unit[vid][row]: the column of the row's one cell, if that cell is
+        # one times the empty word
+        unit = {
+            vid: {r: c[0][0] for r, c in m.items() if len(c) == 1 and c[0][1:] == (one, ())}
+            for vid, m in rows.items()
+        }
+        no_cells: dict = {}
         accept = self.dim - 1
         out = NCPoly.zero(self.output_table)
         acc = out.terms
-        stack = [{0: {(): self.input_table.field.one}}]
-        prev: Word = ()
-        for w in sorted(g.terms):
-            n = 0
-            for a, b in zip(w, prev):
-                if a != b:
-                    break
-                n += 1
-            del stack[n + 1 :]
-            vec = stack[n]
-            for vid in w[n:]:
-                if vec:
-                    vec = row_times_matrix(vec, self.rows(vid))
-                    if vid in growing:
-                        budget().check_terms(sum(map(len, vec.values())), "termwise apply")
-                stack.append(vec)
-            prev = w
+        stack = [{0: {(): one}}]
+        ahead = next(terms, None)
+        while ahead is not None:
+            w, coeff = ahead
+            ahead = next(terms, None)
+            keep = 0
+            if ahead is not None:
+                for a, b in zip(w, ahead[0]):
+                    if a != b:
+                        break
+                    keep += 1
+            i = len(stack) - 1
+            vec = stack[i]
+            del stack[keep + 1 :]
+            end = len(w)
+            while vec and i < end:
+                if len(vec) == 1:
+                    # a run of unit steps moves the one column, not its polynomial
+                    [(r, poly)] = vec.items()
+                    run = i
+                    while i < end and (col := unit.get(w[i], no_cells).get(r)) is not None:
+                        r = col
+                        i += 1
+                        if i <= keep:
+                            stack.append({r: poly})
+                    if i > run:
+                        vec = {r: poly}
+                        if i == end:
+                            break
+                vid = w[i]
+                i += 1
+                vec = row_times_matrix(vec, rows.get(vid, no_cells))
+                if vid in growing:
+                    limits.check_terms(sum(map(len, vec.values())), "termwise apply")
+                if i <= keep:
+                    stack.append(vec)
             if accept not in vec:
                 continue
-            coeff = g.terms[w]
             for word, x in vec[accept].items():
                 x = x * coeff
                 s = acc.get(word)
@@ -217,7 +256,7 @@ class MatrixSubstitution:
                     acc[word] = s
                 else:
                     del acc[word]
-            budget().check_terms(len(acc), "termwise apply")
+            limits.check_terms(len(acc), "termwise apply")
         return out
 
 

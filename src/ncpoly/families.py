@@ -14,9 +14,12 @@ is lazy: reduction targets such as high-arity Dyck instances are often
 only consumed through their support structure, never expanded.  The
 balanced-word and palindrome families record that structure in
 meta["grammar"] as (pairs, half-length, tail flag, depth cap), which the
-structured apply of a reduction reads.  The balanced-word families and
-per also carry a lazy ABP builder in meta["abp"], from which `rank`
-reads Hankel ranks without expanding them.
+structured apply of a reduction reads.  The choice and permutation
+families stream instead: FamilyInstance.stream yields their terms one at
+a time in sorted word order, after the same up-front count check, and
+their realization files that stream.  The balanced-word families, per,
+prodsums, powsum and twochains also carry a lazy ABP builder in
+meta["abp"], from which `rank` reads Hankel ranks without expanding them.
 """
 
 import itertools
@@ -25,8 +28,8 @@ from math import factorial, prod
 from operator import getitem
 from pathlib import Path
 
-from .abp import bounded_depth_dyck_abp, dyck_pairs, dyck_table, permanent_abp
-from .algebra import NCPoly, VarTable, Word, budget
+from .abp import Abp, LinearForm, bounded_depth_dyck_abp, dyck_pairs, dyck_table, permanent_abp
+from .algebra import NCPoly, TermStream, VarTable, Word, budget
 from .fields import QQ, Field
 
 
@@ -122,12 +125,25 @@ class FamilyInstance:
     meta: dict = dc_field(default_factory=dict)
     _poly: NCPoly | None = None
     _builder: object = None
+    _stream: object = None
 
     @property
     def poly(self) -> NCPoly:
         if self._poly is None:
             self._poly = self._builder()
         return self._poly
+
+    def stream(self) -> TermStream:
+        """The terms as (word, coefficient) pairs in sorted word order.
+
+        A streamed family (the choice and permutation families) checks its
+        term count now, as realization does, and then builds each pair as
+        it is read, so nothing is realized; any other family is realized
+        and its terms sorted.
+        """
+        if self._stream is None:
+            return TermStream(self.table, iter(sorted(self.poly.terms.items())))
+        return TermStream(self.table, self._stream())
 
     @property
     def spec_string(self) -> str:
@@ -141,16 +157,28 @@ class FamilyInstance:
         return cls(name, params, poly.table, _poly=poly)
 
 
-def _instance(name, params, table, builder, **meta):
-    return FamilyInstance(name, params, table, meta=dict(meta), _builder=builder)
+def _instance(name, params, table, builder=None, stream=None, **meta):
+    """An instance realized by builder, or by filing the pairs of stream,
+    a function that checks the term count and returns their iterator."""
+    if builder is None:
+
+        def builder():
+            return _poly(table, stream())
+
+    return FamilyInstance(name, params, table, meta=dict(meta), _builder=builder, _stream=stream)
 
 
-def _poly(table: VarTable, words, coeffs=None) -> NCPoly:
-    """The sum of distinct words, the i-th with the i-th of the nonzero
-    coeffs (default one), filed straight into the polynomial's terms."""
+def _poly(table: VarTable, terms) -> NCPoly:
+    """The sum of (word, nonzero coefficient) pairs with distinct words,
+    filed straight into the polynomial's terms."""
     p = NCPoly.zero(table)
-    p.terms.update(zip(words, itertools.repeat(table.field.one) if coeffs is None else coeffs))
+    p.terms.update(terms)
     return p
+
+
+def _ones(table: VarTable, words):
+    """Each word paired with the coefficient one."""
+    return zip(words, itertools.repeat(table.field.one))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +191,7 @@ def _dyck_family(name, params, k, half, depth_cap, field) -> FamilyInstance:
     pairs = dyck_pairs(table)
 
     def build():
-        return _poly(table, _balanced_words(pairs, 2 * half, depth_cap))
+        return _poly(table, _ones(table, _balanced_words(pairs, 2 * half, depth_cap)))
 
     def build_abp():
         cap = max(half, 1) if depth_cap is None else depth_cap
@@ -204,7 +232,8 @@ def gen_pal(n: int, k: int = 2, field: Field = QQ) -> FamilyInstance:
 
     def build():
         budget().check_terms(k**n, "family pal")
-        return _poly(table, (w + w[::-1] for w in itertools.product(letters, repeat=n)))
+        words = (w + w[::-1] for w in itertools.product(letters, repeat=n))
+        return _poly(table, _ones(table, words))
 
     params = {"n": n} if k == 2 else {"n": n, "k": k}
     grammar = ([(x, x) for x in letters], n, False, None)
@@ -224,16 +253,31 @@ def gen_pal_sq(n: int, field: Field = QQ) -> FamilyInstance:
 
 def _choice_family(name, n, table, choices, power) -> FamilyInstance:
     """The sum over c_i in choices(i), i = 1..n, of (c_1 ... c_n)^power,
-    coefficient 1; choices(i) names the variables allowed at position i."""
+    coefficient 1; choices(i) names the variables allowed at position i.
+
+    The words are streamed in sorted order: each position's ids ascend, so
+    the product runs through the words lexicographically.  For power 1 the
+    sum is a product of sums of letters, a width-1 ABP in meta["abp"].
+    """
     if n < 1:
         raise ValueError("need n >= 1")
 
-    def build():
-        slots = [[table.var(v).id for v in choices(i)] for i in range(1, n + 1)]
-        budget().check_terms(prod(map(len, slots)), f"family {name}")
-        return _poly(table, (w * power for w in itertools.product(*slots)))
+    def slots():
+        return [sorted(table.var(v).id for v in choices(i)) for i in range(1, n + 1)]
 
-    return _instance(name, {"n": n}, table, build)
+    def stream():
+        ids = slots()
+        budget().check_terms(prod(map(len, ids)), f"family {name}")
+        return _ones(table, (w * power for w in itertools.product(*ids)))
+
+    def build_abp():
+        budget().check_states(n + 1)
+        one = table.field.one
+        forms = [LinearForm.make(table, dict.fromkeys(ids, one)) for ids in slots()]
+        return Abp(table, [1] * (n + 1), [[(0, 0, form)] for form in forms])
+
+    meta = {"abp": build_abp} if power == 1 else {}
+    return _instance(name, {"n": n}, table, stream=stream, **meta)
 
 
 def gen_id(n: int, field: Field = QQ) -> FamilyInstance:
@@ -305,21 +349,26 @@ class ChiTable:
 
 def _perm_family(name, n, chi, power, field) -> FamilyInstance:
     """The sum over permutations s of [n] of chi(s) (x_{1,s(1)} ... x_{n,s(n)})^power;
-    chi None gives coefficient 1."""
+    chi None gives coefficient 1.
+
+    The words are streamed in sorted order: x{i}_{j} ascends with j, and
+    the permutations come in lexicographic order.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     table = per_table(n, field)
 
-    def build():
+    def stream():
         budget().check_terms(factorial(n), f"family {name}")
         # rows[i-1][j] is the id of x{i}_{j}, so map(getitem, rows, s) spells s's word
         cols = range(1, n + 1)
         rows = [{j: table.var(f"x{i}_{j}").id for j in cols} for i in cols]
         words = (tuple(map(getitem, rows, s)) * power for s in itertools.permutations(cols))
-        coeffs = None if chi is None else map(chi.values.__getitem__, itertools.permutations(cols))
-        return _poly(table, words, coeffs)
+        if chi is None:
+            return _ones(table, words)
+        return zip(words, map(chi.values.__getitem__, itertools.permutations(cols)))
 
-    return _instance(name, {"n": n}, table, build, **({} if chi is None else {"chi": chi}))
+    return _instance(name, {"n": n}, table, stream=stream, **({} if chi is None else {"chi": chi}))
 
 
 def gen_per(n: int, field: Field = QQ) -> FamilyInstance:
@@ -389,10 +438,10 @@ def gen_hierarchy(i: int, n: int, field: Field = QQ) -> FamilyInstance:
             pairs = [(table.var(f"({b}_f{j}").id, table.var(f"){b}_f{j}").id) for b in (1, 2)]
             words = _balanced_words(pairs, 2 * n)
             budget().check_terms(len(acc.terms) * len(words), "family hier")
-            acc = acc * _poly(table, words)
+            acc = acc * _poly(table, _ones(table, words))
             budget().check_terms(len(acc.terms) * 2**n, "family hier")
             xs = (table.var(f"x0_f{j}").id, table.var(f"x1_f{j}").id)
-            acc = acc * _poly(table, (w * 2 for w in itertools.product(xs, repeat=n)))
+            acc = acc * _poly(table, _ones(table, (w * 2 for w in itertools.product(xs, repeat=n))))
         return acc
 
     return _instance("hier", {"i": i, "n": n}, table, build, degree=4 * n * (i - 1))
@@ -414,16 +463,37 @@ def gen_product_of_sums(n: int, field: Field = QQ) -> FamilyInstance:
 
 
 def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
-    """x1...xn + y1...yn: two monomials on the same table as the product."""
+    """x1...xn + y1...yn: two monomials on the same table as the product.
+
+    meta["abp"] is its width-2 ABP: one chain of vertices per monomial,
+    joined at the source and the sink.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     table = sums_table(n, field)
+    chains = [[table.var(f"{x}{i}").id for i in range(1, n + 1)] for x in "xy"]
 
     def build():
         budget().check_terms(2, "family twochains")
-        return _poly(table, (tuple(table.var(f"{x}{i}").id for i in range(1, n + 1)) for x in "xy"))
+        return _poly(table, _ones(table, map(tuple, chains)))
 
-    return _instance("twochains", {"n": n}, table, build)
+    def build_abp():
+        budget().check_states(2 * n)
+        one = table.field.one
+
+        def vertex(layer, b):  # chain b's vertex, the source and sink shared
+            return 0 if layer in (0, n) else b
+
+        edges = [
+            [
+                (vertex(i, b), vertex(i + 1, b), LinearForm.make(table, {ids[i]: one}))
+                for b, ids in enumerate(chains)
+            ]
+            for i in range(n)
+        ]
+        return Abp(table, [1] + [2] * (n - 1) + [1], edges)
+
+    return _instance("twochains", {"n": n}, table, build, abp=build_abp)
 
 
 def gen_power_of_sum(n: int, field: Field = QQ) -> FamilyInstance:

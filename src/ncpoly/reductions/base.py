@@ -6,8 +6,9 @@ variable); a matrix-substitution reduction substitutes a q x q matrix per
 variable of the target polynomial and reads the source off the (1, q)
 entry of the evaluated target.
 
-Applying a matrix substitution to an explicitly expanded target is a
-termwise sparse product.  A target family that declares its grammar in
+Applying a matrix substitution to a target without a grammar is one
+termwise walk over its terms, which the choice and permutation families
+stream without realizing them.  A target family that declares its grammar in
 meta["grammar"] (the balanced-word and palindrome families, whose supports
 are exponentially large) is instead read as that grammar, S -> 1 | o S c S
 by first return or P_n = sum_x x P_(n-1) x, and applied through one inside
@@ -29,7 +30,15 @@ cross-checked in the test suite.
 import time
 from dataclasses import dataclass
 
-from ..algebra import NCPoly, TableMismatchError, Var, VarTable, budget, substitute_letters
+from ..algebra import (
+    NCPoly,
+    TableMismatchError,
+    TermStream,
+    Var,
+    VarTable,
+    budget,
+    substitute_letters,
+)
 from ..automata import (
     MatrixSubstitution,
     SubstAutomaton,
@@ -97,12 +106,15 @@ class AbpReduction:
         return self.substitution.dim
 
 
-def apply_abp_reduction(r: AbpReduction, g: NCPoly) -> NCPoly:
+def apply_abp_reduction(r: AbpReduction, g: NCPoly | TermStream) -> NCPoly:
     """Evaluate g termwise on the matrices and extract the (1, q) entry.
 
-    See MatrixSubstitution.evaluate: one sparse row-vector product per
-    distinct prefix of the support, with like words merged per column.
-    Variables without a matrix act as zero matrices and kill their words.
+    g is a polynomial or a family's term stream.  See
+    MatrixSubstitution.evaluate: one walk over the words in sorted order
+    that steps into each live prefix of the support once, moves a
+    one-column vector along unit cells without a product, and merges like
+    words per column.  Variables without a matrix act as zero matrices and
+    kill their words.
     """
     sub = r.substitution
     if g.table != sub.input_table:
@@ -454,13 +466,17 @@ def apply_to_instance(r: AbpReduction, target: FamilyInstance) -> NCPoly:
     is built; it costs those joins times their intermediate terms, and
     raises TermBudgetError when an intermediate polynomial exceeds the
     term budget.
-    Every other target is realized and applied termwise by
-    apply_abp_reduction, the route the tests check the inside sum against.
+    Every other target is applied termwise by apply_abp_reduction, the
+    route the tests check the inside sum against, on the target's term
+    stream (FamilyInstance.stream).  The choice families (id, idprime,
+    idstar, prodsums, powsum) and the permutation families (per, perchi,
+    perstar, perstarchi) stream their words one at a time and are never
+    realized; every other target is realized first.
     """
     grammar = target.meta.get("grammar")
     if grammar is not None:
         return _inside_sum(r.substitution, *grammar)
-    return apply_abp_reduction(r, target.poly)
+    return apply_abp_reduction(r, target.stream())
 
 
 # ---------------------------------------------------------------------------

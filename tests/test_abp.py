@@ -316,6 +316,7 @@ FAMILY_GRID = (
     [f"dyck:k={k},d={d}" for k in (1, 2, 3) for d in range(0, 11, 2)]
     + [f"dyckdepth:k={k},n={n}" for n in range(1, 6) for k in range(1, n + 1)]
     + [f"per:n={n}" for n in range(1, 7)]
+    + [f"{name}:n={n}" for name in ("prodsums", "powsum", "twochains") for n in range(1, 11)]
 )
 
 

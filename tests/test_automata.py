@@ -288,6 +288,160 @@ def test_evaluate_matches_run_on_random_polynomials_over_q_and_gf3():
     assert refused >= 4
 
 
+def unit_run_automaton(t):
+    """Runs of unit steps (coefficient one, no output) broken in every way.
+
+    s -x0-> p1 emits a; p1 -x0-> p2 -x0-> p3 are unit steps; p3 -x1-> p4
+    carries the coefficient 6, which is one over GF(5) but not over Q;
+    p4 -x0-> p5 is a unit step; p5 -x1-> p6 emits b; p6 -x0-> t and
+    p2 -x1-> t are unit steps into the accept state, which loops on x0 by
+    a unit step.  p3 has no x0, so x0 x0 x0 x0 dies inside a unit run,
+    and x2 has no transition, so it has no matrix.
+    """
+    a = SubstAutomaton(t, t)
+    x0, x1, _x2, ya, yb = (t.var(n).id for n in ("x0", "x1", "x2", "a", "b"))
+    a.add_state("s", start=True)
+    a.add_state("t", accept=True)
+    for frm, v, to, coeff, word in (
+        ("s", x0, "p1", 1, (ya,)),
+        ("p1", x0, "p2", 1, ()),
+        ("p2", x0, "p3", 1, ()),
+        ("p3", x1, "p4", 6, ()),
+        ("p4", x0, "p5", 1, ()),
+        ("p5", x1, "p6", 1, (yb,)),
+        ("p6", x0, "t", 1, ()),
+        ("p2", x1, "t", 1, ()),
+        ("t", x0, "t", 1, ()),
+    ):
+        a.add_transition(frm, v, to, t.field.from_int(coeff), word)
+    return a
+
+
+def evaluate_in_every_order(sub, g, rng):
+    """sub.evaluate of g, and of its terms streamed sorted, reversed and
+    shuffled."""
+    pairs = sorted(g.terms.items())
+    shuffled = rng.sample(pairs, len(pairs))
+    return [sub.evaluate(g)] + [sub.evaluate(iter(ps)) for ps in (pairs, pairs[::-1], shuffled)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "GF5"])
+def test_evaluate_matches_run_where_unit_runs_break_and_die(field):
+    t = VarTable(["x0", "x1", "x2", "a", "b"], field=field)
+    a = unit_run_automaton(t)
+    sub = automaton_to_substitution(a)
+    assert 2 not in sub.entries  # x2 has no matrix
+    c = field.from_int
+    full = t.word("x0", "x0", "x0", "x1", "x0", "x1", "x0")
+    g = NCPoly(
+        t,
+        {
+            (): c(3),
+            t.word("x0", "x0"): c(2),  # a prefix of every word below it
+            t.word("x0", "x0", "x0"): c(2),  # live, but it ends short of t
+            t.word("x0", "x0", "x0", "x0"): c(5),  # dies inside a unit run ...
+            t.word("x0", "x0", "x0", "x0", "x1"): c(7),  # ... on a shared dead prefix
+            full: c(-1),  # a run broken by the coefficient 6, then by the letter b
+            full + t.word("x0", "x0"): c(4),  # a unit run inside the accept state
+            t.word("x0", "x0", "x1"): c(6),  # a run straight into the accept state,
+            t.word("x0", "x0", "x1", "x0"): c(-6),  # whose image a cancels
+            t.word("x0", "x2", "x0"): c(9),  # a letter with no matrix
+            t.word("x2",): c(1),
+        },
+    )
+    expected = run_oracle(a, g)
+    assert expected.terms == {t.word("a", "b"): c((4 - 1) * 6)}
+    assert evaluate_in_every_order(sub, g, random.Random(5)) == [expected] * 4
+
+
+def count_kernel_calls(monkeypatch):
+    import ncpoly.automata as automata
+
+    calls = []
+    kernel = automata.row_times_matrix
+
+    def counted(vec, rows):
+        calls.append(len(vec))
+        return kernel(vec, rows)
+
+    monkeypatch.setattr(automata, "row_times_matrix", counted)
+    return calls
+
+
+def live_non_unit_steps(sub, words):
+    """The distinct prefixes of words whose parent prefix is live and whose
+    last step is not a unit step, read off the cells of a substitution
+    whose rows hold at most one cell (a compiled deterministic automaton)."""
+    one = sub.input_table.field.one
+    steps = set()
+    for w in words:
+        state = 0
+        for n, v in enumerate(w):
+            cells = [(c, *cell) for (r, c), cell in sub.entries.get(v, {}).items() if r == state]
+            if len(cells) == 1 and cells[0][1:] == (one, ()):
+                state = cells[0][0]
+                continue
+            steps.add(w[: n + 1])
+            if not cells:
+                break
+            [(state, _, _)] = cells
+    return steps
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "GF5"])
+def test_evaluate_steps_into_each_live_non_unit_prefix_once(field, monkeypatch):
+    # in sorted order the walk keeps every prefix vector a later word
+    # reads, so a product runs once per live non-unit step of the trie
+    from itertools import product
+
+    t = VarTable(["x0", "x1", "x2", "a", "b"], field=field)
+    a = unit_run_automaton(t)
+    sub = automaton_to_substitution(a)
+    words = [w for d in range(9) for w in product((0, 1, 2), repeat=d)]
+    rng = random.Random(9)
+    calls = count_kernel_calls(monkeypatch)
+    for size in (20, 200, len(words)):
+        g = NCPoly(t, {w: field.from_int(rng.randint(1, 3)) for w in rng.sample(words, size)})
+        calls.clear()
+        result = sub.evaluate(g)
+        assert result == run_oracle(a, g)
+        assert len(calls) == len(live_non_unit_steps(sub, g.terms)), size
+        assert set(calls) == {1}  # a deterministic automaton keeps one column
+    # the unit steps are skipped, so there are fewer products than prefixes
+    prefixes = {w[:n] for w in g.terms for n in range(1, len(w) + 1)}
+    assert len(calls) < len(prefixes) / 3
+
+
+def test_evaluate_matches_run_on_random_unit_heavy_automata_in_any_order():
+    from itertools import product
+
+    rng = random.Random(43)
+    live = 0
+    for field in (QQ, PrimeField(3)):
+        t = VarTable(["x0", "x1", "x2"], field=field)
+        for _ in range(25):
+            a = SubstAutomaton(t, t)
+            states = [f"q{i}" for i in range(5)]
+            a.add_state("q0", start=True)
+            a.add_state(rng.choice(states[1:]), accept=True)
+            for state in states:
+                for v in (0, 1):  # x2 never gets a matrix
+                    if rng.random() < 0.85:
+                        if rng.random() < 0.6:
+                            coeff, word = field.one, ()
+                        else:
+                            coeff = field.from_int(rng.choice((2, -1, 4)))
+                            word = tuple(rng.choice((0, 1)) for _ in range(rng.randint(0, 2)))
+                        a.add_transition(state, v, rng.choice(states), coeff, word)
+            sub = automaton_to_substitution(a)
+            words = [w for d in range(7) for w in product((0, 1, 2), repeat=d)]
+            g = NCPoly(t, {w: field.from_int(rng.randint(-3, 3)) for w in rng.sample(words, 40)})
+            expected = run_oracle(a, g)
+            live += bool(expected)
+            assert evaluate_in_every_order(sub, g, rng) == [expected] * 4
+    assert live >= 10
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "GF5"])
 def test_a_start_state_that_accepts_is_refused(field):
     # q0 (start and accept) -x0-> q1 -x1-> q0 accepts (x0 x1)^n for n >= 0,

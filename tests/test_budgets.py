@@ -221,3 +221,15 @@ def test_verify_on_the_termwise_route_exits_2_over_the_term_budget(tmp_path, cap
     code, out, err = run(capsys, "--term-budget", "1000", "verify", str(red), "--source", f"poly:{empty}")
     assert code == 2 and out == ""
     assert _one_error_line(err) and "termwise apply" in err
+
+
+def test_verify_checks_a_streamed_target_count_before_the_walk(tmp_path, capsys):
+    # idstar streams its words into the walk, but its 3125 words are still
+    # counted against the budget before the first one is built
+    red = tmp_path / "per5.red"
+    assert run(capsys, "reduce", "per-idstar", "n=5", "--out", str(red))[0] == 0
+    code, out, err = run(capsys, "--term-budget", "1000", "verify", str(red))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "family idstar holds 3125 terms" in err
+    code, out, _ = run(capsys, "verify", str(red))
+    assert code == 0 and out.startswith("verdict pass\nsource-terms 120\nresult-terms 120\n")

@@ -153,14 +153,20 @@ def test_rank_table(capsys):
 
 def test_rank_from_abps_past_the_reach_of_expansion(capsys):
     # under the default budgets; expanding dyck:k=2,d=24 would build
-    # 2,489,344 terms and per:n=9 362,880
+    # 2,489,344 terms, per:n=9 362,880 and prodsums:n=21 2,097,152
     for spec, cut, rank in (
         ("dyck:k=2,d=24", 12, 5461),
         ("per:n=9", 4, 126),
         ("dyckdepth:k=3,n=20", 20, 5),
         ("dyck:k=2,d=0", 0, 1),
+        ("prodsums:n=21", 10, 1),
+        ("powsum:n=21", 10, 1),
+        ("twochains:n=21", 10, 2),
     ):
         assert run(capsys, "rank", spec, "--cut", str(cut)) == (0, f"{cut} {rank}\n", ""), spec
+    # the width-1 ABP of prodsums holds no term: one term is budget enough
+    argv = ("--term-budget", "1", "rank", "prodsums:n=19", "--cut", "10", "--cut", "0")
+    assert run(capsys, *argv) == (0, "10 1\n0 1\n", "")
 
 
 def test_rank_cut_outside_the_degree_exits_2(capsys):

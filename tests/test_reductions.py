@@ -28,6 +28,7 @@ from ncpoly.families import (
     gen_id_prime,
     gen_pal,
     gen_per,
+    gen_per_chi,
     gen_per_star,
     gen_per_star_chi,
     gen_power_of_sum,
@@ -451,6 +452,42 @@ def as_reduction(target, out, dim, entries):
     }
     sub = MatrixSubstitution(target.table, out, dim, entries)
     return AbpReduction(sub, "random", target.spec_string)
+
+
+def streamed_families(field):
+    """One small member of every family that streams its terms."""
+    weights = [field.from_int(k) for k in (1, 2, -1, 4, 1, 2)]
+    chi = {n: ChiTable(n, dict(zip(itertools.permutations(range(1, n + 1)), weights))) for n in (2, 3)}
+    return [
+        make_family("id:n=3", field),
+        make_family("idprime:n=2", field),
+        make_family("idstar:n=2", field),
+        make_family("prodsums:n=3", field),
+        make_family("powsum:n=4", field),
+        make_family("per:n=3", field),
+        gen_per_chi(3, chi[3], field),
+        make_family("perstar:n=2", field),
+        gen_per_star_chi(2, chi[2], field),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+def test_streamed_targets_match_the_termwise_apply_of_their_realization(field):
+    # apply_to_instance walks the stream and never realizes the target; the
+    # oracle realizes a fresh instance and applies it termwise
+    rng = random.Random(20)
+    out = VarTable(["y0", "y1"], field=field)
+    live = 0
+    for fresh, target in zip(streamed_families(field), streamed_families(field)):
+        assert list(target.stream()) == sorted(fresh.poly.terms.items()), target.name
+        for _ in range(8):
+            entries = random_matrices(rng, target.table, 3, out, [1, 1, -1, 2], 0.4)
+            r = as_reduction(target, out, 3, entries)
+            streamed = apply_to_instance(r, target)
+            assert target._poly is None, target.name
+            assert streamed == apply_abp_reduction(r, fresh.poly), target.name
+            live += bool(streamed)
+    assert live >= 30
 
 
 @pytest.mark.parametrize("cap", [1, 2])

@@ -40,7 +40,6 @@ from .circuits import (
 )
 from .abp import (
     Abp,
-    LinearForm,
     abp_eval,
     abp_hankel_rank,
     bounded_depth_dyck_abp,

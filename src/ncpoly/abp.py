@@ -1,11 +1,12 @@
 """Layered algebraic branching programs and Hankel rank witnesses.
 
-An ABP is a layered DAG with one source and one sink whose edges carry
-linear forms; it computes the sum over source-to-sink paths of the
-ordered product of the edge labels.  Size is the vertex count.  The
-module also builds the coefficient ("Hankel") block of a homogeneous
-polynomial at a cut and its exact rank, which lower-bounds the width of
-any ABP layer at that cut.  abp_hankel_rank finds the same rank from an
+An ABP is a layered DAG with one source and one sink whose edges are
+(coefficient, word) cells, the word one variable or empty for a
+constant; it computes the sum over source-to-sink paths of the ordered
+product of the cells.  Size is the vertex count.  The module also
+builds the coefficient ("Hankel") block of a homogeneous polynomial at a
+cut and its exact rank, which lower-bounds the width of any ABP layer at
+that cut.  abp_hankel_rank finds the same rank from an
 ABP without expanding it: bases of the forward and backward spans at the
 cut, built layer by layer, hold at most the layer's width of vectors.
 Two ABP constructions feed it: the stack-in-state ABP for Dyck words of
@@ -18,32 +19,10 @@ from functools import cache
 from .algebra import NCPoly, VarTable, budget, eliminate, exact_rank
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Sum of coeff*var plus an optional constant (zero in homogeneous mode)."""
-
-    coeffs: tuple  # ((var id, scalar), ...) sorted by var id, no zeros
-    constant: object
-
-    @classmethod
-    def make(cls, table: VarTable, coeffs: dict, constant=None) -> "LinearForm":
-        if constant is None:
-            constant = table.field.zero
-        items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-        return cls(items, constant)
-
-    def is_homogeneous(self) -> bool:
-        return self.constant == 0
-
-    def poly(self, table: VarTable) -> NCPoly:
-        terms = {(v,): c for v, c in self.coeffs}
-        if self.constant != 0:
-            terms[()] = self.constant
-        return NCPoly(table, terms)
-
-
 class Abp:
-    """Vertex counts per layer plus per-gap edge lists (u, v, LinearForm)."""
+    """Vertex counts per layer plus per-gap cell lists (u, v, coefficient,
+    word): word is (variable id,), or () for a constant term.  Parallel
+    cells add."""
 
     def __init__(self, table: VarTable, layers: list, edges: list):
         if len(layers) < 1 or layers[0] != 1 or layers[-1] != 1:
@@ -53,11 +32,11 @@ class Abp:
         if len(edges) != len(layers) - 1:
             raise ValueError("need one edge list per consecutive layer pair")
         for gap, gap_edges in enumerate(edges):
-            for u, v, form in gap_edges:
+            for u, v, _, word in gap_edges:
                 if not (0 <= u < layers[gap] and 0 <= v < layers[gap + 1]):
                     raise ValueError(f"edge ({u},{v}) out of range at gap {gap}")
-                if not isinstance(form, LinearForm):
-                    raise ValueError("edge labels must be LinearForm")
+                if len(word) > 1:
+                    raise ValueError("an edge cell's word has at most one letter")
         self.table = table
         self.layers = list(layers)
         self.edges = [list(g) for g in edges]
@@ -74,7 +53,7 @@ class Abp:
         return len(self.layers) - 1
 
     def is_homogeneous(self) -> bool:
-        return all(f.is_homogeneous() for g in self.edges for _, _, f in g)
+        return all(word for g in self.edges for *_, word in g)
 
 
 def abp_eval(p: Abp) -> NCPoly:
@@ -89,10 +68,10 @@ def abp_eval(p: Abp) -> NCPoly:
     for gap, gap_edges in enumerate(p.edges):
         nxt = [NCPoly.zero(p.table) for _ in range(p.layers[gap + 1])]
         held = 0
-        for u, v, form in gap_edges:
+        for u, v, c, word in gap_edges:
             if vec[u]:
                 held -= len(nxt[v].terms)
-                nxt[v] = nxt[v] + vec[u] * form.poly(p.table)
+                nxt[v] = nxt[v] + vec[u] * NCPoly.monomial(p.table, word, c)
                 held += len(nxt[v].terms)
                 limits.check_terms(held, f"layer {gap + 1}")
         vec = nxt
@@ -100,29 +79,30 @@ def abp_eval(p: Abp) -> NCPoly:
 
 
 def transition_matrices(p: Abp) -> dict:
-    """Per variable, the sparse q x q matrix {(i, j): coefficient} of its edges.
+    """Per variable, its sparse q x q matrix {(i, j): (coefficient, (variable,))},
+    the entries a MatrixSubstitution takes.
 
-    Indexed by global vertex number; cell (i, j) is the coefficient of the
-    variable on edge (i, j).  One pass over the edges: parallel edges add,
-    and a cell that cancels to zero is dropped.  For every word w the
+    Indexed by global vertex number; cell (i, j) holds the coefficient of
+    the variable on edge (i, j).  One pass over the cells: parallel cells
+    add, and a cell that cancels to zero is dropped.  For every word w the
     (s, t) entry of the ordered product of its letters' matrices equals the
-    coefficient of w in abp_eval(p).  Requires homogeneous edge labels.
+    coefficient of w in abp_eval(p).  Requires homogeneous cells.
     """
     if not p.is_homogeneous():
         raise ValueError("transition matrices need homogeneous edge labels")
     mats: dict[int, dict] = {}
     for gap, gap_edges in enumerate(p.edges):
         row, col = p.offsets[gap], p.offsets[gap + 1]
-        for u, v, form in gap_edges:
+        for u, v, c, word in gap_edges:
             key = (row + u, col + v)
-            for vid, c in form.coeffs:
-                cells = mats.setdefault(vid, {})
-                s = cells.get(key)
-                s = c if s is None else s + c
-                if s:
-                    cells[key] = s
-                else:
-                    del cells[key]
+            cells = mats.setdefault(word[0], {})
+            s = cells.get(key)
+            if s is not None:
+                c += s[0]
+            if c:
+                cells[key] = (c, word)
+            else:
+                cells.pop(key, None)
     return mats
 
 
@@ -176,9 +156,9 @@ def _span(steps, field) -> list:
     """A basis of the span of the images of vertex 0's unit vector under
     every word of steps.
 
-    Each step maps a vertex to its (vertex, variable id, coefficient)
-    edges.  The basis after a step holds, row-reduced by eliminate, the
-    images of the previous basis under each variable separately.
+    Each step maps a vertex to its (vertex, coefficient, word) cells.  The
+    basis after a step holds, row-reduced by eliminate, the images of the
+    previous basis under each word separately.
     """
     basis = [{0: field.one}]
     for step in steps:
@@ -186,8 +166,8 @@ def _span(steps, field) -> list:
         for b in basis:
             images: dict = {}
             for u, a in b.items():
-                for v, vid, c in step.get(u, ()):
-                    image = images.setdefault(vid, {})
+                for v, c, word in step.get(u, ()):
+                    image = images.setdefault(word, {})
                     x = image.get(v)
                     image[v] = a * c if x is None else x + a * c
             for image in images.values():
@@ -218,10 +198,10 @@ def abp_hankel_rank(p: Abp, cut: int) -> int:
     def steps(gaps, backward):
         for gap in gaps:
             step: dict = {}
-            for u, v, form in p.edges[gap]:
+            for u, v, *cell in p.edges[gap]:
                 if backward:
                     u, v = v, u
-                step.setdefault(u, []).extend((v, vid, c) for vid, c in form.coeffs)
+                step.setdefault(u, []).append((v, *cell))
             yield step
 
     rows = _span(steps(range(cut), False), field)
@@ -290,7 +270,7 @@ def bounded_depth_dyck_abp(
         raise ValueError("table does not match the requested bracket types")
     close_of = dict(pairs)
     one = table.field.one
-    form = {vid: LinearForm.make(table, {vid: one}) for pair in pairs for vid in pair}
+    word = {vid: (vid,) for pair in pairs for vid in pair}
 
     def completable(stack_len: int, pos: int) -> bool:
         rem = 2 * n - pos
@@ -311,12 +291,12 @@ def bounded_depth_dyck_abp(
                     v = nxt.setdefault(s + (open_id,), len(nxt))
                     if v >= room:
                         limits.check_states(count + v + 1)
-                    gap.append((si, v, form[open_id]))
+                    gap.append((si, v, one, word[open_id]))
             if s and completable(len(s) - 1, pos + 1):
                 v = nxt.setdefault(s[:-1], len(nxt))
                 if v >= room:
                     limits.check_states(count + v + 1)
-                gap.append((si, v, form[close_of[s[-1]]]))
+                gap.append((si, v, one, word[close_of[s[-1]]]))
         layer = nxt
         layers.append(len(nxt))
         count += len(nxt)
@@ -338,13 +318,13 @@ def permanent_abp(n: int, table: VarTable) -> Abp:
     layers = [1]
     edges: list[list] = []
     for i in range(1, n + 1):
-        forms = [LinearForm.make(table, {table.var(f"x{i}_{j}").id: one}) for j in range(1, n + 1)]
+        words = [(table.var(f"x{i}_{j}").id,) for j in range(1, n + 1)]
         nxt: dict[int, int] = {}
         gap = []
         for used, u in layer.items():
-            for j, form in enumerate(forms):
+            for j, word in enumerate(words):
                 if not used >> j & 1:
-                    gap.append((u, nxt.setdefault(used | 1 << j, len(nxt)), form))
+                    gap.append((u, nxt.setdefault(used | 1 << j, len(nxt)), one, word))
         layer = nxt
         layers.append(len(nxt))
         edges.append(gap)
@@ -356,6 +336,7 @@ def permanent_abp(n: int, table: VarTable) -> Abp:
 #   layers 0:1 1:3 2:1
 #   # homogeneous
 #   edge <gap> <u> <v> <coeff> <var> [<coeff> <var> ...] [+ <const>]
+# format_abp writes one cell per edge line: <coeff> <var> or + <const>.
 
 
 def format_abp(p: Abp) -> str:
@@ -364,18 +345,18 @@ def format_abp(p: Abp) -> str:
     if p.is_homogeneous():
         lines.append("# homogeneous")
     for gap, gap_edges in enumerate(p.edges):
-        for u, v, form in gap_edges:
-            parts = [f"edge {gap} {u} {v}"]
-            for vid, c in form.coeffs:
-                parts.append(f"{fmt(c)} {p.table.name(vid)}")
-            if form.constant != 0:
-                parts.append(f"+ {fmt(form.constant)}")
-            lines.append(" ".join(parts))
+        for u, v, c, word in gap_edges:
+            cell = f"{fmt(c)} {p.table.name(word[0])}" if word else f"+ {fmt(c)}"
+            lines.append(f"edge {gap} {u} {v} {cell}")
     return "\n".join(lines) + "\n"
 
 
 def parse_abp(text: str, table: VarTable | None = None) -> Abp:
-    """Parse format_abp's text; each distinct literal is parsed once per call."""
+    """Parse format_abp's text; each distinct literal is parsed once per call.
+
+    An edge line becomes one cell per nonzero term after like terms add,
+    the variables in id order and the constant last.
+    """
     if table is None:
         table = VarTable()
     scalar = cache(table.field.parse)
@@ -398,27 +379,22 @@ def parse_abp(text: str, table: VarTable | None = None) -> Abp:
             if len(tokens) < 4 or len(tokens) % 2:
                 raise ValueError(f"bad ABP line {line!r}")
             gap, u, v = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            rest = tokens[4:]
-            coeffs: dict[int, object] = {}
-            constant = table.field.zero
-            i = 0
-            while i < len(rest):
-                if rest[i] == "+":
-                    constant = constant + scalar(rest[i + 1])
-                    i += 2
-                else:
-                    c = scalar(rest[i])
-                    vid = table.get_or_add(rest[i + 1]).id
-                    coeffs[vid] = coeffs.get(vid, table.field.zero) + c
-                    i += 2
-            raw_edges.append((gap, u, v, LinearForm.make(table, coeffs, constant)))
+            terms: dict = {}  # word -> coefficient, the constant under ()
+            for a, b in zip(tokens[4::2], tokens[5::2]):
+                c = scalar(b if a == "+" else a)
+                word = () if a == "+" else (table.get_or_add(b).id,)
+                terms[word] = terms[word] + c if word in terms else c
+            order = sorted(terms, key=lambda w: (not w, w))
+            raw_edges.append((gap, u, v, [(u, v, terms[w], w) for w in order if terms[w] != 0]))
         else:
             raise ValueError(f"bad ABP line {line!r}")
     if layers is None:
         raise ValueError("missing layers line")
     edges: list[list] = [[] for _ in range(len(layers) - 1)]
-    for gap, u, v, form in raw_edges:
+    for gap, u, v, cells in raw_edges:
         if not 0 <= gap < len(edges):
             raise ValueError(f"edge gap {gap} outside 0..{len(edges) - 1}")
-        edges[gap].append((u, v, form))
+        if not (0 <= u < layers[gap] and 0 <= v < layers[gap + 1]):  # also a line without cells
+            raise ValueError(f"edge ({u},{v}) out of range at gap {gap}")
+        edges[gap] += cells
     return Abp(table, layers, edges)

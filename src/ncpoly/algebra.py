@@ -313,19 +313,6 @@ class NCPoly:
         return "NCPoly(" + " + ".join(parts) + more + ")"
 
 
-@dataclass
-class TermStream:
-    """A polynomial over table as an iterator of (word, coefficient) pairs
-    with distinct words and nonzero coefficients, read once.  Nothing holds
-    the terms: a family stream builds each pair as it is read."""
-
-    table: VarTable
-    pairs: Iterator
-
-    def __iter__(self):
-        return self.pairs
-
-
 def hadamard_bruteforce(a: NCPoly, b: NCPoly) -> NCPoly:
     """Coefficientwise product, the oracle for the matrix-built Hadamard."""
     _check_tables(a, b)

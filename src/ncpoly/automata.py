@@ -410,11 +410,7 @@ def hadamard_via_matrices(f, g: Abp) -> NCPoly:
     if table != g.table:
         raise TableMismatchError("circuit and branching program tables differ")
     q = g.size
-    cells = {
-        vid: {key: (c, (vid,)) for key, c in m.items()}
-        for vid, m in transition_matrices(g).items()
-    }
-    sub = MatrixSubstitution(table, table, q, cells)
+    sub = MatrixSubstitution(table, table, q, transition_matrices(g))
     if not isinstance(f, Circuit):
         return sub.evaluate(f)
 

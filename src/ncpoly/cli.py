@@ -2,8 +2,9 @@
 
 Subcommands: family, expand, reduce, verify, rank, hadamard, compose.
 All outputs are deterministic (identical inputs give byte-identical
-files) and written atomically.  Exit codes: 0 success, 1 a verification
-found a mismatch, 2 usage, parse or budget errors.  Each command runs
+files and standard output) except the `elapsed` line of verify, its
+wall time, and files are written atomically.  Exit codes: 0 success, 1
+a verification found a mismatch, 2 usage, parse or budget errors.  Each command runs
 inside using_budget(Budget(--term-budget, --state-budget)), so every
 construction it reaches checks the same budget while it builds.
 """

@@ -23,13 +23,14 @@ meta["abp"], from which `rank` reads Hankel ranks without expanding them.
 """
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from math import factorial, prod
 from operator import getitem
 from pathlib import Path
 
-from .abp import Abp, LinearForm, bounded_depth_dyck_abp, dyck_pairs, dyck_table, permanent_abp
-from .algebra import NCPoly, TermStream, VarTable, Word, budget
+from .abp import Abp, bounded_depth_dyck_abp, dyck_pairs, dyck_table, permanent_abp
+from .algebra import NCPoly, VarTable, Word, budget
 from .fields import QQ, Field
 
 
@@ -133,8 +134,9 @@ class FamilyInstance:
             self._poly = self._builder()
         return self._poly
 
-    def stream(self) -> TermStream:
-        """The terms as (word, coefficient) pairs in sorted word order.
+    def stream(self) -> Iterator:
+        """An iterator of the terms as (word, coefficient) pairs in sorted
+        word order, read once.
 
         A streamed family (the choice and permutation families) checks its
         term count now, as realization does, and then builds each pair as
@@ -142,8 +144,8 @@ class FamilyInstance:
         and its terms sorted.
         """
         if self._stream is None:
-            return TermStream(self.table, iter(sorted(self.poly.terms.items())))
-        return TermStream(self.table, self._stream())
+            return iter(sorted(self.poly.terms.items()))
+        return self._stream()
 
     @property
     def spec_string(self) -> str:
@@ -225,8 +227,8 @@ def pal_table(k: int = 2, field: Field = QQ) -> VarTable:
 
 def gen_pal(n: int, k: int = 2, field: Field = QQ) -> FamilyInstance:
     """Palindromes w . reverse(w) over an alphabet of k letters."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     table = pal_table(k, field)
     letters = list(range(k))
 
@@ -273,8 +275,7 @@ def _choice_family(name, n, table, choices, power) -> FamilyInstance:
     def build_abp():
         budget().check_states(n + 1)
         one = table.field.one
-        forms = [LinearForm.make(table, dict.fromkeys(ids, one)) for ids in slots()]
-        return Abp(table, [1] * (n + 1), [[(0, 0, form)] for form in forms])
+        return Abp(table, [1] * (n + 1), [[(0, 0, one, (vid,)) for vid in ids] for ids in slots()])
 
     meta = {"abp": build_abp} if power == 1 else {}
     return _instance(name, {"n": n}, table, stream=stream, **meta)
@@ -368,7 +369,7 @@ def _perm_family(name, n, chi, power, field) -> FamilyInstance:
             return _ones(table, words)
         return zip(words, map(chi.values.__getitem__, itertools.permutations(cols)))
 
-    return _instance(name, {"n": n}, table, stream=stream, **({} if chi is None else {"chi": chi}))
+    return _instance(name, {"n": n}, table, stream=stream)
 
 
 def gen_per(n: int, field: Field = QQ) -> FamilyInstance:
@@ -486,7 +487,7 @@ def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
 
         edges = [
             [
-                (vertex(i, b), vertex(i + 1, b), LinearForm.make(table, {ids[i]: one}))
+                (vertex(i, b), vertex(i + 1, b), one, (ids[i],))
                 for b, ids in enumerate(chains)
             ]
             for i in range(n)

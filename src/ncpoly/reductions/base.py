@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from ..algebra import (
     NCPoly,
     TableMismatchError,
-    TermStream,
     Var,
     VarTable,
     budget,
@@ -106,10 +105,11 @@ class AbpReduction:
         return self.substitution.dim
 
 
-def apply_abp_reduction(r: AbpReduction, g: NCPoly | TermStream) -> NCPoly:
+def apply_abp_reduction(r: AbpReduction, g: NCPoly | FamilyInstance) -> NCPoly:
     """Evaluate g termwise on the matrices and extract the (1, q) entry.
 
-    g is a polynomial or a family's term stream.  See
+    g is a polynomial or a family instance, whose stream() is walked, so a
+    streamed family is never realized.  See
     MatrixSubstitution.evaluate: one walk over the words in sorted order
     that steps into each live prefix of the support once, moves a
     one-column vector along unit cells without a product, and merges like
@@ -119,7 +119,7 @@ def apply_abp_reduction(r: AbpReduction, g: NCPoly | TermStream) -> NCPoly:
     sub = r.substitution
     if g.table != sub.input_table:
         raise TableMismatchError("polynomial is not over the substitution's alphabet")
-    return sub.evaluate(g)
+    return sub.evaluate(g if isinstance(g, NCPoly) else g.stream())
 
 
 def _add_product(acc: dict, left: dict, right: dict, limit: int) -> None:
@@ -476,7 +476,7 @@ def apply_to_instance(r: AbpReduction, target: FamilyInstance) -> NCPoly:
     grammar = target.meta.get("grammar")
     if grammar is not None:
         return _inside_sum(r.substitution, *grammar)
-    return apply_abp_reduction(r, target.stream())
+    return apply_abp_reduction(r, target)
 
 
 # ---------------------------------------------------------------------------

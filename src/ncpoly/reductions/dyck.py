@@ -191,7 +191,7 @@ def check_vbp_trivial(f_abp: Abp, target: FamilyInstance, witness: Word) -> None
         raise ValueError(f"witness degree {m} exceeds the program degree {d}")
     if (d + m - 1) // m > 3:
         raise ValueError("group entries would exceed the degree-3 cap")
-    if any(f.constant != 0 or len(f.coeffs) != 1 for gap in f_abp.edges for *_, f in gap):
+    if not f_abp.is_homogeneous():
         raise ValueError("edge labels must be single-variable monomials")
 
 
@@ -217,9 +217,8 @@ def vbp_trivial_reduction(
     for gap, gap_edges in enumerate(f_abp.edges):
         row, col = f_abp.offsets[gap], f_abp.offsets[gap + 1]
         rows: dict = {}
-        for u, v, form in gap_edges:
-            ((vid, c),) = form.coeffs
-            rows.setdefault(row + u, []).append((col + v, c, (vid,)))
+        for u, v, c, word in gap_edges:
+            rows.setdefault(row + u, []).append((col + v, c, word))
         gap_rows.append(rows)
 
     # each group's product starts on its own layer, so groups never share a row

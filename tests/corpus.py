@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from ncpoly.abp import Abp, LinearForm
+from ncpoly.abp import Abp
 from ncpoly.algebra import VarTable
 from ncpoly.circuits import Add, Circuit, Const, Input, Mul, is_skew
 from ncpoly.fields import QQ, PrimeField
@@ -163,15 +163,12 @@ def random_abp(rng: random.Random, max_width=3, max_depth=4, n_vars=3, homogeneo
                     coeffs = {}
                     for vid in rng.sample(range(n_vars), rng.randint(1, 2)):
                         coeffs[vid] = Fraction(rng.choice([-2, -1, 1, 2]))
-                    const = Fraction(0)
+                    gap_edges += [(u, v, c, (vid,)) for vid, c in sorted(coeffs.items())]
                     if not homogeneous and rng.random() < 0.3:
-                        const = Fraction(rng.choice([-1, 1, 2]))
-                    gap_edges.append((u, v, LinearForm.make(t, coeffs, const)))
+                        gap_edges.append((u, v, Fraction(rng.choice([-1, 1, 2])), ()))
             if not any(e[0] == u for e in gap_edges):
                 vid = rng.randrange(n_vars)
-                gap_edges.append(
-                    (u, rng.randrange(layers[gap + 1]), LinearForm.make(t, {vid: Fraction(1)}))
-                )
+                gap_edges.append((u, rng.randrange(layers[gap + 1]), Fraction(1), (vid,)))
         edges.append(gap_edges)
     return Abp(t, layers, edges)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import corpus
 from ncpoly.abp import (
     Abp,
-    LinearForm,
     abp_eval,
     abp_hankel_rank,
     bounded_depth_dyck_abp,
@@ -26,12 +25,11 @@ from ncpoly.fields import QQ, PrimeField
 from ncpoly.families import make_family
 
 
-def lf(table, **coeffs):
-    return LinearForm.make(table, {table.var(k).id: Fraction(v) for k, v in coeffs.items()})
-
-
 def xy():
     return VarTable(["x0", "x1"])
+
+
+X0, X1 = (0,), (1,)  # the one-letter words of xy()
 
 
 def id1_abp(t):
@@ -40,8 +38,8 @@ def id1_abp(t):
         t,
         [1, 2, 1],
         [
-            [(0, 0, lf(t, x0=1)), (0, 1, lf(t, x1=1))],
-            [(0, 0, lf(t, x0=1)), (1, 0, lf(t, x1=1))],
+            [(0, 0, 1, X0), (0, 1, 1, X1)],
+            [(0, 0, 1, X0), (1, 0, 1, X1)],
         ],
     )
 
@@ -51,7 +49,7 @@ def id1_abp(t):
 
 def test_eval_single_edge_linear_form():
     t = xy()
-    p = Abp(t, [1, 1], [[(0, 0, lf(t, x0=1, x1=1))]])
+    p = Abp(t, [1, 1], [[(0, 0, 1, X0), (0, 0, 1, X1)]])
     assert abp_eval(p).terms == {t.word("x0"): 1, t.word("x1"): 1}
 
 
@@ -64,7 +62,7 @@ def test_eval_diagonal_paths():
 def test_eval_width_one_chain():
     t = xy()
     d = 5
-    p = Abp(t, [1] * (d + 1), [[(0, 0, lf(t, x0=1))] for _ in range(d)])
+    p = Abp(t, [1] * (d + 1), [[(0, 0, 1, X0)] for _ in range(d)])
     assert abp_eval(p).terms == {t.word(*["x0"] * d): 1}
 
 
@@ -73,7 +71,9 @@ def test_layer_validation():
     with pytest.raises(ValueError):
         Abp(t, [2, 1], [[]])
     with pytest.raises(ValueError):
-        Abp(t, [1, 3, 1], [[(0, 3, lf(t, x0=1))], []])
+        Abp(t, [1, 3, 1], [[(0, 3, 1, X0)], []])
+    with pytest.raises(ValueError, match="at most one letter"):
+        Abp(t, [1, 1], [[(0, 0, 1, X0 + X1)]])
 
 
 # -- transition matrices ------------------------------------------------------
@@ -81,10 +81,8 @@ def test_layer_validation():
 
 def test_single_edge_matrix():
     t = xy()
-    p = Abp(t, [1, 1], [[(0, 0, lf(t, x0=1))]])
-    mats = transition_matrices(p)
-    assert mats[t.var("x0").id][(0, 1)] == 1
-    assert sum(c != 0 for c in mats[t.var("x0").id].values()) == 1
+    p = Abp(t, [1, 1], [[(0, 0, 1, X0)]])
+    assert transition_matrices(p) == {0: {(0, 1): (1, X0)}}
 
 
 def test_word_matrix_products_match_coefficients():
@@ -97,7 +95,7 @@ def test_word_matrix_products_match_coefficients():
         q = p.size
         acc = [[Fraction(int(i == j)) for j in range(q)] for i in range(q)]
         for vid in word:
-            m = mats[vid]
+            m = coefficients(mats[vid], vid)
             acc = [
                 [
                     sum((acc[i][k] * m.get((k, j), 0) for k in range(q)), Fraction(0))
@@ -111,10 +109,16 @@ def test_word_matrix_products_match_coefficients():
     assert mat_word((x0, x1))[0][p.size - 1] == 0
 
 
+def coefficients(cells, vid):
+    """A transition matrix's {(i, j): coefficient}, after checking that every
+    cell holds the one-letter word of its variable."""
+    assert all(word == (vid,) for _, word in cells.values())
+    return {key: c for key, (c, _) in cells.items()}
+
+
 def test_transition_matrices_reject_affine_labels():
     t = xy()
-    form = LinearForm.make(t, {t.var("x0").id: Fraction(1)}, Fraction(2))
-    p = Abp(t, [1, 1], [[(0, 0, form)]])
+    p = Abp(t, [1, 1], [[(0, 0, 1, X0), (0, 0, 2, ())]])
     with pytest.raises(ValueError):
         transition_matrices(p)
 
@@ -125,12 +129,11 @@ def test_soundness_on_random_abps():
         mats = transition_matrices(p)
         q = p.size
         d = p.degree
-        zero: dict = {}
         for word in product(sorted(mats), repeat=d):
             vec = [Fraction(0)] * q
             vec[0] = Fraction(1)
             for vid in word:
-                m = mats.get(vid, zero)
+                m = coefficients(mats[vid], vid)
                 vec = [
                     sum((vec[i] * m.get((i, j), 0) for i in range(q)), Fraction(0))
                     for j in range(q)
@@ -151,16 +154,15 @@ def test_transition_matrices_hold_only_the_edge_cells():
 
 def test_transition_matrices_add_parallel_edges_and_drop_cancelled_cells():
     t = xy()
-    p = Abp(t, [1, 1], [[(0, 0, lf(t, x0=1, x1=1)), (0, 0, lf(t, x0=2, x1=-1))]])
-    assert transition_matrices(p) == {t.var("x0").id: {(0, 1): 3}, t.var("x1").id: {}}
+    p = Abp(t, [1, 1], [[(0, 0, 1, X0), (0, 0, 1, X1), (0, 0, 2, X0), (0, 0, -1, X1)]])
+    assert transition_matrices(p) == {0: {(0, 1): (3, X0)}, 1: {}}
 
 
 def test_dfa_derived_matrices_are_01():
     p = bounded_depth_dyck_abp(2, 2)
     mats = transition_matrices(p)
-    for m in mats.values():
-        for c in m.values():
-            assert c in (0, 1)
+    for vid, m in mats.items():
+        assert set(coefficients(m, vid).values()) == {1}
 
 
 # -- Hankel rank --------------------------------------------------------------
@@ -286,14 +288,14 @@ def cancelling_abp(rng, field, n_vars=2):
                     vid: field.from_int(rng.choice((-2, -1, 1, 2)))
                     for vid in rng.sample(range(n_vars), rng.randint(1, n_vars))
                 }
-                form = LinearForm.make(t, coeffs)
-                gap_edges.append((u, v, form))
+                cells = [(u, v, c, (vid,)) for vid, c in coeffs.items() if c != 0]
+                gap_edges += cells
                 twin = rng.random()
                 if twin < 0.1:
-                    gap_edges.append((u, v, LinearForm.make(t, {i: -c for i, c in coeffs.items()})))
+                    gap_edges += [(u, v, -c, word) for *_, c, word in cells]
                 elif twin < 0.3:
                     vid = rng.randrange(n_vars)
-                    gap_edges.append((u, v, LinearForm.make(t, {vid: field.from_int(rng.choice((-1, 1)))})))
+                    gap_edges.append((u, v, field.from_int(rng.choice((-1, 1))), (vid,)))
         edges.append(gap_edges)
     return Abp(t, layers, edges)
 
@@ -342,7 +344,7 @@ def test_span_rank_refuses_bad_cuts_and_affine_labels():
         with pytest.raises(ValueError, match="outside 0..4"):
             abp_hankel_rank(p, cut)
     t = xy()
-    affine = Abp(t, [1, 1], [[(0, 0, LinearForm.make(t, {0: Fraction(1)}, Fraction(2)))]])
+    affine = Abp(t, [1, 1], [[(0, 0, 1, X0), (0, 0, 2, ())]])
     with pytest.raises(ValueError):
         abp_hankel_rank(affine, 0)
 
@@ -431,8 +433,7 @@ def test_vertex_budget():
 
 def test_abp_roundtrip():
     t = xy()
-    form = LinearForm.make(t, {t.var("x0").id: Fraction(1), t.var("x1").id: Fraction(2)})
-    p = Abp(t, [1, 3, 1], [[(0, 1, form)], [(1, 0, lf(t, x0=1))]])
+    p = Abp(t, [1, 3, 1], [[(0, 1, 1, X0), (0, 1, 2, X1)], [(1, 0, 1, X0)]])
     text = format_abp(p)
     assert text.splitlines()[0] == "layers 0:1 1:3 2:1"
     assert "# homogeneous" in text
@@ -444,18 +445,18 @@ def test_abp_roundtrip():
 def text_abps(draw):
     field = draw(corpus.text_fields())
     table = draw(corpus.text_tables(field))
-    scalars = corpus.field_scalars(field)
+    nonzero = corpus.field_scalars(field).filter(lambda c: c != 0)
+    letters = st.integers(0, len(table) - 1)
     layers = [1] + draw(st.lists(st.integers(1, 3), max_size=3)) + [1]
     homogeneous = draw(st.booleans())
     edges = []
     for gap in range(len(layers) - 1):
         gap_edges = []
-        for _ in range(draw(st.integers(0, 4))):
+        for _ in range(draw(st.integers(0, 6))):
             u = draw(st.integers(0, layers[gap] - 1))
             v = draw(st.integers(0, layers[gap + 1] - 1))
-            coeffs = draw(st.dictionaries(st.integers(0, len(table) - 1), scalars, max_size=3))
-            constant = field.zero if homogeneous else draw(scalars)
-            gap_edges.append((u, v, LinearForm.make(table, coeffs, constant)))
+            word = () if not homogeneous and draw(st.booleans()) else (draw(letters),)
+            gap_edges.append((u, v, draw(nonzero), word))
         edges.append(gap_edges)
     return Abp(table, layers, edges)
 
@@ -469,12 +470,9 @@ def test_abp_text_roundtrip_over_q_and_gf5(p):
     assert back.layers == p.layers and back.edges == p.edges
     assert format_abp(back) == text
     if field == QQ:
-        for gap in back.edges:
-            for _, _, form in gap:
-                assert all(type(x) in (int, Fraction) for _, x in form.coeffs)
-                assert type(form.constant) in (int, Fraction)
-    # an empty table numbers names by first use, which reorders the terms of
-    # a form, so compare after reading back into the original table
+        assert all(type(c) in (int, Fraction) for gap in back.edges for _, _, c, _ in gap)
+    # an empty table numbers names by first use, so compare after reading
+    # back into the original table
     fresh = format_abp(parse_abp(text, VarTable(field=field)))
     assert parse_abp(fresh, VarTable(p.table.names, field)).edges == p.edges
 
@@ -503,6 +501,41 @@ def test_abp_parse_affine():
     f = abp_eval(p)
     assert f.coeff(()) == 3
     assert f.coeff(p.table.word("x0")) == 2
+
+
+def test_an_edge_line_parses_to_one_cell_per_term_the_constant_last():
+    p = parse_abp("layers 0:1 1:1\nedge 0 0 0 2 x 3 y + 5\n")
+    x, y = p.table.word("x"), p.table.word("y")
+    assert p.edges == [[(0, 0, 2, x), (0, 0, 3, y), (0, 0, 5, ())]]
+    text = format_abp(p)
+    assert text.splitlines() == ["layers 0:1 1:1", "edge 0 0 0 2 x", "edge 0 0 0 3 y", "edge 0 0 0 + 5"]
+    assert parse_abp(text, p.table).edges == p.edges
+    # variables in id order, like terms added, whatever the order on the line
+    t = VarTable(["x", "y"])
+    assert parse_abp("layers 0:1 1:1\nedge 0 0 0 + 5 3 y 1 x 1 x\n", t).edges == p.edges
+
+
+def test_an_edge_whose_terms_cancel_gives_no_cell():
+    t = VarTable(["x", "y"])
+    chain = "layers 0:1 1:1 2:1\nedge 0 0 0 1 x\nedge 1 0 0 2 y\n"
+    p = parse_abp(chain + "edge 1 0 0 1 x -1 x\n", t)
+    assert p.edges == parse_abp(chain, t).edges == [[(0, 0, 1, (0,))], [(0, 0, 2, (1,))]]
+    assert abp_eval(p) == abp_eval(parse_abp(chain, t)) == NCPoly(t, {(0, 1): 2})
+    lone = parse_abp("layers 0:1 1:1\nedge 0 0 0 1 x -1 x + 0\n", t)
+    assert lone.edges == [[]] and not abp_eval(lone)
+    with pytest.raises(ValueError, match="out of range"):  # a line without cells still names vertices
+        parse_abp("layers 0:1 1:1\nedge 0 5 5 1 x -1 x\n", t)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "affine"])
+def test_every_corpus_abp_keeps_its_polynomial_through_format_and_parse(homogeneous):
+    # the seeds and shapes the suite draws its random programs from
+    corpora = [(512, 20, 3, 4), (77, 12, 3, 4), (1337, 100, 2, 3), (18, 12, 2, 4)]
+    for seed, count, width, depth in corpora:
+        for p in corpus.random_abps(seed, count, max_width=width, max_depth=depth, homogeneous=homogeneous):
+            back = parse_abp(format_abp(p), VarTable(p.table.names))
+            assert back.edges == p.edges and back.layers == p.layers
+            assert abp_eval(back) == abp_eval(p)
 
 
 def test_bounded_depth_dyck_abp_charges_the_state_budget_for_each_vertex():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from ncpoly.abp import Abp, LinearForm
+from ncpoly.abp import Abp
 from ncpoly.algebra import NCPoly, VarNameError, VarTable, hadamard_bruteforce
 from ncpoly.automata import (
     MatrixSubstitution,
@@ -43,14 +43,8 @@ def pal_abp(table, n):
         table,
         [1, 2, 1],
         [
-            [
-                (0, 0, LinearForm.make(table, {table.var("x0").id: Fraction(1)})),
-                (0, 1, LinearForm.make(table, {table.var("x1").id: Fraction(1)})),
-            ],
-            [
-                (0, 0, LinearForm.make(table, {table.var("x0").id: Fraction(1)})),
-                (1, 0, LinearForm.make(table, {table.var("x1").id: Fraction(1)})),
-            ],
+            [(0, 0, Fraction(1), table.word("x0")), (0, 1, Fraction(1), table.word("x1"))],
+            [(0, 0, Fraction(1), table.word("x0")), (1, 0, Fraction(1), table.word("x1"))],
         ],
     )
 
@@ -488,7 +482,7 @@ def test_hadamard_poly_branch_matches_bruteforce_over_q_and_gf5():
                         # letters are dead from some vertices
                         vids = rng.sample(range(3), rng.randint(1, 2))
                         coeffs = {vid: field.from_int(rng.choice([-2, -1, 1, 2])) for vid in vids}
-                        gap_edges.append((u, v, LinearForm.make(t, coeffs)))
+                        gap_edges += [(u, v, c, (vid,)) for vid, c in sorted(coeffs.items()) if c]
                 edges.append(gap_edges)
             g = Abp(t, layers, edges)
             # words of every length up to depth + 1, the empty word included,
@@ -563,8 +557,8 @@ def test_hadamard_identity_case():
 
     t = xy()
     # ABP computing the sum of all degree-2 words
-    form = LinearForm.make(t, {0: Fraction(1), 1: Fraction(1)})
-    g = Abp(t, [1, 1, 1], [[(0, 0, form)], [(0, 0, form)]])
+    gap = [(0, 0, Fraction(1), (0,)), (0, 0, Fraction(1), (1,))]
+    g = Abp(t, [1, 1, 1], [gap, gap])
     x0, x1 = NCPoly.variable(t, "x0"), NCPoly.variable(t, "x1")
     f = (x0 + x1.scale(Fraction(2))) * x0
     assert hadamard_via_matrices(f, g) == f
@@ -579,8 +573,8 @@ def test_hadamard_coefficients_multiply():
         t,
         [1, 1, 1],
         [
-            [(0, 0, LinearForm.make(t, {0: Fraction(3)}))],
-            [(0, 0, LinearForm.make(t, {1: Fraction(1)}))],
+            [(0, 0, Fraction(3), (0,))],
+            [(0, 0, Fraction(1), (1,))],
         ],
     )
     f = NCPoly(t, {t.word("x0", "x1"): Fraction(2)})
@@ -613,19 +607,16 @@ def test_termwise_apply_on_a_complete_width3_abp_matches_bruteforce():
     t = xy()
     layers = [1, 3, 3, 3, 3, 1]
 
-    def form():
-        return LinearForm.make(t, {v: Fraction(rng.randint(-2, 2)) for v in (0, 1)})
+    def cells(u, v):
+        drawn = [(u, v, Fraction(rng.randint(-2, 2)), (vid,)) for vid in (0, 1)]
+        return [cell for cell in drawn if cell[2]]
 
     edges = [
-        [(u, v, form()) for u in range(a) for v in range(b)]
+        [cell for u in range(a) for v in range(b) for cell in cells(u, v)]
         for a, b in zip(layers, layers[1:])
     ]
     g = Abp(t, layers, edges)
-    cells = {
-        vid: {(i, j): (c, (vid,)) for (i, j), c in m.items() if c != 0}
-        for vid, m in transition_matrices(g).items()
-    }
-    r = AbpReduction(MatrixSubstitution(t, t, g.size, cells), "", "")
+    r = AbpReduction(MatrixSubstitution(t, t, g.size, transition_matrices(g)), "", "")
     f = NCPoly(t, {w: Fraction(rng.randint(-3, 3)) for w in product((0, 1), repeat=5)})
     f = f + NCPoly(t, {w: Fraction(1) for w in product((0, 1), repeat=3)})
     expected = hadamard_bruteforce(f, abp_eval(g))
@@ -636,8 +627,7 @@ def test_termwise_apply_on_a_complete_width3_abp_matches_bruteforce():
 
 def test_hadamard_rejects_inhomogeneous_abp():
     t = xy()
-    form = LinearForm.make(t, {0: Fraction(1)}, Fraction(1))
-    g = Abp(t, [1, 1], [[(0, 0, form)]])
+    g = Abp(t, [1, 1], [[(0, 0, Fraction(1), (0,)), (0, 0, Fraction(1), ())]])
     with pytest.raises(ValueError):
         hadamard_via_matrices(NCPoly.variable(t, "x0"), g)
 

@@ -11,7 +11,7 @@ import re
 import pytest
 
 import ncpoly
-from ncpoly.abp import Abp, LinearForm, abp_eval, parse_abp
+from ncpoly.abp import Abp, abp_eval, parse_abp
 from ncpoly.algebra import (
     Budget,
     NCPoly,
@@ -182,8 +182,8 @@ def test_state_budget_is_checked_before_any_product(monkeypatch):
 
 def test_abp_eval_checks_the_term_budget_edge_by_edge():
     t = VarTable(["x0"])
-    x0 = LinearForm.make(t, {0: 1})
-    fan = Abp(t, [1, 10, 1], [[(0, v, x0) for v in range(10)], [(v, 0, x0) for v in range(10)]])
+    x0 = (0,)
+    fan = Abp(t, [1, 10, 1], [[(0, v, 1, x0) for v in range(10)], [(v, 0, 1, x0) for v in range(10)]])
     with using_budget(Budget(terms=3)), pytest.raises(TermBudgetError, match="layer 1 holds 4 terms"):
         abp_eval(fan)
 

@@ -139,6 +139,18 @@ def test_reduce_vbp_trivial(tmp_path, capsys):
     assert run(capsys, "verify", str(red))[0] == 0
 
 
+def test_reduce_vbp_trivial_refuses_constant_and_two_letter_edges(tmp_path, capsys):
+    abp = tmp_path / "p.txt"
+    argv = ("reduce", "vbp-trivial", f"abp={abp}", "target=pal:n=1", "witness=x0,x0")
+    for edge, message in (
+        ("edge 1 0 0 1 x0 + 1", "single-variable monomials"),
+        ("edge 1 0 0 1 x0 1 x1", "distinct monomials"),
+    ):
+        abp.write_text(f"layers 0:1 1:1 2:1\nedge 0 0 0 1 x0\n{edge}\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and _one_error_line(err) and message in err, (edge, err)
+
+
 def test_rank_table(capsys):
     code, out, _ = run(capsys, "rank", "pal:n=3", "--cut", "3")
     assert code == 0 and out == "3 8\n"
@@ -707,6 +719,16 @@ def test_families_of_order_zero_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, "family", spec)
         assert code == 2 and out == "" and _one_error_line(err), (spec, err)
         assert "n >= 1" in err, (spec, err)
+
+
+def test_palindromes_over_fewer_than_one_letter_exit_2(capsys):
+    # family pal:n=2,k=-3 wrote the empty polynomial and rank pal:n=2,k=-1
+    # printed "2 0", both with exit 0
+    for argv in (("family", "pal:n=2,k=-3"), ("family", "pal:n=2,k=0"),
+                 ("rank", "pal:n=2,k=-1", "--cut", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and _one_error_line(err), (argv, err)
+        assert "k >= 1" in err, (argv, err)
 
 
 def test_reduce_vbp_trivial_reads_one_target_coefficient(tmp_path, capsys):

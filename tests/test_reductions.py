@@ -1315,10 +1315,10 @@ def test_vbp_trivial_one_pair_dyck_into_pal():
 
 
 def test_vbp_trivial_single_edge():
-    from ncpoly.abp import Abp, LinearForm
+    from ncpoly.abp import Abp
 
     t = VarTable(["x0", "x1"])
-    p = Abp(t, [1, 1], [[(0, 0, LinearForm.make(t, {t.var("x0").id: Fraction(1)}))]])
+    p = Abp(t, [1, 1], [[(0, 0, Fraction(1), t.word("x0"))]])
     tgt = FamilyInstance.from_poly(
         "poly", NCPoly(t, {t.word("x1"): Fraction(1), t.word("x0", "x0"): Fraction(2)})
     )
@@ -1336,33 +1336,27 @@ def test_vbp_trivial_grouped_layers():
 
 
 def test_vbp_trivial_refuses_a_group_cell_with_two_distinct_words():
-    from ncpoly.abp import Abp, LinearForm
+    from ncpoly.abp import Abp
 
     # one witness letter groups both gaps, so cell (0, 3) needs x0 x0 + x1 x1
     t = VarTable(["x0", "x1"])
     x0, x1 = t.var("x0").id, t.var("x1").id
-
-    def lf(vid):
-        return LinearForm.make(t, {vid: Fraction(1)})
-
-    p = Abp(t, [1, 2, 1], [[(0, 0, lf(x0)), (0, 1, lf(x1))], [(0, 0, lf(x0)), (1, 0, lf(x1))]])
+    one = Fraction(1)
+    p = Abp(t, [1, 2, 1], [[(0, 0, one, (x0,)), (0, 1, one, (x1,))], [(0, 0, one, (x0,)), (1, 0, one, (x1,))]])
     tgt = FamilyInstance.from_poly("poly", NCPoly(t, {(x1,): Fraction(1)}))
     with pytest.raises(ValueError, match="distinct monomials"):
         vbp_trivial_reduction(p, tgt, (x1,))
 
 
 def test_vbp_trivial_adds_same_variable_parallel_edges():
-    from ncpoly.abp import Abp, LinearForm
+    from ncpoly.abp import Abp
 
     # x0 + 2 x0 on one vertex pair adds to 3 x0, and x1 - x1 cancels
     t = VarTable(["x0", "x1"])
     x0, x1 = t.var("x0").id, t.var("x1").id
 
-    def lf(vid, c):
-        return LinearForm.make(t, {vid: Fraction(c)})
-
-    gap0 = [(0, 0, lf(x0, 1)), (0, 0, lf(x0, 2)), (0, 1, lf(x1, 1)), (0, 1, lf(x1, -1))]
-    p = Abp(t, [1, 2, 1], [gap0, [(0, 0, lf(x1, 1)), (1, 0, lf(x0, 1))]])
+    gap0 = [(0, 0, 1, (x0,)), (0, 0, 2, (x0,)), (0, 1, 1, (x1,)), (0, 1, -1, (x1,))]
+    p = Abp(t, [1, 2, 1], [gap0, [(0, 0, 1, (x1,)), (1, 0, 1, (x0,))]])
     tgt = gen_pal(1)
     r = vbp_trivial_reduction(p, tgt, tuple([tgt.table.var("x0").id] * 2))
     assert r.substitution.entries[tgt.table.var("x0").id] == {

@@ -95,6 +95,11 @@ _SCALAR_LITERAL = re.compile(
 )
 
 
+# '#' starts a comment and whitespace separates tokens in every text
+# format; on str, \s matches exactly the characters where str.isspace() holds
+_NAME_BREAK = re.compile(r"[#\s]")
+
+
 @dataclass(frozen=True)
 class Var:
     id: int
@@ -112,15 +117,9 @@ class VarTable:
             self.add(n)
 
     def add(self, name: str) -> Var:
-        # '#' starts a comment and whitespace separates tokens in every text
-        # format, and a name that reads as a scalar (the constant term's
-        # word is written `1`) would not round-trip
-        if (
-            not name
-            or "#" in name
-            or any(ch.isspace() for ch in name)
-            or _SCALAR_LITERAL.fullmatch(name)
-        ):
+        # a name that reads as a scalar (the constant term's word is written
+        # `1`) would not round-trip
+        if not name or _NAME_BREAK.search(name) or _SCALAR_LITERAL.fullmatch(name):
             raise VarNameError(f"bad variable name {name!r}")
         if name in self._ids:
             raise ValueError(f"duplicate variable name {name!r}")

@@ -4,16 +4,22 @@ Subcommands: family, expand, reduce, verify, rank, hadamard, compose.
 All outputs are deterministic (identical inputs give byte-identical
 files and standard output) except the `elapsed` line of verify, its
 wall time, and files are written atomically.  Exit codes: 0 success, 1
-a verification found a mismatch, 2 usage, parse or budget errors.  Each command runs
-inside using_budget(Budget(--term-budget, --state-budget)), so every
+a verification found a mismatch, 2 usage, parse or budget errors, a bad
+command line included, each as one `error:` line on stderr; `--help`
+prints help and exits 0.  Each command runs inside
+using_budget(Budget(--term-budget, --state-budget)), so every
 construction it reaches checks the same budget while it builds.
+
+`main` is reentrant and builds the argument parser once per process, at
+its first call.  Later calls parse with the same parser, which parse_args
+does not change, so a call that fails leaves it as it was.
 """
 
 import argparse
 import os
 import sys
 import tempfile
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .abp import abp_eval, abp_hankel_rank, hankel_rank, parse_abp
@@ -52,6 +58,14 @@ from .automata import hadamard_via_matrices
 
 class UsageError(ValueError):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a bad command line as a UsageError instead of printing usage
+    and exiting; add_subparsers gives every subcommand the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -225,7 +239,7 @@ def cmd_compose(args, field: Field) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ncpoly",
         description="Exact workbench for noncommutative polynomial families and reductions.",
     )
@@ -298,10 +312,14 @@ COMMANDS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         field = field_from_spec(args.field)
         with using_budget(Budget(args.term_budget, args.state_budget)):
             return COMMANDS[args.command](args, field)

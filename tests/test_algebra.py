@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import corpus
 from ncpoly.algebra import (
+    _NAME_BREAK,
     NCPoly,
     TableMismatchError,
     VarNameError,
@@ -458,7 +460,8 @@ def test_parse_rejects_a_bad_coefficient_literal(data):
 
 
 @pytest.mark.parametrize(
-    "name", ["1", "0", "-3", "+2", "3/4", "3/-4", "1.5", ".5", "1.", "1e3", "2E-1", "1_000", "\u0661"]
+    "name",
+    ["1", "0", "-3", "+2", "3/4", "2/3", "3/-4", "1.5", ".5", "1.", "1e3", "1e5", "2E-1", "1_000", "\u0661"],
 )
 def test_var_table_rejects_scalar_literals(name):
     # `1` as a name wrote its one-letter word as the constant term's line
@@ -470,12 +473,18 @@ def test_var_table_rejects_scalar_literals(name):
 
 
 def test_var_table_accepts_names_that_only_start_like_scalars():
-    names = ["1x", "e5", "inf", "nan", "-", ".", "1/", "/2", "1/2/3", "(1", ")1", "x1"]
+    names = ["1x", "e5", "inf", "nan", "-", ".", "1/", "/2", "1/2/3", "(1", ")1", "x1", "x_1", "t12", "é"]
     t = VarTable(names)
     assert t.names == tuple(names)
-    for bad in ("", "a b", "a#b", "a\tb"):
+    for bad in ("", "a b", "a#b", "a\tb", "a\u00a0b", "a\u2028b", "a\x1cb"):
         with pytest.raises(VarNameError):
             t.add(bad)
+
+
+def test_the_name_check_matches_hash_and_exactly_the_isspace_characters():
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    matched = [ch for ch in chars if _NAME_BREAK.search(ch)]
+    assert matched == [ch for ch in chars if ch == "#" or ch.isspace()]
 
 
 NAME_TEXT = st.one_of(

@@ -1,7 +1,11 @@
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from ncpoly.cli import main
+import pytest
+
+from ncpoly import cli
+from ncpoly.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -651,7 +655,6 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import ncpoly
 
@@ -784,7 +787,6 @@ def test_a_closed_output_pipe_keeps_the_exit_status(tmp_path, capsys):
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import ncpoly
 
@@ -818,3 +820,90 @@ def test_a_closed_output_pipe_keeps_the_exit_status(tmp_path, capsys):
             finally:
                 os.close(write_end)
             assert (proc.returncode, proc.stderr) == (status, b""), (argv, unbuffered)
+
+
+def test_a_bad_command_line_prints_one_error_line_and_exits_2(capsys):
+    for argv, message in (
+        (("rank", "dyck:k=2,d=4"), "required: --cut"),
+        (("bogus",), "invalid choice: 'bogus'"),
+        (("--term-budget", "abc", "family", "pal:n=1"), "invalid int value: 'abc'"),
+        ((), "required: command"),
+        (("reduce", "nope"), "invalid choice: 'nope'"),
+        (("family", "pal:n=1", "--extra"), "unrecognized arguments: --extra"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and _one_error_line(err), (argv, err)
+        assert message in err, (argv, err)
+
+
+def test_help_still_prints_help_and_exits_0(capsys):
+    for argv in (["--help"], ["rank", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ncpoly")
+    assert run(capsys, "rank", "pal:n=2", "--cut", "2") == (0, "2 4\n", "")
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout without verify's wall time, stderr and the bytes
+    of the --out file of one main call."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines(keepends=True)
+    out = "".join(line for line in lines if not line.startswith("elapsed "))
+    written = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else None
+    return code, out, captured.err, written
+
+
+def test_main_is_reentrant_on_its_shared_parser(tmp_path, capsys):
+    # a value that one call sets (an appended --cut, --source, a group
+    # member, --format) must not reach the next call through the parser
+    circ, poly, abp = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "g.txt"
+    circ.write_text("g0 input x1\ng1 input x2\ng2 mul g0 g1\noutput g2\n")
+    poly.write_text("3 x1 x2\n-1 x2 x1\n")
+    abp.write_text("layers 0:1 1:1 2:1\nedge 0 0 0 1 x1\nedge 1 0 0 2 x2\n")
+    red = str(tmp_path / "r.red")
+    calls = [
+        ["--format", "structured", "rank", "dyck:k=2,d=4", "--cut", "2", "--cut", "3"],
+        ["rank", "dyck:k=2,d=4", "--cut", "2"],
+        ["reduce", "dyck-complete", f"circuit={circ}", "--out", red],
+        ["verify", red, "--source", f"circuit:{circ}"],
+        ["rank", "dyck:k=2,d=4"],
+        ["verify", red],
+        ["hadamard", "--circuit", str(circ), "--abp", str(abp), "--out", str(tmp_path / "h1")],
+        ["--term-budget", "abc", "family", "pal:n=1"],
+        ["hadamard", "--poly", str(poly), "--abp", str(abp), "--out", str(tmp_path / "h2")],
+        ["--format", "structured", "bogus"],
+        ["rank", "pal:n=2", "--cut", "2", "--out", str(tmp_path / "rank.txt")],
+    ]
+    cli._parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    cli._parser.cache_clear()
+    assert shared == fresh
+    assert [code for code, *_ in shared] == [0, 0, 0, 0, 2, 0, 0, 2, 0, 2, 0]
+    assert shared[0][1] == "cut=2 rank=5\ncut=3 rank=2\n" and shared[1][1] == "2 5\n"
+    assert shared[6][3] == b"2 x1 x2\n" and shared[8][3] == b"6 x1 x2\n"
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for cut in range(5):
+            assert run(capsys, "rank", "dyck:k=2,d=4", "--cut", str(cut))[0] == 0
+        assert run(capsys, "rank", "dyck:k=2,d=4")[0] == 2
+        assert run(capsys, "family", "pal:n=1")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1

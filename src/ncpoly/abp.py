@@ -21,7 +21,7 @@ from .algebra import NCPoly, VarTable, budget, eliminate, exact_rank
 
 class Abp:
     """Vertex counts per layer plus per-gap cell lists (u, v, coefficient,
-    word): word is (variable id,), or () for a constant term.  Parallel
+    word): word is a one-letter word, or "" for a constant term.  Parallel
     cells add."""
 
     def __init__(self, table: VarTable, layers: list, edges: list):
@@ -79,8 +79,9 @@ def abp_eval(p: Abp) -> NCPoly:
 
 
 def transition_matrices(p: Abp) -> dict:
-    """Per variable, its sparse q x q matrix {(i, j): (coefficient, (variable,))},
-    the entries a MatrixSubstitution takes.
+    """Per variable id, its sparse q x q matrix {(i, j): (coefficient, word)},
+    word the variable's one-letter word: the entries a MatrixSubstitution
+    takes.
 
     Indexed by global vertex number; cell (i, j) holds the coefficient of
     the variable on edge (i, j).  One pass over the cells: parallel cells
@@ -95,7 +96,7 @@ def transition_matrices(p: Abp) -> dict:
         row, col = p.offsets[gap], p.offsets[gap + 1]
         for u, v, c, word in gap_edges:
             key = (row + u, col + v)
-            cells = mats.setdefault(word[0], {})
+            cells = mats.setdefault(ord(word), {})
             s = cells.get(key)
             if s is not None:
                 c += s[0]
@@ -268,35 +269,35 @@ def bounded_depth_dyck_abp(
     pairs = dyck_pairs(table)
     if len(pairs) != bracket_types:
         raise ValueError("table does not match the requested bracket types")
-    close_of = dict(pairs)
+    # a stack is the word of its open brackets, bottom first
+    close_of = {chr(o): chr(c) for o, c in pairs}
     one = table.field.one
-    word = {vid: (vid,) for pair in pairs for vid in pair}
 
     def completable(stack_len: int, pos: int) -> bool:
         rem = 2 * n - pos
         return stack_len <= rem and (rem - stack_len) % 2 == 0
 
     limits = budget()
-    layer: dict[tuple, int] = {(): 0}  # stack -> vertex
+    layer: dict[str, int] = {"": 0}  # stack -> vertex
     layers = [1]
     edges: list[list] = []
     count = 1
     for pos in range(2 * n):
-        nxt: dict[tuple, int] = {}
+        nxt: dict[str, int] = {}
         room = limits.states - count  # vertices numbered room or more are over
         gap = []
         for s, si in layer.items():
             if len(s) < k and completable(len(s) + 1, pos + 1):
-                for open_id in close_of:
-                    v = nxt.setdefault(s + (open_id,), len(nxt))
+                for o in close_of:
+                    v = nxt.setdefault(s + o, len(nxt))
                     if v >= room:
                         limits.check_states(count + v + 1)
-                    gap.append((si, v, one, word[open_id]))
+                    gap.append((si, v, one, o))
             if s and completable(len(s) - 1, pos + 1):
                 v = nxt.setdefault(s[:-1], len(nxt))
                 if v >= room:
                     limits.check_states(count + v + 1)
-                gap.append((si, v, one, word[close_of[s[-1]]]))
+                gap.append((si, v, one, close_of[s[-1]]))
         layer = nxt
         layers.append(len(nxt))
         count += len(nxt)
@@ -318,7 +319,7 @@ def permanent_abp(n: int, table: VarTable) -> Abp:
     layers = [1]
     edges: list[list] = []
     for i in range(1, n + 1):
-        words = [(table.var(f"x{i}_{j}").id,) for j in range(1, n + 1)]
+        words = [table.word(f"x{i}_{j}") for j in range(1, n + 1)]
         nxt: dict[int, int] = {}
         gap = []
         for used, u in layer.items():
@@ -346,7 +347,7 @@ def format_abp(p: Abp) -> str:
         lines.append("# homogeneous")
     for gap, gap_edges in enumerate(p.edges):
         for u, v, c, word in gap_edges:
-            cell = f"{fmt(c)} {p.table.name(word[0])}" if word else f"+ {fmt(c)}"
+            cell = f"{fmt(c)} {p.table.name(ord(word))}" if word else f"+ {fmt(c)}"
             lines.append(f"edge {gap} {u} {v} {cell}")
     return "\n".join(lines) + "\n"
 
@@ -379,10 +380,10 @@ def parse_abp(text: str, table: VarTable | None = None) -> Abp:
             if len(tokens) < 4 or len(tokens) % 2:
                 raise ValueError(f"bad ABP line {line!r}")
             gap, u, v = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            terms: dict = {}  # word -> coefficient, the constant under ()
+            terms: dict = {}  # word -> coefficient, the constant under ""
             for a, b in zip(tokens[4::2], tokens[5::2]):
                 c = scalar(b if a == "+" else a)
-                word = () if a == "+" else (table.get_or_add(b).id,)
+                word = "" if a == "+" else chr(table.get_or_add(b).id)
                 terms[word] = terms[word] + c if word in terms else c
             order = sorted(terms, key=lambda w: (not w, w))
             raw_edges.append((gap, u, v, [(u, v, terms[w], w) for w in order if terms[w] != 0]))

@@ -1,9 +1,15 @@
 """Sparse exact polynomials over words in a free monoid.
 
 A :class:`VarTable` fixes a universe of named variables (ids dense from 0)
-together with the coefficient field.  Words are tuples of variable ids;
-multiplication concatenates them in argument order and is therefore
-noncommutative.  An :class:`NCPoly` maps words to nonzero scalars.
+together with the coefficient field.  A word is a str whose i-th
+character is chr(id) of its i-th variable, so the empty word is "" and a
+one-letter word is chr(id).  Code points order words as the id sequences
+would, a str caches its hash, and concatenation, comparison and slicing
+run in C.  Multiplication concatenates words in argument order and is
+therefore noncommutative.  An :class:`NCPoly` maps words to nonzero
+scalars.  The constructors that take words from outside (NCPoly and its
+monomial and coeff, SubstAutomaton.add_transition, MatrixSubstitution)
+also accept a sequence of variable ids and convert it with to_word.
 
 A :class:`Budget` bounds what the workbench builds: ``terms`` every
 expansion and intermediate polynomial, ``states`` every automaton while
@@ -20,6 +26,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import re
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -27,7 +34,15 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .fields import QQ, Field
 
-Word = tuple  # tuple[int, ...] of variable ids
+Word = str  # character i is chr(variable id) of letter i
+
+# The largest variable id: every id must be a code point.
+MAX_VAR_ID = sys.maxunicode
+
+
+def to_word(word) -> Word:
+    """A word given as a str, or as a sequence of variable ids, as a str."""
+    return word if isinstance(word, str) else "".join(map(chr, word))
 
 
 class TableMismatchError(ValueError):
@@ -107,12 +122,17 @@ class Var:
 
 
 class VarTable:
-    """Ordered universe of named variables plus the coefficient field."""
+    """Ordered universe of named variables plus the coefficient field.
+
+    Ids run from 0 to MAX_VAR_ID, the largest code point, so that every
+    variable is one character of a word; a name past it is refused.
+    """
 
     def __init__(self, names: Iterable[str] = (), field: Field = QQ):
         self.field = field
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
+        self._letters: dict[str, str] = {}  # name -> its one-letter word
         for n in names:
             self.add(n)
 
@@ -124,8 +144,14 @@ class VarTable:
         if name in self._ids:
             raise ValueError(f"duplicate variable name {name!r}")
         vid = len(self._names)
+        if vid > MAX_VAR_ID:
+            raise VarNameError(
+                f"variable {name!r} would be number {vid + 1}, past the limit of "
+                f"{MAX_VAR_ID + 1} variables"
+            )
         self._names.append(name)
         self._ids[name] = vid
+        self._letters[name] = chr(vid)
         return Var(vid, name)
 
     def get_or_add(self, name: str) -> Var:
@@ -151,10 +177,16 @@ class VarTable:
             yield Var(vid, n)
 
     def word(self, *names: str) -> Word:
-        return tuple(self._ids[n] for n in names)
+        return "".join([self._letters[n] for n in names])
+
+    def spelling(self) -> list:
+        """The str.translate table that spells a word as " name name ...":
+        entry id is a space and the name of variable id."""
+        return [" " + name for name in self._names]
 
     def word_names(self, word: Word) -> tuple:
-        return tuple(self._names[v] for v in word)
+        """The names of the word's letters, in order."""
+        return tuple([self._names[ord(ch)] for ch in word])
 
     def __len__(self) -> int:
         return len(self._names)
@@ -189,7 +221,7 @@ class NCPoly:
         if terms:
             for w, c in terms.items():
                 if c != 0:
-                    clean[tuple(w)] = c
+                    clean[to_word(w)] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -200,17 +232,17 @@ class NCPoly:
 
     @classmethod
     def const(cls, table: VarTable, c) -> "NCPoly":
-        return cls(table, {(): c})
+        return cls(table, {"": c})
 
     @classmethod
     def monomial(cls, table: VarTable, word: Sequence, coeff=None) -> "NCPoly":
         if coeff is None:
             coeff = table.field.one
-        return cls(table, {tuple(word): coeff})
+        return cls(table, {to_word(word): coeff})
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "NCPoly":
-        return cls(table, {(table.var(name).id,): table.field.one})
+        return cls(table, {table._letters[name]: table.field.one})
 
     # -- inspection ---------------------------------------------------
 
@@ -225,16 +257,16 @@ class NCPoly:
         return len(lengths) <= 1
 
     def coeff(self, word: Sequence):
-        return self.terms.get(tuple(word), self.table.field.zero)
+        return self.terms.get(to_word(word), self.table.field.zero)
 
     def support(self) -> set:
         return set(self.terms)
 
     def var_ids(self) -> set:
-        out: set[int] = set()
+        letters: set[str] = set()
         for w in self.terms:
-            out.update(w)
-        return out
+            letters.update(w)
+        return set(map(ord, letters))
 
     def __bool__(self):
         return bool(self.terms)
@@ -340,7 +372,7 @@ def substitute_letters(
     for w, c in f.terms.items():
         coeff = c
         letters = []
-        for pos, vid in enumerate(w, 1):
+        for pos, vid in enumerate(map(ord, w), 1):
             try:
                 img = image(pos, vid)
             except KeyError:
@@ -348,14 +380,14 @@ def substitute_letters(
                     f"no image for variable {f.table.name(vid)!r} at position {pos}"
                 ) from None
             if isinstance(img, Var):
-                letters.append(img.id)
+                letters.append(chr(img.id))
             else:
                 coeff = coeff * img
                 if coeff == 0:
                     break
         if coeff == 0:
             continue
-        word = tuple(letters)
+        word = "".join(letters)
         s = out.terms.get(word)
         s = coeff if s is None else s + coeff
         if s == 0:
@@ -431,27 +463,31 @@ def exact_rank(rows: Iterable[Mapping | Sequence], field: Field) -> int:
 
 
 def format_poly(f: NCPoly) -> str:
+    """Sorting the str words sorts them by their id sequences, and each
+    word is spelt by one str.translate.  Lines are joined in blocks of
+    4096, so that no more than one block's line objects live beside the
+    text."""
     fmt = f.table.field.format
-    names = f.table._names
-    lines = []
-    for w in sorted(f.terms):
-        if w:
-            lines.append(fmt(f.terms[w]) + " " + " ".join([names[v] for v in w]))
-        else:
-            lines.append(fmt(f.terms[w]) + " 1")
-    return "\n".join(lines) + ("\n" if lines else "")
+    spell = f.table.spelling()
+    terms = f.terms
+    words = sorted(terms)
+    blocks = []
+    for i in range(0, len(words), 4096):
+        lines = [fmt(terms[w]) + (w.translate(spell) or " 1") for w in words[i : i + 4096]]
+        blocks.append("\n".join(lines) + "\n")
+    return "".join(blocks)
 
 
 def parse_poly(text: str, table: VarTable) -> NCPoly:
     """Parse the text format; unknown variable names are added to the table.
 
-    Known names cost one lookup in the table's name -> id dict, and only a
-    line holding a new name goes through ``get_or_add``, which validates
-    names and numbers them in first-seen order.  Each distinct coefficient
-    literal is parsed once per call.
+    Known names cost one lookup in the table's name -> letter dict, and
+    only a line holding a new name goes through ``get_or_add``, which
+    validates names and numbers them in first-seen order.  Each distinct
+    coefficient literal is parsed once per call.
     """
     out = NCPoly.zero(table)
-    ids = table._ids
+    letters = table._letters
     parse = table.field.parse
     scalars: dict[str, object] = {}
     for raw in text.splitlines():
@@ -463,12 +499,12 @@ def parse_poly(text: str, table: VarTable) -> NCPoly:
             coeff = scalars[tokens[0]] = parse(tokens[0])
         names = tokens[1:]
         if names == ["1"]:
-            word: Word = ()
+            word = ""
         else:
             try:
-                word = tuple([ids[t] for t in names])
+                word = "".join([letters[t] for t in names])
             except KeyError:
-                word = tuple(table.get_or_add(t).id for t in names)
+                word = "".join([chr(table.get_or_add(t).id) for t in names])
         s = out.terms.get(word)
         s = coeff if s is None else s + coeff
         if s == 0:

@@ -26,7 +26,7 @@ branching-program embedding.
 from collections.abc import Iterable
 
 from .abp import Abp, transition_matrices
-from .algebra import NCPoly, TableMismatchError, VarTable, Word, budget
+from .algebra import NCPoly, TableMismatchError, VarTable, Word, budget, to_word
 
 MAX_ENTRY_DEGREE = 3
 
@@ -64,7 +64,7 @@ class SubstAutomaton:
             self.accept = name
         return name
 
-    def add_transition(self, frm: str, var: int, to: str, coeff=None, word: Word = ()) -> None:
+    def add_transition(self, frm: str, var: int, to: str, coeff=None, word: Word = "") -> None:
         if coeff is None:
             coeff = self.input_table.field.one
         if coeff == 0:
@@ -79,23 +79,23 @@ class SubstAutomaton:
         self.add_state(to)
         if len(word) > MAX_ENTRY_DEGREE:
             raise ValueError(f"output degree {len(word)} exceeds {MAX_ENTRY_DEGREE}")
-        self.transitions[key] = (to, coeff, tuple(word))
+        self.transitions[key] = (to, coeff, to_word(word))
 
     def run(self, word: Word):
         """Deterministic simulation: (accepted, coefficient, output word)."""
         state = self.start
         coeff = self.input_table.field.one
-        out: list[int] = []
-        for v in word:
+        out: list[str] = []
+        for v in map(ord, word):
             hop = self.transitions.get((state, v))
             if hop is None:
-                return False, self.input_table.field.zero, ()
+                return False, self.input_table.field.zero, ""
             state, c, emitted = hop
             coeff = coeff * c
-            out.extend(emitted)
+            out.append(emitted)
         if state != self.accept:
-            return False, self.input_table.field.zero, ()
-        return True, coeff, tuple(out)
+            return False, self.input_table.field.zero, ""
+        return True, coeff, "".join(out)
 
 
 def path_order(start, accept, before, after) -> list:
@@ -154,7 +154,7 @@ class MatrixSubstitution:
                         f"entry degree {len(word)} exceeds {MAX_ENTRY_DEGREE}"
                     )
                 if coeff != 0:
-                    clean[(r, c)] = (coeff, tuple(word))
+                    clean[(r, c)] = (coeff, to_word(word))
             self.entries[vid] = clean
         self._rows_cache: dict = {}
 
@@ -198,19 +198,20 @@ class MatrixSubstitution:
         terms = iter(sorted(g.terms.items()) if isinstance(g, NCPoly) else g)
         one = self.input_table.field.one
         limits = budget()
-        rows = {vid: self.rows(vid) for vid in self.entries}
-        growing = {vid for vid, m in rows.items() if any(len(c) > 1 for c in m.values())}
-        # unit[vid][row]: the column of the row's one cell, if that cell is
-        # one times the empty word
+        # every per-letter table is keyed by the letter, a one-character word
+        rows = {chr(vid): self.rows(vid) for vid in self.entries}
+        growing = {v for v, m in rows.items() if any(len(c) > 1 for c in m.values())}
+        # unit[letter][row]: the column of the row's one cell, if that cell
+        # is one times the empty word
         unit = {
-            vid: {r: c[0][0] for r, c in m.items() if len(c) == 1 and c[0][1:] == (one, ())}
-            for vid, m in rows.items()
+            v: {r: c[0][0] for r, c in m.items() if len(c) == 1 and c[0][1:] == (one, "")}
+            for v, m in rows.items()
         }
         no_cells: dict = {}
         accept = self.dim - 1
         out = NCPoly.zero(self.output_table)
         acc = out.terms
-        stack = [{0: {(): one}}]
+        stack = [{0: {"": one}}]
         ahead = next(terms, None)
         while ahead is not None:
             w, coeff = ahead
@@ -239,10 +240,10 @@ class MatrixSubstitution:
                         vec = {r: poly}
                         if i == end:
                             break
-                vid = w[i]
+                v = w[i]
                 i += 1
-                vec = row_times_matrix(vec, rows.get(vid, no_cells))
-                if vid in growing:
+                vec = row_times_matrix(vec, rows.get(v, no_cells))
+                if v in growing:
                     limits.check_terms(sum(map(len, vec.values())), "termwise apply")
                 if i <= keep:
                     stack.append(vec)
@@ -308,7 +309,7 @@ def product_cells(matrices: list, starts, one) -> dict:
     """
     out: dict = {}
     for i in starts:
-        vec = {i: {(): one}}
+        vec = {i: {"": one}}
         for rows in matrices:
             if not vec:
                 break
@@ -358,7 +359,7 @@ def filter_by_automaton(f: NCPoly, a: SubstAutomaton) -> NCPoly:
     if f.table != a.input_table:
         raise TableMismatchError("polynomial and automaton alphabets differ")
     for (_frm, var), (_to, coeff, word) in a.transitions.items():
-        if word != (var,) or coeff != 1:
+        if word != chr(var) or coeff != 1:
             raise ValueError("filtering needs identity outputs on every transition")
     out = NCPoly.zero(f.table)
     for w, c in f.terms.items():
@@ -421,7 +422,7 @@ def hadamard_via_matrices(f, g: Abp) -> NCPoly:
         if isinstance(gate, Input):
             m = sub.rows(gate.var)
         elif isinstance(gate, Const):
-            m = {i: [(i, gate.value, ())] for i in range(q)} if gate.value != 0 else {}
+            m = {i: [(i, gate.value, "")] for i in range(q)} if gate.value != 0 else {}
         elif isinstance(gate, Add):
             a, b = mats[gate.left], mats[gate.right]
             m = {
@@ -448,6 +449,7 @@ def hadamard_via_matrices(f, g: Abp) -> NCPoly:
 
 def format_substitution(sub: MatrixSubstitution) -> str:
     fmt = sub.input_table.field.format
+    spell = sub.output_table.spelling()
     lines = [
         "substitution",
         f"dim {sub.dim}",
@@ -461,10 +463,7 @@ def format_substitution(sub: MatrixSubstitution) -> str:
         lines.append(f"var {sub.input_table.name(vid)}")
         for (r, c) in sorted(cells):
             coeff, word = cells[(r, c)]
-            rhs = fmt(coeff)
-            if word:
-                rhs += " " + " ".join(sub.output_table.name(v) for v in word)
-            lines.append(f"entry {r + 1} {c + 1} {rhs}")
+            lines.append(f"entry {r + 1} {c + 1} {fmt(coeff)}{word.translate(spell)}")
     return "\n".join(lines) + "\n"
 
 
@@ -473,9 +472,10 @@ def parse_substitution(
 ) -> MatrixSubstitution:
     """Parse the substitution text format; unknown names are added.
 
-    As in parse_poly, known names cost one lookup in the table's name -> id
-    dict, only a line holding a new name goes through ``get_or_add``, and
-    each distinct coefficient literal is parsed once per call.
+    As in parse_poly, known output names cost one lookup in the table's
+    name -> letter dict, only a line holding a new name goes through
+    ``get_or_add``, and each distinct coefficient literal is parsed once
+    per call.
     """
     from .fields import QQ
 
@@ -483,7 +483,7 @@ def parse_substitution(
         input_table = VarTable(field=QQ)
     if output_table is None:
         output_table = VarTable(field=input_table.field)
-    in_ids, out_ids = input_table._ids, output_table._ids
+    in_ids, out_letters = input_table._ids, output_table._letters
     parse = input_table.field.parse
     scalars: dict[str, object] = {}
     dim = None
@@ -505,9 +505,9 @@ def parse_substitution(
             if coeff is None:
                 coeff = scalars[tokens[3]] = parse(tokens[3])
             try:
-                word = tuple([out_ids[n] for n in tokens[4:]])
+                word = "".join([out_letters[n] for n in tokens[4:]])
             except KeyError:
-                word = tuple(output_table.get_or_add(n).id for n in tokens[4:])
+                word = "".join([chr(output_table.get_or_add(n).id) for n in tokens[4:]])
             current[(r, c)] = (coeff, word)
         elif tokens[0] == "var":
             vid = in_ids.get(tokens[1])

@@ -122,7 +122,7 @@ def expand(c: Circuit, degree_cap: int | None = None) -> NCPoly:
     for gid in c.reachable():
         g = c.gates[gid]
         if isinstance(g, Input):
-            v = NCPoly.monomial(c.table, (g.var,))
+            v = NCPoly.monomial(c.table, chr(g.var))
         elif isinstance(g, Const):
             v = NCPoly.const(c.table, g.value)
         elif isinstance(g, Add):
@@ -217,7 +217,7 @@ class Bracketed:
     circuit: Circuit
     pairs: list  # (open, close) var ids, in creation order
     gate_pair: dict  # product gate id -> its (open, close)
-    leaf_word: dict  # input or constant gate id -> its bracket word
+    leaf_word: dict  # input or constant gate id -> its bracket word, a Word
     recovery: dict  # new var id -> Var or scalar
 
 
@@ -256,7 +256,7 @@ def to_bracketed(c: Circuit) -> Bracketed:
         return len(gates) - 1
 
     gate_pair: dict[int, tuple] = {}
-    leaf_word: dict[int, tuple] = {}
+    leaf_word: dict[int, str] = {}
     words: dict = {}  # source variable or formatted scalar -> (word, its gate)
     mapped: dict[int, int] = {}
     for gid, g in enumerate(c.gates):
@@ -271,13 +271,14 @@ def to_bracketed(c: Circuit) -> Bracketed:
             if key not in words:
                 if isinstance(g, Input):
                     name = c.table.name(g.var)
-                    word = pair("[]", name, Var(g.var, name))
+                    o, cl = pair("[]", name, Var(g.var, name))
+                    word = chr(o) + chr(cl)
                 else:
                     (ob, cb), (oz, cz) = pair("()", f"a{key}"), pair("[]", f"z{key}", g.value)
-                    word = (ob, oz, cz, cb)
-                top = leaf(word[0])
-                for vid in word[1:]:
-                    top = mul(top, leaf(vid))
+                    word = chr(ob) + chr(oz) + chr(cz) + chr(cb)
+                top = leaf(ord(word[0]))
+                for letter in word[1:]:
+                    top = mul(top, leaf(ord(letter)))
                 words[key] = word, top
             leaf_word[gid], mapped[gid] = words[key]
 

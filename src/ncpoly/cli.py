@@ -153,7 +153,7 @@ def _build_reduction(kind: str, params: Params, field: Field):
     if kind == "vbp-trivial":
         abp = parse_abp(Path(params.text("abp")).read_text(), VarTable(field=field))
         target = make_family(params.text("target"), field)
-        witness = tuple(target.table.var(name).id for name in params.text("witness").split(","))
+        witness = target.table.word(*params.text("witness").split(","))
         params.finish()
         # refuse a bad program or witness, then expand, so that a source
         # over the term budget stops before the build

@@ -5,10 +5,10 @@ ABP evaluation), so family instances double as independent oracles for
 the reduction tests.  Families of one shape share one builder: sums over
 per-position choices of (c_1 ... c_n)^r (id, idprime, idstar, powsum,
 prodsums) and chi-weighted powers of permutation words (per, perchi,
-perstar, perstarchi).  Builders resolve variable ids once per family and
-build whole words with tuple operations; balanced words come bottom-up
-by first return, after the same recurrence has counted them against the
-term budget.  Every builder checks its term count against the budget in
+perstar, perstarchi).  Builders resolve each variable's one-letter word
+once per family and build whole words by joining and repeating strings;
+balanced words come bottom-up by first return, after the same recurrence
+has counted them against the term budget.  Every builder checks its term count against the budget in
 force when it realizes (algebra.budget), before it builds.  Realization
 is lazy: reduction targets such as high-arity Dyck instances are often
 only consumed through their support structure, never expanded.  The
@@ -44,12 +44,11 @@ def nesting_depth(word: Word, pairs) -> int:
     Concatenation takes the max of its parts and wrapping adds one, so the
     depth equals the maximum stack height along the word.
     """
-    close_of = {o: c for o, c in pairs}
-    opens = set(close_of)
+    close_of = {chr(o): chr(c) for o, c in pairs}
     stack = []
     depth = 0
     for v in word:
-        if v in opens:
+        if v in close_of:
             stack.append(close_of[v])
             depth = max(depth, len(stack))
         elif not stack or stack.pop() != v:
@@ -101,14 +100,16 @@ def _balanced_words(pairs, length: int, depth_cap: int | None = None):
     for m, n in enumerate(_first_return_rows(half, depth_cap, 1, 0, count)):
         limits.check_terms(n, f"the sum of balanced words of length {2 * m}")
 
+    letters = [(chr(o), chr(c)) for o, c in pairs]
+
     def words(inner, same, m):
         out = []
         for m1 in range(m):
-            heads = [(o, *u, c) for o, c in pairs for u in inner[m1]]
+            heads = [o + u + c for o, c in letters for u in inner[m1]]
             out += [h + v for h in heads for v in same[m - 1 - m1]]
         return out
 
-    *_, top = _first_return_rows(half, depth_cap, [()], [], words)
+    *_, top = _first_return_rows(half, depth_cap, [""], [], words)
     return top
 
 
@@ -234,7 +235,8 @@ def gen_pal(n: int, k: int = 2, field: Field = QQ) -> FamilyInstance:
 
     def build():
         budget().check_terms(k**n, "family pal")
-        words = (w + w[::-1] for w in itertools.product(letters, repeat=n))
+        halves = map("".join, itertools.product(map(chr, letters), repeat=n))
+        words = (w + w[::-1] for w in halves)
         return _poly(table, _ones(table, words))
 
     params = {"n": n} if k == 2 else {"n": n, "k": k}
@@ -257,25 +259,26 @@ def _choice_family(name, n, table, choices, power) -> FamilyInstance:
     """The sum over c_i in choices(i), i = 1..n, of (c_1 ... c_n)^power,
     coefficient 1; choices(i) names the variables allowed at position i.
 
-    The words are streamed in sorted order: each position's ids ascend, so
-    the product runs through the words lexicographically.  For power 1 the
-    sum is a product of sums of letters, a width-1 ABP in meta["abp"].
+    The words are streamed in sorted order: each position's letters
+    ascend, so the product runs through the words lexicographically.  For
+    power 1 the sum is a product of sums of letters, a width-1 ABP in
+    meta["abp"].
     """
     if n < 1:
         raise ValueError("need n >= 1")
 
     def slots():
-        return [sorted(table.var(v).id for v in choices(i)) for i in range(1, n + 1)]
+        return [sorted(table.word(v) for v in choices(i)) for i in range(1, n + 1)]
 
     def stream():
-        ids = slots()
-        budget().check_terms(prod(map(len, ids)), f"family {name}")
-        return _ones(table, (w * power for w in itertools.product(*ids)))
+        letters = slots()
+        budget().check_terms(prod(map(len, letters)), f"family {name}")
+        return _ones(table, ("".join(w) * power for w in itertools.product(*letters)))
 
     def build_abp():
         budget().check_states(n + 1)
         one = table.field.one
-        return Abp(table, [1] * (n + 1), [[(0, 0, one, (vid,)) for vid in ids] for ids in slots()])
+        return Abp(table, [1] * (n + 1), [[(0, 0, one, v) for v in vs] for vs in slots()])
 
     meta = {"abp": build_abp} if power == 1 else {}
     return _instance(name, {"n": n}, table, stream=stream, **meta)
@@ -361,10 +364,10 @@ def _perm_family(name, n, chi, power, field) -> FamilyInstance:
 
     def stream():
         budget().check_terms(factorial(n), f"family {name}")
-        # rows[i-1][j] is the id of x{i}_{j}, so map(getitem, rows, s) spells s's word
+        # rows[i-1][j] is the letter of x{i}_{j}, so map(getitem, rows, s) spells s's word
         cols = range(1, n + 1)
-        rows = [{j: table.var(f"x{i}_{j}").id for j in cols} for i in cols]
-        words = (tuple(map(getitem, rows, s)) * power for s in itertools.permutations(cols))
+        rows = [{j: table.word(f"x{i}_{j}") for j in cols} for i in cols]
+        words = ("".join(map(getitem, rows, s)) * power for s in itertools.permutations(cols))
         if chi is None:
             return _ones(table, words)
         return zip(words, map(chi.values.__getitem__, itertools.permutations(cols)))
@@ -441,8 +444,9 @@ def gen_hierarchy(i: int, n: int, field: Field = QQ) -> FamilyInstance:
             budget().check_terms(len(acc.terms) * len(words), "family hier")
             acc = acc * _poly(table, _ones(table, words))
             budget().check_terms(len(acc.terms) * 2**n, "family hier")
-            xs = (table.var(f"x0_f{j}").id, table.var(f"x1_f{j}").id)
-            acc = acc * _poly(table, _ones(table, (w * 2 for w in itertools.product(xs, repeat=n))))
+            xs = table.word(f"x0_f{j}", f"x1_f{j}")
+            halves = map("".join, itertools.product(xs, repeat=n))
+            acc = acc * _poly(table, _ones(table, (w * 2 for w in halves)))
         return acc
 
     return _instance("hier", {"i": i, "n": n}, table, build, degree=4 * n * (i - 1))
@@ -472,11 +476,11 @@ def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
     if n < 1:
         raise ValueError("need n >= 1")
     table = sums_table(n, field)
-    chains = [[table.var(f"{x}{i}").id for i in range(1, n + 1)] for x in "xy"]
+    chains = [table.word(*(f"{x}{i}" for i in range(1, n + 1))) for x in "xy"]
 
     def build():
         budget().check_terms(2, "family twochains")
-        return _poly(table, _ones(table, map(tuple, chains)))
+        return _poly(table, _ones(table, chains))
 
     def build_abp():
         budget().check_states(2 * n)
@@ -487,8 +491,8 @@ def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
 
         edges = [
             [
-                (vertex(i, b), vertex(i + 1, b), one, (ids[i],))
-                for b, ids in enumerate(chains)
+                (vertex(i, b), vertex(i + 1, b), one, chain[i])
+                for b, chain in enumerate(chains)
             ]
             for i in range(n)
         ]
@@ -539,9 +543,7 @@ def commutative_version(f: NCPoly, out_table: VarTable | None = None) -> NCPoly:
     table = out_table or tagged_table(f.table, d)
     terms = {}
     for w, c in f.terms.items():
-        tagged = tuple(
-            table.var(f"{f.table.name(v)}@{i + 1}").id for i, v in enumerate(w)
-        )
+        tagged = table.word(*(f"{name}@{i}" for i, name in enumerate(f.table.word_names(w), 1)))
         terms[tagged] = c
     assert len(terms) == len(f.terms)
     return NCPoly(table, terms)

@@ -183,17 +183,31 @@ def _fact_room(sub: MatrixSubstitution, letters, half: int, with_tail: bool) -> 
     return room
 
 
+def _row_bits(rows: dict) -> int:
+    """The bitset of the rows that hold a cell."""
+    bits = 0
+    for j in rows:
+        bits |= 1 << j
+    return bits
+
+
 def _opener_cells(sub: MatrixSubstitution, pairs) -> dict:
     """The opener-cell index of a bracket grammar, built once per inside sum:
-    state i -> {state k after o: [(coefficient, word, c, rows of c)]} over
-    the cells i -> k of each pair's opener o."""
+    state i -> {state k after o: (rows, [(coefficient, word, c, rows of c)])}
+    over the cells i -> k of each pair's opener o, where rows is the bitset
+    of the rows in which some closer c of the group has a cell."""
     opens: dict[int, dict] = {}
     for o, c in pairs:
         crow = sub.rows(c)
+        bits = _row_bits(crow)
         for i, cells in sub.rows(o).items():
             by_k = opens.setdefault(i, {})
             for k, co, wo in cells:
-                by_k.setdefault(k, []).append((co, wo, c, crow))
+                group = by_k.get(k)
+                if group is None:
+                    group = by_k[k] = [0, []]
+                group[0] |= bits
+                group[1].append((co, wo, c, crow))
     return opens
 
 
@@ -235,10 +249,12 @@ def _nonempty_facts(
     into: dict[int, dict] = {}
     for i, by_k in opens.items():
         if starts >> i & 1:
-            for k, cells in by_k.items():
+            for k, (_, cells) in by_k.items():
                 for _, _, c, _ in cells:
                     into.setdefault(k, {}).setdefault(c, []).append(i)
 
+    # closers[c]: the rows of closer c and the bitset of those rows
+    closers = {c: (sub.rows(c), _row_bits(sub.rows(c))) for _, c in pairs}
     inner_budgets = [None] if depth_cap is None else range(depth_cap)
     pending: list = [{} for _ in range(half + 1)]
     for k in into:
@@ -270,8 +286,8 @@ def _nonempty_facts(
                 continue
             b = None if inner_b is None else inner_b + 1
             for c, cell_starts in into.get(k, {}).items():
-                crow = sub.rows(c)
-                after, bits = 0, inner
+                crow, crow_bits = closers[c]
+                after, bits = 0, inner & crow_bits
                 while bits:
                     j = bits.bit_length() - 1
                     bits ^= 1 << j
@@ -333,7 +349,8 @@ def _inside_sum(
        Each marked key records its live joins, the (opener cell, inner
        end state, closer cell, split) whose tail reaches a marked end,
        and the marked keys they read; the consumers of each key are
-       counted.
+       counted.  Only the inner end states where a closer of the opener
+       group has a cell are walked.
     3. Polynomial: the keys walked forwards, which is topological, replay
        the joins pass 2 recorded and build only the marked end states.
        A key's joins are held until the key is built, cells whose
@@ -374,13 +391,14 @@ def _inside_sum(
         lo = 0 if with_tail else m - 1
         key_joins = []
         used_keys = set()
-        for k, cells in opens[i].items():
+        for k, (rows, cells) in opens[i].items():
             for m1, inner in found.get((k, inner_b), {}).items():
                 if not lo <= m1 < m:
                     continue
                 t = m - 1 - m1
                 inner_key = (k, m1, inner_b)
                 used = 0
+                inner &= rows  # an end state no closer of the group leaves
                 while inner:
                     j1 = inner.bit_length() - 1
                     inner ^= 1 << j1
@@ -410,7 +428,7 @@ def _inside_sum(
             continue
         i, m, _ = key
         if m == 0:
-            memo[key] = {i: {(): one}}
+            memo[key] = {i: {"": one}}
             continue
         key_joins, used_keys = joins.pop(key)
         # out[j]: the key's polynomial at end state j, where the joins of
@@ -576,7 +594,7 @@ def iproj_to_abp(m: IProjMap, d: int, source="", target="") -> AbpReduction:
         if pos > d:
             continue
         if isinstance(img, Var):
-            a.add_transition(f"p{pos - 1}", vid, f"p{pos}", word=(img.id,))
+            a.add_transition(f"p{pos - 1}", vid, f"p{pos}", word=chr(img.id))
         elif img != 0:
             a.add_transition(f"p{pos - 1}", vid, f"p{pos}", coeff=img)
     return AbpReduction(automaton_to_substitution(a), source, target, kind="iproj-chain")
@@ -629,9 +647,9 @@ def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:
     for zcells in s2.entries.values():
         for (i2, j2), (_coeff, word) in zcells.items():
             into.setdefault(j2, set()).add((i2, word))
-    columns: dict[int, dict] = {}  # letter -> inner column j1 -> its rows i1
+    columns: dict[str, dict] = {}  # letter -> inner column j1 -> its rows i1
     for y, cells in s1.entries.items():
-        col = columns[y] = {}
+        col = columns[chr(y)] = {}
         for i1, j1 in cells:
             col.setdefault(j1, []).append(i1)
     sources: dict[tuple, set] = {}  # (entry word, j1) -> the rows i1 reaching j1
@@ -649,6 +667,7 @@ def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:
             for i1 in rows:
                 yield i2, i1
 
+    inner_rows = {chr(y): s1.rows(y) for y in s1.entries}
     outer = [(zid, s2.rows(zid)) for zid in sorted(s2.entries)]
     products: dict[tuple, dict] = {}  # (entry word, i1) -> row i1's cells
     kept: dict[tuple, list] = {}  # kept pair -> [(variable, next pair, coefficient, word)]
@@ -661,7 +680,7 @@ def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:
                 cells = products.get((word, i1))
                 if cells is None:
                     cells = products[(word, i1)] = product_cells(
-                        [s1.rows(y) for y in word], (i1,), one
+                        [inner_rows.get(y, {}) for y in word], (i1,), one
                     )
                 for (_, j1), (c, w) in cells.items():
                     cells_out.append((zid, (j2, j1), coeff * c, w))

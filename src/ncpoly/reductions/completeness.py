@@ -82,8 +82,8 @@ def _image(recovery: dict, vid: int, cnt: int, field) -> tuple:
     addition paths: cnt times its recovery image, a variable or a scalar."""
     img = recovery[vid]
     if isinstance(img, Var):
-        return field.from_int(cnt), (img.id,)
-    return field.from_int(cnt) * img, ()
+        return field.from_int(cnt), chr(img.id)
+    return field.from_int(cnt) * img, ""
 
 
 def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
@@ -123,7 +123,7 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
                 key, live = (br.gate_pair[h][0], ("E", g.left)), moves[g.left]
             else:
                 word = br.leaf_word[h]
-                key, live = (word[0], ("W", (word, 1))), not isinstance(g, Const) or g.value
+                key, live = (ord(word[0]), ("W", (word, 1))), not isinstance(g, Const) or g.value
             if live:
                 paths[key] = paths.get(key, 0) + cnt
         moves.append({key: cnt for key, cnt in paths.items() if field.from_int(cnt)})
@@ -162,7 +162,7 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
         elif kind == "W":  # inside a leaf word, before its letter i
             word, i = data
             nxt = ("W", (word, i + 1)) if i + 1 < len(word) else ("L", None)
-            step(name, word[i], push(*nxt))
+            step(name, ord(word[i]), push(*nxt))
         else:  # after a subterm
             for h, (_o, cl) in sorted(br.gate_pair.items()):
                 if moves[c.gates[h].right]:
@@ -242,7 +242,7 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
     a.add_state("B", accept=True)
     reached: list[set] = [set() for _ in range(r + 1)]  # [pos]: the gates g of W{g}@pos
 
-    def enter(frm, letter, gid, pos, coeff=None, word=()) -> None:
+    def enter(frm, letter, gid, pos, coeff=None, word="") -> None:
         if r + 1 - pos in lengths[gid]:
             reached[pos].add(gid)
             a.add_transition(frm, letter, f"W{gid}@{pos}", coeff=coeff, word=word)

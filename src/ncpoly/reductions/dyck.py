@@ -66,16 +66,12 @@ def dk_encode_word(word: Word, k: int, source_pairs, target_pairs) -> Word:
     mirror image, so every letter becomes a block of k+1 letters, type
     mismatches break balance, and block boundaries sit at fixed positions.
     """
-    (o1, c1), (o2, c2) = target_pairs
-    open_code = {}
-    close_code = {}
+    (o1, c1), (o2, c2) = ((chr(o), chr(c)) for o, c in target_pairs)
+    code = {}
     for i, (o, c) in enumerate(source_pairs, start=1):
-        open_code[o] = (o1,) + (o2,) * i + (o1,) * (k - i)
-        close_code[c] = (c1,) * (k - i) + (c2,) * i + (c1,)
-    out: list[int] = []
-    for v in word:
-        out.extend(open_code.get(v) or close_code[v])
-    return tuple(out)
+        code[chr(o)] = o1 + o2 * i + o1 * (k - i)
+        code[chr(c)] = c1 * (k - i) + c2 * i + c1
+    return "".join([code[v] for v in word])
 
 
 def dk_to_d2_reduction(k: int, d: int, field: Field = QQ) -> AbpReduction:
@@ -99,7 +95,7 @@ def dk_to_d2_reduction(k: int, d: int, field: Field = QQ) -> AbpReduction:
     a.add_state("b" if d else "s", accept=True)  # d = 0: the empty word alone
 
     patterns = [
-        (dk_encode_word((v,), k, src_pairs, target.meta["pairs"]), v)
+        (dk_encode_word(chr(v), k, src_pairs, target.meta["pairs"]), v)
         for pair in src_pairs
         for v in pair
     ]
@@ -115,11 +111,12 @@ def dk_to_d2_reduction(k: int, d: int, field: Field = QQ) -> AbpReduction:
     for root in ("s", "b") if d else ():
         for path, emit in patterns:
             prev = root
-            for off, letter in enumerate(path[:-1]):
-                state = f"{root}|" + ".".join(map(str, path[: off + 1]))
-                add_once(prev, letter, state, ())
+            letters = list(map(ord, path))
+            for off, letter in enumerate(letters[:-1]):
+                state = f"{root}|" + ".".join(map(str, letters[: off + 1]))
+                add_once(prev, letter, state, "")
                 prev = state
-            add_once(prev, path[-1], "b", (emit,))
+            add_once(prev, letters[-1], "b", chr(emit))
     sub = automaton_to_substitution(a)
     return AbpReduction(sub, source.spec_string, target.spec_string, kind="dk-d2")
 
@@ -143,9 +140,9 @@ def dyck_depth_reduction(k1: int, k2: int, n: int, field: Field = QQ) -> AbpRedu
     for state, excess in [("s", 0)] + [(f"e{e}", e) for e in range(k1 + 1)]:
         for o, c in pairs:
             if excess < k1:
-                a.add_transition(state, o, f"e{excess + 1}", word=(o,))
+                a.add_transition(state, o, f"e{excess + 1}", word=chr(o))
             if excess > 0:
-                a.add_transition(state, c, f"e{excess - 1}", word=(c,))
+                a.add_transition(state, c, f"e{excess - 1}", word=chr(c))
     sub = automaton_to_substitution(a)
     return AbpReduction(sub, source.spec_string, target.spec_string, kind="dyck-depth")
 
@@ -165,7 +162,7 @@ def two_chains_reduction(n: int, field: Field = QQ) -> AbpReduction:
             vid = target.table.var(f"{prefix}{i}").id
             out = source.table.var(f"{prefix}{i}").id
             state = "t" if i == n else f"{prefix}{i}"
-            a.add_transition(prev, vid, state, word=(out,))
+            a.add_transition(prev, vid, state, word=chr(out))
             prev = state
     sub = automaton_to_substitution(a)
     return AbpReduction(sub, source.spec_string, target.spec_string, kind="two-chains")
@@ -182,7 +179,7 @@ def check_vbp_trivial(f_abp: Abp, target: FamilyInstance, witness: Word) -> None
     # read the witness coefficient through a one-word chain, so that a
     # target with a grammar is not realized
     field = target.table.field
-    letters = {(i, v): field.one for i, v in enumerate(witness, 1)}
+    letters = {(i, v): field.one for i, v in enumerate(map(ord, witness), 1)}
     chain = IProjMap(target.table, VarTable(field=field), letters)
     if apply_to_instance(iproj_to_abp(chain, m), target).coeff(()) != 1:
         raise ValueError("witness word must have coefficient exactly 1 in the target")
@@ -229,7 +226,7 @@ def vbp_trivial_reduction(
         size = base + (1 if i < extra else 0)
         starts = range(f_abp.offsets[gap], f_abp.offsets[gap + 1])
         block = product_cells(gap_rows[gap : gap + size], starts, one)
-        entries.setdefault(witness[i], {}).update(block)
+        entries.setdefault(ord(witness[i]), {}).update(block)
         gap += size
 
     sub = MatrixSubstitution(target.table, f_abp.table, f_abp.size, entries)

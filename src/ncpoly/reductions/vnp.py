@@ -70,7 +70,7 @@ def per_to_idstar_reduction(n: int, field: Field = QQ) -> AbpReduction:
                         to = state_name(block + 1, 0, None) if block < n * n else accept
                     else:
                         to = state_name(block, p + 1, nxt_mem)
-                    word = (var_of(source.table, row, idx),) if block == 1 else ()
+                    word = chr(var_of(source.table, row, idx)) if block == 1 else ""
                     a.add_transition(frm, var_of(target.table, row, idx), to, word=word)
     sub = automaton_to_substitution(a)
     return AbpReduction(sub, source.spec_string, target.spec_string, kind="per-idstar")
@@ -125,7 +125,7 @@ def per_to_perstar_chi_reduction(n: int, chi: ChiTable, field: Field = QQ) -> Ab
                     var_of(target.table, row, idx),
                     to,
                     coeff=coeff,
-                    word=(var_of(source.table, row, idx),),
+                    word=chr(var_of(source.table, row, idx)),
                 )
 
     # remaining blocks: walk the forced repeats of sigma
@@ -252,7 +252,7 @@ def set_multilinear_rank1_split(f: NCPoly, max_degree: int = 12) -> SplitVerdict
     """
     if not f:
         raise ValueError("the zero polynomial has no position structure")
-    pos_of = tag_positions(f.table)
+    pos_of = {chr(vid): tag for vid, tag in tag_positions(f.table).items()}
     d = f.degree()
     if d > max_degree:
         raise ValueError(f"degree {d} exceeds the exhaustive bound {max_degree}")
@@ -269,8 +269,8 @@ def set_multilinear_rank1_split(f: NCPoly, max_degree: int = 12) -> SplitVerdict
             rows: dict = {}
             cols: dict = {}
             for w, c in f.terms.items():
-                left = tuple(sorted((v for v in w if pos_of[v][1] in part), key=lambda v: pos_of[v][1]))
-                right = tuple(sorted((v for v in w if pos_of[v][1] not in part), key=lambda v: pos_of[v][1]))
+                left = "".join(sorted((v for v in w if pos_of[v][1] in part), key=lambda v: pos_of[v][1]))
+                right = "".join(sorted((v for v in w if pos_of[v][1] not in part), key=lambda v: pos_of[v][1]))
                 rows.setdefault(left, {})[cols.setdefault(right, len(cols))] = c
             if exact_rank(rows.values(), f.table.field) == 1:
                 return SplitVerdict(tuple(sorted(part)), checked)

@@ -15,7 +15,7 @@ def balanced(word, pairs):
     """Stack check over typed bracket pairs, the oracle for balanced words."""
     close_of = {o: c for o, c in pairs}
     stack = []
-    for v in word:
+    for v in map(ord, word):
         if v in close_of:
             stack.append(close_of[v])
         elif not stack or stack.pop() != v:
@@ -163,12 +163,12 @@ def random_abp(rng: random.Random, max_width=3, max_depth=4, n_vars=3, homogeneo
                     coeffs = {}
                     for vid in rng.sample(range(n_vars), rng.randint(1, 2)):
                         coeffs[vid] = Fraction(rng.choice([-2, -1, 1, 2]))
-                    gap_edges += [(u, v, c, (vid,)) for vid, c in sorted(coeffs.items())]
+                    gap_edges += [(u, v, c, chr(vid)) for vid, c in sorted(coeffs.items())]
                     if not homogeneous and rng.random() < 0.3:
-                        gap_edges.append((u, v, Fraction(rng.choice([-1, 1, 2])), ()))
+                        gap_edges.append((u, v, Fraction(rng.choice([-1, 1, 2])), ""))
             if not any(e[0] == u for e in gap_edges):
                 vid = rng.randrange(n_vars)
-                gap_edges.append((u, rng.randrange(layers[gap + 1]), Fraction(1), (vid,)))
+                gap_edges.append((u, rng.randrange(layers[gap + 1]), Fraction(1), chr(vid)))
         edges.append(gap_edges)
     return Abp(t, layers, edges)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import corpus
 from ncpoly.abp import abp_eval, bounded_depth_dyck_abp, hankel_rank
-from ncpoly.algebra import NCPoly, Var, VarTable, hadamard_bruteforce
+from ncpoly.algebra import NCPoly, Var, VarTable, hadamard_bruteforce, to_word
 from ncpoly.automata import hadamard_via_matrices
 from ncpoly.circuits import expand
 from ncpoly.families import (
@@ -180,7 +180,7 @@ def test_criterion_5_counting_oracles():
                 letters = [v for pair in inst.meta["pairs"] for v in pair]
                 brute = {
                     w
-                    for w in itertools.product(letters, repeat=2 * n)
+                    for w in map(to_word, itertools.product(letters, repeat=2 * n))
                     if corpus.balanced(w, inst.meta["pairs"])
                 }
                 assert set(inst.poly.terms) == brute
@@ -240,7 +240,7 @@ def test_criterion_6_concrete_reductions():
     for n in (1, 2, 3):
         p = bounded_depth_dyck_abp(n, n, bracket_types=1)
         target = gen_pal(n)
-        witness = tuple([target.table.var("x0").id] * (2 * n))
+        witness = target.table.word(*["x0"] * (2 * n))
         r = vbp_trivial_reduction(p, target, witness)
         assert apply_to_instance(r, target) == abp_eval(p)
     done.append("vbp-trivial D1->pal n<=3")

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+from ncpoly import algebra
 from ncpoly.algebra import (
     _NAME_BREAK,
+    MAX_VAR_ID,
     NCPoly,
     TableMismatchError,
     VarNameError,
@@ -19,7 +21,9 @@ from ncpoly.algebra import (
     hadamard_bruteforce,
     parse_poly,
     substitute_letters,
+    to_word,
 )
+from ncpoly.cli import main
 from ncpoly.fields import QQ, FieldError, PrimeField
 
 
@@ -195,7 +199,7 @@ def test_substitute_letters_scalars_and_vars():
     f = NCPoly(t, {t.word("a", "b"): Fraction(1), t.word("b", "b"): Fraction(2)})
     images = {t.var("a").id: out.var("x"), t.var("b").id: Fraction(3)}
     g = substitute_letters(f, lambda _pos, vid: images[vid], out)
-    assert g.terms == {out.word("x"): 3, (): 18}
+    assert g.terms == {out.word("x"): 3, "": 18}
 
 
 # -- exact rank -------------------------------------------------------------
@@ -514,3 +518,72 @@ def test_every_accepted_name_roundtrips_through_the_text_format(data):
     assert {fresh.word_names(w): c for w, c in g.terms.items()} == {
         table.word_names(w): c for w, c in f.terms.items()
     }
+
+
+# -- words as strings of code points ---------------------------------------------
+
+# ids where a code point changes its encoding width or class, with their
+# neighbours: ASCII, Latin-1, the surrogates, the last BMP code point and the
+# first astral one; the last code point is added where no table is needed
+EDGE_IDS = [0, 1, 0x7F, 0x80, 0xFF, 0x100, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000,
+            0xFFFF, 0x10000]
+EDGE_IDS_TOP = EDGE_IDS + [MAX_VAR_ID - 1, MAX_VAR_ID]
+
+
+def id_words(ids):
+    """Lists of id sequences over ids, with a prefix of every other one, so
+    that some words are prefixes of others."""
+    seqs = st.lists(st.lists(st.sampled_from(ids), max_size=6).map(tuple), min_size=1, max_size=12)
+    return seqs.map(lambda ws: ws + [w[:k] for w in ws[::2] for k in range(len(w))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_words(EDGE_IDS_TOP))
+def test_str_words_sort_as_their_id_tuples(seqs):
+    assert sorted(map(to_word, seqs)) == [to_word(w) for w in sorted(seqs)]
+    for w in seqs:
+        assert [ord(ch) for ch in to_word(w)] == list(w)
+
+
+@pytest.fixture(scope="module")
+def edge_table():
+    """A table that holds every id of EDGE_IDS: 65,537 names."""
+    return VarTable(f"v{i}" for i in range(EDGE_IDS[-1] + 1))
+
+
+def reference_format(terms: dict, table: VarTable) -> str:
+    """The text format from {tuple of ids: coefficient}, sorted as tuples."""
+    fmt = table.field.format
+    lines = []
+    for ids in sorted(terms):
+        spelt = " ".join(table.name(v) for v in ids) if ids else "1"
+        lines.append(f"{fmt(terms[ids])} {spelt}")
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(id_words(EDGE_IDS), st.lists(st.integers(-9, 9).filter(bool), min_size=1))
+def test_format_poly_matches_a_tuple_formatter_and_parses_back(edge_table, seqs, coeffs):
+    terms = {w: Fraction(coeffs[i % len(coeffs)], 1 + i % 3) for i, w in enumerate(seqs)}
+    f = NCPoly(edge_table, terms)
+    text = format_poly(f)
+    assert text == reference_format(terms, edge_table)
+    assert parse_poly(text, edge_table) == f
+
+
+def test_var_table_refuses_an_id_past_the_last_code_point(monkeypatch, capsys):
+    # every id is the code point of a character, and there are none past 0x10FFFF
+    assert MAX_VAR_ID == 0x10FFFF
+    chr(MAX_VAR_ID)
+    with pytest.raises(ValueError):
+        chr(MAX_VAR_ID + 1)
+    # the check itself, at a bound small enough to reach
+    monkeypatch.setattr(algebra, "MAX_VAR_ID", 2)
+    t = VarTable(["a", "b", "c"])
+    with pytest.raises(VarNameError, match="past the limit of 3 variables"):
+        t.add("d")
+    assert t.names == ("a", "b", "c")
+    assert main(["family", "pal:n=1,k=4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: variable 'x3'")
+    assert main(["family", "pal:n=1,k=3"]) == 0

@@ -172,7 +172,7 @@ def test_state_budget_is_checked_before_any_product(monkeypatch):
     monkeypatch.setattr(base, "product_cells", lambda *args: calls.append(args))
     program = parse_abp(DYCK_ABP, VarTable())
     target = make_family("pal:n=2")
-    witness = (target.table.var("x0").id,) * 4
+    witness = target.table.word(*["x0"] * 4)
     with using_budget(Budget(states=program.size - 1)), pytest.raises(StateBudgetError):
         vbp_trivial_reduction(program, target, witness)
     with using_budget(Budget(states=dim - 1)), pytest.raises(StateBudgetError):

@@ -136,7 +136,7 @@ def test_to_bracketed_const_is_degree_four():
     f = expand(br.circuit)
     (word,) = f.terms
     assert br.circuit.table.word_names(word) == ("(_a5", "[_z5", "]_z5", ")_a5")
-    assert recover(br, f, t).terms == {(): 5}
+    assert recover(br, f, t).terms == {"": 5}
 
 
 def test_to_bracketed_product():
@@ -227,7 +227,7 @@ def test_skew_twin_pairing_on_corpus():
             n = len(w)
             assert n % 2 == 0
             for i in range(n // 2):
-                assert mate[w[i]] == w[n - 1 - i]
+                assert mate[ord(w[i])] == ord(w[n - 1 - i])
 
 
 # -- text format ------------------------------------------------------------

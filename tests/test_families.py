@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import corpus
-from ncpoly.algebra import NCPoly, VarTable
+from ncpoly.algebra import NCPoly, VarTable, to_word
 from ncpoly.families import (
     ChiTable,
     _balanced_words,
@@ -65,7 +65,7 @@ def test_dyck_counts_and_brute_force():
                 letters = [v for pair in inst.meta["pairs"] for v in pair]
                 brute = {
                     w
-                    for w in product(letters, repeat=2 * n)
+                    for w in map(to_word, product(letters, repeat=2 * n))
                     if corpus.balanced(w, inst.meta["pairs"])
                 }
                 assert set(inst.poly.terms) == brute
@@ -86,7 +86,7 @@ def test_balanced_words_match_a_brute_force_filter():
             if length > 1:
                 shape = [openers, *shape[2:], closers]
             depths = {}
-            for w in product(*shape):
+            for w in map(to_word, product(*shape)):
                 try:
                     depths[w] = nesting_depth(w, pairs)
                 except ValueError:
@@ -153,7 +153,7 @@ def test_id_prime_2():
     expected = set()
     for b1 in (0, 1):
         for b2 in (0, 1):
-            w = (t.var(f"x{b1}_1").id, t.var(f"x{b2}_2").id)
+            w = t.word(f"x{b1}_1", f"x{b2}_2")
             expected.add(w + w)
     assert set(inst.poly.terms) == expected
 
@@ -300,10 +300,10 @@ def test_commutative_version_rejects_inhomogeneous():
 
 def sort_set_multilinear(f: NCPoly) -> NCPoly:
     """Rewrite each word of a tagged polynomial in increasing position order."""
-    pos = tag_positions(f.table)
+    pos = {chr(vid): tag for vid, tag in tag_positions(f.table).items()}
     terms = {}
     for w, c in f.terms.items():
-        word = tuple(sorted(w, key=lambda v: pos[v][1]))
+        word = "".join(sorted(w, key=lambda v: pos[v][1]))
         terms[word] = terms.get(word, f.table.field.zero) + c
     return NCPoly(f.table, terms)
 

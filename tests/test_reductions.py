@@ -14,6 +14,7 @@ from ncpoly.algebra import (
     TermBudgetError,
     Var,
     VarTable,
+    to_word,
     using_budget,
 )
 from ncpoly.automata import MatrixSubstitution, SubstAutomaton, automaton_to_substitution
@@ -182,7 +183,7 @@ def test_scalar_only_map_counts_terms():
     m = IProjMap(inst.table, out, mapping)
     r = iproj_to_abp(m, 4)
     result = apply_abp_reduction(r, inst.poly)
-    assert result.terms == {(): 8}
+    assert result.terms == {"": 8}
 
 
 def test_three_way_agreement_on_random_maps():
@@ -269,8 +270,8 @@ def test_pathsum_matches_termwise_on_medium_circuit_target():
 
 
 def walk_states(sub, states, word):
-    """The states reached from a set of states by reading word through
-    nonzero cells."""
+    """The states reached from a set of states by reading word, a sequence
+    of variable ids, through nonzero cells."""
     for v in word:
         rows = sub.rows(v)
         states = {k for s in states for k, _, _ in rows.get(s, ())}
@@ -423,8 +424,8 @@ def test_inside_drops_cancelled_terms():
     assert_inside_matches_termwise(r, expand(c))
     applied = apply_to_instance(r, make_family(r.target))
     x = c.table.var("x").id
-    assert (x,) not in applied.terms
-    assert applied.terms == {(): 1, (x, x): -1}
+    assert chr(x) not in applied.terms
+    assert applied.terms == {"": 1, chr(x) * 2: -1}
 
 
 def random_matrices(rng, table, dim, out, coeffs, density, states=None):
@@ -580,7 +581,7 @@ def test_inside_matches_termwise_on_loops_and_the_empty_target():
         target = gen_dyck(1, d)
         inside = apply_to_instance(r, target)
         assert inside == apply_abp_reduction(r, target.poly)
-        assert inside.terms == ({(o, c) * (d // 2): 1} if d else {})
+        assert inside.terms == ({(chr(o) + chr(c)) * (d // 2): 1} if d else {})
         assert apply_to_instance(r1, target) == apply_abp_reduction(r1, target.poly) == target.poly
 
 
@@ -598,7 +599,7 @@ def test_inside_sum_is_iterative_on_long_targets():
         r = AbpReduction(sub, "count", target.spec_string)
         got = apply_to_instance(r, target)
         count = comb(2 * m, m) // (m + 1) if target.name == "dyck" else 1
-        assert got.terms == {(): one * (count % p)}
+        assert got.terms == {"": one * (count % p)}
 
 
 def test_inside_sum_respects_the_term_budget():
@@ -1134,7 +1135,8 @@ def test_pal_vsk_accepted_palindromes_are_the_parse_words():
         r = pal_vsk_reduction(c)
         tgt = make_family(r.target)
         accept = r.dim - 1
-        accepted = [w for w in tgt.poly.terms if accept in walk_states(r.substitution, {0}, w)]
+        sub = r.substitution
+        accepted = [w for w in tgt.poly.terms if accept in walk_states(sub, {0}, map(ord, w))]
         parse = expand(to_skew_bracketed(homogenize(c)).circuit)
         assert len(accepted) == len(parse.terms)
 
@@ -1150,7 +1152,8 @@ def test_dyck_accepted_balanced_words_are_the_parse_words():
         r = dyck_completeness_reduction(c)
         tgt = make_family(r.target)
         accept = r.dim - 1
-        accepted = [w for w in tgt.poly.terms if accept in walk_states(r.substitution, {0}, w)]
+        sub = r.substitution
+        accepted = [w for w in tgt.poly.terms if accept in walk_states(sub, {0}, map(ord, w))]
         from ncpoly.circuits import to_bracketed
 
         parse = expand(to_bracketed(c).circuit)
@@ -1307,7 +1310,7 @@ def test_dyck_depth_counter_rejects_overflow():
 def test_vbp_trivial_one_pair_dyck_into_pal():
     p = bounded_depth_dyck_abp(2, 2, bracket_types=1)
     tgt = gen_pal(2)
-    witness = tuple([tgt.table.var("x0").id] * 4)
+    witness = tgt.table.word(*["x0"] * 4)
     r = vbp_trivial_reduction(p, tgt, witness)
     result = apply_to_instance(r, tgt)
     assert result == abp_eval(p)
@@ -1330,7 +1333,7 @@ def test_vbp_trivial_grouped_layers():
     # a witness shorter than the program degree groups consecutive layers
     p = bounded_depth_dyck_abp(2, 2, bracket_types=1)  # degree 4
     tgt = gen_pal(1)
-    witness = tuple([tgt.table.var("x0").id] * 2)
+    witness = tgt.table.word(*["x0"] * 2)
     r = vbp_trivial_reduction(p, tgt, witness)
     assert apply_to_instance(r, tgt) == abp_eval(p)
 
@@ -1340,12 +1343,12 @@ def test_vbp_trivial_refuses_a_group_cell_with_two_distinct_words():
 
     # one witness letter groups both gaps, so cell (0, 3) needs x0 x0 + x1 x1
     t = VarTable(["x0", "x1"])
-    x0, x1 = t.var("x0").id, t.var("x1").id
+    x0, x1 = t.word("x0"), t.word("x1")
     one = Fraction(1)
-    p = Abp(t, [1, 2, 1], [[(0, 0, one, (x0,)), (0, 1, one, (x1,))], [(0, 0, one, (x0,)), (1, 0, one, (x1,))]])
-    tgt = FamilyInstance.from_poly("poly", NCPoly(t, {(x1,): Fraction(1)}))
+    p = Abp(t, [1, 2, 1], [[(0, 0, one, x0), (0, 1, one, x1)], [(0, 0, one, x0), (1, 0, one, x1)]])
+    tgt = FamilyInstance.from_poly("poly", NCPoly(t, {x1: Fraction(1)}))
     with pytest.raises(ValueError, match="distinct monomials"):
-        vbp_trivial_reduction(p, tgt, (x1,))
+        vbp_trivial_reduction(p, tgt, x1)
 
 
 def test_vbp_trivial_adds_same_variable_parallel_edges():
@@ -1353,18 +1356,18 @@ def test_vbp_trivial_adds_same_variable_parallel_edges():
 
     # x0 + 2 x0 on one vertex pair adds to 3 x0, and x1 - x1 cancels
     t = VarTable(["x0", "x1"])
-    x0, x1 = t.var("x0").id, t.var("x1").id
+    x0, x1 = t.word("x0"), t.word("x1")
 
-    gap0 = [(0, 0, 1, (x0,)), (0, 0, 2, (x0,)), (0, 1, 1, (x1,)), (0, 1, -1, (x1,))]
-    p = Abp(t, [1, 2, 1], [gap0, [(0, 0, 1, (x1,)), (1, 0, 1, (x0,))]])
+    gap0 = [(0, 0, 1, x0), (0, 0, 2, x0), (0, 1, 1, x1), (0, 1, -1, x1)]
+    p = Abp(t, [1, 2, 1], [gap0, [(0, 0, 1, x1), (1, 0, 1, x0)]])
     tgt = gen_pal(1)
-    r = vbp_trivial_reduction(p, tgt, tuple([tgt.table.var("x0").id] * 2))
+    r = vbp_trivial_reduction(p, tgt, tgt.table.word("x0", "x0"))
     assert r.substitution.entries[tgt.table.var("x0").id] == {
-        (0, 1): (3, (x0,)),
-        (1, 3): (1, (x1,)),
-        (2, 3): (1, (x0,)),
+        (0, 1): (3, x0),
+        (1, 3): (1, x1),
+        (2, 3): (1, x0),
     }
-    assert abp_eval(p).terms == {(x0, x1): 3}
+    assert abp_eval(p).terms == {x0 + x1: 3}
     assert apply_to_instance(r, tgt) == abp_eval(p)
 
 
@@ -1372,7 +1375,7 @@ def test_vbp_trivial_rejects_bad_witness():
     p = bounded_depth_dyck_abp(1, 1, bracket_types=1)
     tgt = gen_pal(1)
     with pytest.raises(ValueError, match="coefficient exactly 1"):
-        vbp_trivial_reduction(p, tgt, (99, 99))
+        vbp_trivial_reduction(p, tgt, chr(99) * 2)
 
 
 # -- permanent-style reductions -------------------------------------------------------
@@ -1535,12 +1538,12 @@ def test_vbp_trivial_reads_the_witness_coefficient_without_realizing_the_target(
     p = bounded_depth_dyck_abp(1, 20)
     target = gen_dyck(2, 40)
     (o1, c1), (o2, c2) = target.meta["pairs"]
-    r = vbp_trivial_reduction(p, target, (o1, c1) * 10 + (o2, c2) * 10)
+    r = vbp_trivial_reduction(p, target, to_word((o1, c1) * 10 + (o2, c2) * 10))
     assert target._poly is None
     assert r.target == "dyck:k=2,d=40" and r.dim == p.size
     assert set(r.substitution.entries) == {o1, c1, o2, c2}
     with pytest.raises(ValueError, match="coefficient exactly 1"):
-        vbp_trivial_reduction(p, target, (o1, c2) * 20)
+        vbp_trivial_reduction(p, target, to_word((o1, c2) * 20))
     assert target._poly is None
 
 
@@ -1568,4 +1571,4 @@ def test_chains_compiled_by_iproj_to_abp_keep_their_kinds():
     r = identity_reduction(table, 3, source="s", target="t")
     assert (r.kind, r.source, r.target, r.dim) == ("identity", "s", "t", 4)
     x0 = table.var("x0").id
-    assert r.substitution.entries[x0] == {(i, i + 1): (1, (x0,)) for i in range(3)}
+    assert r.substitution.entries[x0] == {(i, i + 1): (1, chr(x0)) for i in range(3)}

@@ -72,37 +72,6 @@ class Circuit:
                         stack.append(child)
         return sorted(seen)
 
-    def degree_sets(self) -> list:
-        """Per gate, the set of syntactically possible monomial degrees."""
-        out = []
-        for g in self.gates:
-            if isinstance(g, Input):
-                out.append({1})
-            elif isinstance(g, Const):
-                out.append(set() if g.value == 0 else {0})
-            elif isinstance(g, Add):
-                out.append(out[g.left] | out[g.right])
-            else:
-                out.append({a + b for a in out[g.left] for b in out[g.right]})
-        return out
-
-    def syntactic_degree(self) -> int:
-        degs = self.degree_sets()[self.output]
-        return max(degs) if degs else -1
-
-    def muls_have_homogeneous_children(self) -> bool:
-        """True when every reachable product multiplies homogeneous operands.
-
-        This is what homogenize guarantees: interior gates are single-degree
-        and only the final output chain may sum different degrees.
-        """
-        degs = self.degree_sets()
-        for gid in self.reachable():
-            g = self.gates[gid]
-            if isinstance(g, Mul) and (len(degs[g.left]) > 1 or len(degs[g.right]) > 1):
-                return False
-        return True
-
     def __len__(self):
         return len(self.gates)
 
@@ -302,15 +271,13 @@ def to_skew_bracketed(c: Circuit) -> SkewBracketed:
 
     Each product with a leaf argument x (or scalar a) and non-leaf
     argument h becomes twinL * h * twinR; each input y becomes y_L y_R.
-    Requires a skew, per-gate homogeneous circuit (homogenize first).
+    Requires a skew circuit, homogeneous or not.
     In every monomial of the result the letter at position i is the mate
     of the letter at position 2d-i+1.  Recovery sends y_L to y, a product's
     twin on its leaf's side to that variable, a scalar's left twin to the
     scalar, and every other letter to one.
     """
     tags = is_skew(c)
-    if not c.muls_have_homogeneous_children():
-        raise ValueError("product children are inhomogeneous; homogenize first")
 
     one = c.table.field.one
     table = VarTable(field=c.table.field)

@@ -71,13 +71,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _write_atomic(path: str, text: str) -> None:
     """Write text to a file through a rename, or to stdout for "-".
 
-    This is the only code that writes stdout.  A reader that closed its
-    end early (``| head -1``) is no error: stdout is pointed at the null
-    device, so the flush at exit is silent and the command keeps its own
-    exit status."""
+    This is the only code that writes stdout.  The text goes out in blocks
+    of 2**16 characters, so its encoded copy is one block, not the whole
+    text.  A reader that closed its end early (``| head -1``) is no error:
+    stdout is pointed at the null device, so the flush at exit is silent
+    and the command keeps its own exit status."""
+    blocks = (text[i : i + (1 << 16)] for i in range(0, len(text), 1 << 16))
     if path == "-":
         try:
-            sys.stdout.write(text)
+            sys.stdout.writelines(blocks)
             sys.stdout.flush()
         except BrokenPipeError:
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -88,7 +90,7 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ncpoly-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

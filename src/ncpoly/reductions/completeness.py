@@ -9,12 +9,17 @@ variables and scalars back in.  The target's one degree does the
 counting: the Dyck walk's states are places in the circuit, and the
 palindrome walk keeps positions only in its first half, which puts the
 center of every accepted word at the middle.
+Both walk the circuit as given.  A parse word is live when its weight is
+nonzero, and the target is sized from the live parse words of the output
+alone: its degree from their lengths, its alphabet from the letters they
+read, so a zero or vanishing subcircuit adds nothing to it.
 The automata read the tables each transform returns and re-spell none of
-them: the Dyck walk numbers its target pairs from the bracket pairs in
-creation order and reads each leaf's bracket word, the palindrome walk
-reads the twin pairs of skew products and input doubles, and every letter
-emits its recovery image (_image), so the bracket encoding and the letter
-that carries each image are decided once, in ncpoly.circuits.
+them: the Dyck walk numbers its target pairs from the bracket pairs it
+reads, in creation order, and reads each leaf's bracket word, the
+palindrome walk reads the twin pairs of skew products and input doubles,
+and every letter emits its recovery image (_image), so the bracket
+encoding and the letter that carries each image are decided once, in
+ncpoly.circuits.
 Balance (or the mirror structure of palindromes) supplied by the target's
 own support does the bracket matching that a finite automaton cannot.
 
@@ -30,17 +35,8 @@ from collections import deque
 
 from ..algebra import Var
 from ..automata import SubstAutomaton, automaton_to_substitution
-from ..circuits import (
-    Add,
-    Circuit,
-    Const,
-    Input,
-    Mul,
-    homogenize,
-    is_skew,
-    to_bracketed,
-    to_skew_bracketed,
-)
+from ..circuits import Add, Circuit, Const, Input, Mul, to_bracketed, to_skew_bracketed
+from ..circuits import homogenize  # noqa: F401  the benchmark tracer patches it here by name
 from ..families import gen_dyck, gen_pal
 from .base import AbpReduction
 
@@ -61,20 +57,15 @@ def _add_closures(gates) -> list:
     return memo
 
 
-def _const_values(circuit: Circuit) -> list:
-    """Per gate, the coefficient of the empty word in its polynomial."""
-    zero = circuit.table.field.zero
-    vals = []
-    for g in circuit.gates:
-        if isinstance(g, Input):
-            vals.append(zero)
-        elif isinstance(g, Const):
-            vals.append(g.value)
-        elif isinstance(g, Add):
-            vals.append(vals[g.left] + vals[g.right])
-        else:
-            vals.append(vals[g.left] * vals[g.right])
-    return vals
+def _reach(root: int, children) -> set:
+    """root and every gate that children(gate) leads to from it."""
+    seen, stack = {root}, [root]
+    while stack:
+        for child in children(stack.pop()):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
 
 
 def _image(recovery: dict, vid: int, cnt: int, field) -> tuple:
@@ -89,44 +80,70 @@ def _image(recovery: dict, vid: int, cnt: int, field) -> tuple:
 def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
     """Reduce an arbitrary circuit to a balanced-word target.
 
-    The target has the parsed circuit's bracket pairs plus two padding
-    pairs, and degree 2r+2, where 2r bounds the parse-word degree.  Every
-    accepted word is (o1 c1)^j o0 c0 W: pair 1 loops at the start when a
-    parse word is shorter than 2r, pair 0 hands over to the walk, balance
-    makes W a parse word and the degree fixes j.  The walk's states are
-    places in the circuit: at a gate's entry, a product's opening bracket
-    descends to its left argument and a leaf's first letter enters its
-    bracket word; inside a leaf word the next letter is read; after a
-    subterm, which is also the accept state, a product's closing bracket
-    resumes at its right argument.  Every letter emits its recovery image,
+    The target has the bracket pairs that the output's live parse words
+    read, plus two padding pairs, and degree 2r+2, where 2r is their
+    longest length.  A leaf is live unless it is a zero constant, a
+    product when both its arguments are, and an addition path when its
+    count is nonzero in the field.  Every accepted word is
+    (o1 c1)^j o0 c0 W: pair 1 loops at the start when a parse word is
+    shorter than 2r, pair 0 hands over to the walk, balance makes W a
+    parse word and the degree fixes j.  The walk's states are places in
+    the circuit: at a gate's entry, a product's opening bracket descends
+    to its left argument and a leaf's first letter enters its bracket
+    word; inside a leaf word the next letter is read; after a subterm,
+    which is also the accept state, a product's closing bracket resumes
+    at its right argument.  Every letter emits its recovery image,
     weighted on entry by the addition paths, and balance pins each closing
     to its product gate.  Only states on a path through nonzero weights to
     the accept state are built.
     """
     field = c.table.field
     br = to_bracketed(c)
-    lengths = br.circuit.degree_sets()[br.circuit.output]  # of the parse words
-    r = max(lengths, default=0) // 2
-    target = gen_dyck(len(br.pairs) + 2, 2 * r + 2, field)
-    t_pairs = target.meta["pairs"]
-    # bracket pair k becomes target pair 2+k
-    enc = {v: t for pair, t_pair in zip(br.pairs, t_pairs[2:]) for v, t in zip(pair, t_pair)}
+    product_of = {o: h for h, (o, _cl) in br.gate_pair.items()}
 
-    # moves[g]: (first letter, next state) -> addition paths, nonzero steps to L
+    # moves[g]: (first letter, next state) -> addition paths, for the live
+    # parse words of g; lengths[g]: their lengths; own[g]: the lengths of
+    # the parse words a leaf or product makes itself
     closures = _add_closures(c.gates)
+    own: list[set] = []
     moves: list[dict] = []
-    for gid in range(len(c.gates)):
+    lengths: list[set] = []
+    for gid, g in enumerate(c.gates):
+        if isinstance(g, Mul):
+            own.append({2 + a + b for a in lengths[g.left] for b in lengths[g.right]})
+        elif isinstance(g, Add) or (isinstance(g, Const) and not g.value):
+            own.append(set())
+        else:
+            own.append({len(br.leaf_word[gid])})
         paths: dict = {}
+        ends: dict = {}
         for h, cnt in closures[gid].items():
-            g = c.gates[h]
-            if isinstance(g, Mul):
-                key, live = (br.gate_pair[h][0], ("E", g.left)), moves[g.left]
-            else:
-                word = br.leaf_word[h]
-                key, live = (ord(word[0]), ("W", (word, 1))), not isinstance(g, Const) or g.value
-            if live:
+            if own[h]:
+                if isinstance(c.gates[h], Mul):
+                    key = (br.gate_pair[h][0], ("E", c.gates[h].left))
+                else:
+                    word = br.leaf_word[h]
+                    key = (ord(word[0]), ("W", (word, 1)))
                 paths[key] = paths.get(key, 0) + cnt
+                ends[key] = own[h]
         moves.append({key: cnt for key, cnt in paths.items() if field.from_int(cnt)})
+        lengths.append(set().union(*(ends[key] for key in moves[-1])))
+
+    def arguments(gid: int):
+        for first, (kind, left) in moves[gid]:
+            if kind == "E":
+                yield from (left, c.gates[product_of[first]].right)
+
+    read = set()  # the opening brackets of the pairs the walk reads
+    for gid in _reach(c.output, arguments):
+        for first, (kind, data) in moves[gid]:
+            read.update(map(ord, data[0]) if kind == "W" else (first,))
+    pairs = [pair for pair in br.pairs if pair[0] in read]
+    r = max(lengths[c.output], default=0) // 2
+    target = gen_dyck(len(pairs) + 2, 2 * r + 2, field)
+    t_pairs = target.meta["pairs"]
+    # the k-th read bracket pair becomes target pair 2+k
+    enc = {v: t for pair, t_pair in zip(pairs, t_pairs[2:]) for v, t in zip(pair, t_pair)}
 
     a = SubstAutomaton(target.table, c.table)
     a.add_state("P", start=True)
@@ -148,7 +165,7 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
 
     if moves[c.output]:
         (o0, c0), (o1, c1) = t_pairs[:2]
-        if min(lengths) < 2 * r:
+        if min(lengths[c.output]) < 2 * r:
             a.add_transition("P", o1, "Pi")
             a.add_transition("Pi", c1, "P")
         a.add_transition("P", o0, "Pz")
@@ -164,8 +181,8 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
             nxt = ("W", (word, i + 1)) if i + 1 < len(word) else ("L", None)
             step(name, ord(word[i]), push(*nxt))
         else:  # after a subterm
-            for h, (_o, cl) in sorted(br.gate_pair.items()):
-                if moves[c.gates[h].right]:
+            for h, (o, cl) in sorted(br.gate_pair.items()):
+                if o in enc:
                     step(name, cl, push("E", c.gates[h].right))
 
     sub = automaton_to_substitution(a)
@@ -175,67 +192,69 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
 def pal_vsk_reduction(c: Circuit) -> AbpReduction:
     """Reduce a skew circuit to a palindrome target over a merged alphabet.
 
-    After homogenizing and twin-wrapping, every parse word is an onion:
-    twin letters around a central input double (or a twin whose inner
-    argument has degree zero), so padding to half-length r+1 puts the
-    center exactly at the middle.  Letter 0 hands over, letter 1 pads, and
-    one letter stands for each twin pair and each input double.  The first
-    half walks the circuit with a position in every state, pinning the
-    center M to the middle; the palindrome support forces the mirror, so
-    one accept state reads the second half blindly.  Left-multiplied
-    variables and scalars are emitted on first-half edges, right-multiplied
-    variables on second-half edges.  Only states on a path through nonzero
-    weights to M at the middle are built.
+    After twin-wrapping, every parse word is an onion: twin letters around
+    a center, which is an input double or a twin pair whose inner argument
+    has an empty parse word, so padding to half-length r+1 puts the center
+    exactly at the middle.  A gate's empty parse word comes only from the
+    bare constants its additions reach, so a twin steps to the center with
+    their sum as weight, and also into its inner argument when that has
+    nonempty parse words.  Letter 0 hands over, letter 1 pads, and one
+    letter stands for each twin pair and input double that the output's
+    live parse words read; r is their longest half-length.  The first half
+    walks the circuit with a position in every state, pinning the center M
+    to the middle; the palindrome support forces the mirror, so one accept
+    state reads the second half blindly.  Left-multiplied variables and
+    scalars are emitted on first-half edges, right-multiplied variables on
+    second-half edges.  Only states on a path through nonzero weights to M
+    at the middle are built.
     """
     field = c.table.field
-    is_skew(c)  # refuse before homogenize renumbers the gates
-    h = homogenize(c)
-    sb = to_skew_bracketed(h)
+    sb = to_skew_bracketed(c)
+    closures = _add_closures(c.gates)
 
-    r = max(sb.circuit.syntactic_degree(), 0) // 2
-    degs = h.degree_sets()
-    closures = _add_closures(h.gates)
-    # empty parse words come only from constants reached through additions;
-    # constant products pass through a twin pair and are handled by the walk
-    const_term = field.zero
-    for member, cnt in closures[h.output].items():
-        if isinstance(h.gates[member], Const):
-            const_term += field.from_int(cnt) * h.gates[member].value
-
-    # the i-th twin pair or input double is target letter 2+i, a variable id
-    twins = [sb.twins[gid][:2] for gid in sorted(sb.twins)]
-    twins += [sb.doubles[vid] for vid in sorted(sb.doubles)]
-    letter_of = {lv: 2 + i for i, (lv, _rv) in enumerate(twins)}
-    target = gen_pal(r + 1, 2 + len(twins), field)
-    val0 = _const_values(h)
+    # empty[g]: the weight of g's empty parse word, the sum of the bare
+    # constants its additions reach; a product always adds a twin pair
+    empty: list = []
+    for g in c.gates:
+        if isinstance(g, Add):
+            empty.append(empty[g.left] + empty[g.right])
+        else:
+            empty.append(g.value if isinstance(g, Const) else field.zero)
 
     # moves[g]: the steps out of W{g} with a nonzero weight that reach M, as
-    # (letter, inner gate or None for M, coefficient, word); lengths[g]: the
-    # first-half lengths of g's parse words, from W{g} to M
+    # (left letter, inner gate or None for M, coefficient, word); lengths[g]:
+    # the first-half lengths of g's nonempty parse words, from W{g} to M
     moves: list[list] = []
     lengths: list[set] = []
-    for gid in range(len(h.gates)):
+    for gid in range(len(c.gates)):
         center: dict = {}  # left letter of an input double -> addition paths
         steps = []
         for member, cnt in closures[gid].items():
-            g = h.gates[member]
+            g = c.gates[member]
             if isinstance(g, Input):
                 lv = sb.doubles[g.var][0]
                 center[lv] = center.get(lv, 0) + cnt
             elif isinstance(g, Mul):
                 lv, _rv, inner = sb.twins[member]
                 coeff, word = _image(sb.recovery, lv, cnt, field)
-                if degs[inner] == {0}:
-                    coeff, inner = coeff * val0[inner], None
-                if inner is None or lengths[inner]:
-                    steps.append((letter_of[lv], inner, coeff, word))
-            # bare constants contribute only the empty parse word, which the
-            # all-padding path already accounts for
+                steps.append((lv, None, coeff * empty[inner], word))
+                if lengths[inner]:
+                    steps.append((lv, inner, coeff, word))
         for lv, cnt in sorted(center.items()):
-            steps.append((letter_of[lv], None, *_image(sb.recovery, lv, cnt, field)))
+            steps.append((lv, None, *_image(sb.recovery, lv, cnt, field)))
         moves.append([step for step in steps if step[2]])
         ends = [[0] if inner is None else lengths[inner] for _l, inner, _c, _w in moves[-1]]
         lengths.append({1 + n for end in ends for n in end})
+
+    def inners(gid: int):
+        return (inner for _l, inner, _c, _w in moves[gid] if inner is not None)
+
+    # the i-th letter the walk reads, a left twin or double, is target letter 2+i
+    read = sorted({lv for gid in _reach(c.output, inners) for lv, *_ in moves[gid]})
+    letter_of = {lv: 2 + i for i, lv in enumerate(read)}
+    r = max(lengths[c.output], default=0)
+    target = gen_pal(r + 1, 2 + len(read), field)
+    const_term = empty[c.output]  # the all-padding word
 
     a = SubstAutomaton(target.table, c.table)
     a.add_state("S0", start=True)
@@ -248,29 +267,30 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
             a.add_transition(frm, letter, f"W{gid}@{pos}", coeff=coeff, word=word)
 
     # padding up to the last stop: S{i} hands over to the parse words of
-    # half-length r-i, and S{r} carries the constant term, the all-padding word
-    handovers = [r - n for n in lengths[h.output]]
+    # half-length r-i, and S{r} carries the constant term
+    handovers = [r - n for n in lengths[c.output]]
     stops = handovers + ([r] if const_term else [])
     for i in range(max(stops, default=0)):
         a.add_transition(f"S{i}", 1, f"S{i + 1}")
     for i in handovers:
-        enter(f"S{i}", 0, h.output, i + 1)
+        enter(f"S{i}", 0, c.output, i + 1)
     if const_term:
         a.add_transition(f"S{r}", 0, "M", coeff=const_term)
     for pos in range(1, r + 1):
         for gid in sorted(reached[pos]):
-            for letter, inner, coeff, word in moves[gid]:
+            for lv, inner, coeff, word in moves[gid]:
                 if inner is not None:
-                    enter(f"W{gid}@{pos}", letter, inner, pos + 1, coeff, word)
+                    enter(f"W{gid}@{pos}", letter_of[lv], inner, pos + 1, coeff, word)
                 elif pos == r:
-                    a.add_transition(f"W{gid}@{pos}", letter, "M", coeff=coeff, word=word)
+                    a.add_transition(f"W{gid}@{pos}", letter_of[lv], "M", coeff=coeff, word=word)
 
     # blind second half: the palindrome support forces the mirror letters,
     # and each right twin emits its recovery image
-    blind = {2 + i: _image(sb.recovery, rv, 1, field) for i, (_lv, rv) in enumerate(twins)}
+    mate = {lv: rv for lv, rv, *_inner in [*sb.twins.values(), *sb.doubles.values()]}
+    blind = {letter_of[lv]: _image(sb.recovery, mate[lv], 1, field) for lv in read}
     for frm in ("M", "B") if stops else ():
         for letter in target.meta["letters"]:
-            coeff, word = blind.get(letter, (field.one, ()))
+            coeff, word = blind.get(letter, (field.one, ""))
             a.add_transition(frm, letter, "B", coeff=coeff, word=word)
 
     sub = automaton_to_substitution(a)

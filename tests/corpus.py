@@ -23,6 +23,22 @@ def balanced(word, pairs):
     return not stack
 
 
+def syntactic_degree(c) -> int:
+    """The largest degree of a monomial that c's gates can form, ignoring
+    cancellation; -1 when no gate reaching the output is nonzero."""
+    degs: list[set] = []
+    for g in c.gates:
+        if isinstance(g, Input):
+            degs.append({1})
+        elif isinstance(g, Const):
+            degs.append(set() if g.value == 0 else {0})
+        elif isinstance(g, Add):
+            degs.append(degs[g.left] | degs[g.right])
+        else:
+            degs.append({a + b for a in degs[g.left] for b in degs[g.right]})
+    return max(degs[c.output], default=-1)
+
+
 def _table(n_vars):
     return VarTable([f"x{i}" for i in range(1, n_vars + 1)])
 

@@ -105,7 +105,7 @@ def test_criterion_1_dyck_completeness():
     circuits = corpus.hand_circuits() + corpus.random_circuits(seed=2024, count=40)
     assert len(circuits) >= 50
     for c in circuits:
-        assert len(c.gates) <= 8 and c.syntactic_degree() <= 6
+        assert len(c.gates) <= 8 and corpus.syntactic_degree(c) <= 6
         r = dyck_completeness_reduction(c)
         verdict = verify_reduction(r, circuit_instance(c), make_family(r.target))
         assert verdict.passed, f"{verdict}"
@@ -119,7 +119,7 @@ def test_criterion_2_pal_vsk_completeness():
     circuits = corpus.hand_skew_circuits() + corpus.random_skew_circuits(seed=4096, count=25)
     assert len(circuits) >= 30
     for c in circuits:
-        assert len(c.gates) <= 8 and c.syntactic_degree() <= 5
+        assert len(c.gates) <= 8 and corpus.syntactic_degree(c) <= 5
         r = pal_vsk_reduction(c)
         verdict = verify_reduction(r, circuit_instance(c), make_family(r.target))
         assert verdict.passed, f"{verdict}"

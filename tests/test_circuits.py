@@ -86,7 +86,6 @@ def test_expand_homogeneous_single_length():
     for c in corpus.random_circuits(seed=99, count=15):
         h = homogenize(c)
         assert expand(h) == expand(c)
-        assert h.muls_have_homogeneous_children()
         for gid in h.reachable():
             g = h.gates[gid]
             if isinstance(g, Mul):
@@ -202,32 +201,40 @@ def test_skew_bracketed_scalar_gate():
     assert recover(sb, f, t).terms == {t.word("x1"): 3}
 
 
-def test_skew_bracketed_requires_skew_and_homogeneous():
+def assert_twins_mirror(c):
+    """The skew bracketing of c recovers c, and every parse word of it has
+    the mate of its i-th letter at its i-th letter from the end."""
+    sb = to_skew_bracketed(c)
+    f = expand(sb.circuit)
+    assert recover(sb, f, c.table) == expand(c)
+    mate = {}
+    for o, cl, *_inner in [*sb.twins.values(), *sb.doubles.values()]:
+        mate[o] = cl
+        mate[cl] = o
+    for w in f.terms:
+        n = len(w)
+        assert n % 2 == 0
+        for i in range(n // 2):
+            assert mate[ord(w[i])] == ord(w[n - 1 - i])
+    return f
+
+
+def test_skew_bracketed_requires_skew_but_not_homogeneity():
     t = t3()
     non_skew = Circuit(t, [Input(0), Input(1), Add(0, 1), Add(0, 1), Mul(2, 3)], 4)
     with pytest.raises(ValueError, match="not skew"):
         to_skew_bracketed(non_skew)
+    # x1 (x1 + 1): the bare constant of the inner argument puts a twin pair
+    # at the center of the parse word of x1
     mixed = Circuit(t, [Input(0), Const(Fraction(1)), Add(0, 1), Mul(0, 2)], 3)
-    with pytest.raises(ValueError, match="homogenize"):
-        to_skew_bracketed(mixed)
+    f = assert_twins_mirror(mixed)
+    assert sorted(map(len, f.terms)) == [2, 4]
 
 
 def test_skew_twin_pairing_on_corpus():
     circuits = corpus.hand_skew_circuits() + corpus.random_skew_circuits(seed=13, count=20)
     for c in circuits:
-        h = homogenize(c)
-        sb = to_skew_bracketed(h)
-        f = expand(sb.circuit)
-        assert recover(sb, f, c.table) == expand(c)
-        mate = {}
-        for o, cl, *_inner in [*sb.twins.values(), *sb.doubles.values()]:
-            mate[o] = cl
-            mate[cl] = o
-        for w in f.terms:
-            n = len(w)
-            assert n % 2 == 0
-            for i in range(n // 2):
-                assert mate[ord(w[i])] == ord(w[n - 1 - i])
+        assert_twins_mirror(c)
 
 
 # -- text format ------------------------------------------------------------

@@ -928,19 +928,43 @@ def test_every_construction_keeps_only_states_on_start_accept_paths():
     assert dyck_completeness_reduction(zero).dim == pal_vsk_reduction(zero).dim == 2
 
 
+def live_letters(transform, c) -> set:
+    """The letters of c's live parse words: the support of the transformed
+    circuit's expansion, less the words through a zero recovery scalar.
+    Over Q no addition-path count vanishes."""
+    parsed = transform(c)
+    zero = {v for v, img in parsed.recovery.items() if not isinstance(img, Var) and img == 0}
+    words = [set(map(ord, w)) for w in expand(parsed.circuit).terms]
+    return set().union(*(w for w in words if not w & zero))
+
+
 def test_completeness_targets_carry_two_padding_letters():
     # the target's degree does the padding's counting, so dyck-complete adds
-    # two bracket pairs to the bracketed circuit's and pal-vsk two letters
-    # to its twin pairs and input doubles
-    from ncpoly.circuits import homogenize, to_bracketed, to_skew_bracketed
+    # two bracket pairs to those its live parse words read and pal-vsk two
+    # letters to their twin pairs and input doubles
+    from ncpoly.circuits import to_bracketed, to_skew_bracketed
 
     for c in corpus.hand_circuits() + corpus.random_circuits(seed=7, count=25):
         target = make_family(dyck_completeness_reduction(c).target)
-        assert target.params["k"] == len(to_bracketed(c).pairs) + 2
+        assert target.params["k"] == len(live_letters(to_bracketed, c)) // 2 + 2
     for c in corpus.hand_skew_circuits() + corpus.random_skew_circuits(seed=7, count=25):
-        sb = to_skew_bracketed(homogenize(c))
         target = make_family(pal_vsk_reduction(c).target)
-        assert len(target.meta["letters"]) == len(sb.twins) + len(sb.doubles) + 2
+        assert len(target.meta["letters"]) == len(live_letters(to_skew_bracketed, c)) // 2 + 2
+
+
+def test_completeness_targets_skip_a_zero_subcircuit():
+    # x + 0 x^3 targets what x targets: the zero product is read by neither walk
+    x = circuit_from("g0 input x\noutput g0\n")
+    zero_cube = circuit_from(
+        "g0 input x\ng1 const 0\ng2 mul g1 g0\ng3 mul g2 g0\ng4 mul g3 g0\n"
+        "g5 add g0 g4\noutput g5\n"
+    )
+    for c in (x, zero_cube):
+        for build, target in ((dyck_completeness_reduction, "dyck:k=3,d=4"),
+                              (pal_vsk_reduction, "pal:n=2,k=3")):
+            r = build(c)
+            assert r.target == target
+            assert verify_reduction(r, instance_of(c), make_family(r.target)).passed
 
 
 def test_completeness_walks_build_no_state_that_the_trim_drops():
@@ -1120,16 +1144,46 @@ def test_pal_vsk_on_corpus():
         assert verify_reduction(r, instance_of(c), make_family(r.target)).passed
 
 
+MIXED_SKEW = (
+    "g0 input x1\ng1 input x2\ng2 const 1\ng3 add g2 g0\ng4 mul g1 g3\n"
+    "g5 const 2\ng6 add g5 g4\ng7 mul g0 g6\noutput g7\n"
+)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["q", "gf2", "gf3"])
+def test_pal_vsk_twin_over_a_bare_constant_and_a_product(field):
+    # x1 (2 + x2 (1 + x1)): the outer twin steps to the center with the
+    # weight 2, which vanishes over GF(2), and into its inner argument
+    c = circuit_from(MIXED_SKEW, field)
+    r = pal_vsk_reduction(c)
+    assert r.target == "pal:n=4,k=5"
+    assert verify_reduction(r, instance_of(c), make_family(r.target, field)).passed
+    assert_inside_matches_termwise(r, expand(c))
+
+
+def test_pal_vsk_targets_of_skew_chains():
+    # c (1 + x)^d reads its d twins and never the double of x, and its first
+    # half keeps a position per twin
+    from test_reduce_digests import skew_chain
+
+    for d, dim in ((11, 80), (12, 93), (20, 233), (30, 498)):
+        c = circuit_from(skew_chain("x", 3, d))
+        r = pal_vsk_reduction(c)
+        assert (r.target, r.dim) == (f"pal:n={d + 1},k={d + 2}", dim)
+        assert verify_reduction(r, instance_of(c), make_family(r.target)).passed
+
+
 def test_pal_vsk_accepted_palindromes_are_the_parse_words():
     # the automaton accepts a target palindrome exactly when it encodes a
     # nonzero parse word, so the accepted count equals the parse support size
-    from ncpoly.circuits import Circuit, Const, Input, Mul, homogenize, to_skew_bracketed
+    from ncpoly.circuits import Add, Circuit, Const, Input, Mul, to_skew_bracketed
 
     t = VarTable(["x1", "x2"])
     cases = [
         Circuit(t, [Input(0), Input(1), Mul(0, 1)], 2),
         Circuit(t, [Const(Fraction(3)), Input(0), Mul(0, 1)], 2),
         Circuit(t, [Input(0)], 0),
+        Circuit(t, [Input(0), Const(Fraction(1)), Add(0, 1), Mul(0, 2)], 3),  # x1 (x1 + 1)
     ]
     for c in cases:
         r = pal_vsk_reduction(c)
@@ -1137,7 +1191,7 @@ def test_pal_vsk_accepted_palindromes_are_the_parse_words():
         accept = r.dim - 1
         sub = r.substitution
         accepted = [w for w in tgt.poly.terms if accept in walk_states(sub, {0}, map(ord, w))]
-        parse = expand(to_skew_bracketed(homogenize(c)).circuit)
+        parse = expand(to_skew_bracketed(c).circuit)
         assert len(accepted) == len(parse.terms)
 
 

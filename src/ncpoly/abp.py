@@ -6,9 +6,9 @@ constant; it computes the sum over source-to-sink paths of the ordered
 product of the cells.  Size is the vertex count.  The module also
 builds the coefficient ("Hankel") block of a homogeneous polynomial at a
 cut and its exact rank, which lower-bounds the width of any ABP layer at
-that cut.  abp_hankel_rank finds the same rank from an
-ABP without expanding it: bases of the forward and backward spans at the
-cut, built layer by layer, hold at most the layer's width of vectors.
+that cut.  abp_hankel_rank finds the same ranks from an ABP without
+expanding it: forward and backward span bases, built layer by layer, hold
+at most the layer's width of vectors; one pass each way serves all cuts.
 Two ABP constructions feed it: the stack-in-state ABP for Dyck words of
 bounded nesting depth and Nisan's subset ABP for the permanent.
 """
@@ -22,7 +22,8 @@ from .algebra import NCPoly, VarTable, budget, eliminate, exact_rank
 class Abp:
     """Vertex counts per layer plus per-gap cell lists (u, v, coefficient,
     word): word is a one-letter word, or "" for a constant term.  Parallel
-    cells add."""
+    cells add.  Construction notes once whether every cell reads a letter
+    (is_homogeneous); nothing mutates edges afterwards, so the note holds."""
 
     def __init__(self, table: VarTable, layers: list, edges: list):
         if len(layers) < 1 or layers[0] != 1 or layers[-1] != 1:
@@ -31,13 +32,17 @@ class Abp:
             raise ValueError("layers must be nonempty")
         if len(edges) != len(layers) - 1:
             raise ValueError("need one edge list per consecutive layer pair")
+        homogeneous = True
         for gap, gap_edges in enumerate(edges):
             for u, v, _, word in gap_edges:
                 if not (0 <= u < layers[gap] and 0 <= v < layers[gap + 1]):
                     raise ValueError(f"edge ({u},{v}) out of range at gap {gap}")
-                if len(word) > 1:
-                    raise ValueError("an edge cell's word has at most one letter")
+                if len(word) != 1:
+                    if word:
+                        raise ValueError("an edge cell's word has at most one letter")
+                    homogeneous = False
         self.table = table
+        self._homogeneous = homogeneous
         self.layers = list(layers)
         self.edges = [list(g) for g in edges]
         self.offsets = [0]  # global vertex number of each layer's first vertex
@@ -53,7 +58,7 @@ class Abp:
         return len(self.layers) - 1
 
     def is_homogeneous(self) -> bool:
-        return all(word for g in self.edges for *_, word in g)
+        return self._homogeneous
 
 
 def abp_eval(p: Abp) -> NCPoly:
@@ -153,15 +158,16 @@ def hankel_rank(f: NCPoly, cut: int) -> int:
     return exact_rank(hankel_block(f, cut).matrix, f.table.field)
 
 
-def _span(steps, field) -> list:
-    """A basis of the span of the images of vertex 0's unit vector under
-    every word of steps.
+def _span(steps, field):
+    """Bases of the span of the images of vertex 0's unit vector under the
+    words of steps: the unit vector itself, then one basis after each step.
 
     Each step maps a vertex to its (vertex, coefficient, word) cells.  The
     basis after a step holds, row-reduced by eliminate, the images of the
     previous basis under each word separately.
     """
     basis = [{0: field.one}]
+    yield basis
     for step in steps:
         pivots: dict = {}
         for b in basis:
@@ -174,27 +180,33 @@ def _span(steps, field) -> list:
             for image in images.values():
                 eliminate(pivots, {v: x for v, x in image.items() if x != 0}, field)
         basis = list(pivots.values())
-    return basis
+        yield basis
 
 
-def abp_hankel_rank(p: Abp, cut: int) -> int:
-    """The Hankel rank of abp_eval(p) at a cut, without expanding it.
+def abp_hankel_rank(p: Abp, cuts: list) -> list:
+    """The Hankel ranks of abp_eval(p) at a list of cuts, in the order
+    given, without expanding it.
 
     Through layer cut the block factors as F·B: F[u, q] sums the paths
     from the source to vertex q that spell the prefix u, and B[q, v] the
     paths from q to the sink that spell the suffix v.  A basis of F's row
     span is pushed forward from the source's unit vector, and a basis of
     B's column span pulled backward from the sink's, one gap and one
-    letter at a time (Nisan, STOC 1991; Tzeng 1992).  rank(F·B) is the
-    rank of the product of the two bases, which is exact.  Its rows are
-    handed to exact_rank with zero rows dropped and columns numbered in
-    first-seen order.
+    letter at a time (Nisan, STOC 1991; Tzeng 1992).  All cuts share one
+    pass per direction, forward to the largest cut and backward to the
+    smallest, so the cost is O(d) gap steps, not O(d × cuts).  rank(F·B)
+    is the rank of the product of the two bases, which is exact; it is
+    taken once per distinct cut, its rows handed to exact_rank with zero
+    rows dropped and columns numbered in first-seen order.
     """
     if not p.is_homogeneous():
         raise ValueError("Hankel ranks need homogeneous edge labels")
-    if not 0 <= cut <= p.degree:
-        raise ValueError(f"cut {cut} outside 0..{p.degree}")
+    for cut in cuts:
+        if not 0 <= cut <= p.degree:
+            raise ValueError(f"cut {cut} outside 0..{p.degree}")
     field = p.table.field
+    ranks = dict.fromkeys(cuts)
+    top, bottom = max(cuts, default=0), min(cuts, default=p.degree)
 
     def steps(gaps, backward):
         for gap in gaps:
@@ -205,24 +217,28 @@ def abp_hankel_rank(p: Abp, cut: int) -> int:
                 step.setdefault(u, []).append((v, *cell))
             yield step
 
-    rows = _span(steps(range(cut), False), field)
-    cols = _span(steps(reversed(range(cut, p.degree)), True), field)
-    at: dict = {}  # vertex of layer cut -> [(column, entry)]
-    for j, col in enumerate(cols):
-        for q, b in col.items():
-            at.setdefault(q, []).append((j, b))
-    number: dict = {}
-    product = []
-    for row in rows:
-        acc: dict = {}
-        for q, a in row.items():
-            for j, b in at.get(q, ()):
-                x = acc.get(j)
-                acc[j] = a * b if x is None else x + a * b
-        r = {number.setdefault(j, len(number)): x for j, x in acc.items() if x != 0}
-        if r:
-            product.append(r)
-    return exact_rank(tuple(product), field)
+    forward = _span(steps(range(top), False), field)
+    rows = {cut: b for cut, b in zip(range(top + 1), forward) if cut in ranks}
+    backward = _span(steps(range(p.degree - 1, bottom - 1, -1), True), field)
+    cols = {cut: b for cut, b in zip(range(p.degree, bottom - 1, -1), backward) if cut in ranks}
+    for cut in ranks:
+        at: dict = {}  # vertex of layer cut -> [(column, entry)]
+        for j, col in enumerate(cols[cut]):
+            for q, b in col.items():
+                at.setdefault(q, []).append((j, b))
+        number: dict = {}
+        product = []
+        for row in rows[cut]:
+            acc: dict = {}
+            for q, a in row.items():
+                for j, b in at.get(q, ()):
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            r = {number.setdefault(j, len(number)): x for j, x in acc.items() if x != 0}
+            if r:
+                product.append(r)
+        ranks[cut] = exact_rank(tuple(product), field)
+    return [ranks[cut] for cut in cuts]
 
 
 # ---------------------------------------------------------------------------

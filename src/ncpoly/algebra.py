@@ -445,7 +445,8 @@ def exact_rank(rows: Iterable[Mapping | Sequence], field: Field) -> int:
     by_support: dict = {}  # column set -> distinct rows with that support
     pivots: dict = {}
     for row in rows:
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        # a dict row skips the slower Mapping ABC check
+        items = row.items() if isinstance(row, dict) or isinstance(row, Mapping) else enumerate(row)
         r = {j: x for j, x in items if x != 0}
         if not r:
             continue

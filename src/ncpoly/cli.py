@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 import tempfile
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 from .abp import abp_eval, abp_hankel_rank, hankel_rank, parse_abp
@@ -203,19 +203,14 @@ def cmd_rank(args, field: Field) -> int:
     inst = make_family(args.spec, field)
     build_abp = inst.meta.get("abp")
     if build_abp is not None:
-        rank_at = partial(abp_hankel_rank, build_abp())
+        ranks = abp_hankel_rank(build_abp(), args.cut)
     else:
         poly = inst.poly
         if not poly.is_homogeneous():
             raise UsageError("Hankel ranks need a homogeneous family")
-        rank_at = partial(hankel_rank, poly)
-    lines = []
-    for cut in args.cut:
-        rank = rank_at(cut)
-        if args.fmt == "structured":
-            lines.append(f"cut={cut} rank={rank}")
-        else:
-            lines.append(f"{cut} {rank}")
+        ranks = [hankel_rank(poly, cut) for cut in args.cut]
+    line = "cut={} rank={}" if args.fmt == "structured" else "{} {}"
+    lines = [line.format(cut, rank) for cut, rank in zip(args.cut, ranks)]
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -288,29 +288,38 @@ def cancelling_abp(rng, field, n_vars=2):
                     vid: field.from_int(rng.choice((-2, -1, 1, 2)))
                     for vid in rng.sample(range(n_vars), rng.randint(1, n_vars))
                 }
-                cells = [(u, v, c, (vid,)) for vid, c in coeffs.items() if c != 0]
+                cells = [(u, v, c, chr(vid)) for vid, c in coeffs.items() if c != 0]
                 gap_edges += cells
                 twin = rng.random()
                 if twin < 0.1:
                     gap_edges += [(u, v, -c, word) for *_, c, word in cells]
                 elif twin < 0.3:
                     vid = rng.randrange(n_vars)
-                    gap_edges.append((u, v, field.from_int(rng.choice((-1, 1))), (vid,)))
+                    gap_edges.append((u, v, field.from_int(rng.choice((-1, 1))), chr(vid)))
         edges.append(gap_edges)
     return Abp(t, layers, edges)
 
 
+def shuffled_cuts(rng, d):
+    """Every cut 0..d in a random order, one of them twice."""
+    cuts = [*range(d + 1), rng.randint(0, d)]
+    rng.shuffle(cuts)
+    return cuts
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "GF2", "GF5"])
 def test_span_rank_equals_expanded_rank_on_random_cancelling_abps(field):
+    # one call ranks every cut, shuffled and with a repeat, against the
+    # expansion's block at each cut on its own
     rng = random.Random(1991)
     below_width = 0
     for _ in range(150):
         p = cancelling_abp(rng, field)
         f = abp_eval(p)
-        for cut in range(p.degree + 1):
-            rank = abp_hankel_rank(p, cut)
-            assert rank == hankel_rank(f, cut), (format_abp(p), cut)
-            below_width += rank < p.layers[cut]
+        cuts = shuffled_cuts(rng, p.degree)
+        ranks = abp_hankel_rank(p, cuts)
+        assert ranks == [hankel_rank(f, cut) for cut in cuts], (format_abp(p), cuts)
+        below_width += sum(rank < p.layers[cut] for cut, rank in zip(cuts, ranks))
     assert below_width  # cancellation and dead vertices occurred
 
 
@@ -324,12 +333,14 @@ FAMILY_GRID = (
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "GF2", "GF5"])
 def test_family_abps_compute_the_family_and_its_ranks_at_every_cut(field):
+    rng = random.Random(1991)
     for spec in FAMILY_GRID:
         inst = make_family(spec, field)
         p = inst.meta["abp"]()
         assert abp_eval(p) == inst.poly, spec
-        for cut in range(p.degree + 1):
-            assert abp_hankel_rank(p, cut) == hankel_rank(inst.poly, cut), (spec, cut)
+        cuts = shuffled_cuts(rng, p.degree)
+        expected = [hankel_rank(inst.poly, cut) for cut in cuts]
+        assert abp_hankel_rank(p, cuts) == expected, (spec, cuts)
 
 
 def test_permanent_abp_has_binomial_layers():
@@ -340,13 +351,15 @@ def test_permanent_abp_has_binomial_layers():
 
 def test_span_rank_refuses_bad_cuts_and_affine_labels():
     p = bounded_depth_dyck_abp(2, 2)
-    for cut in (-1, 5):
-        with pytest.raises(ValueError, match="outside 0..4"):
-            abp_hankel_rank(p, cut)
+    for cuts, bad in (([-1], -1), ([5], 5), ([0, 4, 7, -1], 7), ([2, -3, 2, 9], -3), ([9, 1], 9)):
+        with pytest.raises(ValueError, match=rf"^cut {bad} outside 0\.\.4$"):
+            abp_hankel_rank(p, cuts)
+    assert abp_hankel_rank(p, []) == []
     t = xy()
     affine = Abp(t, [1, 1], [[(0, 0, 1, X0), (0, 0, 2, "")]])
+    assert not affine.is_homogeneous()
     with pytest.raises(ValueError):
-        abp_hankel_rank(affine, 0)
+        abp_hankel_rank(affine, [0])
 
 
 # -- bounded-depth Dyck ABP ----------------------------------------------------
@@ -355,7 +368,7 @@ def test_span_rank_refuses_bad_cuts_and_affine_labels():
 def test_empty_word_program():
     p = bounded_depth_dyck_abp(1, 0)
     assert p.layers == [1] and abp_eval(p) == NCPoly.const(p.table, 1)
-    assert abp_hankel_rank(p, 0) == 1
+    assert abp_hankel_rank(p, [0, 0]) == [1, 1]
 
 
 def test_depth1_length2():

@@ -198,6 +198,13 @@ def test_rank_cut_outside_the_degree_exits_2(capsys):
         assert _one_error_line(err) and f"outside 0..{degree}" in err, (spec, err)
 
 
+def test_rank_checks_every_cut_before_ranking_any(capsys):
+    # the ABP route takes every cut in one call, which names the bad one
+    code, out, err = run(capsys, "rank", "dyck:k=2,d=8", "--cut", "3", "--cut", "99")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "cut 99 outside 0..8" in err, err
+
+
 def test_hadamard_command(tmp_path, capsys):
     circ = tmp_path / "c.txt"
     circ.write_text("g0 input x0\ng1 input x1\ng2 add g0 g1\ng3 mul g2 g2\noutput g3\n")

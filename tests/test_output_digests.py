@@ -63,6 +63,10 @@ def width4_abp(names, depth: int, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cuts(values) -> list:
+    return [arg for c in values for arg in ("--cut", str(c))]
+
+
 CHI3 = "".join(
     " ".join(map(str, sigma)) + f" -> {i + 2}/{i % 3 + 1}\n"
     for i, sigma in enumerate(itertools.permutations((1, 2, 3)))
@@ -100,6 +104,14 @@ CASES = {
         ["verify", "r.red"],
     ],
     "rank dyck:k=2,d=12 --cut 6": [["rank", "dyck:k=2,d=12", "--cut", "6", "--out", "k.txt"]],
+    "rank dyck:k=2,d=16 at every cut": [["rank", "dyck:k=2,d=16", *cuts(range(17)), "--out", "k.txt"]],
+    "rank dyck:k=2,d=12 mod 1000003 --cut 5 --cut 4 --cut 5": [
+        ["--field", "p=1000003", "rank", "dyck:k=2,d=12", *cuts((5, 4, 5)), "--out", "k.txt"]
+    ],
+    "rank per:n=8 at every cut, structured": [
+        ["--format", "structured", "rank", "per:n=8", *cuts(range(9)), "--out", "k.txt"]
+    ],
+    "rank pal:n=7,k=3 --cut 7": [["rank", "pal:n=7,k=3", "--cut", "7", "--out", "k.txt"]],
 }
 
 DIGESTS = {
@@ -116,6 +128,17 @@ DIGESTS = {
         "af5fc47948738174fda21916c419df552201426166ff692d37d63ba8b86417ae"
     ),
     "rank dyck:k=2,d=12 --cut 6": "c7611a23a74e491b4f88720ee82ae3df9c7154c9e01b0083187aa6ad064cbaa2",
+    # taken while abp_hankel_rank ran its span passes afresh for each cut
+    "rank dyck:k=2,d=16 at every cut": (
+        "427e9fd99f69767c2a30aca224c98348737104314bd29a8b5fa9139795b77383"
+    ),
+    "rank dyck:k=2,d=12 mod 1000003 --cut 5 --cut 4 --cut 5": (
+        "582306fcb2418df000607f6877c5b53b82396bfd852eeac4be74d78e0bb1cd09"
+    ),
+    "rank per:n=8 at every cut, structured": (
+        "c78b7dbe7a0c528428ae0aa424991b864671115b1745857626dfddbeae18c91c"
+    ),
+    "rank pal:n=7,k=3 --cut 7": "ac613ea4c4fb36f8eb46421e9daee667518bf1550bf4bd2f106c97de2279d28a",
 }
 
 

@@ -68,6 +68,33 @@ def test_modint_keeps_its_semantics():
         a / 5
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 1000003, 2**61 - 1]),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**70), 2**70),
+)
+def test_modint_arithmetic_matches_int_arithmetic_mod_p(p, x, y):
+    a, b = ModInt(x % p, p), ModInt(y % p, p)
+    for got, want in ((a + b, x + y), (a - b, x - y), (a * b, x * y), (a + y, x + y),
+                      (y + a, x + y), (a - y, x - y), (y - a, y - x), (a * y, x * y)):
+        assert type(got) is ModInt and got.modulus == p and got.value == want % p
+    assert (a == b) is (x % p == y % p) and (a != b) is (x % p != y % p)
+    assert (a == y) is (x % p == y % p)
+
+
+def test_modint_refuses_mixed_moduli_and_fractions():
+    a, b = ModInt(3, 5), ModInt(3, 7)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(FieldError, match="^mixed moduli 5 and 7$"):
+            op()
+    for op in (lambda: a + Fraction(1, 2), lambda: a - Fraction(1), lambda: a * Fraction(2)):
+        with pytest.raises(FieldError, match="^cannot mix ModInt with Fraction$"):
+            op()
+    assert a != b and b != a and not a == b
+    assert a != Fraction(3) and not a == Fraction(3)
+
+
 # -- ints and Fractions of equal value are one scalar --------------------------
 
 

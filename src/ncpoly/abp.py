@@ -22,8 +22,7 @@ from .algebra import NCPoly, VarTable, budget, eliminate, exact_rank
 class Abp:
     """Vertex counts per layer plus per-gap cell lists (u, v, coefficient,
     word): word is a one-letter word, or "" for a constant term.  Parallel
-    cells add.  Construction notes once whether every cell reads a letter
-    (is_homogeneous); nothing mutates edges afterwards, so the note holds."""
+    cells add."""
 
     def __init__(self, table: VarTable, layers: list, edges: list):
         if len(layers) < 1 or layers[0] != 1 or layers[-1] != 1:
@@ -32,17 +31,13 @@ class Abp:
             raise ValueError("layers must be nonempty")
         if len(edges) != len(layers) - 1:
             raise ValueError("need one edge list per consecutive layer pair")
-        homogeneous = True
         for gap, gap_edges in enumerate(edges):
             for u, v, _, word in gap_edges:
                 if not (0 <= u < layers[gap] and 0 <= v < layers[gap + 1]):
                     raise ValueError(f"edge ({u},{v}) out of range at gap {gap}")
-                if len(word) != 1:
-                    if word:
-                        raise ValueError("an edge cell's word has at most one letter")
-                    homogeneous = False
+                if len(word) > 1:
+                    raise ValueError("an edge cell's word has at most one letter")
         self.table = table
-        self._homogeneous = homogeneous
         self.layers = list(layers)
         self.edges = [list(g) for g in edges]
         self.offsets = [0]  # global vertex number of each layer's first vertex
@@ -58,7 +53,7 @@ class Abp:
         return len(self.layers) - 1
 
     def is_homogeneous(self) -> bool:
-        return self._homogeneous
+        return all(word for g in self.edges for *_, word in g)
 
 
 def abp_eval(p: Abp) -> NCPoly:
@@ -194,10 +189,12 @@ def abp_hankel_rank(p: Abp, cuts: list) -> list:
     B's column span pulled backward from the sink's, one gap and one
     letter at a time (Nisan, STOC 1991; Tzeng 1992).  All cuts share one
     pass per direction, forward to the largest cut and backward to the
-    smallest, so the cost is O(d) gap steps, not O(d × cuts).  rank(F·B)
-    is the rank of the product of the two bases, which is exact; it is
-    taken once per distinct cut, its rows handed to exact_rank with zero
-    rows dropped and columns numbered in first-seen order.
+    smallest, so the cost is O(d) gap steps, not O(d × cuts).  The forward
+    bases at the cuts are kept; each cut is ranked as soon as the backward
+    pass reaches it, and both its bases are dropped.  rank(F·B) is the
+    rank of the product of the two bases, which is exact; it is taken once
+    per distinct cut, its rows handed to exact_rank with zero rows dropped
+    and columns numbered in first-seen order.
     """
     if not p.is_homogeneous():
         raise ValueError("Hankel ranks need homogeneous edge labels")
@@ -220,15 +217,16 @@ def abp_hankel_rank(p: Abp, cuts: list) -> list:
     forward = _span(steps(range(top), False), field)
     rows = {cut: b for cut, b in zip(range(top + 1), forward) if cut in ranks}
     backward = _span(steps(range(p.degree - 1, bottom - 1, -1), True), field)
-    cols = {cut: b for cut, b in zip(range(p.degree, bottom - 1, -1), backward) if cut in ranks}
-    for cut in ranks:
+    for cut, cols in zip(range(p.degree, bottom - 1, -1), backward):
+        if cut not in ranks:
+            continue
         at: dict = {}  # vertex of layer cut -> [(column, entry)]
-        for j, col in enumerate(cols[cut]):
+        for j, col in enumerate(cols):
             for q, b in col.items():
                 at.setdefault(q, []).append((j, b))
         number: dict = {}
         product = []
-        for row in rows[cut]:
+        for row in rows.pop(cut):
             acc: dict = {}
             for q, a in row.items():
                 for j, b in at.get(q, ()):

@@ -46,21 +46,19 @@ class ModInt:
             raise FieldError(f"mixed moduli {self.modulus} and {other.modulus}")
 
     def __add__(self, other):
-        if other.__class__ is ModInt and other.modulus == self.modulus:
-            return ModInt((self.value + other.value) % self.modulus, self.modulus)
-        if isinstance(other, int):
-            return ModInt((self.value + other) % self.modulus, self.modulus)
-        self._check(other)
+        if other.__class__ is not ModInt or other.modulus != self.modulus:
+            if isinstance(other, int):
+                return ModInt((self.value + other) % self.modulus, self.modulus)
+            self._check(other)
         return ModInt((self.value + other.value) % self.modulus, self.modulus)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is ModInt and other.modulus == self.modulus:
-            return ModInt((self.value - other.value) % self.modulus, self.modulus)
-        if isinstance(other, int):
-            return ModInt((self.value - other) % self.modulus, self.modulus)
-        self._check(other)
+        if other.__class__ is not ModInt or other.modulus != self.modulus:
+            if isinstance(other, int):
+                return ModInt((self.value - other) % self.modulus, self.modulus)
+            self._check(other)
         return ModInt((self.value - other.value) % self.modulus, self.modulus)
 
     def __rsub__(self, other):
@@ -69,11 +67,10 @@ class ModInt:
         return NotImplemented
 
     def __mul__(self, other):
-        if other.__class__ is ModInt and other.modulus == self.modulus:
-            return ModInt((self.value * other.value) % self.modulus, self.modulus)
-        if isinstance(other, int):
-            return ModInt((self.value * other) % self.modulus, self.modulus)
-        self._check(other)
+        if other.__class__ is not ModInt or other.modulus != self.modulus:
+            if isinstance(other, int):
+                return ModInt((self.value * other) % self.modulus, self.modulus)
+            self._check(other)
         return ModInt((self.value * other.value) % self.modulus, self.modulus)
 
     __rmul__ = __mul__
@@ -93,8 +90,6 @@ class ModInt:
         return self * other.inverse()
 
     def __eq__(self, other):
-        if other.__class__ is ModInt and other.modulus == self.modulus:
-            return self.value == other.value
         if isinstance(other, ModInt):
             return self.modulus == other.modulus and self.value == other.value
         if isinstance(other, int):

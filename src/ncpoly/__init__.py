@@ -54,9 +54,8 @@ from .automata import (
     MatrixSubstitution,
     SubstAutomaton,
     automaton_to_substitution,
-    filter_by_automaton,
     hadamard_via_matrices,
 )
-from .families import FamilyInstance, ChiTable, commutative_version, make_family, nesting_depth
+from .families import FamilyInstance, ChiTable, commutative_version, make_family
 
 __version__ = "0.1.0"

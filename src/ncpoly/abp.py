@@ -354,6 +354,7 @@ def permanent_abp(n: int, table: VarTable) -> Abp:
 # format_abp writes one cell per edge line: <coeff> <var> or + <const>.
 
 
+# No command writes a program yet; it is the writer that parse_abp reads back.
 def format_abp(p: Abp) -> str:
     fmt = p.table.field.format
     lines = ["layers " + " ".join(f"{i}:{n}" for i, n in enumerate(p.layers))]

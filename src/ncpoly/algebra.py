@@ -19,6 +19,12 @@ a block, like ``decimal.localcontext``, and code run outside such a block
 gets the defaults.  The budget lives in a context variable, so each
 thread and each asyncio task sees its own.
 
+Letter substitution, the projection oracles and the other brute-force
+references live beside the tests (tests/oracles.py), so no engine here
+shares code with the check that tests it.  hadamard_bruteforce, the
+coefficientwise product, stays because the benchmark's output checks
+import it.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 """
@@ -30,7 +36,7 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fields import QQ, Field
 
@@ -344,6 +350,7 @@ class NCPoly:
         return "NCPoly(" + " + ".join(parts) + more + ")"
 
 
+# No command calls it; the benchmark's output checks import it as their oracle.
 def hadamard_bruteforce(a: NCPoly, b: NCPoly) -> NCPoly:
     """Coefficientwise product, the oracle for the matrix-built Hadamard."""
     _check_tables(a, b)
@@ -355,45 +362,6 @@ def hadamard_bruteforce(a: NCPoly, b: NCPoly) -> NCPoly:
             prod = c * d if small is a else d * c
             if prod != 0:
                 out.terms[w] = prod
-    return out
-
-
-def substitute_letters(
-    f: NCPoly, image: Callable[[int, int], object], out_table: VarTable
-) -> NCPoly:
-    """Replace each letter by a variable (Var) or scalar, combining like terms.
-
-    ``image(position, variable id)`` gives the image of the letter at that
-    1-based position and raises KeyError where it is undefined; the error
-    is re-raised naming the variable and the position.  Scalars multiply
-    into the coefficient and vanish from the word.
-    """
-    out = NCPoly.zero(out_table)
-    for w, c in f.terms.items():
-        coeff = c
-        letters = []
-        for pos, vid in enumerate(map(ord, w), 1):
-            try:
-                img = image(pos, vid)
-            except KeyError:
-                raise KeyError(
-                    f"no image for variable {f.table.name(vid)!r} at position {pos}"
-                ) from None
-            if isinstance(img, Var):
-                letters.append(chr(img.id))
-            else:
-                coeff = coeff * img
-                if coeff == 0:
-                    break
-        if coeff == 0:
-            continue
-        word = "".join(letters)
-        s = out.terms.get(word)
-        s = coeff if s is None else s + coeff
-        if s == 0:
-            out.terms.pop(word, None)
-        else:
-            out.terms[word] = s
     return out
 
 

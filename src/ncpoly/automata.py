@@ -20,7 +20,9 @@ sorted word order calls it at most once per distinct live prefix of the
 support, since terms that share a prefix share its row vector, and not
 at all for a unit step, which only moves a one-column vector; product_cells pushes unit rows
 through it to multiply monomial matrices for composition and
-branching-program embedding.
+branching-program embedding.  Nothing here runs an automaton one word at
+a time: that simulation is the tests' oracle (tests/oracles.py), so it
+shares no code with the compiled evaluation it checks.
 """
 
 from collections.abc import Iterable
@@ -80,22 +82,6 @@ class SubstAutomaton:
         if len(word) > MAX_ENTRY_DEGREE:
             raise ValueError(f"output degree {len(word)} exceeds {MAX_ENTRY_DEGREE}")
         self.transitions[key] = (to, coeff, to_word(word))
-
-    def run(self, word: Word):
-        """Deterministic simulation: (accepted, coefficient, output word)."""
-        state = self.start
-        coeff = self.input_table.field.one
-        out: list[str] = []
-        for v in map(ord, word):
-            hop = self.transitions.get((state, v))
-            if hop is None:
-                return False, self.input_table.field.zero, ""
-            state, c, emitted = hop
-            coeff = coeff * c
-            out.append(emitted)
-        if state != self.accept:
-            return False, self.input_table.field.zero, ""
-        return True, coeff, "".join(out)
 
 
 def path_order(start, accept, before, after) -> list:
@@ -350,25 +336,6 @@ def automaton_to_substitution(a: SubstAutomaton) -> MatrixSubstitution:
     return MatrixSubstitution(a.input_table, a.output_table, len(order), entries)
 
 
-def filter_by_automaton(f: NCPoly, a: SubstAutomaton) -> NCPoly:
-    """Restrict f to the words the automaton accepts.
-
-    Requires identity outputs: every transition must emit exactly the
-    variable it reads, with coefficient one.
-    """
-    if f.table != a.input_table:
-        raise TableMismatchError("polynomial and automaton alphabets differ")
-    for (_frm, var), (_to, coeff, word) in a.transitions.items():
-        if word != chr(var) or coeff != 1:
-            raise ValueError("filtering needs identity outputs on every transition")
-    out = NCPoly.zero(f.table)
-    for w, c in f.terms.items():
-        accepted, _coeff, _word = a.run(w)
-        if accepted:
-            out.terms[w] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hadamard product through transition matrices
 
@@ -475,7 +442,9 @@ def parse_substitution(
     As in parse_poly, known output names cost one lookup in the table's
     name -> letter dict, only a line holding a new name goes through
     ``get_or_add``, and each distinct coefficient literal is parsed once
-    per call.
+    per call.  A second dim line, or a second entry for the same (var,
+    row, column) cell, is refused with ValueError rather than read over
+    the first.
     """
     from .fields import QQ
 
@@ -508,13 +477,18 @@ def parse_substitution(
                 word = "".join([out_letters[n] for n in tokens[4:]])
             except KeyError:
                 word = "".join([chr(output_table.get_or_add(n).id) for n in tokens[4:]])
+            if (r, c) in current:
+                raise ValueError(f"second entry {r + 1} {c + 1} for var {var_name}")
             current[(r, c)] = (coeff, word)
         elif tokens[0] == "var":
-            vid = in_ids.get(tokens[1])
+            var_name = tokens[1]
+            vid = in_ids.get(var_name)
             if vid is None:
-                vid = input_table.get_or_add(tokens[1]).id
+                vid = input_table.get_or_add(var_name).id
             current = entries.setdefault(vid, {})
         elif tokens[0] == "dim":
+            if dim is not None:
+                raise ValueError("second dim line")
             dim = int(tokens[1])
         elif tokens[0] == "input-vars":
             for name in tokens[1:]:

@@ -2,14 +2,18 @@
 
 A circuit is a DAG of fanin-two gates in topological order; every product
 gate multiplies its left child before its right child, so expansion is
-order-sensitive.  Besides brute-force expansion the module provides the
-two parsing transforms used by the completeness reductions: general
-bracketing (wrap every product's left argument in a fresh bracket pair,
-replace leaves by bracket pairs) and skew bracketing (wrap the non-leaf
-argument of every skew product in a fresh twin pair, double the inputs).
-Each returns the bracket tables its reduction reads and a recovery map
-{new variable id: Var or scalar}; substituting it letter by letter
-restores the original polynomial, which the tests enforce term for term.
+order-sensitive.  One walk, reach, finds what a DAG reaches from a root;
+Circuit.reachable and the completeness walks use it.  Besides
+brute-force expansion the module provides the two parsing transforms used
+by the completeness reductions: general bracketing (wrap every product's
+left argument in a fresh bracket pair, replace leaves by bracket pairs)
+and skew bracketing (wrap the non-leaf argument of every skew product in
+a fresh twin pair, double the inputs).  Neither builds the bracketed
+circuit: each returns the bracket variable table, the per-gate tables its
+reduction reads and a recovery map {new variable id: Var or scalar}.  The
+tests build the bracketed circuit from those tables and check, term for
+term, that substituting the recovery map letter by letter restores the
+original polynomial.
 """
 
 from dataclasses import dataclass
@@ -39,6 +43,17 @@ class Mul:
     right: int
 
 
+def reach(root: int, children) -> set:
+    """root and every node that children(node) leads to from it."""
+    seen, stack = {root}, [root]
+    while stack:
+        for child in children(stack.pop()):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
 class Circuit:
     """Gate list in topological order plus a designated output gate."""
 
@@ -61,16 +76,13 @@ class Circuit:
 
     def reachable(self) -> list:
         """Gate ids reachable from the output, ascending."""
-        seen = {self.output}
-        stack = [self.output]
-        while stack:
-            g = self.gates[stack.pop()]
-            if isinstance(g, (Add, Mul)):
-                for child in (g.left, g.right):
-                    if child not in seen:
-                        seen.add(child)
-                        stack.append(child)
-        return sorted(seen)
+        gates = self.gates
+
+        def children(gid: int):
+            g = gates[gid]
+            return (g.left, g.right) if isinstance(g, (Add, Mul)) else ()
+
+        return sorted(reach(self.output, children))
 
     def __len__(self):
         return len(self.gates)
@@ -126,6 +138,7 @@ def is_skew(c: Circuit) -> dict:
     return tags
 
 
+# No command calls it; the benchmark tracer hooks it by name in reductions.completeness.
 def homogenize(c: Circuit) -> Circuit:
     """Split every gate into homogeneous degree slices.
 
@@ -180,10 +193,10 @@ def homogenize(c: Circuit) -> Circuit:
 
 @dataclass
 class Bracketed:
-    """to_bracketed's circuit, the bracket tables the Dyck reduction reads,
-    and the recovery substitution."""
+    """to_bracketed's bracket variables, the tables the Dyck reduction
+    reads, and the recovery substitution."""
 
-    circuit: Circuit
+    table: VarTable  # the bracket variables; the tests spell parse words with it
     pairs: list  # (open, close) var ids, in creation order
     gate_pair: dict  # product gate id -> its (open, close)
     leaf_word: dict  # input or constant gate id -> its bracket word, a Word
@@ -191,14 +204,14 @@ class Bracketed:
 
 
 def to_bracketed(c: Circuit) -> Bracketed:
-    """Wrap products and leaves in fresh bracket pairs.
+    """Bracket pairs for products and leaves, without building a circuit.
 
-    Product gates f = g*h become (_f g )_f h; constants a become the
-    four-letter word (_a [_za ]_za )_a; input variables y become [_y ]_y.
-    Every monomial of the result is a balanced string over the bracket
-    pairs, which are made in gate order.  Recovery sends ]_y to y, ]_za to
-    a and every other bracket to one, so each image sits on a closing
-    bracket; substituting it restores the source polynomial.
+    Product gates f = g*h read as (_f g )_f h; constants a as the
+    four-letter word (_a [_za ]_za )_a; input variables y as [_y ]_y.
+    Every parse word is then a balanced string over the bracket pairs,
+    which are made in gate order.  Recovery sends ]_y to y, ]_za to a and
+    every other bracket to one, so each image sits on a closing bracket;
+    substituting it into the parse words restores the source polynomial.
     """
     fmt, one = c.table.field.format, c.table.field.one
     table = VarTable(field=c.table.field)
@@ -211,70 +224,46 @@ def to_bracketed(c: Circuit) -> Bracketed:
         pairs.append((o, cl))
         return o, cl
 
-    gates: list = []
-    inputs: dict[int, int] = {}  # new var id -> its Input gate
-
-    def leaf(vid: int) -> int:
-        if vid not in inputs:
-            gates.append(Input(vid))
-            inputs[vid] = len(gates) - 1
-        return inputs[vid]
-
-    def mul(a: int, b: int) -> int:
-        gates.append(Mul(a, b))
-        return len(gates) - 1
-
     gate_pair: dict[int, tuple] = {}
     leaf_word: dict[int, str] = {}
-    words: dict = {}  # source variable or formatted scalar -> (word, its gate)
-    mapped: dict[int, int] = {}
+    words: dict = {}  # source variable or formatted scalar -> its bracket word
     for gid, g in enumerate(c.gates):
-        if isinstance(g, Add):
-            gates.append(Add(mapped[g.left], mapped[g.right]))
-            mapped[gid] = len(gates) - 1
-        elif isinstance(g, Mul):
-            o, cl = gate_pair[gid] = pair("()", f"g{gid}")
-            mapped[gid] = mul(mul(mul(leaf(o), mapped[g.left]), leaf(cl)), mapped[g.right])
-        else:
+        if isinstance(g, Mul):
+            gate_pair[gid] = pair("()", f"g{gid}")
+        elif not isinstance(g, Add):
             key = g.var if isinstance(g, Input) else fmt(g.value)
             if key not in words:
                 if isinstance(g, Input):
                     name = c.table.name(g.var)
                     o, cl = pair("[]", name, Var(g.var, name))
-                    word = chr(o) + chr(cl)
+                    words[key] = chr(o) + chr(cl)
                 else:
                     (ob, cb), (oz, cz) = pair("()", f"a{key}"), pair("[]", f"z{key}", g.value)
-                    word = chr(ob) + chr(oz) + chr(cz) + chr(cb)
-                top = leaf(ord(word[0]))
-                for letter in word[1:]:
-                    top = mul(top, leaf(ord(letter)))
-                words[key] = word, top
-            leaf_word[gid], mapped[gid] = words[key]
-
-    circ = Circuit(table, gates, mapped[c.output])
-    return Bracketed(circ, pairs, gate_pair, leaf_word, recovery)
+                    words[key] = chr(ob) + chr(oz) + chr(cz) + chr(cb)
+            leaf_word[gid] = words[key]
+    return Bracketed(table, pairs, gate_pair, leaf_word, recovery)
 
 
 @dataclass
 class SkewBracketed:
-    """to_skew_bracketed's circuit, the twin tables the palindrome
+    """to_skew_bracketed's twin variables, the tables the palindrome
     reduction reads, and the recovery substitution."""
 
-    circuit: Circuit
+    table: VarTable  # the twin variables; the tests spell parse words with it
     twins: dict  # product gate id -> (L var id, R var id, gate id of its non-leaf argument)
     doubles: dict  # source var id -> (L var id, R var id)
     recovery: dict  # new var id -> Var or scalar
 
 
 def to_skew_bracketed(c: Circuit) -> SkewBracketed:
-    """Twin transform for skew circuits.
+    """Twin pairs for a skew circuit, without building a circuit.
 
     Each product with a leaf argument x (or scalar a) and non-leaf
-    argument h becomes twinL * h * twinR; each input y becomes y_L y_R.
+    argument h reads as twinL * h * twinR; each input y reads as y_L y_R.
     Requires a skew circuit, homogeneous or not.
-    In every monomial of the result the letter at position i is the mate
-    of the letter at position 2d-i+1.  Recovery sends y_L to y, a product's
-    twin on its leaf's side to that variable, a scalar's left twin to the
+    In every parse word the letter at position i is the mate of the
+    letter at position 2d-i+1.  Recovery sends y_L to y, a product's twin
+    on its leaf's side to that variable, a scalar's left twin to the
     scalar, and every other letter to one.
     """
     tags = is_skew(c)
@@ -307,39 +296,7 @@ def to_skew_bracketed(c: Circuit) -> SkewBracketed:
             name = "a" + c.table.field.format(payload.value)
             recs = (payload.value, one)
         twins[gid] = (*twin(f"{name}_(g{gid},L)", f"{name}_(g{gid},R)", *recs), inner)
-
-    gates: list = []
-    inputs: dict[int, int] = {}
-
-    def leaf(vid: int) -> int:
-        if vid not in inputs:
-            gates.append(Input(vid))
-            inputs[vid] = len(gates) - 1
-        return inputs[vid]
-
-    mapped: dict[int, int] = {}
-    double_gate: dict[int, int] = {}
-    for gid, g in enumerate(c.gates):
-        if isinstance(g, Input):
-            if g.var not in double_gate:
-                lv, rv = doubles[g.var]
-                gates.append(Mul(leaf(lv), leaf(rv)))
-                double_gate[g.var] = len(gates) - 1
-            mapped[gid] = double_gate[g.var]
-        elif isinstance(g, Const):
-            gates.append(Const(g.value))
-            mapped[gid] = len(gates) - 1
-        elif isinstance(g, Add):
-            gates.append(Add(mapped[g.left], mapped[g.right]))
-            mapped[gid] = len(gates) - 1
-        else:
-            lv, rv, inner = twins[gid]
-            gates.append(Mul(leaf(lv), mapped[inner]))
-            gates.append(Mul(len(gates) - 1, leaf(rv)))
-            mapped[gid] = len(gates) - 1
-
-    circ = Circuit(table, gates, mapped[c.output])
-    return SkewBracketed(circ, twins, doubles, recovery)
+    return SkewBracketed(table, twins, doubles, recovery)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +304,7 @@ def to_skew_bracketed(c: Circuit) -> SkewBracketed:
 #   g0 input x1 | g1 const 5/3 | g2 add g0 g1 | g3 mul g2 g0 | output g3
 
 
+# No command writes a circuit yet; it is the writer that parse_circuit reads back.
 def format_circuit(c: Circuit) -> str:
     lines = []
     for gid, g in enumerate(c.gates):

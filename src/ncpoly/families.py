@@ -30,32 +30,12 @@ from operator import getitem
 from pathlib import Path
 
 from .abp import Abp, bounded_depth_dyck_abp, dyck_pairs, dyck_table, permanent_abp
-from .algebra import NCPoly, VarTable, Word, budget
+from .algebra import NCPoly, VarTable, budget
 from .fields import QQ, Field
 
 
 # ---------------------------------------------------------------------------
 # Balanced words
-
-
-def nesting_depth(word: Word, pairs) -> int:
-    """Maximum bracket nesting of a balanced word.
-
-    Concatenation takes the max of its parts and wrapping adds one, so the
-    depth equals the maximum stack height along the word.
-    """
-    close_of = {chr(o): chr(c) for o, c in pairs}
-    stack = []
-    depth = 0
-    for v in word:
-        if v in close_of:
-            stack.append(close_of[v])
-            depth = max(depth, len(stack))
-        elif not stack or stack.pop() != v:
-            raise ValueError("word is not balanced")
-    if stack:
-        raise ValueError("word is not balanced")
-    return depth
 
 
 def _first_return_rows(half: int, depth_cap: int | None, empty, zero, join):
@@ -529,6 +509,7 @@ def tag_positions(table: VarTable) -> dict:
     return out
 
 
+# No command reaches it yet: it waits for the VNP-separation command on the ROADMAP.
 def commutative_version(f: NCPoly, out_table: VarTable | None = None) -> NCPoly:
     """Tag each letter with its position; words stay in position order.
 

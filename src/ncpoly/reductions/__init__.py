@@ -7,11 +7,8 @@ from .base import (
     ProjMap,
     Verdict,
     apply_abp_reduction,
-    apply_iproj,
-    apply_proj,
     apply_to_instance,
     compose_abp,
-    identity_reduction,
     iproj_to_abp,
     proj_to_iproj,
     verify_reduction,
@@ -24,7 +21,6 @@ from .dyck import (
     dyck_depth_reduction,
     pal_to_d2_reduction,
     palsq_to_d2_reduction,
-    two_chains_reduction,
     vbp_trivial_reduction,
 )
 from .serialize import format_reduction, parse_reduction
@@ -44,11 +40,8 @@ __all__ = [
     "Verdict",
     "SplitVerdict",
     "apply_abp_reduction",
-    "apply_iproj",
-    "apply_proj",
     "apply_to_instance",
     "compose_abp",
-    "identity_reduction",
     "iproj_to_abp",
     "proj_to_iproj",
     "verify_reduction",
@@ -60,7 +53,6 @@ __all__ = [
     "dyck_depth_reduction",
     "pal_to_d2_reduction",
     "palsq_to_d2_reduction",
-    "two_chains_reduction",
     "vbp_trivial_reduction",
     "format_reduction",
     "parse_reduction",

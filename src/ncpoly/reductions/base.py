@@ -4,7 +4,9 @@ Three notions, in increasing strength: a projection substitutes a variable
 or scalar per variable; an indexed projection substitutes per (position,
 variable); a matrix-substitution reduction substitutes a q x q matrix per
 variable of the target polynomial and reads the source off the (1, q)
-entry of the evaluated target.
+entry of the evaluated target.  The program applies a projection or an
+indexed projection only after compiling it, with iproj_to_abp; applying
+one letter by letter is the tests' oracle (tests/oracles.py).
 
 Applying a matrix substitution to a target without a grammar is one
 termwise walk over its terms, which the choice and permutation families
@@ -30,14 +32,7 @@ cross-checked in the test suite.
 import time
 from dataclasses import dataclass
 
-from ..algebra import (
-    NCPoly,
-    TableMismatchError,
-    Var,
-    VarTable,
-    budget,
-    substitute_letters,
-)
+from ..algebra import NCPoly, TableMismatchError, Var, VarTable, budget
 from ..automata import (
     MatrixSubstitution,
     SubstAutomaton,
@@ -70,21 +65,6 @@ class IProjMap:
     input_table: VarTable
     output_table: VarTable
     mapping: dict  # (position, var id) -> Var or scalar
-
-
-def apply_proj(m: ProjMap, g: NCPoly) -> NCPoly:
-    if g.table != m.input_table:
-        raise TableMismatchError("polynomial is not over the map's input table")
-    for vid in g.var_ids():
-        if vid not in m.mapping:
-            raise KeyError(f"projection undefined on {g.table.name(vid)!r}")
-    return substitute_letters(g, lambda _pos, vid: m.mapping[vid], m.output_table)
-
-
-def apply_iproj(m: IProjMap, g: NCPoly) -> NCPoly:
-    if g.table != m.input_table:
-        raise TableMismatchError("polynomial is not over the map's input table")
-    return substitute_letters(g, lambda pos, vid: m.mapping[(pos, vid)], m.output_table)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +548,7 @@ def verify_reduction(r: AbpReduction, source: FamilyInstance, target: FamilyInst
 # Conversions between the reducibilities
 
 
+# No command reaches it yet: it waits for the VNP-separation command on the ROADMAP.
 def proj_to_iproj(m: ProjMap, d: int) -> IProjMap:
     """Replicate a per-variable map at every position 1..d."""
     mapping = {}
@@ -598,14 +579,6 @@ def iproj_to_abp(m: IProjMap, d: int, source="", target="") -> AbpReduction:
         elif img != 0:
             a.add_transition(f"p{pos - 1}", vid, f"p{pos}", coeff=img)
     return AbpReduction(automaton_to_substitution(a), source, target, kind="iproj-chain")
-
-
-def identity_reduction(table: VarTable, d: int, source="", target="") -> AbpReduction:
-    """Chain of d+1 states mapping every variable to itself."""
-    m = ProjMap(table, table, {v.id: v for v in table.vars()})
-    r = iproj_to_abp(proj_to_iproj(m, d), d, source, target)
-    r.kind = "identity"
-    return r
 
 
 def compose_abp(r1: AbpReduction, r2: AbpReduction) -> AbpReduction:

@@ -35,7 +35,7 @@ from collections import deque
 
 from ..algebra import Var
 from ..automata import SubstAutomaton, automaton_to_substitution
-from ..circuits import Add, Circuit, Const, Input, Mul, to_bracketed, to_skew_bracketed
+from ..circuits import Add, Circuit, Const, Input, Mul, reach, to_bracketed, to_skew_bracketed
 from ..circuits import homogenize  # noqa: F401  the benchmark tracer patches it here by name
 from ..families import gen_dyck, gen_pal
 from .base import AbpReduction
@@ -55,17 +55,6 @@ def _add_closures(gates) -> list:
         else:
             memo.append({gid: 1})
     return memo
-
-
-def _reach(root: int, children) -> set:
-    """root and every gate that children(gate) leads to from it."""
-    seen, stack = {root}, [root]
-    while stack:
-        for child in children(stack.pop()):
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return seen
 
 
 def _image(recovery: dict, vid: int, cnt: int, field) -> tuple:
@@ -135,7 +124,7 @@ def dyck_completeness_reduction(c: Circuit) -> AbpReduction:
                 yield from (left, c.gates[product_of[first]].right)
 
     read = set()  # the opening brackets of the pairs the walk reads
-    for gid in _reach(c.output, arguments):
+    for gid in reach(c.output, arguments):
         for first, (kind, data) in moves[gid]:
             read.update(map(ord, data[0]) if kind == "W" else (first,))
     pairs = [pair for pair in br.pairs if pair[0] in read]
@@ -250,7 +239,7 @@ def pal_vsk_reduction(c: Circuit) -> AbpReduction:
         return (inner for _l, inner, _c, _w in moves[gid] if inner is not None)
 
     # the i-th letter the walk reads, a left twin or double, is target letter 2+i
-    read = sorted({lv for gid in _reach(c.output, inners) for lv, *_ in moves[gid]})
+    read = sorted({lv for gid in reach(c.output, inners) for lv, *_ in moves[gid]})
     letter_of = {lv: 2 + i for i, lv in enumerate(read)}
     r = max(lengths[c.output], default=0)
     target = gen_pal(r + 1, 2 + len(read), field)

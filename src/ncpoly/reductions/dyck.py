@@ -17,8 +17,6 @@ from ..families import (
     gen_dyck_depth,
     gen_pal,
     gen_pal_sq,
-    gen_product_of_sums,
-    gen_two_chains,
 )
 from ..fields import QQ, Field
 from .base import AbpReduction, IProjMap, apply_to_instance, iproj_to_abp
@@ -145,27 +143,6 @@ def dyck_depth_reduction(k1: int, k2: int, n: int, field: Field = QQ) -> AbpRedu
                 a.add_transition(state, c, f"e{excess - 1}", word=chr(c))
     sub = automaton_to_substitution(a)
     return AbpReduction(sub, source.spec_string, target.spec_string, kind="dyck-depth")
-
-
-def two_chains_reduction(n: int, field: Field = QQ) -> AbpReduction:
-    """Select the two chain monomials x1..xn and y1..yn out of the product
-    of the sums (x_i + y_i): the automaton commits to one chain at the
-    first letter, every mixed word hits a dead cell."""
-    target = gen_product_of_sums(n, field)
-    source = gen_two_chains(n, field)
-    a = SubstAutomaton(target.table, source.table)
-    a.add_state("s", start=True)
-    a.add_state("t", accept=True)
-    for prefix in ("x", "y"):
-        prev = "s"
-        for i in range(1, n + 1):
-            vid = target.table.var(f"{prefix}{i}").id
-            out = source.table.var(f"{prefix}{i}").id
-            state = "t" if i == n else f"{prefix}{i}"
-            a.add_transition(prev, vid, state, word=chr(out))
-            prev = state
-    sub = automaton_to_substitution(a)
-    return AbpReduction(sub, source.spec_string, target.spec_string, kind="two-chains")
 
 
 def check_vbp_trivial(f_abp: Abp, target: FamilyInstance, witness: Word) -> None:

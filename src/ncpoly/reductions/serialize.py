@@ -25,7 +25,11 @@ def format_reduction(r: AbpReduction, source_poly: NCPoly | None = None) -> str:
 
 
 def parse_reduction(text: str, field: Field):
-    """Returns (reduction, embedded source polynomial or None)."""
+    """Returns (reduction, embedded source polynomial or None).
+
+    A source-poly section without its end-poly line, or any non-blank line
+    after end-poly, is refused with ValueError: a file cut short or run
+    together with another is not read as a smaller polynomial."""
     kind = source = target = None
     sub_lines: list[str] = []
     poly_lines: list[str] = []
@@ -54,12 +58,16 @@ def parse_reduction(text: str, field: Field):
                 section = "done"
             else:
                 poly_lines.append(raw)
+        elif stripped:
+            raise ValueError(f"line after end-poly: {raw!r}")
     if kind is None or source is None or target is None:
         raise ValueError("reduction file is missing header lines")
+    if section == "poly":
+        raise ValueError("source-poly section has no end-poly line")
     input_table = VarTable(field=field)
     output_table = VarTable(field=field)
     sub = parse_substitution("\n".join(sub_lines), input_table, output_table)
     poly = None
-    if poly_lines or section in ("poly", "done"):
+    if section == "done":
         poly = parse_poly("\n".join(poly_lines), output_table)
     return AbpReduction(sub, source, target, kind=kind), poly

@@ -196,6 +196,7 @@ def hierarchy_iproj(i: int, n: int, field: Field = QQ) -> IProjMap:
     return IProjMap(ttab, stab, mapping)
 
 
+# No command reaches it yet: it waits for the VNP-separation command on the ROADMAP.
 def transfer(m: IProjMap, degree: int) -> ProjMap:
     """Turn an indexed projection into a plain projection between the
     position-tagged versions of its endpoints.
@@ -241,6 +242,7 @@ class SplitVerdict:
     checked: int
 
 
+# No command reaches it yet: it waits for the VNP-separation command on the ROADMAP.
 def set_multilinear_rank1_split(f: NCPoly, max_degree: int = 12) -> SplitVerdict:
     """Search all position bipartitions of a set-multilinear polynomial for
     one whose coefficient matrix (rows: assignments to the part, columns:

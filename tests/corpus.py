@@ -1,4 +1,4 @@
-"""Seeded corpora shared by the unit and acceptance tests."""
+"""Seeded corpora and fixture reductions shared by the unit and acceptance tests."""
 
 import random
 from fractions import Fraction
@@ -7,20 +7,11 @@ from hypothesis import strategies as st
 
 from ncpoly.abp import Abp
 from ncpoly.algebra import VarTable
+from ncpoly.automata import SubstAutomaton, automaton_to_substitution
 from ncpoly.circuits import Add, Circuit, Const, Input, Mul, is_skew
-from ncpoly.fields import QQ, PrimeField
-
-
-def balanced(word, pairs):
-    """Stack check over typed bracket pairs, the oracle for balanced words."""
-    close_of = {o: c for o, c in pairs}
-    stack = []
-    for v in map(ord, word):
-        if v in close_of:
-            stack.append(close_of[v])
-        elif not stack or stack.pop() != v:
-            return False
-    return not stack
+from ncpoly.families import gen_product_of_sums, gen_two_chains
+from ncpoly.fields import QQ, Field, PrimeField
+from ncpoly.reductions import AbpReduction, ProjMap, iproj_to_abp, proj_to_iproj
 
 
 def syntactic_degree(c) -> int:
@@ -37,6 +28,41 @@ def syntactic_degree(c) -> int:
         else:
             degs.append({a + b for a in degs[g.left] for b in degs[g.right]})
     return max(degs[c.output], default=-1)
+
+
+# -- fixture reductions ------------------------------------------------------------
+
+
+def identity_reduction(table: VarTable, d: int, source="", target="") -> AbpReduction:
+    """Chain of d+1 states mapping every variable to itself."""
+    m = ProjMap(table, table, {v.id: v for v in table.vars()})
+    r = iproj_to_abp(proj_to_iproj(m, d), d, source, target)
+    r.kind = "identity"
+    return r
+
+
+def two_chains_reduction(n: int, field: Field = QQ) -> AbpReduction:
+    """Select the two chain monomials x1..xn and y1..yn out of the product
+    of the sums (x_i + y_i): the automaton commits to one chain at the
+    first letter, every mixed word hits a dead cell."""
+    target = gen_product_of_sums(n, field)
+    source = gen_two_chains(n, field)
+    a = SubstAutomaton(target.table, source.table)
+    a.add_state("s", start=True)
+    a.add_state("t", accept=True)
+    for prefix in ("x", "y"):
+        prev = "s"
+        for i in range(1, n + 1):
+            vid = target.table.var(f"{prefix}{i}").id
+            out = source.table.var(f"{prefix}{i}").id
+            state = "t" if i == n else f"{prefix}{i}"
+            a.add_transition(prev, vid, state, word=chr(out))
+            prev = state
+    sub = automaton_to_substitution(a)
+    return AbpReduction(sub, source.spec_string, target.spec_string, kind="two-chains")
+
+
+# -- circuits and programs ------------------------------------------------------------
 
 
 def _table(n_vars):

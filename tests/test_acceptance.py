@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import corpus
+import oracles
 from ncpoly.abp import abp_eval, bounded_depth_dyck_abp, hankel_rank
 from ncpoly.algebra import NCPoly, Var, VarTable, hadamard_bruteforce, to_word
 from ncpoly.automata import hadamard_via_matrices
@@ -37,15 +38,12 @@ from ncpoly.reductions import (
     IProjMap,
     ProjMap,
     apply_abp_reduction,
-    apply_iproj,
-    apply_proj,
     apply_to_instance,
     compose_abp,
     dk_to_d2_reduction,
     dyck_completeness_reduction,
     dyck_depth_reduction,
     hierarchy_iproj,
-    identity_reduction,
     iproj_to_abp,
     pal_to_d2_reduction,
     pal_vsk_reduction,
@@ -55,7 +53,6 @@ from ncpoly.reductions import (
     proj_to_iproj,
     set_multilinear_rank1_split,
     transfer,
-    two_chains_reduction,
     vbp_trivial_reduction,
     verify_reduction,
 )
@@ -181,7 +178,7 @@ def test_criterion_5_counting_oracles():
                 brute = {
                     w
                     for w in map(to_word, itertools.product(letters, repeat=2 * n))
-                    if corpus.balanced(w, inst.meta["pairs"])
+                    if oracles.balanced(w, inst.meta["pairs"])
                 }
                 assert set(inst.poly.terms) == brute
             checked += 1
@@ -245,7 +242,7 @@ def test_criterion_6_concrete_reductions():
         assert apply_to_instance(r, target) == abp_eval(p)
     done.append("vbp-trivial D1->pal n<=3")
     for n in (1, 2, 3, 4):
-        r = two_chains_reduction(n)
+        r = corpus.two_chains_reduction(n)
         assert verify_reduction(r, make_family(r.source), make_family(r.target)).passed
     done.append("chain-selector dfa n<=4")
     report(6, "concrete reductions", "; ".join(done))
@@ -275,13 +272,14 @@ def test_criterion_7_reducibility_algebra():
         pm = ProjMap(table, out, mapping)
         im = proj_to_iproj(pm, d)
         r = iproj_to_abp(im, d)
-        assert apply_proj(pm, g) == apply_iproj(im, g) == apply_abp_reduction(r, g)
+        assert oracles.apply_proj(pm, g) == oracles.apply_iproj(im, g) == apply_abp_reduction(r, g)
         agreements += 1
 
     # composition equals sequential application on the suite pairs
     pairs = []
     r1 = pal_to_d2_reduction(2)
-    pairs.append((r1, identity_reduction(make_family(r1.target).table, 4), make_family(r1.target)))
+    lift = corpus.identity_reduction(make_family(r1.target).table, 4)
+    pairs.append((r1, lift, make_family(r1.target)))
     pairs.append((dyck_depth_reduction(1, 2, 3), dyck_depth_reduction(2, 3, 3), gen_dyck_depth(3, 3)))
     pairs.append((pal_to_d2_reduction(2), dyck_depth_reduction(2, 2, 2), gen_dyck_depth(2, 2)))
     pows2, prods2 = gen_power_of_sum(2), gen_product_of_sums(2)
@@ -294,7 +292,7 @@ def test_criterion_7_reducibility_algebra():
             prods2.table.var(f"y{pos}").id, f"y{pos}"
         )
     chain = iproj_to_abp(IProjMap(pows2.table, prods2.table, mapping), 2)
-    pairs.append((two_chains_reduction(2), chain, pows2))
+    pairs.append((corpus.two_chains_reduction(2), chain, pows2))
     for ra, rb, h_inst in pairs:
         sequential = apply_abp_reduction(ra, apply_abp_reduction(rb, h_inst.poly))
         composed = compose_abp(ra, rb)
@@ -304,8 +302,8 @@ def test_criterion_7_reducibility_algebra():
     squares = 0
     for name, m, target_inst, _source_inst in suite_iproj_maps():
         pm = transfer(m, target_inst.poly.degree())
-        lhs = apply_proj(pm, commutative_version(target_inst.poly))
-        rhs = commutative_version(apply_iproj(m, target_inst.poly))
+        lhs = oracles.apply_proj(pm, commutative_version(target_inst.poly))
+        rhs = commutative_version(oracles.apply_iproj(m, target_inst.poly))
         assert lhs == rhs, name
         squares += 1
     report(
@@ -334,7 +332,7 @@ def test_criterion_9_term_count_monotonicity():
     rng = random.Random(90_210)
     checked = 0
     for name, m, target_inst, _source in suite_iproj_maps():
-        image = apply_iproj(m, target_inst.poly)
+        image = oracles.apply_iproj(m, target_inst.poly)
         assert len(image.terms) <= len(target_inst.poly.terms), name
         checked += 1
     inst = gen_product_of_sums(4)
@@ -350,7 +348,7 @@ def test_criterion_9_term_count_monotonicity():
             else:
                 mapping[v.id] = Fraction(0)
         pm = ProjMap(inst.table, inst.table, mapping)
-        image = apply_proj(pm, inst.poly)
+        image = oracles.apply_proj(pm, inst.poly)
         assert len(image.terms) <= len(inst.poly.terms)
         assert len(image.var_ids()) <= len(inst.poly.var_ids())
         checked += 1

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import oracles
 from ncpoly.abp import Abp
 from ncpoly.algebra import NCPoly, VarNameError, VarTable, hadamard_bruteforce
 from ncpoly.automata import (
     MatrixSubstitution,
     SubstAutomaton,
     automaton_to_substitution,
-    filter_by_automaton,
     format_substitution,
     hadamard_via_matrices,
     parse_substitution,
@@ -131,11 +131,7 @@ def test_compiled_matches_run_simulation():
             a.add_transition(f"q{i}", x1, f"q{i + 1}", word=(x1,))
     sub = automaton_to_substitution(a)
     f = inst.poly
-    total = NCPoly.zero(table)
-    for w, coeff in f.terms.items():
-        accepted, c, out_word = a.run(w)
-        if accepted:
-            total = total + NCPoly.monomial(table, out_word, coeff * c)
+    total = oracles.simulate(a, f)
     # independent route: sparse row-vector product through the matrices
     applied = NCPoly.zero(table)
     for w, coeff in f.terms.items():
@@ -153,16 +149,6 @@ def test_compiled_matches_run_simulation():
 
 
 # -- prefix-shared evaluation against independent oracles ----------------------
-
-
-def run_oracle(a, g):
-    """Sum over the terms of g of SubstAutomaton.run, one word at a time."""
-    out = {}
-    for w, coeff in g.terms.items():
-        accepted, c, word = a.run(w)
-        if accepted:
-            out[word] = out.get(word, 0) + coeff * c
-    return NCPoly(a.output_table, out)
 
 
 def reinserted(g, reverse):
@@ -209,7 +195,7 @@ def test_evaluate_matches_run_on_prefixes_dead_prefixes_and_the_empty_word(field
             t.word("x1", "x0"): c(5),  # dead at the first letter
         },
     )
-    expected = run_oracle(a, g)
+    expected = oracles.simulate(a, g)
     assert expected.terms == {
         t.word("x0"): c(6),
         t.word("x0", "x1", "x1"): c(-6),
@@ -243,7 +229,7 @@ def test_evaluate_matches_run_when_images_merge_and_cancel(field):
             t.word("x1"): c(-1),  # ... -3
         },
     )
-    expected = run_oracle(a, g)
+    expected = oracles.simulate(a, g)
     assert t.word("x0") not in expected.terms
     assert expected.terms[t.word("x0", "x0")] == c(4 * 9 + 2 * 4)
     assert expected.terms[""] == c(2)
@@ -277,7 +263,7 @@ def test_evaluate_matches_run_on_random_polynomials_over_q_and_gf3():
                     automaton_to_substitution(a)
                 continue
             sub = automaton_to_substitution(a)
-            expected = run_oracle(a, g)
+            expected = oracles.simulate(a, g)
             assert evaluate_both_orders(sub, g) == [expected, expected]
     assert refused >= 4
 
@@ -343,7 +329,7 @@ def test_evaluate_matches_run_where_unit_runs_break_and_die(field):
             t.word("x2",): c(1),
         },
     )
-    expected = run_oracle(a, g)
+    expected = oracles.simulate(a, g)
     assert expected.terms == {t.word("a", "b"): c((4 - 1) * 6)}
     assert evaluate_in_every_order(sub, g, random.Random(5)) == [expected] * 4
 
@@ -398,7 +384,7 @@ def test_evaluate_steps_into_each_live_non_unit_prefix_once(field, monkeypatch):
         g = NCPoly(t, {w: field.from_int(rng.randint(1, 3)) for w in rng.sample(words, size)})
         calls.clear()
         result = sub.evaluate(g)
-        assert result == run_oracle(a, g)
+        assert result == oracles.simulate(a, g)
         assert len(calls) == len(live_non_unit_steps(sub, g.terms)), size
         assert set(calls) == {1}  # a deterministic automaton keeps one column
     # the unit steps are skipped, so there are fewer products than prefixes
@@ -430,7 +416,7 @@ def test_evaluate_matches_run_on_random_unit_heavy_automata_in_any_order():
             sub = automaton_to_substitution(a)
             words = [w for d in range(7) for w in product((0, 1, 2), repeat=d)]
             g = NCPoly(t, {w: field.from_int(rng.randint(-3, 3)) for w in rng.sample(words, 40)})
-            expected = run_oracle(a, g)
+            expected = oracles.simulate(a, g)
             live += bool(expected)
             assert evaluate_in_every_order(sub, g, rng) == [expected] * 4
     assert live >= 10
@@ -459,7 +445,7 @@ def test_a_start_state_that_accepts_is_refused(field):
     sub1 = automaton_to_substitution(one)
     assert sub1.dim == 1
     h = NCPoly(t, {(): c(1), (x0, x0): c(1), (x1,): c(1)})
-    assert sub1.evaluate(h) == run_oracle(one, h) == NCPoly(t, {(): c(1), (x0, x0): c(1)})
+    assert sub1.evaluate(h) == oracles.simulate(one, h) == NCPoly(t, {(): c(1), (x0, x0): c(1)})
 
 
 def test_hadamard_poly_branch_matches_bruteforce_over_q_and_gf5():
@@ -496,46 +482,6 @@ def test_hadamard_poly_branch_matches_bruteforce_over_q_and_gf5():
             expected = hadamard_bruteforce(f, abp_eval(g))
             for reverse in (False, True):
                 assert hadamard_via_matrices(reinserted(f, reverse), g) == expected, (field, trial)
-
-
-# -- filtering -----------------------------------------------------------------
-
-
-def test_filter_prefix_automaton():
-    inst = gen_pal(2)
-    t = inst.table
-    x0, x1 = t.var("x0").id, t.var("x1").id
-    a = SubstAutomaton(t, t)
-    a.add_state("q0", start=True)
-    a.add_state("q4", accept=True)
-    a.add_transition("q0", x0, "q1", word=(x0,))
-    for i in range(1, 4):
-        a.add_transition(f"q{i}", x0, f"q{i + 1}", word=(x0,))
-        a.add_transition(f"q{i}", x1, f"q{i + 1}", word=(x1,))
-    filtered = filter_by_automaton(inst.poly, a)
-    assert set(filtered.terms) == {w for w in inst.poly.terms if w[0] == chr(x0)}
-    assert len(filtered.terms) == 2
-
-
-def test_filter_accept_all_and_nothing():
-    inst = gen_pal(2)
-    t = inst.table
-    a = identity_chain(t, 4)
-    assert filter_by_automaton(inst.poly, a) == inst.poly
-    dead = SubstAutomaton(t, t)
-    dead.add_state("s", start=True)
-    dead.add_state("t", accept=True)
-    assert not filter_by_automaton(inst.poly, dead)
-
-
-def test_filter_requires_identity_outputs():
-    t = xy()
-    a = SubstAutomaton(t, t)
-    a.add_state("s", start=True)
-    a.add_state("t", accept=True)
-    a.add_transition("s", 0, "t", word=(1,))
-    with pytest.raises(ValueError, match="identity"):
-        filter_by_automaton(NCPoly.variable(t, "x0"), a)
 
 
 # -- Hadamard ------------------------------------------------------------------

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import oracles
 from ncpoly.algebra import (
     Budget,
     NCPoly,
     TermBudgetError,
     VarTable,
-    substitute_letters,
     using_budget,
 )
 from ncpoly.circuits import (
@@ -37,7 +37,7 @@ def t3():
 
 def recover(br, f, source_table):
     """Apply a transform's recovery map to an expansion of its circuit."""
-    return substitute_letters(f, lambda _pos, vid: br.recovery[vid], source_table)
+    return oracles.substitute_letters(f, lambda _pos, vid: br.recovery[vid], source_table)
 
 
 # -- expand -------------------------------------------------------------
@@ -121,29 +121,32 @@ def test_is_skew_chain():
 
 def test_to_bracketed_single_input():
     t = t3()
-    br = to_bracketed(Circuit(t, [Input(0)], 0))
-    f = expand(br.circuit)
+    c = Circuit(t, [Input(0)], 0)
+    br = to_bracketed(c)
+    f = expand(oracles.bracketed_circuit(c, br))
     assert len(f.terms) == 1
     (word,) = f.terms
-    assert br.circuit.table.word_names(word) == ("[_x1", "]_x1")
+    assert br.table.word_names(word) == ("[_x1", "]_x1")
     assert recover(br, f, t).terms == {t.word("x1"): 1}
 
 
 def test_to_bracketed_const_is_degree_four():
     t = t3()
-    br = to_bracketed(Circuit(t, [Const(Fraction(5))], 0))
-    f = expand(br.circuit)
+    c = Circuit(t, [Const(Fraction(5))], 0)
+    br = to_bracketed(c)
+    f = expand(oracles.bracketed_circuit(c, br))
     (word,) = f.terms
-    assert br.circuit.table.word_names(word) == ("(_a5", "[_z5", "]_z5", ")_a5")
+    assert br.table.word_names(word) == ("(_a5", "[_z5", "]_z5", ")_a5")
     assert recover(br, f, t).terms == {"": 5}
 
 
 def test_to_bracketed_product():
     t = t3()
-    br = to_bracketed(Circuit(t, [Input(0), Input(1), Mul(0, 1)], 2))
-    f = expand(br.circuit)
+    c = Circuit(t, [Input(0), Input(1), Mul(0, 1)], 2)
+    br = to_bracketed(c)
+    f = expand(oracles.bracketed_circuit(c, br))
     (word,) = f.terms
-    assert br.circuit.table.word_names(word) == (
+    assert br.table.word_names(word) == (
         "(_g2",
         "[_x1",
         "]_x1",
@@ -158,13 +161,13 @@ def test_bracketed_recovery_and_balance_on_corpus():
     circuits = corpus.hand_circuits() + corpus.random_circuits(seed=7, count=25)
     for c in circuits:
         br = to_bracketed(c)
-        f = expand(br.circuit)
+        f = expand(oracles.bracketed_circuit(c, br))
         assert recover(br, f, c.table) == expand(c)
         # the returned pairs partition the bracketed table
         letters = sorted(v for pair in br.pairs for v in pair)
-        assert letters == list(range(len(br.circuit.table)))
+        assert letters == list(range(len(br.table)))
         for w in f.terms:
-            assert corpus.balanced(w, br.pairs)
+            assert oracles.balanced(w, br.pairs)
 
 
 # -- skew bracketing -------------------------------------------------------
@@ -172,10 +175,11 @@ def test_bracketed_recovery_and_balance_on_corpus():
 
 def test_skew_bracketed_identity_circuit():
     t = t3()
-    sb = to_skew_bracketed(Circuit(t, [Input(0)], 0))
-    f = expand(sb.circuit)
+    c = Circuit(t, [Input(0)], 0)
+    sb = to_skew_bracketed(c)
+    f = expand(oracles.skew_bracketed_circuit(c, sb))
     (word,) = f.terms
-    assert sb.circuit.table.word_names(word) == ("x1_L", "x1_R")
+    assert sb.table.word_names(word) == ("x1_L", "x1_R")
     assert recover(sb, f, t).terms == {t.word("x1"): 1}
 
 
@@ -183,9 +187,9 @@ def test_skew_bracketed_var_times_gate():
     t = t3()
     c = Circuit(t, [Input(0), Input(1), Mul(0, 1)], 2)
     sb = to_skew_bracketed(c)
-    f = expand(sb.circuit)
+    f = expand(oracles.skew_bracketed_circuit(c, sb))
     (word,) = f.terms
-    names = sb.circuit.table.word_names(word)
+    names = sb.table.word_names(word)
     assert names == ("x1_(g2,L)", "x2_L", "x2_R", "x1_(g2,R)")
     assert recover(sb, f, t).terms == {t.word("x1", "x2"): 1}
 
@@ -194,9 +198,9 @@ def test_skew_bracketed_scalar_gate():
     t = t3()
     c = Circuit(t, [Const(Fraction(3)), Input(0), Mul(0, 1)], 2)
     sb = to_skew_bracketed(c)
-    f = expand(sb.circuit)
+    f = expand(oracles.skew_bracketed_circuit(c, sb))
     (word,) = f.terms
-    names = sb.circuit.table.word_names(word)
+    names = sb.table.word_names(word)
     assert names == ("a3_(g2,L)", "x1_L", "x1_R", "a3_(g2,R)")
     assert recover(sb, f, t).terms == {t.word("x1"): 3}
 
@@ -205,7 +209,7 @@ def assert_twins_mirror(c):
     """The skew bracketing of c recovers c, and every parse word of it has
     the mate of its i-th letter at its i-th letter from the end."""
     sb = to_skew_bracketed(c)
-    f = expand(sb.circuit)
+    f = expand(oracles.skew_bracketed_circuit(c, sb))
     assert recover(sb, f, c.table) == expand(c)
     mate = {}
     for o, cl, *_inner in [*sb.twins.values(), *sb.doubles.values()]:

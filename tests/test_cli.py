@@ -571,6 +571,66 @@ def test_verify_short_entry_line_exits_2(tmp_path, capsys):
     assert _one_error_line(err)
 
 
+SQUARE = "g0 const 1\ng1 input x\ng2 add g0 g1\ng3 mul g2 g2\noutput g3\n"  # (1+x)^2
+
+
+def _refused(capsys, red, text, *commands):
+    """Each command on a reduction file holding text exits 2 with one error line."""
+    red.write_text(text)
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", (argv, out)
+        assert _one_error_line(err), err
+
+
+def test_a_source_poly_cut_short_exits_2(tmp_path, capsys):
+    # the terms before the cut must not be read as the whole source
+    circ, red = tmp_path / "c.txt", tmp_path / "r.txt"
+    circ.write_text(SQUARE)
+    assert run(capsys, "reduce", "dyck-complete", f"circuit={circ}", "--out", str(red))[0] == 0
+    lines = red.read_text().splitlines()
+    assert lines[-1] == "end-poly"
+    _refused(capsys, red, "\n".join(lines[:-2]) + "\n", ["verify", str(red)])
+    _refused(capsys, red, "\n".join(lines[:-1]) + "\n", ["verify", str(red)])
+
+
+def test_a_line_after_end_poly_exits_2(tmp_path, capsys):
+    # a file run together with another must not pass on its first part
+    circ, red = tmp_path / "c.txt", tmp_path / "r.txt"
+    circ.write_text(SQUARE)
+    assert run(capsys, "reduce", "dyck-complete", f"circuit={circ}", "--out", str(red))[0] == 0
+    text = red.read_text()
+    red.write_text(text + "\n\n")
+    assert run(capsys, "verify", str(red))[0] == 0  # blank lines are no content
+    _refused(capsys, red, text + "junk here\n", ["verify", str(red)])
+    _refused(capsys, red, text + "end-poly\n", ["verify", str(red)])
+
+
+def test_a_repeated_entry_cell_exits_2(tmp_path, capsys):
+    # a second line for one cell must not replace the first, which would
+    # make verify report a false witness
+    red, other = tmp_path / "r.txt", tmp_path / "o.txt"
+    assert run(capsys, "reduce", "depth", "k1=1", "k2=2", "n=2", "--out", str(red))[0] == 0
+    assert run(capsys, "reduce", "depth", "k1=2", "k2=2", "n=2", "--out", str(other))[0] == 0
+    text = red.read_text()
+    assert "entry 1 2 1 (1\n" in text
+    bad = text.replace("entry 1 2 1 (1\n", "entry 1 2 1 (1\nentry 1 2 5 (1\n", 1)
+    _refused(capsys, red, bad, ["verify", str(red)], ["compose", str(red), str(other)])
+    # the same cell under a second `var (1` section is the same cell
+    again = text.replace("var )1\n", "var (1\nentry 01 2 5 (1\nvar )1\n", 1)
+    _refused(capsys, red, again, ["verify", str(red)])
+
+
+def test_a_second_dim_line_exits_2(tmp_path, capsys):
+    red = tmp_path / "r.txt"
+    assert run(capsys, "reduce", "depth", "k1=1", "k2=2", "n=2", "--out", str(red))[0] == 0
+    text = red.read_text()
+    assert "\ndim 3\n" in text
+    for extra in ("dim 3", "dim 4"):
+        bad = text.replace("\ndim 3\n", f"\ndim 3\n{extra}\n", 1)
+        _refused(capsys, red, bad, ["verify", str(red)])
+
+
 def test_reimport_releases_the_previous_generation():
     # a harness that imports the package afresh must not keep old copies
     # alive through module-level caches

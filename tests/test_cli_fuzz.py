@@ -1,4 +1,4 @@
-"""CLI robustness: mutated input files exit 0 or 2, never with a traceback.
+"""CLI robustness: mutated input files exit 0, 1 or 2, never with a traceback.
 
 Valid corpus files (circuits, a polynomial, a branching program and
 serialized reductions) are mutated by dropping or duplicating lines and by
@@ -145,5 +145,6 @@ STEPS = st.tuples(
 @example("abp", [("swap", 4, 4, "1/0")])  # division by zero in an edge label
 @example("circuit", [("swap", 5, 2, "g99")])  # dangling gate reference
 @example("d22.red", [("drop", 3, 0, "0")])  # no substitution header
+@example("d12.red", [("duplicate", 8, 0, "0")])  # one entry line twice
 def test_mutated_inputs_exit_0_1_or_2_with_one_error_line(kind, ops):
     check_mutated(kind, mutate(kind, ops))

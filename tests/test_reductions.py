@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import corpus
+import oracles
 from ncpoly.abp import abp_eval, bounded_depth_dyck_abp
 from ncpoly.algebra import (
     Budget,
@@ -42,8 +43,6 @@ from ncpoly.reductions import (
     IProjMap,
     ProjMap,
     apply_abp_reduction,
-    apply_iproj,
-    apply_proj,
     apply_to_instance,
     compose_abp,
     dk_encode_word,
@@ -52,7 +51,6 @@ from ncpoly.reductions import (
     dyck_depth_reduction,
     format_reduction,
     hierarchy_iproj,
-    identity_reduction,
     iproj_to_abp,
     pal_to_d2_reduction,
     pal_vsk_reduction,
@@ -63,7 +61,6 @@ from ncpoly.reductions import (
     proj_to_iproj,
     set_multilinear_rank1_split,
     transfer,
-    two_chains_reduction,
     vbp_trivial_reduction,
     verify_reduction,
 )
@@ -106,17 +103,17 @@ def powsum_iproj(n):
 def test_identity_projection():
     inst = gen_pal(2)
     m = ProjMap(inst.table, inst.table, {v.id: v for v in inst.table.vars()})
-    assert apply_proj(m, inst.poly) == inst.poly
+    assert oracles.apply_proj(m, inst.poly) == inst.poly
 
 
 def test_per_to_perstar_indexed_projection():
     m, per, perstar = per_to_perstar_iproj(2)
-    assert apply_iproj(m, perstar.poly) == per.poly
+    assert oracles.apply_iproj(m, perstar.poly) == per.poly
 
 
 def test_powsum_indexed_projection():
     m, prods, pows = powsum_iproj(3)
-    assert apply_iproj(m, pows.poly) == prods.poly
+    assert oracles.apply_iproj(m, pows.poly) == prods.poly
 
 
 def test_apply_proj_requires_totality():
@@ -124,7 +121,7 @@ def test_apply_proj_requires_totality():
     f = NCPoly(t, {t.word("a", "b"): Fraction(1)})
     m = ProjMap(t, t, {t.var("a").id: t.var("a")})
     with pytest.raises(KeyError):
-        apply_proj(m, f)
+        oracles.apply_proj(m, f)
 
 
 def test_apply_iproj_error_names_the_position():
@@ -132,7 +129,7 @@ def test_apply_iproj_error_names_the_position():
     f = NCPoly(t, {t.word("a", "b"): Fraction(1)})
     m = IProjMap(t, t, {(1, t.var("a").id): t.var("a")})
     with pytest.raises(KeyError, match="'b' at position 2"):
-        apply_iproj(m, f)
+        oracles.apply_iproj(m, f)
 
 
 def test_monotonicity_of_term_counts():
@@ -150,11 +147,11 @@ def test_monotonicity_of_term_counts():
             else:
                 mapping[v.id] = Fraction(0)
         m = ProjMap(inst.table, inst.table, mapping)
-        image = apply_proj(m, inst.poly)
+        image = oracles.apply_proj(m, inst.poly)
         assert len(image.terms) <= len(inst.poly.terms)
         assert len(image.var_ids()) <= len(inst.poly.var_ids())
         im = proj_to_iproj(m, inst.poly.degree())
-        image2 = apply_iproj(im, inst.poly)
+        image2 = oracles.apply_iproj(im, inst.poly)
         assert image2 == image
 
 
@@ -163,7 +160,7 @@ def test_monotonicity_of_term_counts():
 
 def test_identity_chain_reduction():
     inst = gen_pal(1)
-    r = identity_reduction(inst.table, 2)
+    r = corpus.identity_reduction(inst.table, 2)
     assert apply_abp_reduction(r, inst.poly) == inst.poly
 
 
@@ -211,8 +208,8 @@ def test_three_way_agreement_on_random_maps():
         pm = ProjMap(table, out, mapping)
         im = proj_to_iproj(pm, d)
         r = iproj_to_abp(im, d)
-        a = apply_proj(pm, g)
-        b = apply_iproj(im, g)
+        a = oracles.apply_proj(pm, g)
+        b = oracles.apply_iproj(im, g)
         c = apply_abp_reduction(r, g)
         assert a == b == c
 
@@ -221,7 +218,7 @@ def test_three_way_agreement_on_random_maps():
 
 
 def test_two_chains_dfa():
-    r = two_chains_reduction(3)
+    r = corpus.two_chains_reduction(3)
     src, tgt = make_family(r.source), make_family(r.target)
     assert r.dim == 6
     assert verify_reduction(r, src, tgt).passed
@@ -389,7 +386,7 @@ def test_inside_matches_termwise_on_depth_caps(k2):
     # the identity chain does not bound nesting, so only the target's cap
     # keeps deeper words out
     target = gen_dyck_depth(k2, 5)
-    r = identity_reduction(target.table, 10, target="dyckdepth")
+    r = corpus.identity_reduction(target.table, 10, target="dyckdepth")
     inside = apply_to_instance(r, target)
     assert inside == apply_abp_reduction(r, target.poly) == target.poly
     for k1 in range(1, k2 + 1):
@@ -822,7 +819,7 @@ def test_inside_sum_matches_termwise_when_most_states_are_unreachable():
 def test_compose_with_identity_is_behaviorally_equal():
     r = pal_to_d2_reduction(2)
     tgt = make_family(r.target)
-    lift = identity_reduction(tgt.table, 4, source=r.target, target=r.target)
+    lift = corpus.identity_reduction(tgt.table, 4, source=r.target, target=r.target)
     comp = compose_abp(r, lift)
     # of the 5 * 5 block states, the trimmed composite keeps r's own five
     assert comp.dim == r.dim == 5
@@ -833,7 +830,7 @@ def test_compose_with_identity_is_behaviorally_equal():
 def test_compose_matches_sequential_application():
     m, prods, pows = powsum_iproj(2)
     r2 = iproj_to_abp(m, 2, source=prods.spec_string, target=pows.spec_string)
-    r1 = two_chains_reduction(2)
+    r1 = corpus.two_chains_reduction(2)
     comp = compose_abp(r1, r2)
     # sequential: apply r2 to the outer target, then r1 to the result
     mid = apply_abp_reduction(r2, pows.poly)
@@ -928,13 +925,12 @@ def test_every_construction_keeps_only_states_on_start_accept_paths():
     assert dyck_completeness_reduction(zero).dim == pal_vsk_reduction(zero).dim == 2
 
 
-def live_letters(transform, c) -> set:
-    """The letters of c's live parse words: the support of the transformed
-    circuit's expansion, less the words through a zero recovery scalar.
-    Over Q no addition-path count vanishes."""
-    parsed = transform(c)
+def live_letters(parsed, circuit) -> set:
+    """The letters of the live parse words of a transform: the support of
+    its bracketed circuit's expansion, less the words through a zero
+    recovery scalar.  Over Q no addition-path count vanishes."""
     zero = {v for v, img in parsed.recovery.items() if not isinstance(img, Var) and img == 0}
-    words = [set(map(ord, w)) for w in expand(parsed.circuit).terms]
+    words = [set(map(ord, w)) for w in expand(circuit).terms]
     return set().union(*(w for w in words if not w & zero))
 
 
@@ -946,10 +942,14 @@ def test_completeness_targets_carry_two_padding_letters():
 
     for c in corpus.hand_circuits() + corpus.random_circuits(seed=7, count=25):
         target = make_family(dyck_completeness_reduction(c).target)
-        assert target.params["k"] == len(live_letters(to_bracketed, c)) // 2 + 2
+        br = to_bracketed(c)
+        live = live_letters(br, oracles.bracketed_circuit(c, br))
+        assert target.params["k"] == len(live) // 2 + 2
     for c in corpus.hand_skew_circuits() + corpus.random_skew_circuits(seed=7, count=25):
         target = make_family(pal_vsk_reduction(c).target)
-        assert len(target.meta["letters"]) == len(live_letters(to_skew_bracketed, c)) // 2 + 2
+        sb = to_skew_bracketed(c)
+        live = live_letters(sb, oracles.skew_bracketed_circuit(c, sb))
+        assert len(target.meta["letters"]) == len(live) // 2 + 2
 
 
 def test_completeness_targets_skip_a_zero_subcircuit():
@@ -1191,7 +1191,7 @@ def test_pal_vsk_accepted_palindromes_are_the_parse_words():
         accept = r.dim - 1
         sub = r.substitution
         accepted = [w for w in tgt.poly.terms if accept in walk_states(sub, {0}, map(ord, w))]
-        parse = expand(to_skew_bracketed(c).circuit)
+        parse = expand(oracles.skew_bracketed_circuit(c, to_skew_bracketed(c)))
         assert len(accepted) == len(parse.terms)
 
 
@@ -1210,7 +1210,7 @@ def test_dyck_accepted_balanced_words_are_the_parse_words():
         accepted = [w for w in tgt.poly.terms if accept in walk_states(sub, {0}, map(ord, w))]
         from ncpoly.circuits import to_bracketed
 
-        parse = expand(to_bracketed(c).circuit)
+        parse = expand(oracles.bracketed_circuit(c, to_bracketed(c)))
         assert len(accepted) == len(parse.terms)
 
 
@@ -1481,7 +1481,7 @@ def test_hierarchy_iproj_levels():
     for i, n in [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]:
         m = hierarchy_iproj(i, n)
         source, target = gen_hierarchy(i, n), gen_hierarchy(i + 1, n)
-        assert apply_iproj(m, target.poly) == source.poly
+        assert oracles.apply_iproj(m, target.poly) == source.poly
         assert verify_reduction(iproj_to_abp(m, target.meta["degree"]), source, target).passed
 
 
@@ -1492,7 +1492,7 @@ def test_hierarchy_selected_monomial():
     selected = [
         w
         for w in tgt.poly.terms
-        if apply_iproj(m, NCPoly(tgt.table, {w: Fraction(1)}))
+        if oracles.apply_iproj(m, NCPoly(tgt.table, {w: Fraction(1)}))
     ]
     prefixes = {w[:4] for w in selected}
     assert len(prefixes) == 1
@@ -1503,13 +1503,13 @@ def test_hierarchy_selected_monomial():
 def test_transfer_commuting_square():
     m, per, perstar = per_to_perstar_iproj(2)
     pm = transfer(m, 4)
-    assert apply_proj(pm, commutative_version(perstar.poly)) == commutative_version(
-        apply_iproj(m, perstar.poly)
+    assert oracles.apply_proj(pm, commutative_version(perstar.poly)) == commutative_version(
+        oracles.apply_iproj(m, perstar.poly)
     )
     m2, prods, pows = powsum_iproj(3)
     pm2 = transfer(m2, 3)
-    assert apply_proj(pm2, commutative_version(pows.poly)) == commutative_version(
-        apply_iproj(m2, pows.poly)
+    assert oracles.apply_proj(pm2, commutative_version(pows.poly)) == commutative_version(
+        oracles.apply_iproj(m2, pows.poly)
     )
 
 
@@ -1520,7 +1520,7 @@ def test_transfer_identity_map():
     }
     m = IProjMap(inst.table, inst.table, mapping)
     pm = transfer(m, 4)
-    assert apply_proj(pm, commutative_version(inst.poly)) == commutative_version(inst.poly)
+    assert oracles.apply_proj(pm, commutative_version(inst.poly)) == commutative_version(inst.poly)
 
 
 def test_transfer_rejects_mixed_positions():
@@ -1622,7 +1622,7 @@ def test_chains_compiled_by_iproj_to_abp_keep_their_kinds():
     assert pal_to_d2_reduction(3).kind == "pal-d2"
     assert palsq_to_d2_reduction(2).kind == "palsq-d2"
     table = gen_pal(1).table
-    r = identity_reduction(table, 3, source="s", target="t")
+    r = corpus.identity_reduction(table, 3, source="s", target="t")
     assert (r.kind, r.source, r.target, r.dim) == ("identity", "s", "t", 4)
     x0 = table.var("x0").id
     assert r.substitution.entries[x0] == {(i, i + 1): (1, chr(x0)) for i in range(3)}

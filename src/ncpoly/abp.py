@@ -53,7 +53,7 @@ class Abp:
         return len(self.layers) - 1
 
     def is_homogeneous(self) -> bool:
-        return all(word for g in self.edges for *_, word in g)
+        return all(cell[3] for gap in self.edges for cell in gap)
 
 
 def abp_eval(p: Abp) -> NCPoly:

@@ -36,7 +36,7 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .fields import QQ, Field
 
@@ -233,6 +233,16 @@ class NCPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def adopt(cls, table: VarTable, terms: dict) -> "NCPoly":
+        """The polynomial whose terms are the dict ``terms`` itself, not a
+        copy.  Its keys must be words and its values nonzero, and the
+        caller hands it over: it keeps no other reference that it writes."""
+        p = cls.__new__(cls)
+        p.table = table
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, table: VarTable) -> "NCPoly":
         return cls(table)
 
@@ -297,14 +307,10 @@ class NCPoly:
                 out.pop(w, None)
             else:
                 out[w] = s
-        p = NCPoly.zero(self.table)
-        p.terms.update(out)
-        return p
+        return NCPoly.adopt(self.table, out)
 
     def __neg__(self) -> "NCPoly":
-        p = NCPoly.zero(self.table)
-        p.terms.update({w: -c for w, c in self.terms.items()})
-        return p
+        return NCPoly.adopt(self.table, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
@@ -322,21 +328,16 @@ class NCPoly:
                     out.pop(w, None)
                 else:
                     out[w] = s
-        p = NCPoly.zero(self.table)
-        p.terms.update(out)
-        return p
+        return NCPoly.adopt(self.table, out)
 
     def scale(self, c) -> "NCPoly":
         if c == 0:
             return NCPoly.zero(self.table)
-        p = NCPoly.zero(self.table)
-        p.terms.update({w: c * v for w, v in self.terms.items()})
-        return p
+        return NCPoly.adopt(self.table, {w: c * v for w, v in self.terms.items()})
 
     def truncate(self, degree_cap: int) -> "NCPoly":
-        p = NCPoly.zero(self.table)
-        p.terms.update({w: c for w, c in self.terms.items() if len(w) <= degree_cap})
-        return p
+        kept = {w: c for w, c in self.terms.items() if len(w) <= degree_cap}
+        return NCPoly.adopt(self.table, kept)
 
     def __repr__(self):
         if not self.terms:
@@ -431,20 +432,44 @@ def exact_rank(rows: Iterable[Mapping | Sequence], field: Field) -> int:
 # the empty word written as the literal token `1`, lines sorted by word.
 
 
-def format_poly(f: NCPoly) -> str:
-    """Sorting the str words sorts them by their id sequences, and each
-    word is spelt by one str.translate.  Lines are joined in blocks of
-    4096, so that no more than one block's line objects live beside the
-    text."""
+def format_poly(f: NCPoly, out: TextIO | None = None) -> str | None:
+    """Write f in the text format to ``out``, an open text handle, or
+    return the text when ``out`` is None.
+
+    Sorting the str words sorts them by their id sequences, and each word
+    is spelt by one str.translate.  Lines go out in blocks of 4096, each
+    joined and written before the next is built, so a command that writes
+    to a file holds f, its sorted words and one block of text, never the
+    whole text.  All writing happens inside this call."""
     fmt = f.table.field.format
     spell = f.table.spelling()
     terms = f.terms
     words = sorted(terms)
-    blocks = []
+    blocks: list[str] = []
+    write = blocks.append if out is None else out.write
     for i in range(0, len(words), 4096):
         lines = [fmt(terms[w]) + (w.translate(spell) or " 1") for w in words[i : i + 4096]]
-        blocks.append("\n".join(lines) + "\n")
-    return "".join(blocks)
+        write("\n".join(lines) + "\n")
+    return "".join(blocks) if out is None else None
+
+
+# parse_poly splits its text into lines a block of about this many
+# characters at a time
+_PARSE_BLOCK = 1 << 16
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, one block of text at a time.
+
+    Each block ends just after a "\n" (or at the end of the text), so no
+    separator, "\r\n" included, is cut in two, and only one block's
+    lines are held at a time."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _PARSE_BLOCK)
+        end = len(text) if cut < 0 else cut + 1
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def parse_poly(text: str, table: VarTable) -> NCPoly:
@@ -453,13 +478,17 @@ def parse_poly(text: str, table: VarTable) -> NCPoly:
     Known names cost one lookup in the table's name -> letter dict, and
     only a line holding a new name goes through ``get_or_add``, which
     validates names and numbers them in first-seen order.  Each distinct
-    coefficient literal is parsed once per call.
+    coefficient literal is parsed once per call.  The lines are exactly
+    those of ``text.splitlines()``, split one block of about 2**16
+    characters at a time, so the call holds the text, the polynomial and
+    one block's lines, not a list of every line.  All parsing happens
+    inside this call.
     """
     out = NCPoly.zero(table)
     letters = table._letters
     parse = table.field.parse
     scalars: dict[str, object] = {}
-    for raw in text.splitlines():
+    for raw in _text_lines(text):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue

@@ -405,9 +405,7 @@ def hadamard_via_matrices(f, g: Abp) -> NCPoly:
         m = {r: cells for r, cells in m.items() if cells}
         limits.check_terms(sum(map(len, m.values())), f"gate g{gid} matrix")
         mats[gid] = m
-    out = NCPoly.zero(table)
-    out.terms.update({w: x for c, x, w in mats[f.output].get(0, ()) if c == q - 1})
-    return out
+    return NCPoly.adopt(table, {w: x for c, x, w in mats[f.output].get(0, ()) if c == q - 1})
 
 
 # ---------------------------------------------------------------------------

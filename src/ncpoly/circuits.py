@@ -95,21 +95,41 @@ def expand(c: Circuit, degree_cap: int | None = None) -> NCPoly:
     every gate, keeping intermediate results bounded; the cap is part of
     the oracle's semantics, not of the circuit.  TermBudgetError is raised
     once a gate's polynomial holds more terms than the budget.
+
+    The readers of every reachable gate are counted once, before the walk,
+    and a gate's polynomial is dropped as soon as its last reader is
+    built.  So the walk holds the output plus the gates that a later gate
+    still reads: a left chain p <- p * L peaks at its output plus the
+    chain gate before it, not at every power of L.  All work happens
+    inside this call.
     """
     if degree_cap is not None and degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
     limits = budget()
+    gates = c.gates
+    order = c.reachable()
+    readers: dict[int, int] = {}
+    for gid in order:
+        g = gates[gid]
+        if isinstance(g, (Add, Mul)):
+            readers[g.left] = readers.get(g.left, 0) + 1
+            readers[g.right] = readers.get(g.right, 0) + 1
     values: dict[int, NCPoly] = {}
-    for gid in c.reachable():
-        g = c.gates[gid]
+    for gid in order:
+        g = gates[gid]
         if isinstance(g, Input):
             v = NCPoly.monomial(c.table, chr(g.var))
         elif isinstance(g, Const):
             v = NCPoly.const(c.table, g.value)
-        elif isinstance(g, Add):
-            v = values[g.left] + values[g.right]
         else:
-            v = values[g.left] * values[g.right]
+            if isinstance(g, Add):
+                v = values[g.left] + values[g.right]
+            else:
+                v = values[g.left] * values[g.right]
+            for child in (g.left, g.right):
+                readers[child] -= 1
+                if not readers[child]:
+                    del values[child]
         if degree_cap is not None:
             v = v.truncate(degree_cap)
         limits.check_terms(len(v.terms), f"gate g{gid}")

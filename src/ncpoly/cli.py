@@ -19,8 +19,9 @@ import argparse
 import os
 import sys
 import tempfile
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
+from typing import Callable, TextIO
 
 from .abp import abp_eval, abp_hankel_rank, hankel_rank, parse_abp
 from .algebra import (
@@ -68,18 +69,27 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to a file through a rename, or to stdout for "-".
+def _write_text(text: str, handle: TextIO) -> None:
+    step = 1 << 16
+    handle.writelines(text[i : i + step] for i in range(0, len(text), step))
 
-    This is the only code that writes stdout.  The text goes out in blocks
-    of 2**16 characters, so its encoded copy is one block, not the whole
-    text.  A reader that closed its end early (``| head -1``) is no error:
-    stdout is pointed at the null device, so the flush at exit is silent
-    and the command keeps its own exit status."""
-    blocks = (text[i : i + (1 << 16)] for i in range(0, len(text), 1 << 16))
+
+def _write_atomic(path: str, output: str | Callable[[TextIO], object]) -> None:
+    """Write a command's output to a file through a rename, or to stdout
+    for "-".
+
+    ``output`` is the text, or a function that writes it to the handle
+    this opens (``lambda out: format_poly(poly, out)``), so a polynomial
+    goes out one block of lines at a time and its whole text is never
+    held.  Text given as a str goes out in blocks of 2**16 characters,
+    so its encoded copy is one block.  This is the only code that writes
+    stdout.  A reader that closed its end early (``| head -1``) is no
+    error: stdout is pointed at the null device, so the flush at exit is
+    silent and the command keeps its own exit status."""
+    write = partial(_write_text, output) if isinstance(output, str) else output
     if path == "-":
         try:
-            sys.stdout.writelines(blocks)
+            write(sys.stdout)
             sys.stdout.flush()
         except BrokenPipeError:
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -90,7 +100,7 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ncpoly-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.writelines(blocks)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -99,15 +109,15 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def cmd_family(args, field: Field) -> int:
-    inst = make_family(args.spec, field)
-    _write_atomic(args.out, format_poly(inst.poly))
+    poly = make_family(args.spec, field).poly
+    _write_atomic(args.out, lambda out: format_poly(poly, out))
     return 0
 
 
 def cmd_expand(args, field: Field) -> int:
     circuit = parse_circuit(Path(args.circuit).read_text(), VarTable(field=field))
     poly = expand(circuit, degree_cap=args.cap)
-    _write_atomic(args.out, format_poly(poly))
+    _write_atomic(args.out, lambda out: format_poly(poly, out))
     return 0
 
 
@@ -223,7 +233,7 @@ def cmd_hadamard(args, field: Field) -> int:
         f = parse_poly(Path(args.poly).read_text(), table)
     g = parse_abp(Path(args.abp).read_text(), table)
     result = hadamard_via_matrices(f, g)
-    _write_atomic(args.out, format_poly(result))
+    _write_atomic(args.out, lambda out: format_poly(result, out))
     return 0
 
 

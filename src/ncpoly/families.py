@@ -154,9 +154,7 @@ def _instance(name, params, table, builder=None, stream=None, **meta):
 def _poly(table: VarTable, terms) -> NCPoly:
     """The sum of (word, nonzero coefficient) pairs with distinct words,
     filed straight into the polynomial's terms."""
-    p = NCPoly.zero(table)
-    p.terms.update(terms)
-    return p
+    return NCPoly.adopt(table, dict(terms))
 
 
 def _ones(table: VarTable, words):
@@ -520,14 +518,14 @@ def commutative_version(f: NCPoly, out_table: VarTable | None = None) -> NCPoly:
         raise ValueError("commutative version needs a homogeneous polynomial")
     d = f.degree()
     if d <= 0:
-        return NCPoly(out_table or VarTable(field=f.table.field), dict(f.terms))
+        return NCPoly.adopt(out_table or VarTable(field=f.table.field), dict(f.terms))
     table = out_table or tagged_table(f.table, d)
     terms = {}
     for w, c in f.terms.items():
         tagged = table.word(*(f"{name}@{i}" for i, name in enumerate(f.table.word_names(w), 1)))
         terms[tagged] = c
     assert len(terms) == len(f.terms)
-    return NCPoly(table, terms)
+    return NCPoly.adopt(table, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,13 @@ def _add_product(acc: dict, left: dict, right: dict, limit: int) -> None:
             _prune_or_raise(acc)
 
 
-def _prune_or_raise(acc: dict) -> None:
+def _drop_zeros(acc: dict) -> None:
     for w in [w for w, c in acc.items() if c == 0]:
         del acc[w]
+
+
+def _prune_or_raise(acc: dict) -> None:
+    _drop_zeros(acc)
     budget().check_terms(len(acc), "structured apply")
 
 
@@ -341,8 +345,10 @@ def _inside_sum(
     joins in bit operations, and never stores an empty key; the top-down
     pass costs the marked keys times their nonempty inner keys; the
     polynomial pass costs the live joins times their intermediate terms.
-    Zero coefficients are dropped, so cancelling terms vanish, and no
-    target length depends on Python's recursion limit.
+    Zero coefficients are dropped in place, so cancelling terms vanish
+    without a copy of the key's polynomial, and no target length depends
+    on Python's recursion limit.  The result takes over the root key's
+    dict at the accept state, so the call ends holding it once.
     """
     limit = budget().terms
     one = sub.input_table.field.one
@@ -356,10 +362,9 @@ def _inside_sum(
     # (inner key, inner end j1, opener * closer scale, opener word, closer
     # word, tail key (k2, t, b) from the state k2 after the closer), and
     # the marked keys it reads.
-    result = NCPoly.zero(sub.output_table)
     live = {root: ends.get(root, 0) & 1 << accept}
     if not live[root]:
-        return result
+        return NCPoly.zero(sub.output_table)
     joins: dict[tuple, tuple] = {}
     consumers: dict[tuple, int] = {}
     for key in reversed(ends):
@@ -437,18 +442,16 @@ def _inside_sum(
             for j, tpoly in memo[tail_key].items():
                 if want >> j & 1:
                     _add_product(out.setdefault(j, {}), lpoly, tpoly, limit)
-        entry = {}
-        for j, acc in out.items():
-            clean = {w: c for w, c in acc.items() if c != 0}
-            if clean:
-                entry[j] = clean
-        memo[key] = entry
+        for j in list(out):
+            _drop_zeros(out[j])
+            if not out[j]:
+                del out[j]
+        memo[key] = out
         for used_key in used_keys:
             consumers[used_key] -= 1
             if not consumers[used_key]:
                 del memo[used_key]
-    result.terms.update(memo[root].get(accept, {}))
-    return result
+    return NCPoly.adopt(sub.output_table, memo.pop(root).get(accept, {}))
 
 
 def apply_to_instance(r: AbpReduction, target: FamilyInstance) -> NCPoly:

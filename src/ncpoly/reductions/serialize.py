@@ -10,39 +10,36 @@ from .base import AbpReduction
 
 def format_reduction(r: AbpReduction, source_poly: NCPoly | None = None) -> str:
     parts = [
-        f"reduction {r.kind or 'abp'}",
-        f"source {r.source}",
-        f"target {r.target}",
-        format_substitution(r.substitution).rstrip("\n"),
+        f"reduction {r.kind or 'abp'}\n",
+        f"source {r.source}\n",
+        f"target {r.target}\n",
+        format_substitution(r.substitution),
     ]
     if source_poly is not None:
-        parts.append("source-poly")
-        body = format_poly(source_poly).rstrip("\n")
-        if body:
-            parts.append(body)
-        parts.append("end-poly")
-    return "\n".join(parts) + "\n"
+        parts += ["source-poly\n", format_poly(source_poly), "end-poly\n"]
+    return "".join(parts)
 
 
 def parse_reduction(text: str, field: Field):
     """Returns (reduction, embedded source polynomial or None).
 
-    A source-poly section without its end-poly line, or any non-blank line
-    after end-poly, is refused with ValueError: a file cut short or run
-    together with another is not read as a smaller polynomial."""
-    kind = source = target = None
+    A second reduction, source or target line, a source-poly section
+    without its end-poly line, or any non-blank line after end-poly, is
+    refused with ValueError: a line must not replace an earlier one, and a
+    file cut short or run together with another is not read as a smaller
+    polynomial."""
+    header: dict[str, str] = {}
     sub_lines: list[str] = []
     poly_lines: list[str] = []
     section = "header"
     for raw in text.splitlines():
         stripped = raw.strip()
         if section == "header":
-            if stripped.startswith("reduction "):
-                kind = stripped.split(None, 1)[1]
-            elif stripped.startswith("source "):
-                source = stripped.split(None, 1)[1]
-            elif stripped.startswith("target "):
-                target = stripped.split(None, 1)[1]
+            word, _, value = stripped.partition(" ")
+            if word in ("reduction", "source", "target") and value:
+                if word in header:
+                    raise ValueError(f"second {word} line {raw!r}")
+                header[word] = value.strip()
             elif stripped == "substitution":
                 section = "substitution"
                 sub_lines.append(stripped)
@@ -60,7 +57,7 @@ def parse_reduction(text: str, field: Field):
                 poly_lines.append(raw)
         elif stripped:
             raise ValueError(f"line after end-poly: {raw!r}")
-    if kind is None or source is None or target is None:
+    if len(header) < 3:
         raise ValueError("reduction file is missing header lines")
     if section == "poly":
         raise ValueError("source-poly section has no end-poly line")
@@ -70,4 +67,4 @@ def parse_reduction(text: str, field: Field):
     poly = None
     if section == "done":
         poly = parse_poly("\n".join(poly_lines), output_table)
-    return AbpReduction(sub, source, target, kind=kind), poly
+    return AbpReduction(sub, header["source"], header["target"], kind=header["reduction"]), poly

@@ -70,6 +70,30 @@ def apply_iproj(m, g: NCPoly) -> NCPoly:
     return substitute_letters(g, lambda pos, vid: m.mapping[(pos, vid)], m.output_table)
 
 
+# -- polynomial text ------------------------------------------------------------
+
+
+def parse_poly_lines(text: str, table: VarTable) -> NCPoly:
+    """The polynomial text format read one line of ``text.splitlines()``
+    at a time: "#" starts a comment, a blank line is skipped, the first
+    token is the coefficient and the rest name the word's letters, with
+    `1` alone for the empty word.  Like terms add and zeros vanish."""
+    out: dict = {}
+    for line in text.splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        coeff = table.field.parse(tokens[0])
+        names = [] if tokens[1:] == ["1"] else tokens[1:]
+        word = "".join(chr(table.get_or_add(name).id) for name in names)
+        total = out.get(word, table.field.zero) + coeff
+        if total == 0:
+            out.pop(word, None)
+        else:
+            out[word] = total
+    return NCPoly(table, out)
+
+
 # -- automata --------------------------------------------------------------------
 
 

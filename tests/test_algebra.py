@@ -587,3 +587,31 @@ def test_var_table_refuses_an_id_past_the_last_code_point(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and err.startswith("error: variable 'x3'")
     assert main(["family", "pal:n=1,k=3"]) == 0
+
+
+# Every line separator that str.splitlines knows
+SEPARATORS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+LINE_BODIES = (
+    "2 x y", "-2 x y", "3/2 y x", "-1 zz", "1 1", "-1/3 1", "4 x y  # trailing",
+    "# a comment", "#", "", "   ", "7 zz x zz", "-7 zz x zz",
+)
+lines_of = st.lists(st.tuples(st.sampled_from(LINE_BODIES), st.sampled_from(SEPARATORS)),
+                    min_size=1, max_size=10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lines_of, lines_of, st.integers(-4, 4), st.sampled_from(LINE_BODIES))
+def test_parse_poly_reads_by_blocks_the_lines_of_splitlines(filler, edge, shift, last):
+    # filler lines up to a point `shift` characters from the block size, then
+    # separators and lines drawn to fall on and around the first cut, then
+    # more filler, so the text spans several blocks; the last line may have
+    # no separator
+    unit = "".join(body + sep for body, sep in filler)
+    at = algebra._PARSE_BLOCK + shift
+    head = unit * ((at - 1) // len(unit))
+    head += "#" + "c" * (at - len(head) - 1)
+    middle = "".join(sep + body for body, sep in edge) + "\n"
+    text = head + middle + unit * (algebra._PARSE_BLOCK // len(unit) + 1) + last
+    assert len(text) > 2 * algebra._PARSE_BLOCK
+    assert list(algebra._text_lines(text)) == text.splitlines()
+    assert parse_poly(text, VarTable()) == oracles.parse_poly_lines(text, VarTable())

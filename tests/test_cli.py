@@ -631,6 +631,26 @@ def test_a_second_dim_line_exits_2(tmp_path, capsys):
         _refused(capsys, red, bad, ["verify", str(red)])
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("source dyckdepth:k=1,n=2", "source dyckdepth:k=2,n=2"),
+        ("target dyckdepth:k=2,n=2", "target dyckdepth:k=3,n=2"),
+        ("reduction dyck-depth", "reduction abp"),
+    ],
+    ids=["source", "target", "reduction"],
+)
+def test_a_repeated_header_line_exits_2(tmp_path, capsys, first, second):
+    # a second header line must not replace the first: a second source line
+    # made verify exit 1 with the false witness (1 (1 )1 )1
+    red = tmp_path / "r.txt"
+    assert run(capsys, "reduce", "depth", "k1=1", "k2=2", "n=2", "--out", str(red))[0] == 0
+    text = red.read_text()
+    assert f"{first}\n" in text
+    for bad in (f"{first}\n{second}\n", f"{first}\n{first}\n"):
+        _refused(capsys, red, text.replace(f"{first}\n", bad, 1), ["verify", str(red)])
+
+
 def test_reimport_releases_the_previous_generation():
     # a harness that imports the package afresh must not keep old copies
     # alive through module-level caches

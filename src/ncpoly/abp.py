@@ -13,8 +13,8 @@ Two ABP constructions feed it: the stack-in-state ABP for Dyck words of
 bounded nesting depth and Nisan's subset ABP for the permanent.
 """
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .algebra import NCPoly, VarTable, budget, eliminate, exact_rank
 
@@ -111,8 +111,7 @@ def transition_matrices(p: Abp) -> dict:
 # Hankel blocks
 
 
-@dataclass(frozen=True)
-class HankelBlock:
+class HankelBlock(NamedTuple):
     """Coefficient block at a cut: entry (u, v) is the coefficient of uv.
 
     Rows and columns are numbered in the order they first occur in the

@@ -35,8 +35,7 @@ import re
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .fields import QQ, Field
 
@@ -67,8 +66,7 @@ class VarNameError(ValueError):
     """A variable name that the text formats cannot write and read back."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """The largest term count and state count a construction may reach.
 
     check_terms and check_states are the only code that raises
@@ -121,8 +119,7 @@ _SCALAR_LITERAL = re.compile(
 _NAME_BREAK = re.compile(r"[#\s]")
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     id: int
     name: str
 
@@ -458,8 +455,8 @@ def format_poly(f: NCPoly, out: TextIO | None = None) -> str | None:
 _PARSE_BLOCK = 1 << 16
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, one block of text at a time.
+def _text_lines(text: str, keepends: bool = False) -> Iterator[str]:
+    """The lines of ``text.splitlines(keepends)``, one block of text at a time.
 
     Each block ends just after a "\n" (or at the end of the text), so no
     separator, "\r\n" included, is cut in two, and only one block's
@@ -468,7 +465,7 @@ def _text_lines(text: str) -> Iterator[str]:
     while start < len(text):
         cut = text.find("\n", start + _PARSE_BLOCK)
         end = len(text) if cut < 0 else cut + 1
-        yield from text[start:end].splitlines()
+        yield from text[start:end].splitlines(keepends)
         start = end
 
 

@@ -16,31 +16,56 @@ term, that substituting the recovery map letter by letter restores the
 original polynomial.
 """
 
-from dataclasses import dataclass
-
 from .algebra import NCPoly, Var, VarTable, budget
 
 
-@dataclass(frozen=True)
-class Input:
-    var: int  # variable id in the circuit's table
+class _Gate:
+    """A gate's fields are set once, by its __init__.  Two gates are equal
+    when they are of one kind with equal fields, so Add(0, 1) != Mul(0, 1)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable gate")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: object  # scalar of the table's field
+class Input(_Gate):
+    __slots__ = ("var",)
+
+    def __init__(self, var: int):  # variable id in the circuit's table
+        object.__setattr__(self, "var", var)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: int
-    right: int
+class Const(_Gate):
+    __slots__ = ("value",)
+
+    def __init__(self, value):  # scalar of the table's field
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: int
-    right: int
+class _Binary(_Gate):
+    __slots__ = ()  # each kind holds its own, as _values reads them
+
+    def __init__(self, left: int, right: int):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class Add(_Binary):
+    __slots__ = ("left", "right")
+
+
+class Mul(_Binary):
+    __slots__ = ("left", "right")
 
 
 def reach(root: int, children) -> set:
@@ -211,16 +236,19 @@ def homogenize(c: Circuit) -> Circuit:
 # Bracketing transforms
 
 
-@dataclass
 class Bracketed:
     """to_bracketed's bracket variables, the tables the Dyck reduction
     reads, and the recovery substitution."""
 
-    table: VarTable  # the bracket variables; the tests spell parse words with it
-    pairs: list  # (open, close) var ids, in creation order
-    gate_pair: dict  # product gate id -> its (open, close)
-    leaf_word: dict  # input or constant gate id -> its bracket word, a Word
-    recovery: dict  # new var id -> Var or scalar
+    __slots__ = ("table", "pairs", "gate_pair", "leaf_word", "recovery")
+
+    def __init__(self, table: VarTable, pairs: list, gate_pair: dict, leaf_word: dict,
+                 recovery: dict):
+        self.table = table  # the bracket variables; the tests spell parse words with it
+        self.pairs = pairs  # (open, close) var ids, in creation order
+        self.gate_pair = gate_pair  # product gate id -> its (open, close)
+        self.leaf_word = leaf_word  # input or constant gate id -> its bracket word, a Word
+        self.recovery = recovery  # new var id -> Var or scalar
 
 
 def to_bracketed(c: Circuit) -> Bracketed:
@@ -264,15 +292,18 @@ def to_bracketed(c: Circuit) -> Bracketed:
     return Bracketed(table, pairs, gate_pair, leaf_word, recovery)
 
 
-@dataclass
 class SkewBracketed:
     """to_skew_bracketed's twin variables, the tables the palindrome
     reduction reads, and the recovery substitution."""
 
-    table: VarTable  # the twin variables; the tests spell parse words with it
-    twins: dict  # product gate id -> (L var id, R var id, gate id of its non-leaf argument)
-    doubles: dict  # source var id -> (L var id, R var id)
-    recovery: dict  # new var id -> Var or scalar
+    __slots__ = ("table", "twins", "doubles", "recovery")
+
+    def __init__(self, table: VarTable, twins: dict, doubles: dict, recovery: dict):
+        self.table = table  # the twin variables; the tests spell parse words with it
+        # product gate id -> (L var id, R var id, gate id of its non-leaf argument)
+        self.twins = twins
+        self.doubles = doubles  # source var id -> (L var id, R var id)
+        self.recovery = recovery  # new var id -> Var or scalar
 
 
 def to_skew_bracketed(c: Circuit) -> SkewBracketed:

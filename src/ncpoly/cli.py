@@ -251,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for noncommutative polynomial families and reductions.",
     )
     parser.add_argument("--field", default="q", help="coefficient field: q or p=<prime>")
-    parser.add_argument("--term-budget", type=int, default=Budget.terms)
-    parser.add_argument("--state-budget", type=int, default=Budget.states)
+    defaults = Budget()
+    parser.add_argument("--term-budget", type=int, default=defaults.terms)
+    parser.add_argument("--state-budget", type=int, default=defaults.states)
     parser.add_argument("--format", dest="fmt", choices=["text", "structured"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -24,7 +24,6 @@ meta["abp"], from which `rank` reads Hankel ranks without expanding them.
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dc_field
 from math import factorial, prod
 from operator import getitem
 from pathlib import Path
@@ -97,17 +96,20 @@ def _balanced_words(pairs, length: int, depth_cap: int | None = None):
 # Family instances
 
 
-@dataclass
 class FamilyInstance:
     """A realized (or lazily realizable) member of a named family."""
 
-    name: str
-    params: dict
-    table: VarTable
-    meta: dict = dc_field(default_factory=dict)
-    _poly: NCPoly | None = None
-    _builder: object = None
-    _stream: object = None
+    __slots__ = ("name", "params", "table", "meta", "_poly", "_builder", "_stream")
+
+    def __init__(self, name: str, params: dict, table: VarTable, meta: dict | None = None,
+                 _poly: NCPoly | None = None, _builder=None, _stream=None):
+        self.name = name
+        self.params = params
+        self.table = table
+        self.meta = {} if meta is None else meta
+        self._poly = _poly
+        self._builder = _builder
+        self._stream = _stream
 
     @property
     def poly(self) -> NCPoly:
@@ -281,24 +283,24 @@ def per_table(n: int, field: Field = QQ) -> VarTable:
     return VarTable([f"x{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)], field)
 
 
-@dataclass
 class ChiTable:
     """Total map from permutations of [n] (one-based tuples) to nonzero scalars."""
 
-    n: int
-    values: dict
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
+    def __init__(self, n: int, values: dict):
+        self.n = n
+        self.values = values
         # checked key by key, so a short table for a large n is refused
         # without enumerating the n! permutations
-        identity = tuple(range(1, self.n + 1))
-        extra = [s for s in self.values if tuple(sorted(s)) != identity]
-        missing = factorial(self.n) - (len(self.values) - len(extra))
+        identity = tuple(range(1, n + 1))
+        extra = [s for s in values if tuple(sorted(s)) != identity]
+        missing = factorial(n) - (len(values) - len(extra))
         if missing:
             raise ValueError(f"chi table misses {missing} permutations")
         if extra:
             raise ValueError(f"chi table has non-permutation keys: {sorted(extra)[:3]}")
-        for sigma, v in self.values.items():
+        for sigma, v in values.items():
             if v == 0:
                 raise ValueError(f"chi value for {sigma} is zero")
 

@@ -30,7 +30,6 @@ cross-checked in the test suite.
 """
 
 import time
-from dataclasses import dataclass
 
 from ..algebra import NCPoly, TableMismatchError, Var, VarTable, budget
 from ..automata import (
@@ -43,42 +42,46 @@ from ..automata import (
 from ..families import FamilyInstance
 
 
-@dataclass
 class ProjMap:
     """Per-variable substitution into variables or scalars."""
 
-    input_table: VarTable  # target polynomial's variables
-    output_table: VarTable  # source polynomial's variables
-    mapping: dict  # var id -> Var (of output table) or scalar
+    __slots__ = ("input_table", "output_table", "mapping")
 
-    def __post_init__(self):
-        for img in self.mapping.values():
+    def __init__(self, input_table: VarTable, output_table: VarTable, mapping: dict):
+        self.input_table = input_table  # target polynomial's variables
+        self.output_table = output_table  # source polynomial's variables
+        self.mapping = mapping  # var id -> Var (of output table) or scalar
+        for img in mapping.values():
             if isinstance(img, Var):
-                if self.output_table.name(img.id) != img.name:
+                if output_table.name(img.id) != img.name:
                     raise ValueError(f"image variable {img} not in the output table")
 
 
-@dataclass
 class IProjMap:
     """Per-(position, variable) substitution; positions are 1-based."""
 
-    input_table: VarTable
-    output_table: VarTable
-    mapping: dict  # (position, var id) -> Var or scalar
+    __slots__ = ("input_table", "output_table", "mapping")
+
+    def __init__(self, input_table: VarTable, output_table: VarTable, mapping: dict):
+        self.input_table = input_table
+        self.output_table = output_table
+        self.mapping = mapping  # (position, var id) -> Var or scalar
 
 
 # ---------------------------------------------------------------------------
 # Matrix-substitution reductions
 
 
-@dataclass
 class AbpReduction:
     """A matrix substitution with named source and target."""
 
-    substitution: MatrixSubstitution
-    source: str  # descriptor: family spec, "circuit", or free-form
-    target: str  # family spec string of the target instance
-    kind: str = ""  # construction name, for serialization headers
+    __slots__ = ("substitution", "source", "target", "kind")
+
+    def __init__(self, substitution: MatrixSubstitution, source: str, target: str, kind: str = ""):
+        self.substitution = substitution
+        self.source = source  # descriptor: family spec, "circuit", or free-form
+        self.target = target  # family spec string of the target instance
+        self.kind = kind  # construction name, for serialization headers
 
     @property
     def dim(self) -> int:
@@ -484,14 +487,17 @@ def apply_to_instance(r: AbpReduction, target: FamilyInstance) -> NCPoly:
 # Verification
 
 
-@dataclass
 class Verdict:
-    passed: bool
-    source_terms: int
-    result_terms: int
-    witness: tuple | None  # (word as names, expected coeff, got coeff)
-    detail: str
-    elapsed: float
+    __slots__ = ("passed", "source_terms", "result_terms", "witness", "detail", "elapsed")
+
+    def __init__(self, passed: bool, source_terms: int, result_terms: int,
+                 witness: tuple | None, detail: str, elapsed: float):
+        self.passed = passed
+        self.source_terms = source_terms
+        self.result_terms = result_terms
+        self.witness = witness  # (word as names, expected coeff, got coeff)
+        self.detail = detail
+        self.elapsed = elapsed
 
     def __str__(self):
         lines = [

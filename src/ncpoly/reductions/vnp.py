@@ -1,7 +1,6 @@
 """Reductions and structure checks around the permanent-style families."""
 
 import itertools
-from dataclasses import dataclass
 
 from ..algebra import NCPoly, Var, exact_rank
 from ..automata import SubstAutomaton, automaton_to_substitution
@@ -233,13 +232,15 @@ def transfer(m: IProjMap, degree: int) -> ProjMap:
     return ProjMap(in_tagged, out_tagged, mapping)
 
 
-@dataclass(frozen=True)
 class SplitVerdict:
     """Either a position bipartition along which the coefficient matrix has
     rank one (so the polynomial factors over it), or none exists."""
 
-    split: tuple | None
-    checked: int
+    __slots__ = ("split", "checked")
+
+    def __init__(self, split: tuple | None, checked: int):
+        self.split = split
+        self.checked = checked
 
 
 # No command reaches it yet: it waits for the VNP-separation command on the ROADMAP.

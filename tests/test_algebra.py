@@ -614,4 +614,6 @@ def test_parse_poly_reads_by_blocks_the_lines_of_splitlines(filler, edge, shift,
     text = head + middle + unit * (algebra._PARSE_BLOCK // len(unit) + 1) + last
     assert len(text) > 2 * algebra._PARSE_BLOCK
     assert list(algebra._text_lines(text)) == text.splitlines()
+    # with their separators, as parse_reduction reads them to find offsets
+    assert list(algebra._text_lines(text, keepends=True)) == text.splitlines(keepends=True)
     assert parse_poly(text, VarTable()) == oracles.parse_poly_lines(text, VarTable())

@@ -50,6 +50,20 @@ def test_expand_distributes():
     assert f.terms == {t.word("x1", "x3"): 1, t.word("x2", "x3"): 1}
 
 
+def test_gates_are_equal_only_within_a_kind_and_records_are_immutable():
+    # a round trip compares gate lists, so an add must never equal a product
+    assert Add(0, 1) == Add(0, 1) and Add(0, 1) != Mul(0, 1) and Input(0) != Const(0)
+    assert Mul(0, 1) != Mul(0, 2) and Const(Fraction(1)) != Const(Fraction(2))
+    assert repr(Mul(2, 3)) == "Mul(2, 3)"
+    assert Budget() == Budget() and hash(Budget()) == hash(Budget())
+    assert Budget(terms=5) != Budget(states=5)
+    fields = [(Input(0), "var"), (Const(Fraction(1)), "value"), (Add(0, 1), "left")]
+    fields += [(Mul(0, 1), "right"), (Budget(), "terms"), (t3().var("x1"), "name")]
+    for record, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+
+
 def test_expand_mul_order():
     t = t3()
     a = expand(Circuit(t, [Input(0), Input(1), Mul(0, 1)], 2))

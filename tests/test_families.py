@@ -8,6 +8,7 @@ import oracles
 from ncpoly.algebra import NCPoly, VarTable, to_word
 from ncpoly.families import (
     ChiTable,
+    FamilyInstance,
     _balanced_words,
     commutative_version,
     gen_dyck,
@@ -201,6 +202,18 @@ def test_chi_validation():
         ChiTable(2, {(1, 2): Fraction(1)})
     with pytest.raises(ValueError, match="zero"):
         ChiTable(2, {(1, 2): Fraction(0), (2, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="non-permutation keys"):
+        ChiTable(2, {(1, 2): Fraction(1), (2, 1): Fraction(1), (1, 1): Fraction(1)})
+
+
+def test_an_instance_caches_its_realized_poly():
+    poly = NCPoly(VarTable(["x"]), {"\x00": Fraction(2)})
+    given = FamilyInstance.from_poly("poly", poly, k=1)
+    assert given._poly is poly and given.poly is poly
+    assert given.spec_string == "poly:k=1" and given.meta == {}
+    lazy = make_family("dyck:k=1,d=4")
+    assert lazy._poly is None
+    assert lazy.poly is lazy._poly is lazy.poly
 
 
 def test_chi_parse_roundtrip():

@@ -2,19 +2,22 @@
 
 Each bound names what may be live at once, measured on the same build:
 `expand` holds its output plus its largest live gate, and `family` and
-`expand` writing to a file hold the polynomial plus one block of text.
-A return of kept gate polynomials, of copied term dicts or of a whole
-output text held as one string fails here.
+`expand` writing to a file hold the polynomial plus one block of text,
+and reading a reduction file holds its source-poly section once.
+A return of kept gate polynomials, of copied term dicts, of a whole
+output text held as one string or of a list of a file's lines fails here.
 """
 
 import gc
 import os
 import tracemalloc
 
-from ncpoly.algebra import VarTable
+from ncpoly.algebra import VarTable, parse_poly
 from ncpoly.circuits import expand, parse_circuit
 from ncpoly.cli import main
 from ncpoly.families import make_family
+from ncpoly.fields import QQ
+from ncpoly.reductions.serialize import parse_reduction
 
 
 def traced(fn):
@@ -35,11 +38,16 @@ def traced(fn):
     return result, held - base, peak - base
 
 
-def left_chain(d: int) -> str:
-    """(x + y)^d as the left chain p <- p * (x + y)."""
-    lines = ["g0 input x", "g1 input y", "g2 add g0 g1"]
+def left_chain(d: int, names=("x", "y")) -> str:
+    """(x + y)^d, or the sum of other names to the d, as the left chain
+    p <- p * (x + y)."""
+    lines = [f"g{i} input {name}" for i, name in enumerate(names)]
+    total = 0
+    for i in range(1, len(names)):
+        lines.append(f"g{len(lines)} add g{total} g{i}")
+        total = len(lines) - 1
     for _ in range(d - 1):
-        lines.append(f"g{len(lines)} mul g{len(lines) - 1} g2")
+        lines.append(f"g{len(lines)} mul g{len(lines) - 1} g{total}")
     return "\n".join(lines + [f"output g{len(lines) - 1}"]) + "\n"
 
 
@@ -105,3 +113,20 @@ def test_expand_writing_a_file_holds_the_polynomial_and_one_block(tmp_path):
     assert len(poly.terms) == 2**16
     del poly
     _assert_one_block(*_write_peak(tmp_path, ["expand", str(circuit)]), realized)
+
+
+def test_parse_reduction_holds_its_source_poly_section_once(tmp_path):
+    # (x + y + z)^10: 59,049 embedded terms in about 1.2 MiB of text
+    circuit, red = tmp_path / "c.circuit", tmp_path / "r.red"
+    circuit.write_text(left_chain(10, ("x", "y", "z")))
+    assert main(["reduce", "dyck-complete", f"circuit={circuit}", "--out", str(red)]) == 0
+    text = red.read_text()
+    section = text[text.index("source-poly\n") + len("source-poly\n") : text.rindex("end-poly\n")]
+    (_, poly), _, peak = traced(lambda: parse_reduction(text, QQ))
+    assert len(poly.terms) == 3**10
+    del poly
+    _, _, alone = traced(lambda: parse_poly(section, VarTable()))
+    # measured: 1.23 times parse_poly of the section alone, the one slice
+    # it is handed; the file's line list, a list of the section's lines
+    # and their join made it 2.05
+    assert peak < 1.3 * alone, (peak, alone)

@@ -383,6 +383,8 @@ def parse_abp(text: str, table: VarTable | None = None) -> Abp:
             continue
         tokens = line.split()
         if tokens[0] == "layers":
+            if layers is not None:
+                raise ValueError("second layers line")
             layers = [0] * (len(tokens) - 1)
             for tok in tokens[1:]:
                 i, _, n = tok.partition(":")

@@ -7,9 +7,10 @@ one-letter word is chr(id).  Code points order words as the id sequences
 would, a str caches its hash, and concatenation, comparison and slicing
 run in C.  Multiplication concatenates words in argument order and is
 therefore noncommutative.  An :class:`NCPoly` maps words to nonzero
-scalars.  The constructors that take words from outside (NCPoly and its
-monomial and coeff, SubstAutomaton.add_transition, MatrixSubstitution)
-also accept a sequence of variable ids and convert it with to_word.
+scalars.  Every constructor and lookup takes words in this one form;
+VarTable.word spells one from variable names.  exact_rank takes dict
+rows {column: scalar} and runs each through eliminate, the one
+elimination loop.
 
 A :class:`Budget` bounds what the workbench builds: ``terms`` every
 expansion and intermediate polynomial, ``states`` every automaton while
@@ -35,7 +36,7 @@ import re
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .fields import QQ, Field
 
@@ -43,11 +44,6 @@ Word = str  # character i is chr(variable id) of letter i
 
 # The largest variable id: every id must be a code point.
 MAX_VAR_ID = sys.maxunicode
-
-
-def to_word(word) -> Word:
-    """A word given as a str, or as a sequence of variable ids, as a str."""
-    return word if isinstance(word, str) else "".join(map(chr, word))
 
 
 class TableMismatchError(ValueError):
@@ -220,12 +216,7 @@ class NCPoly:
 
     def __init__(self, table: VarTable, terms: Mapping[Word, object] | None = None):
         self.table = table
-        clean: dict[Word, object] = {}
-        if terms:
-            for w, c in terms.items():
-                if c != 0:
-                    clean[to_word(w)] = c
-        self.terms = clean
+        self.terms = {w: c for w, c in terms.items() if c != 0} if terms else {}
 
     # -- constructors -------------------------------------------------
 
@@ -248,14 +239,10 @@ class NCPoly:
         return cls(table, {"": c})
 
     @classmethod
-    def monomial(cls, table: VarTable, word: Sequence, coeff=None) -> "NCPoly":
+    def monomial(cls, table: VarTable, word: Word, coeff=None) -> "NCPoly":
         if coeff is None:
             coeff = table.field.one
-        return cls(table, {to_word(word): coeff})
-
-    @classmethod
-    def variable(cls, table: VarTable, name: str) -> "NCPoly":
-        return cls(table, {table._letters[name]: table.field.one})
+        return cls(table, {word: coeff})
 
     # -- inspection ---------------------------------------------------
 
@@ -269,17 +256,8 @@ class NCPoly:
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
 
-    def coeff(self, word: Sequence):
-        return self.terms.get(to_word(word), self.table.field.zero)
-
-    def support(self) -> set:
-        return set(self.terms)
-
-    def var_ids(self) -> set:
-        letters: set[str] = set()
-        for w in self.terms:
-            letters.update(w)
-        return set(map(ord, letters))
+    def coeff(self, word: Word):
+        return self.terms.get(word, self.table.field.zero)
 
     def __bool__(self):
         return bool(self.terms)
@@ -326,11 +304,6 @@ class NCPoly:
                 else:
                     out[w] = s
         return NCPoly.adopt(self.table, out)
-
-    def scale(self, c) -> "NCPoly":
-        if c == 0:
-            return NCPoly.zero(self.table)
-        return NCPoly.adopt(self.table, {w: c * v for w, v in self.terms.items()})
 
     def truncate(self, degree_cap: int) -> "NCPoly":
         kept = {w: c for w, c in self.terms.items() if len(w) <= degree_cap}
@@ -398,29 +371,18 @@ def eliminate(pivots: dict, r: dict, field: Field) -> None:
                 del r[j]
 
 
-def exact_rank(rows: Iterable[Mapping | Sequence], field: Field) -> int:
+def exact_rank(rows: Iterable[dict], field: Field) -> int:
     """Rank over ``field`` via exact sparse elimination.
 
-    Each row maps a column to a scalar of ``field`` (over Q an int or a
-    Fraction, over Z_p a ModInt); a plain sequence is read as
-    ``enumerate(row)``, and zero entries may be present or absent.  Zero
-    rows and rows equal to an earlier row are dropped first, which leaves
-    the rank unchanged.  Every remaining row goes through ``eliminate``
-    against the pivot rows found so far.
+    Each row is a dict {column: scalar of ``field``} (over Q an int or a
+    Fraction, over Z_p a ModInt); zero entries may be present or absent.
+    Each row is copied without its zeros and goes through ``eliminate``
+    against the pivot rows found so far, so a zero row or a repeat of an
+    earlier row reduces to nothing and adds no pivot.
     """
-    by_support: dict = {}  # column set -> distinct rows with that support
     pivots: dict = {}
     for row in rows:
-        # a dict row skips the slower Mapping ABC check
-        items = row.items() if isinstance(row, dict) or isinstance(row, Mapping) else enumerate(row)
-        r = {j: x for j, x in items if x != 0}
-        if not r:
-            continue
-        same_support = by_support.setdefault(frozenset(r), [])
-        if r in same_support:
-            continue
-        same_support.append(r)
-        eliminate(pivots, dict(r), field)
+        eliminate(pivots, {j: x for j, x in row.items() if x != 0}, field)
     return len(pivots)
 
 

@@ -28,7 +28,7 @@ shares no code with the compiled evaluation it checks.
 from collections.abc import Iterable
 
 from .abp import Abp, transition_matrices
-from .algebra import NCPoly, TableMismatchError, VarTable, Word, budget, to_word
+from .algebra import NCPoly, TableMismatchError, VarTable, Word, budget
 
 MAX_ENTRY_DEGREE = 3
 
@@ -81,7 +81,7 @@ class SubstAutomaton:
         self.add_state(to)
         if len(word) > MAX_ENTRY_DEGREE:
             raise ValueError(f"output degree {len(word)} exceeds {MAX_ENTRY_DEGREE}")
-        self.transitions[key] = (to, coeff, to_word(word))
+        self.transitions[key] = (to, coeff, word)
 
 
 def path_order(start, accept, before, after) -> list:
@@ -120,11 +120,13 @@ class MatrixSubstitution:
     """One sparse q x q matrix per input variable; extraction at (1, q).
 
     The empty word evaluates to the identity, whose (1, q) entry is zero
-    when q > 1.  A dimension over the state budget raises StateBudgetError
-    before any entry is read.
+    when q > 1.  A dimension below one raises ValueError, and one over the
+    state budget StateBudgetError, before any entry is read.
     """
 
     def __init__(self, input_table: VarTable, output_table: VarTable, dim: int, entries: dict):
+        if dim < 1:
+            raise ValueError(f"dim {dim} is not a positive matrix size")
         budget().check_states(dim)
         self.input_table = input_table
         self.output_table = output_table
@@ -140,7 +142,7 @@ class MatrixSubstitution:
                         f"entry degree {len(word)} exceeds {MAX_ENTRY_DEGREE}"
                     )
                 if coeff != 0:
-                    clean[(r, c)] = (coeff, to_word(word))
+                    clean[(r, c)] = (coeff, word)
             self.entries[vid] = clean
         self._rows_cache: dict = {}
 

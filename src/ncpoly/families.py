@@ -305,12 +305,6 @@ class ChiTable:
                 raise ValueError(f"chi value for {sigma} is zero")
 
     @classmethod
-    def constant(cls, n: int, value=None, field: Field = QQ) -> "ChiTable":
-        if value is None:
-            value = field.one
-        return cls(n, {s: value for s in itertools.permutations(range(1, n + 1))})
-
-    @classmethod
     def parse(cls, text: str, n: int, field: Field = QQ) -> "ChiTable":
         values = {}
         for raw in text.splitlines():
@@ -321,6 +315,8 @@ class ChiTable:
             if not rhs:
                 raise ValueError(f"bad chi line {raw!r}")
             sigma = tuple(int(tok) for tok in lhs.split())
+            if sigma in values:
+                raise ValueError(f"chi table repeats the permutation {' '.join(map(str, sigma))}")
             values[sigma] = field.parse(rhs.strip())
         return cls(n, values)
 

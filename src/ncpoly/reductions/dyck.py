@@ -158,7 +158,7 @@ def check_vbp_trivial(f_abp: Abp, target: FamilyInstance, witness: Word) -> None
     field = target.table.field
     letters = {(i, v): field.one for i, v in enumerate(map(ord, witness), 1)}
     chain = IProjMap(target.table, VarTable(field=field), letters)
-    if apply_to_instance(iproj_to_abp(chain, m), target).coeff(()) != 1:
+    if apply_to_instance(iproj_to_abp(chain, m), target).coeff("") != 1:
         raise ValueError("witness word must have coefficient exactly 1 in the target")
     d = f_abp.degree
     if m > d:

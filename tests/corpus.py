@@ -1,5 +1,6 @@
 """Seeded corpora and fixture reductions shared by the unit and acceptance tests."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from ncpoly.abp import Abp
 from ncpoly.algebra import VarTable
 from ncpoly.automata import SubstAutomaton, automaton_to_substitution
 from ncpoly.circuits import Add, Circuit, Const, Input, Mul, is_skew
-from ncpoly.families import gen_product_of_sums, gen_two_chains
+from ncpoly.families import ChiTable, gen_product_of_sums, gen_two_chains
 from ncpoly.fields import QQ, Field, PrimeField
 from ncpoly.reductions import AbpReduction, ProjMap, iproj_to_abp, proj_to_iproj
 
@@ -31,6 +32,11 @@ def syntactic_degree(c) -> int:
 
 
 # -- fixture reductions ------------------------------------------------------------
+
+
+def constant_chi(n: int) -> ChiTable:
+    """The chi table that maps every permutation of [n] to 1."""
+    return ChiTable(n, dict.fromkeys(itertools.permutations(range(1, n + 1)), 1))
 
 
 def identity_reduction(table: VarTable, d: int, source="", target="") -> AbpReduction:

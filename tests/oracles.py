@@ -52,12 +52,17 @@ def substitute_letters(f: NCPoly, image, out_table: VarTable) -> NCPoly:
     return out
 
 
+def var_ids(g: NCPoly) -> set:
+    """The ids of the variables that occur in g's terms."""
+    return {ord(ch) for w in g.terms for ch in w}
+
+
 def apply_proj(m, g: NCPoly) -> NCPoly:
     """A projection (ProjMap) applied letter by letter; it must be defined
     on every variable of g."""
     if g.table != m.input_table:
         raise TableMismatchError("polynomial is not over the map's input table")
-    for vid in g.var_ids():
+    for vid in var_ids(g):
         if vid not in m.mapping:
             raise KeyError(f"projection undefined on {g.table.name(vid)!r}")
     return substitute_letters(g, lambda _pos, vid: m.mapping[vid], m.output_table)

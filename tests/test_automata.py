@@ -32,7 +32,7 @@ def identity_chain(table, d):
     a.add_state(f"q{d}", accept=True)
     for i in range(d):
         for v in table.vars():
-            a.add_transition(f"q{i}", v.id, f"q{i + 1}", word=(v.id,))
+            a.add_transition(f"q{i}", v.id, f"q{i + 1}", word=chr(v.id))
     return a
 
 
@@ -75,10 +75,10 @@ def test_palindrome_encoder_matrices_at_n1():
     a.add_state("p2", accept=True)
     (o1, c1), (o2, c2) = dyck_pairs(dt)
     x0, x1 = out.var("x0").id, out.var("x1").id
-    a.add_transition("p0", o1, "p1", word=(x0,))
-    a.add_transition("p0", o2, "p1", word=(x1,))
-    a.add_transition("p1", c1, "p2", word=(x0,))
-    a.add_transition("p1", c2, "p2", word=(x1,))
+    a.add_transition("p0", o1, "p1", word=chr(x0))
+    a.add_transition("p0", o2, "p1", word=chr(x1))
+    a.add_transition("p1", c1, "p2", word=chr(x0))
+    a.add_transition("p1", c2, "p2", word=chr(x1))
     sub = automaton_to_substitution(a)
     assert sub.entries[o1].get((0, 1)) == (1, chr(x0))
     assert sub.entries[o2].get((0, 1)) == (1, chr(x1))
@@ -92,7 +92,7 @@ def test_dead_sink_gives_zero_rows():
     a = SubstAutomaton(t, t)
     a.add_state("s", start=True)
     a.add_state("t", accept=True)
-    a.add_transition("s", t.var("x0").id, "t", word=(t.var("x0").id,))
+    a.add_transition("s", t.var("x0").id, "t", word=t.word("x0"))
     sub = automaton_to_substitution(a)
     # nothing leaves the accept state: its row is all zero for every variable
     for v in t.vars():
@@ -113,7 +113,7 @@ def test_output_degree_cap():
     t = xy()
     a = SubstAutomaton(t, t)
     with pytest.raises(ValueError, match="degree"):
-        a.add_transition("s", 0, "p", word=(0, 0, 0, 0))
+        a.add_transition("s", 0, "p", word=t.word("x0", "x0", "x0", "x0"))
 
 
 def test_compiled_matches_run_simulation():
@@ -126,9 +126,9 @@ def test_compiled_matches_run_simulation():
     a.add_state("q4", accept=True)
     x0, x1 = table.var("x0").id, table.var("x1").id
     for i in range(4):
-        a.add_transition(f"q{i}", x0, f"q{i + 1}", word=(x0,))
+        a.add_transition(f"q{i}", x0, f"q{i + 1}", word=chr(x0))
         if i >= 2:
-            a.add_transition(f"q{i}", x1, f"q{i + 1}", word=(x1,))
+            a.add_transition(f"q{i}", x1, f"q{i + 1}", word=chr(x1))
     sub = automaton_to_substitution(a)
     f = inst.poly
     total = oracles.simulate(a, f)
@@ -172,8 +172,8 @@ def prefix_automaton(t):
     a = SubstAutomaton(t, t)
     a.add_state("s", start=True)
     a.add_state("t", accept=True)
-    a.add_transition("s", x0, "t", t.field.from_int(3), (x0,))
-    a.add_transition("t", x1, "t", t.field.from_int(2), (x1, x1))
+    a.add_transition("s", x0, "t", t.field.from_int(3), chr(x0))
+    a.add_transition("t", x1, "t", t.field.from_int(2), chr(x1) * 2)
     return a
 
 
@@ -186,7 +186,7 @@ def test_evaluate_matches_run_on_prefixes_dead_prefixes_and_the_empty_word(field
     g = NCPoly(
         t,
         {
-            (): c(7),  # start != accept, so the empty word is rejected
+            "": c(7),  # start != accept, so the empty word is rejected
             t.word("x0"): c(2),  # a prefix of the next three words
             t.word("x0", "x1"): c(-1),
             t.word("x0", "x1", "x1"): c(4),
@@ -213,8 +213,8 @@ def test_evaluate_matches_run_when_images_merge_and_cancel(field):
     x0, x1 = t.var("x0").id, t.var("x1").id
     a = SubstAutomaton(t, t)
     a.add_state("q", start=True, accept=True)
-    a.add_transition("q", x0, "q", field.from_int(2), (x0,))
-    a.add_transition("q", x1, "q", field.from_int(3), ())
+    a.add_transition("q", x0, "q", field.from_int(2), chr(x0))
+    a.add_transition("q", x1, "q", field.from_int(3), "")
     sub = automaton_to_substitution(a)
     assert sub.dim == 1
     c = field.from_int
@@ -225,7 +225,7 @@ def test_evaluate_matches_run_when_images_merge_and_cancel(field):
             t.word("x0", "x1"): c(-1),
             t.word("x1", "x1", "x0", "x0"): c(1),  # 36 x0 x0, merging with ...
             t.word("x0", "x0"): c(2),  # ... 8 x0 x0
-            (): c(5),  # 5, merging with ...
+            "": c(5),  # 5, merging with ...
             t.word("x1"): c(-1),  # ... -3
         },
     )
@@ -252,10 +252,10 @@ def test_evaluate_matches_run_on_random_polynomials_over_q_and_gf3():
             for state in states:
                 for v in (0, 1):
                     if rng.random() < 0.75:
-                        word = tuple(rng.choice((0, 1)) for _ in range(rng.randint(0, 2)))
+                        word = "".join(rng.choice("\0\1") for _ in range(rng.randint(0, 2)))
                         coeff = field.from_int(rng.randint(1, 4))
                         a.add_transition(state, v, rng.choice(states), coeff, word)
-            words = [w for d in range(5) for w in product((0, 1), repeat=d)]
+            words = ["".join(w) for d in range(5) for w in product("\0\1", repeat=d)]
             g = NCPoly(t, {w: field.from_int(rng.randint(-3, 3)) for w in rng.sample(words, 12)})
             if a.accept == a.start:
                 refused += 1
@@ -283,15 +283,15 @@ def unit_run_automaton(t):
     a.add_state("s", start=True)
     a.add_state("t", accept=True)
     for frm, v, to, coeff, word in (
-        ("s", x0, "p1", 1, (ya,)),
-        ("p1", x0, "p2", 1, ()),
-        ("p2", x0, "p3", 1, ()),
-        ("p3", x1, "p4", 6, ()),
-        ("p4", x0, "p5", 1, ()),
-        ("p5", x1, "p6", 1, (yb,)),
-        ("p6", x0, "t", 1, ()),
-        ("p2", x1, "t", 1, ()),
-        ("t", x0, "t", 1, ()),
+        ("s", x0, "p1", 1, chr(ya)),
+        ("p1", x0, "p2", 1, ""),
+        ("p2", x0, "p3", 1, ""),
+        ("p3", x1, "p4", 6, ""),
+        ("p4", x0, "p5", 1, ""),
+        ("p5", x1, "p6", 1, chr(yb)),
+        ("p6", x0, "t", 1, ""),
+        ("p2", x1, "t", 1, ""),
+        ("t", x0, "t", 1, ""),
     ):
         a.add_transition(frm, v, to, t.field.from_int(coeff), word)
     return a
@@ -316,7 +316,7 @@ def test_evaluate_matches_run_where_unit_runs_break_and_die(field):
     g = NCPoly(
         t,
         {
-            (): c(3),
+            "": c(3),
             t.word("x0", "x0"): c(2),  # a prefix of every word below it
             t.word("x0", "x0", "x0"): c(2),  # live, but it ends short of t
             t.word("x0", "x0", "x0", "x0"): c(5),  # dies inside a unit run ...
@@ -377,7 +377,7 @@ def test_evaluate_steps_into_each_live_non_unit_prefix_once(field, monkeypatch):
     t = VarTable(["x0", "x1", "x2", "a", "b"], field=field)
     a = unit_run_automaton(t)
     sub = automaton_to_substitution(a)
-    words = [w for d in range(9) for w in product((0, 1, 2), repeat=d)]
+    words = ["".join(w) for d in range(9) for w in product("\0\1\2", repeat=d)]
     rng = random.Random(9)
     calls = count_kernel_calls(monkeypatch)
     for size in (20, 200, len(words)):
@@ -408,13 +408,13 @@ def test_evaluate_matches_run_on_random_unit_heavy_automata_in_any_order():
                 for v in (0, 1):  # x2 never gets a matrix
                     if rng.random() < 0.85:
                         if rng.random() < 0.6:
-                            coeff, word = field.one, ()
+                            coeff, word = field.one, ""
                         else:
                             coeff = field.from_int(rng.choice((2, -1, 4)))
-                            word = tuple(rng.choice((0, 1)) for _ in range(rng.randint(0, 2)))
+                            word = "".join(rng.choice("\0\1") for _ in range(rng.randint(0, 2)))
                         a.add_transition(state, v, rng.choice(states), coeff, word)
             sub = automaton_to_substitution(a)
-            words = [w for d in range(7) for w in product((0, 1, 2), repeat=d)]
+            words = ["".join(w) for d in range(7) for w in product("\0\1\2", repeat=d)]
             g = NCPoly(t, {w: field.from_int(rng.randint(-3, 3)) for w in rng.sample(words, 40)})
             expected = oracles.simulate(a, g)
             live += bool(expected)
@@ -430,8 +430,8 @@ def test_a_start_state_that_accepts_is_refused(field):
     x0, x1 = t.var("x0").id, t.var("x1").id
     a = SubstAutomaton(t, t)
     a.add_state("q0", start=True, accept=True)
-    a.add_transition("q0", x0, "q1", word=(x0,))
-    a.add_transition("q1", x1, "q0", field.from_int(2), (x1,))
+    a.add_transition("q0", x0, "q1", word=chr(x0))
+    a.add_transition("q1", x1, "q0", field.from_int(2), chr(x1))
     with pytest.raises(ValueError, match="only state"):
         automaton_to_substitution(a)
     text = "substitution\ndim 3\ninput-vars x0 x1\noutput-vars x0 x1\naccepts-empty\n"
@@ -441,11 +441,11 @@ def test_a_start_state_that_accepts_is_refused(field):
     c = field.from_int
     one = SubstAutomaton(t, t)
     one.add_state("q", start=True, accept=True)
-    one.add_transition("q", x0, "q", word=(x0,))
+    one.add_transition("q", x0, "q", word=chr(x0))
     sub1 = automaton_to_substitution(one)
     assert sub1.dim == 1
-    h = NCPoly(t, {(): c(1), (x0, x0): c(1), (x1,): c(1)})
-    assert sub1.evaluate(h) == oracles.simulate(one, h) == NCPoly(t, {(): c(1), (x0, x0): c(1)})
+    h = NCPoly(t, {"": c(1), chr(x0) * 2: c(1), chr(x1): c(1)})
+    assert sub1.evaluate(h) == oracles.simulate(one, h) == NCPoly(t, {"": c(1), chr(x0) * 2: c(1)})
 
 
 def test_hadamard_poly_branch_matches_bruteforce_over_q_and_gf5():
@@ -474,7 +474,7 @@ def test_hadamard_poly_branch_matches_bruteforce_over_q_and_gf5():
             # words of every length up to depth + 1, the empty word included,
             # so words that are prefixes of others and words that end before
             # or run past the sink both occur
-            words = [w for d in range(depth + 2) for w in product(range(3), repeat=d)]
+            words = ["".join(w) for d in range(depth + 2) for w in product("\0\1\2", repeat=d)]
             f = NCPoly(
                 t,
                 {w: field.from_int(rng.randint(-4, 4)) for w in rng.sample(words, min(len(words), 40))},
@@ -505,8 +505,8 @@ def test_hadamard_identity_case():
     # ABP computing the sum of all degree-2 words
     gap = [(0, 0, Fraction(1), "\x00"), (0, 0, Fraction(1), "\x01")]
     g = Abp(t, [1, 1, 1], [gap, gap])
-    x0, x1 = NCPoly.variable(t, "x0"), NCPoly.variable(t, "x1")
-    f = (x0 + x1.scale(Fraction(2))) * x0
+    x0 = NCPoly.monomial(t, t.word("x0"))
+    f = (x0 + NCPoly.monomial(t, t.word("x1"), Fraction(2))) * x0
     assert hadamard_via_matrices(f, g) == f
     assert len(abp_eval(g).terms) == 4
 
@@ -563,8 +563,8 @@ def test_termwise_apply_on_a_complete_width3_abp_matches_bruteforce():
     ]
     g = Abp(t, layers, edges)
     r = AbpReduction(MatrixSubstitution(t, t, g.size, transition_matrices(g)), "", "")
-    f = NCPoly(t, {w: Fraction(rng.randint(-3, 3)) for w in product((0, 1), repeat=5)})
-    f = f + NCPoly(t, {w: Fraction(1) for w in product((0, 1), repeat=3)})
+    f = NCPoly(t, {"".join(w): Fraction(rng.randint(-3, 3)) for w in product("\0\1", repeat=5)})
+    f = f + NCPoly(t, {"".join(w): Fraction(1) for w in product("\0\1", repeat=3)})
     expected = hadamard_bruteforce(f, abp_eval(g))
     assert len(expected.terms) > 16
     assert apply_abp_reduction(r, f) == expected
@@ -575,7 +575,7 @@ def test_hadamard_rejects_inhomogeneous_abp():
     t = xy()
     g = Abp(t, [1, 1], [[(0, 0, Fraction(1), "\x00"), (0, 0, Fraction(1), "")]])
     with pytest.raises(ValueError):
-        hadamard_via_matrices(NCPoly.variable(t, "x0"), g)
+        hadamard_via_matrices(NCPoly.monomial(t, t.word("x0")), g)
 
 
 # -- interchange formats ---------------------------------------------------------
@@ -609,10 +609,11 @@ def substitutions(draw):
     else:
         nums = st.integers(-30, 30).filter(bool)
         scalars = st.builds(Fraction, nums, st.integers(1, 9))
-    words = st.lists(st.integers(0, len(outputs) - 1), max_size=3) if len(outputs) else st.just([])
+    letters = st.integers(0, len(outputs) - 1).map(chr)
+    words = st.lists(letters, max_size=3).map("".join) if len(outputs) else st.just("")
     cell = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
     entries = {
-        vid: draw(st.dictionaries(cell, st.tuples(scalars, words.map(tuple)), max_size=6))
+        vid: draw(st.dictionaries(cell, st.tuples(scalars, words), max_size=6))
         for vid in range(len(inputs))
     }
     return MatrixSubstitution(inputs, outputs, dim, entries)

@@ -182,7 +182,7 @@ def test_state_budget_is_checked_before_any_product(monkeypatch):
 
 def test_abp_eval_checks_the_term_budget_edge_by_edge():
     t = VarTable(["x0"])
-    x0 = (0,)
+    x0 = t.word("x0")
     fan = Abp(t, [1, 10, 1], [[(0, v, 1, x0) for v in range(10)], [(v, 0, 1, x0) for v in range(10)]])
     with using_budget(Budget(terms=3)), pytest.raises(TermBudgetError, match="layer 1 holds 4 terms"):
         abp_eval(fan)
@@ -190,11 +190,11 @@ def test_abp_eval_checks_the_term_budget_edge_by_edge():
 
 def test_termwise_apply_checks_the_term_budget():
     t, out = VarTable(["x0", "x1"]), VarTable(["a", "b"])
-    a, b = (0,), (1,)
+    a, b = out.word("a"), out.word("b")
     # two cells in every row: each letter doubles the terms of the row vector
     doubling = {(0, 0): (1, a), (0, 1): (1, b), (1, 0): (1, b), (1, 1): (1, a)}
     sub = MatrixSubstitution(t, out, 2, {0: doubling, 1: doubling})
-    x0_cubed = NCPoly(t, {(0, 0, 0): 1})
+    x0_cubed = NCPoly(t, {t.word("x0", "x0", "x0"): 1})
     with using_budget(Budget(terms=5)):
         with pytest.raises(TermBudgetError, match="termwise apply holds 8 terms"):
             sub.evaluate(x0_cubed)
@@ -202,7 +202,7 @@ def test_termwise_apply_checks_the_term_budget():
         assert len(sub.evaluate(x0_cubed).terms) == 4
     # one cell per row: the row vectors keep one term, and the result grows
     renaming = MatrixSubstitution(t, out, 1, {0: {(0, 0): (1, a)}, 1: {(0, 0): (1, b)}})
-    squares = NCPoly(t, {w: 1 for w in ((0, 0), (0, 1), (1, 0), (1, 1))})
+    squares = NCPoly(t, {w: 1 for w in ("\0\0", "\0\1", "\1\0", "\1\1")})
     with using_budget(Budget(terms=3)):
         with pytest.raises(TermBudgetError, match="termwise apply holds 4 terms"):
             renaming.evaluate(squares)

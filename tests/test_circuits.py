@@ -76,7 +76,7 @@ def test_expand_mul_order():
 def test_expand_square_matches_poly_mul():
     t = t3()
     c = Circuit(t, [Input(0), Input(1), Add(0, 1), Mul(2, 2)], 3)
-    s = NCPoly.variable(t, "x1") + NCPoly.variable(t, "x2")
+    s = NCPoly(t, {t.word("x1"): 1, t.word("x2"): 1})
     assert expand(c) == s * s
     assert len(expand(c).terms) == 4
 

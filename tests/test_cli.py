@@ -389,6 +389,17 @@ def test_short_chi_table_for_a_large_n_is_refused_without_enumerating(tmp_path, 
     assert _one_error_line(err) and "misses 479001599 permutations" in err
 
 
+def test_a_repeated_chi_permutation_exits_2(tmp_path, capsys):
+    # a repeat must not replace the earlier value: this table printed
+    # 7 x1_1 x2_2
+    chi = tmp_path / "chi.txt"
+    for second in ("1 2 -> 7", "1 2 -> 3"):
+        chi.write_text(f"1 2 -> 3\n2 1 -> 1\n{second}\n")
+        code, out, err = run(capsys, "family", f"perchi:n=2,chi={chi}")
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "repeats the permutation 1 2" in err
+
+
 def test_bad_coefficient_literal_exits_2(tmp_path, capsys):
     red = tmp_path / "r.txt"
     assert run(capsys, "reduce", "pal-d2", "n=1", "--out", str(red))[0] == 0
@@ -560,6 +571,22 @@ def test_hadamard_abp_edge_gap_out_of_range_exits_2(tmp_path, capsys):
     assert _one_error_line(err)
 
 
+def test_a_second_layers_line_exits_2(tmp_path, capsys):
+    # a second layers line must not replace the first: hadamard read the
+    # last one and exited 0
+    circ, abp = tmp_path / "c.txt", tmp_path / "g.txt"
+    circ.write_text("g0 input x0\ng1 input x1\ng2 add g0 g1\ng3 mul g2 g2\noutput g3\n")
+    program = "layers 0:1 1:2 2:1\nedge 0 0 0 1 x0\nedge 0 0 1 1 x1\nedge 1 0 0 1 x0\nedge 1 1 0 1 x1\n"
+    argv = ("hadamard", "--circuit", str(circ), "--abp", str(abp))
+    abp.write_text(program)
+    assert run(capsys, *argv) == (0, "1 x0 x0\n1 x1 x1\n", "")
+    for extra in ("layers 0:1 1:2 2:1", "layers 0:1 1:3 2:1"):
+        abp.write_text(program + extra + "\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "second layers line" in err
+
+
 def test_verify_short_entry_line_exits_2(tmp_path, capsys):
     red = tmp_path / "r.txt"
     assert run(capsys, "reduce", "pal-d2", "n=1", "--out", str(red))[0] == 0
@@ -629,6 +656,21 @@ def test_a_second_dim_line_exits_2(tmp_path, capsys):
     for extra in ("dim 3", "dim 4"):
         bad = text.replace("\ndim 3\n", f"\ndim 3\n{extra}\n", 1)
         _refused(capsys, red, bad, ["verify", str(red)])
+
+
+@pytest.mark.parametrize("dim", [0, -5])
+def test_a_dim_below_one_exits_2_on_both_routes(tmp_path, capsys, dim):
+    # id has no grammar record, so verify applies the substitution termwise
+    # and reported a mismatch (exit 1); the Dyck target took the grammar
+    # route and failed on a negative shift count
+    red = tmp_path / "r.txt"
+    for target, inputs in (("id:n=1", "x0 x1"), ("dyck:k=2,d=2", "(1 )1 (2 )2")):
+        text = (
+            f"reduction abp\nsource pal:n=1\ntarget {target}\nsubstitution\n"
+            f"dim {dim}\ninput-vars {inputs}\noutput-vars x0 x1\n"
+        )
+        _refused(capsys, red, text, ["verify", str(red)])
+        assert f"dim {dim} " in run(capsys, "verify", str(red))[2]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
-"""Structural checks: src/ holds only what the program reaches, the
-oracles in tests/oracles.py stay apart from the engines they check, and
-importing the program generates no code and defers no import."""
+"""Structural checks: src/ holds only what the program reaches, down to
+each class member, the oracles in tests/oracles.py stay apart from the
+engines they check, and importing the program generates no code and
+defers no import."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ncpoly"
@@ -20,6 +22,12 @@ BLOCKED = {
     "transfer": "waits for a VNP-separation command",
     "commutative_version": "waits for a VNP-separation command",
     "set_multilinear_rank1_split": "waits for a VNP-separation command",
+}
+
+# Methods and properties of src classes that no src code reads, each with
+# the reason it stays.
+MEMBERS_BLOCKED = {
+    ("_ArgumentParser", "error"): "argparse calls it on a bad command line",
 }
 
 # What the oracles may import from ncpoly: data types, and expand, the
@@ -65,6 +73,42 @@ def test_every_top_level_name_in_src_has_a_caller_or_a_reason():
     assert not unreferenced - BLOCKED.keys(), "move test-only code out of src/"
     # a blocked name that gained a caller leaves the list
     assert not BLOCKED.keys() - unreferenced
+
+
+def unreferenced_members() -> set:
+    """(class, name) for each non-dunder method or property of a src class
+    whose name no attribute read in src/ names outside its own body.
+
+    Members are matched by name alone, so one that shares its name with an
+    attribute read elsewhere (str.format, dict.get) counts as read."""
+    members = {}
+    reads = Counter()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] += 1
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    if member.name.startswith("__") and member.name.endswith("__"):
+                        continue
+                    members.setdefault((node.name, member.name), []).append(member)
+    unreferenced = set()
+    for (cls, name), defs in members.items():
+        # a member's own body (recursion, a property's setter) is no caller
+        own = sum(
+            isinstance(sub, ast.Attribute) and sub.attr == name for d in defs for sub in ast.walk(d)
+        )
+        if reads[name] == own:
+            unreferenced.add((cls, name))
+    return unreferenced
+
+
+def test_every_method_and_property_in_src_has_a_caller_or_a_reason():
+    unreferenced = unreferenced_members()
+    assert not unreferenced - MEMBERS_BLOCKED.keys(), "move test-only members out of src/"
+    assert not MEMBERS_BLOCKED.keys() - unreferenced
 
 
 def test_oracles_import_only_data_types_from_ncpoly():

@@ -5,12 +5,15 @@ An ABP is a layered DAG with one source and one sink whose edges are
 constant; it computes the sum over source-to-sink paths of the ordered
 product of the cells.  Size is the vertex count.  The module also
 builds the coefficient ("Hankel") block of a homogeneous polynomial at a
-cut and its exact rank, which lower-bounds the width of any ABP layer at
-that cut.  abp_hankel_rank finds the same ranks from an ABP without
-expanding it: forward and backward span bases, built layer by layer, hold
-at most the layer's width of vectors; one pass each way serves all cuts.
-Two ABP constructions feed it: the stack-in-state ABP for Dyck words of
-bounded nesting depth and Nisan's subset ABP for the permanent.
+cut, in one pass over its terms, and its exact rank, which lower-bounds
+the width of any ABP layer at that cut; the block's rows are built for
+the rank alone, so they go to elimination uncopied.  abp_hankel_rank
+finds the same ranks from an ABP without expanding it: forward and
+backward span bases, built layer by layer, hold at most the layer's
+width of vectors; one pass each way serves all cuts, and a cell of
+coefficient one adds instead of multiplying.  Two ABP constructions feed
+it: the stack-in-state ABP for Dyck words of bounded nesting depth and
+Nisan's subset ABP for the permanent.
 """
 
 from functools import cache
@@ -124,41 +127,71 @@ class HankelBlock(NamedTuple):
     matrix: tuple  # one sparse row per prefix: {column index: coefficient}
 
 
+_INHOMOGENEOUS = "Hankel blocks are defined for homogeneous polynomials"
+
+
 def hankel_block(f: NCPoly, cut: int) -> HankelBlock:
     """Build the coefficient block of a homogeneous polynomial at a cut.
 
-    One pass over the terms files each coefficient under its prefix's row
-    and its suffix's column.  Rows and columns are restricted to the
-    prefixes and suffixes that occur in the support; that drops only
-    all-zero rows and columns, so the rank is unchanged.  Each row stores
-    only its nonzero entries.
+    The degree is read from the first term; one pass over the terms then
+    checks that each has that degree and files its coefficient under its
+    prefix's row and its suffix's column.  Rows and columns are restricted
+    to the prefixes and suffixes that occur in the support; that drops
+    only all-zero rows and columns, so the rank is unchanged.  Each row is
+    a fresh dict of the row's nonzero entries, which no one else holds.
     """
-    if not f.is_homogeneous():
-        raise ValueError("Hankel blocks are defined for homogeneous polynomials")
-    d = f.degree()
-    if d < 0:
+    terms = f.terms
+    if not terms:
         return HankelBlock(cut, (), (), ())
+    d = len(next(iter(terms)))
     if not 0 <= cut <= d:
+        if not f.is_homogeneous():  # the homogeneity error comes first
+            raise ValueError(_INHOMOGENEOUS)
         raise ValueError(f"cut {cut} outside 0..{d}")
     rows: dict = {}
     cols: dict = {}
-    for w, c in f.terms.items():
-        row = rows.setdefault(w[:cut], {})
-        row[cols.setdefault(w[cut:], len(cols))] = c
+    for w, c in terms.items():
+        if len(w) != d:
+            raise ValueError(_INHOMOGENEOUS)
+        v = w[cut:]
+        j = cols.get(v)
+        if j is None:
+            j = cols[v] = len(cols)
+        u = w[:cut]
+        row = rows.get(u)
+        if row is None:
+            rows[u] = {j: c}
+        else:
+            row[j] = c
     return HankelBlock(cut, tuple(rows), tuple(cols), tuple(rows.values()))
 
 
 def hankel_rank(f: NCPoly, cut: int) -> int:
-    return exact_rank(hankel_block(f, cut).matrix, f.table.field)
+    """The rank of hankel_block(f, cut).
+
+    The block's rows are fresh dicts of nonzero entries, so they go to
+    eliminate as they are, without the copy exact_rank makes of rows a
+    caller may still hold; eliminate consumes them, and the block is
+    dropped with them.
+    """
+    field = f.table.field
+    pivots: dict = {}
+    for row in hankel_block(f, cut).matrix:
+        eliminate(pivots, row, field)
+    return len(pivots)
 
 
 def _span(steps, field):
     """Bases of the span of the images of vertex 0's unit vector under the
     words of steps: the unit vector itself, then one basis after each step.
 
-    Each step maps a vertex to its (vertex, coefficient, word) cells.  The
-    basis after a step holds, row-reduced by eliminate, the images of the
-    previous basis under each word separately.
+    Each step maps a vertex to its (vertex, coefficient, word) cells, the
+    coefficient None where it is one, so that such a cell adds the
+    vertex's entry instead of multiplying it by one.  The basis after a
+    step holds, row-reduced by eliminate, the images of the previous basis
+    under each word separately.  An image is a fresh dict that only a sum
+    can bring to zero; such an entry is dropped where the sum is taken,
+    so each image goes to eliminate as it was built.
     """
     basis = [{0: field.one}]
     yield basis
@@ -168,11 +201,22 @@ def _span(steps, field):
             images: dict = {}
             for u, a in b.items():
                 for v, c, word in step.get(u, ()):
-                    image = images.setdefault(word, {})
+                    y = a if c is None else a * c
+                    image = images.get(word)
+                    if image is None:
+                        images[word] = {v: y}
+                        continue
                     x = image.get(v)
-                    image[v] = a * c if x is None else x + a * c
+                    if x is None:
+                        image[v] = y
+                    else:
+                        x += y
+                        if x == 0:
+                            del image[v]
+                        else:
+                            image[v] = x
             for image in images.values():
-                eliminate(pivots, {v: x for v, x in image.items() if x != 0}, field)
+                eliminate(pivots, image, field)
         basis = list(pivots.values())
         yield basis
 
@@ -204,13 +248,20 @@ def abp_hankel_rank(p: Abp, cuts: list) -> list:
     ranks = dict.fromkeys(cuts)
     top, bottom = max(cuts, default=0), min(cuts, default=p.degree)
 
+    one = field.one
+
     def steps(gaps, backward):
         for gap in gaps:
             step: dict = {}
-            for u, v, *cell in p.edges[gap]:
+            for u, v, c, word in p.edges[gap]:
                 if backward:
                     u, v = v, u
-                step.setdefault(u, []).append((v, *cell))
+                cell = (v, None if c == one else c, word)
+                cells = step.get(u)
+                if cells is None:
+                    step[u] = [cell]
+                else:
+                    cells.append(cell)
             yield step
 
     forward = _span(steps(range(top), False), field)

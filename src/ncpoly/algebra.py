@@ -62,25 +62,61 @@ class VarNameError(ValueError):
     """A variable name that the text formats cannot write and read back."""
 
 
+# A count is multiplied out in full up to at least this size, so a refusal
+# names the exact count of any instance short of astronomically large.
+EXACT_COUNT = 2**63
+
+
+def capped_product(factors: Iterable[int], cap: int) -> tuple[int, bool]:
+    """Multiply factors, each at least one, in order until the product
+    passes cap.  Returns (product, whole): whole is False when factors
+    were left, and the product is then a lower bound of the full one,
+    which is never computed, so a count such as k**n or n! for n in the
+    billions costs a few dozen multiplications."""
+    product = 1
+    factors = iter(factors)
+    for x in factors:
+        product *= x
+        if product > cap:
+            return product, next(factors, None) is None
+    return product, True
+
+
 class Budget(NamedTuple):
     """The largest term count and state count a construction may reach.
 
     check_terms and check_states are the only code that raises
-    TermBudgetError and StateBudgetError.
+    TermBudgetError and StateBudgetError.  A count that may be too large
+    to compute, a power or a factorial, is given to check_term_product or
+    check_state_product as its factors, which capped_product multiplies
+    only until they pass both the budget and EXACT_COUNT; a refusal of a
+    count cut short says "at least".
     """
 
     terms: int = 10**6
     states: int = 10**5
 
-    def check_terms(self, count: int, what: str) -> None:
+    def check_terms(self, count: int, what: str, whole: bool = True) -> None:
         if count > self.terms:
+            at_least = "" if whole else "at least "
             raise TermBudgetError(
-                f"{what} holds {count} terms, over the budget of {self.terms} terms"
+                f"{what} holds {at_least}{count} terms, over the budget of {self.terms} terms"
             )
 
-    def check_states(self, count: int) -> None:
+    def check_states(self, count: int, whole: bool = True) -> None:
         if count > self.states:
-            raise StateBudgetError(f"state budget {self.states} exceeded: {count} states")
+            at_least = "" if whole else "at least "
+            raise StateBudgetError(
+                f"state budget {self.states} exceeded: {at_least}{count} states"
+            )
+
+    def check_term_product(self, factors: Iterable[int], what: str) -> None:
+        count, whole = capped_product(factors, max(self.terms, EXACT_COUNT))
+        self.check_terms(count, what, whole)
+
+    def check_state_product(self, factors: Iterable[int]) -> None:
+        count, whole = capped_product(factors, max(self.states, EXACT_COUNT))
+        self.check_states(count, whole)
 
 
 _BUDGET: ContextVar[Budget] = ContextVar("ncpoly_budget", default=Budget())

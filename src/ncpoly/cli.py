@@ -17,6 +17,7 @@ does not change, so a call that fails leaves it as it was.
 
 import argparse
 import os
+import shutil
 import sys
 import tempfile
 from functools import cache, partial
@@ -29,6 +30,7 @@ from .algebra import (
     StateBudgetError,
     TermBudgetError,
     VarTable,
+    budget,
     format_poly,
     parse_poly,
     using_budget,
@@ -61,12 +63,25 @@ class UsageError(ValueError):
     pass
 
 
+@cache
+def _help_width() -> int:
+    """The width argparse wraps help to, as its HelpFormatter computes it
+    when given none: the terminal's columns less two, read once per process."""
+    return shutil.get_terminal_size().columns - 2
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises a bad command line as a UsageError instead of printing usage
-    and exiting; add_subparsers gives every subcommand the same class."""
+    and exiting, and hands every help formatter the width read once, where
+    argparse reads the terminal again for each one (add_argument makes
+    one per argument); add_subparsers gives every subcommand the same
+    class."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=_help_width())
 
 
 def _write_text(text: str, handle: TextIO) -> None:
@@ -155,11 +170,11 @@ def _build_reduction(kind: str, params: Params, field: Field):
     if kind == "hier-iproj":
         i, n = params.num("i"), params.num("n")
         params.finish()
-        m = hierarchy_iproj(i, n, field)
         target = make_family(f"hier:i={i + 1},n={n}", field)
-        r = iproj_to_abp(
-            m, target.meta["degree"], source=f"hier:i={i},n={n}", target=target.spec_string
-        )
+        degree = target.meta["degree"]
+        budget().check_states(degree + 1)  # the chain's states, before the map is built
+        m = hierarchy_iproj(i, n, field)
+        r = iproj_to_abp(m, degree, source=f"hier:i={i},n={n}", target=target.spec_string)
         r.kind = "hier-iproj"
         return r, None
     if kind == "vbp-trivial":
@@ -209,18 +224,19 @@ def cmd_verify(args, field: Field) -> int:
 
 def cmd_rank(args, field: Field) -> int:
     """A family with an ABP builder (meta["abp"]) is ranked from span
-    bases of its ABP; every other family is expanded."""
+    bases of its ABP; every other family is expanded, and each distinct
+    cut is ranked once."""
     inst = make_family(args.spec, field)
     build_abp = inst.meta.get("abp")
+    cuts = list(dict.fromkeys(args.cut))
     if build_abp is not None:
-        ranks = abp_hankel_rank(build_abp(), args.cut)
+        ranks = abp_hankel_rank(build_abp(), cuts)
     else:
         poly = inst.poly
-        if not poly.is_homogeneous():
-            raise UsageError("Hankel ranks need a homogeneous family")
-        ranks = [hankel_rank(poly, cut) for cut in args.cut]
+        ranks = [hankel_rank(poly, cut) for cut in cuts]
+    rank_at = dict(zip(cuts, ranks))
     line = "cut={} rank={}" if args.fmt == "structured" else "{} {}"
-    lines = [line.format(cut, rank) for cut, rank in zip(args.cut, ranks)]
+    lines = [line.format(cut, rank_at[cut]) for cut in args.cut]
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
 

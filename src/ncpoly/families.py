@@ -24,12 +24,11 @@ meta["abp"], from which `rank` reads Hankel ranks without expanding them.
 
 import itertools
 from collections.abc import Iterator
-from math import factorial, prod
 from operator import getitem
 from pathlib import Path
 
 from .abp import Abp, bounded_depth_dyck_abp, dyck_pairs, dyck_table, permanent_abp
-from .algebra import NCPoly, VarTable, budget
+from .algebra import EXACT_COUNT, NCPoly, VarTable, budget, capped_product
 from .fields import QQ, Field
 
 
@@ -46,12 +45,15 @@ def _first_return_rows(half: int, depth_cap: int | None, empty, zero, join):
     levels[d] lists the rows of depth d; join(inner, same, m) builds row m
     from the rows of levels d-1 and d.  Rows with m <= d hold no deeper
     words, so level d starts as a copy of level d-1 at m = d, and stops
-    growing once the top level no longer reads it.
+    growing once the top level no longer reads it.  Depth 0 holds only the
+    empty word; its zero rows are added one per half-length as the rows
+    are read, so a caller that stops early never sizes a list by half.
     """
     cap = half if depth_cap is None else max(0, min(depth_cap, half))
-    levels = [[empty] + [zero] * (half - cap)]  # depth 0: only the empty word
+    levels = [[empty]]
     yield empty
     for m in range(1, half + 1):
+        levels[0].append(zero)
         if len(levels) <= min(m, cap):
             levels.append(levels[-1][:m])
         for d in range(max(1, cap - half + m), len(levels)):
@@ -97,19 +99,32 @@ def _balanced_words(pairs, length: int, depth_cap: int | None = None):
 
 
 class FamilyInstance:
-    """A realized (or lazily realizable) member of a named family."""
+    """A realized (or lazily realizable) member of a named family.
 
-    __slots__ = ("name", "params", "table", "meta", "_poly", "_builder", "_stream")
+    table is a VarTable, or a function that builds it at the first read of
+    the table property: a family whose table grows with its size (n^2
+    variables for the permutation families) reads it only after its
+    route's budget check, so an oversized instance is refused before any
+    of its variables is named.
+    """
 
-    def __init__(self, name: str, params: dict, table: VarTable, meta: dict | None = None,
+    __slots__ = ("name", "params", "_table", "meta", "_poly", "_builder", "_stream")
+
+    def __init__(self, name: str, params: dict, table, meta: dict | None = None,
                  _poly: NCPoly | None = None, _builder=None, _stream=None):
         self.name = name
         self.params = params
-        self.table = table
+        self._table = table
         self.meta = {} if meta is None else meta
         self._poly = _poly
         self._builder = _builder
         self._stream = _stream
+
+    @property
+    def table(self) -> VarTable:
+        if not isinstance(self._table, VarTable):
+            self._table = self._table()
+        return self._table
 
     @property
     def poly(self) -> NCPoly:
@@ -144,13 +159,16 @@ class FamilyInstance:
 
 def _instance(name, params, table, builder=None, stream=None, **meta):
     """An instance realized by builder, or by filing the pairs of stream,
-    a function that checks the term count and returns their iterator."""
+    a function that checks the term count and returns their iterator;
+    table is a VarTable or a function that builds it (FamilyInstance)."""
     if builder is None:
 
         def builder():
-            return _poly(table, stream())
+            pairs = stream()  # checks the count before the table is read
+            return _poly(inst.table, pairs)
 
-    return FamilyInstance(name, params, table, meta=dict(meta), _builder=builder, _stream=stream)
+    inst = FamilyInstance(name, params, table, meta=dict(meta), _builder=builder, _stream=stream)
+    return inst
 
 
 def _poly(table: VarTable, terms) -> NCPoly:
@@ -214,7 +232,7 @@ def gen_pal(n: int, k: int = 2, field: Field = QQ) -> FamilyInstance:
     letters = list(range(k))
 
     def build():
-        budget().check_terms(k**n, "family pal")
+        budget().check_term_product(itertools.repeat(k, n), "family pal")
         halves = map("".join, itertools.product(map(chr, letters), repeat=n))
         words = (w + w[::-1] for w in halves)
         return _poly(table, _ones(table, words))
@@ -229,50 +247,57 @@ def gen_pal_sq(n: int, field: Field = QQ) -> FamilyInstance:
     base = gen_pal(n, 2, field)
 
     def build():
-        budget().check_terms(4**n, "family palsq")
+        budget().check_term_product(itertools.repeat(4, n), "family palsq")
         return base.poly * base.poly
 
     return _instance("palsq", {"n": n}, base.table, build, letters=base.meta["letters"])
 
 
-def _choice_family(name, n, table, choices, power) -> FamilyInstance:
-    """The sum over c_i in choices(i), i = 1..n, of (c_1 ... c_n)^power,
-    coefficient 1; choices(i) names the variables allowed at position i.
+def _choice_family(name, n, table, width, letter, power) -> FamilyInstance:
+    """The sum over c_i in {letter(i, 0), ..., letter(i, width - 1)},
+    i = 1..n, of (c_1 ... c_n)^power, coefficient 1; letter(i, b) names a
+    variable of table, a VarTable or a function that builds it.
 
-    The words are streamed in sorted order: each position's letters
-    ascend, so the product runs through the words lexicographically.  For
-    power 1 the sum is a product of sums of letters, a width-1 ABP in
-    meta["abp"].
+    The width^n term count, or for power 1 the n + 1 states of the
+    width-1 ABP (a product of sums of letters) in meta["abp"], is checked
+    before the table or any position's letters are built.  The words are
+    streamed in sorted order: each position's letters ascend, so the
+    product runs through the words lexicographically.
     """
     if n < 1:
         raise ValueError("need n >= 1")
 
     def slots():
-        return [sorted(table.word(v) for v in choices(i)) for i in range(1, n + 1)]
+        return [
+            sorted(inst.table.word(letter(i, b)) for b in range(width)) for i in range(1, n + 1)
+        ]
 
     def stream():
-        letters = slots()
-        budget().check_terms(prod(map(len, letters)), f"family {name}")
-        return _ones(table, ("".join(w) * power for w in itertools.product(*letters)))
+        budget().check_term_product(itertools.repeat(width, n), f"family {name}")
+        return _ones(inst.table, ("".join(w) * power for w in itertools.product(*slots())))
 
     def build_abp():
         budget().check_states(n + 1)
-        one = table.field.one
-        return Abp(table, [1] * (n + 1), [[(0, 0, one, v) for v in vs] for vs in slots()])
+        one = inst.table.field.one
+        return Abp(inst.table, [1] * (n + 1), [[(0, 0, one, v) for v in vs] for vs in slots()])
 
     meta = {"abp": build_abp} if power == 1 else {}
-    return _instance(name, {"n": n}, table, stream=stream, **meta)
+    inst = _instance(name, {"n": n}, table, stream=stream, **meta)
+    return inst
 
 
 def gen_id(n: int, field: Field = QQ) -> FamilyInstance:
     """Words repeated twice: sum of w.w over the two-letter alphabet."""
-    return _choice_family("id", n, pal_table(2, field), lambda i: ("x0", "x1"), 2)
+    return _choice_family("id", n, pal_table(2, field), 2, lambda i, b: f"x{b}", 2)
 
 
 def gen_id_prime(n: int, field: Field = QQ) -> FamilyInstance:
     """Position-indexed repeated words: z1..zn z1..zn with zi in {x0_i, x1_i}."""
-    table = VarTable([f"x{b}_{i}" for i in range(1, n + 1) for b in (0, 1)], field)
-    return _choice_family("idprime", n, table, lambda i: (f"x0_{i}", f"x1_{i}"), 2)
+
+    def table():
+        return VarTable([f"x{b}_{i}" for i in range(1, n + 1) for b in (0, 1)], field)
+
+    return _choice_family("idprime", n, table, 2, lambda i, b: f"x{b}_{i}", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +317,14 @@ class ChiTable:
         self.n = n
         self.values = values
         # checked key by key, so a short table for a large n is refused
-        # without enumerating the n! permutations
-        identity = tuple(range(1, n + 1))
-        extra = [s for s in values if tuple(sorted(s)) != identity]
-        missing = factorial(n) - (len(values) - len(extra))
-        if missing:
-            raise ValueError(f"chi table misses {missing} permutations")
+        # without enumerating the n! permutations, and n! is multiplied
+        # out only up to EXACT_COUNT
+        extra = [s for s in values if len(s) != n or sorted(s) != list(range(1, n + 1))]
+        found = len(values) - len(extra)
+        count, whole = capped_product(range(2, n + 1), EXACT_COUNT)
+        if count > found:
+            more = "" if whole else "at least "
+            raise ValueError(f"chi table misses {more}{count - found} permutations")
         if extra:
             raise ValueError(f"chi table has non-permutation keys: {sorted(extra)[:3]}")
         for sigma, v in values.items():
@@ -320,12 +347,6 @@ class ChiTable:
             values[sigma] = field.parse(rhs.strip())
         return cls(n, values)
 
-    def format(self, field: Field = QQ) -> str:
-        lines = []
-        for sigma in sorted(self.values):
-            lines.append(" ".join(map(str, sigma)) + " -> " + field.format(self.values[sigma]))
-        return "\n".join(lines) + "\n"
-
 
 def _perm_family(name, n, chi, power, field) -> FamilyInstance:
     """The sum over permutations s of [n] of chi(s) (x_{1,s(1)} ... x_{n,s(n)})^power;
@@ -336,10 +357,10 @@ def _perm_family(name, n, chi, power, field) -> FamilyInstance:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    table = per_table(n, field)
 
     def stream():
-        budget().check_terms(factorial(n), f"family {name}")
+        budget().check_term_product(range(2, n + 1), f"family {name}")
+        table = inst.table
         # rows[i-1][j] is the letter of x{i}_{j}, so map(getitem, rows, s) spells s's word
         cols = range(1, n + 1)
         rows = [{j: table.word(f"x{i}_{j}") for j in cols} for i in cols]
@@ -348,13 +369,20 @@ def _perm_family(name, n, chi, power, field) -> FamilyInstance:
             return _ones(table, words)
         return zip(words, map(chi.values.__getitem__, itertools.permutations(cols)))
 
-    return _instance(name, {"n": n}, table, stream=stream)
+    inst = _instance(name, {"n": n}, lambda: per_table(n, field), stream=stream)
+    return inst
 
 
 def gen_per(n: int, field: Field = QQ) -> FamilyInstance:
-    """Permutation words x_{1,s(1)} ... x_{n,s(n)}, coefficient 1."""
+    """Permutation words x_{1,s(1)} ... x_{n,s(n)}, coefficient 1; its
+    ABP's 2^n states are checked before the table is built."""
     inst = _perm_family("per", n, None, 1, field)
-    inst.meta["abp"] = lambda: permanent_abp(n, inst.table)
+
+    def build_abp():
+        budget().check_state_product(itertools.repeat(2, n))
+        return permanent_abp(n, inst.table)
+
+    inst.meta["abp"] = build_abp
     return inst
 
 
@@ -376,8 +404,7 @@ def gen_per_star_chi(n: int, chi: ChiTable, field: Field = QQ) -> FamilyInstance
 def gen_id_star(n: int, field: Field = QQ) -> FamilyInstance:
     """Each word x_{1,i1}..x_{n,in} (all index choices) repeated n^2 times."""
     return _choice_family(
-        "idstar", n, per_table(n, field), lambda i: [f"x{i}_{j}" for j in range(1, n + 1)],
-        n * n,
+        "idstar", n, lambda: per_table(n, field), n, lambda i, b: f"x{i}_{b + 1}", n * n
     )
 
 
@@ -439,8 +466,9 @@ def sums_table(n: int, field: Field = QQ) -> VarTable:
 
 def gen_product_of_sums(n: int, field: Field = QQ) -> FamilyInstance:
     """(x1+y1)(x2+y2)...(xn+yn): 2^n monomials."""
-    table = sums_table(n, field)
-    return _choice_family("prodsums", n, table, lambda i: (f"x{i}", f"y{i}"), 1)
+    return _choice_family(
+        "prodsums", n, lambda: sums_table(n, field), 2, lambda i, b: f"{'xy'[b]}{i}", 1
+    )
 
 
 def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
@@ -451,36 +479,35 @@ def gen_two_chains(n: int, field: Field = QQ) -> FamilyInstance:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    table = sums_table(n, field)
-    chains = [table.word(*(f"{x}{i}" for i in range(1, n + 1))) for x in "xy"]
+
+    def chains():
+        return [inst.table.word(*(f"{x}{i}" for i in range(1, n + 1))) for x in "xy"]
 
     def build():
         budget().check_terms(2, "family twochains")
-        return _poly(table, _ones(table, chains))
+        return _poly(inst.table, _ones(inst.table, chains()))
 
     def build_abp():
         budget().check_states(2 * n)
-        one = table.field.one
+        one = field.one
 
         def vertex(layer, b):  # chain b's vertex, the source and sink shared
             return 0 if layer in (0, n) else b
 
+        words = chains()
         edges = [
-            [
-                (vertex(i, b), vertex(i + 1, b), one, chain[i])
-                for b, chain in enumerate(chains)
-            ]
+            [(vertex(i, b), vertex(i + 1, b), one, chain[i]) for b, chain in enumerate(words)]
             for i in range(n)
         ]
-        return Abp(table, [1] + [2] * (n - 1) + [1], edges)
+        return Abp(inst.table, [1] + [2] * (n - 1) + [1], edges)
 
-    return _instance("twochains", {"n": n}, table, build, abp=build_abp)
+    inst = _instance("twochains", {"n": n}, lambda: sums_table(n, field), build, abp=build_abp)
+    return inst
 
 
 def gen_power_of_sum(n: int, field: Field = QQ) -> FamilyInstance:
     """(z0+z1)^n over two letters: the indexed-projection separation target."""
-    table = VarTable(["z0", "z1"], field)
-    return _choice_family("powsum", n, table, lambda i: ("z0", "z1"), 1)
+    return _choice_family("powsum", n, VarTable(["z0", "z1"], field), 2, lambda i, b: f"z{b}", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,10 @@ def _inside_sum(
     on Python's recursion limit.  The result takes over the root key's
     dict at the accept state, so the call ends holding it once.
     """
-    limit = budget().terms
+    limits = budget()
+    # the Boolean pass keeps one entry per target length in its tables
+    limits.check_terms(2 * half + 1, f"the inside sum's table of target lengths up to {2 * half}")
+    limit = limits.terms
     one = sub.input_table.field.one
     accept = sub.dim - 1
     opens = _opener_cells(sub, pairs)

@@ -30,6 +30,7 @@ def _mirror_chain(n: int, blocks: int, source: FamilyInstance, kind: str, field:
     placement is dead.  Balance forces the mirror structure.  The indexed
     projection is compiled by iproj_to_abp."""
     d = 2 * n * blocks
+    budget().check_states(d + 1)  # the chain's states, before any position is mapped
     target = gen_dyck(2, d, field)
     (o1, c1), (o2, c2) = target.meta["pairs"]
     x0, x1 = source.table.var("x0"), source.table.var("x1")

@@ -2,7 +2,7 @@
 
 import itertools
 
-from ..algebra import NCPoly, Var, exact_rank
+from ..algebra import NCPoly, Var, budget, exact_rank
 from ..automata import SubstAutomaton, automaton_to_substitution
 from ..families import (
     ChiTable,
@@ -28,6 +28,9 @@ def per_to_idstar_reduction(n: int, field: Field = QQ) -> AbpReduction:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    # each of the n^2 blocks has a state at each of its n positions, and
+    # the accept state follows: charged before any table is built
+    budget().check_states(n**3 + 1)
     source = gen_per(n, field)
     target = gen_id_star(n, field)
     a = SubstAutomaton(target.table, source.table)

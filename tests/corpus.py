@@ -39,6 +39,15 @@ def constant_chi(n: int) -> ChiTable:
     return ChiTable(n, dict.fromkeys(itertools.permutations(range(1, n + 1)), 1))
 
 
+def format_chi(chi: ChiTable, field: Field = QQ) -> str:
+    """The chi file text that ChiTable.parse reads: one `s(1) ... s(n) -> value`
+    line per permutation, in sorted order."""
+    lines = []
+    for sigma in sorted(chi.values):
+        lines.append(" ".join(map(str, sigma)) + " -> " + field.format(chi.values[sigma]))
+    return "\n".join(lines) + "\n"
+
+
 def identity_reduction(table: VarTable, d: int, source="", target="") -> AbpReduction:
     """Chain of d+1 states mapping every variable to itself."""
     m = ProjMap(table, table, {v.id: v for v in table.vars()})

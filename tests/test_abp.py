@@ -16,13 +16,15 @@ from ncpoly.abp import (
     dyck_pairs,
     dyck_table,
     format_abp,
+    hankel_block,
     hankel_rank,
     parse_abp,
     transition_matrices,
 )
-from ncpoly.algebra import Budget, NCPoly, StateBudgetError, VarTable, using_budget
+from ncpoly.algebra import Budget, NCPoly, StateBudgetError, VarTable, exact_rank, using_budget
 from ncpoly.fields import QQ, PrimeField
 from ncpoly.families import make_family
+from test_algebra import minor_rank
 
 
 def xy():
@@ -251,6 +253,78 @@ def test_hankel_block_rows_are_sparse_first_seen():
     assert block.cols == (t.word("x0"), t.word("x1"))
     assert block.matrix == ({0: 2, 1: 5}, {0: 3})
     assert hankel_rank(f, 1) == 2
+
+
+def block_poly(rng, field):
+    """A random homogeneous polynomial and a cut at which its block has
+    repeated rows (a prefix whose row is a multiple of another's) and
+    cancelling rows (a prefix whose row is a sum of two others, or whose
+    entries cancel another row's); at most five rows and five columns."""
+    t = VarTable(["x0", "x1", "x2"], field=field)
+    cut, tail = rng.randint(1, 2), rng.randint(1, 2)
+
+    def words(length):
+        every = list(map("".join, product("\x00\x01\x02", repeat=length)))
+        return rng.sample(every, min(len(every), 5))
+
+    prefixes, suffixes = words(cut), words(tail)
+
+    def scalar():
+        return field.from_int(rng.choice((-2, -1, 1, 2, 3)))
+
+    rows = []
+    for u in prefixes:
+        if len(rows) < 2 or rng.random() < 0.2:
+            row = {v: scalar() for v in rng.sample(suffixes, rng.randint(1, len(suffixes)))}
+        elif rng.random() < 0.5:
+            c, (_, base) = scalar(), rng.choice(rows)  # a repeat, scaled
+            row = {v: c * x for v, x in base.items()}
+        else:
+            (_, a), (_, b) = rng.sample(rows, 2)  # a sum, or a difference that cancels
+            sign = rng.choice((1, -1))
+            row = {v: a.get(v, field.zero) + sign * b.get(v, field.zero) for v in {*a, *b}}
+        rows.append((u, row))
+    terms: dict = {}
+    for u, row in rows:
+        for v, x in row.items():
+            terms[u + v] = terms.get(u + v, field.zero) + x
+    return NCPoly(t, terms), cut
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "GF2", "GF5"])
+def test_hankel_rank_matches_exact_rank_and_minors_and_keeps_the_polynomial(field):
+    rng = random.Random(1991)
+    dependent = 0
+    for _ in range(120):
+        f, cut = block_poly(rng, field)
+        before = dict(f.terms)
+        rank = hankel_rank(f, cut)
+        prefixes = sorted({w[:cut] for w in f.terms})
+        suffixes = sorted({w[cut:] for w in f.terms})
+        dense = [[f.coeff(u + v) for v in suffixes] for u in prefixes]
+        # a later block is whole: no row that hankel_rank handed over comes back
+        block = hankel_block(f, cut)
+        entries = [{block.cols[j]: x for j, x in row.items()} for row in block.matrix]
+        coeffs = [{v: f.terms[u + v] for v in suffixes if u + v in f.terms} for u in block.rows]
+        assert entries == coeffs
+        assert rank == exact_rank(block.matrix, field)
+        assert rank == (minor_rank(dense) if dense else 0)
+        assert hankel_rank(f, cut) == rank  # the rows eliminate consumed were the block's own
+        assert f.terms == before
+        dependent += rank < len(prefixes)
+    assert dependent > 30  # repeated and cancelling rows occurred
+
+
+def test_hankel_block_checks_every_term_for_the_degree_of_the_first():
+    t = xy()
+    for words in ((X0 + X1, X0), (X0, X0 + X1), (X0 + X0, X1 + X1, X0)):
+        f = NCPoly(t, dict.fromkeys(words, Fraction(1)))
+        for cut in (0, 1, 3):
+            with pytest.raises(ValueError, match="homogeneous"):
+                hankel_block(f, cut)
+    with pytest.raises(ValueError, match="cut 3 outside 0..2"):
+        hankel_block(NCPoly(t, {X0 + X1: Fraction(1)}), 3)
+    assert hankel_block(NCPoly(t), 5) == (5, (), (), ())
 
 
 def test_nisan_inequality_on_random_abps():

@@ -5,8 +5,13 @@ through algebra.using_budget."""
 import argparse
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +238,52 @@ def test_verify_checks_a_streamed_target_count_before_the_walk(tmp_path, capsys)
     assert _one_error_line(err) and "family idstar holds 3125 terms" in err
     code, out, _ = run(capsys, "verify", str(red))
     assert code == 0 and out.startswith("verdict pass\nsource-terms 120\nresult-terms 120\n")
+
+
+# Sizes far past any budget.  Each command below once ran for minutes or
+# died of a MemoryError (exit 1, as if a check had failed), because a
+# count such as k**n or n!, or a table sized by n, was built before any
+# budget saw it.
+HUGE = 10**11
+OVERSIZED = [
+    ("family", f"pal:n={HUGE}"),
+    ("family", f"palsq:n={HUGE}"),
+    ("family", f"per:n={HUGE}"),
+    ("family", f"id:n={HUGE}"),
+    ("family", f"hier:i=1,n={HUGE}"),
+    ("family", f"dyckdepth:k=2,n={HUGE}"),
+    ("rank", f"pal:n={HUGE}", "--cut", "1"),
+    ("rank", f"per:n={HUGE}", "--cut", "1"),
+    ("rank", f"id:n={HUGE}", "--cut", "1"),
+    ("rank", f"twochains:n={HUGE}", "--cut", "1"),
+    ("reduce", "pal-d2", f"n={HUGE}"),
+    ("reduce", "per-idstar", f"n={HUGE}"),
+    ("reduce", "hier-iproj", "i=1", f"n={HUGE}"),
+]
+# the child caps its own address space, so a table sized by n fails fast
+# instead of filling the machine
+CAPPED_MAIN = (
+    "import resource, sys\n"
+    "cap = 1536 * 2**20\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+    "from ncpoly.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_oversized_sizes_exit_2_at_once_under_a_memory_cap(tmp_path, capsys):
+    red = tmp_path / "depth.red"
+    assert main(["reduce", "depth", "k1=1", "k2=2", f"n={HUGE}", "--out", str(red)]) == 0
+    capsys.readouterr()
+    src = str(Path(ncpoly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in [*OVERSIZED, ("verify", str(red))]:
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED_MAIN, *argv],
+            capture_output=True, text=True, timeout=20, env=env, cwd=tmp_path,
+        )
+        seconds = time.perf_counter() - started
+        assert done.returncode == 2 and done.stdout == "", (argv, done.returncode, done.stderr)
+        assert _one_error_line(done.stderr), (argv, done.stderr)
+        assert seconds < 10, (argv, seconds)

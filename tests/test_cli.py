@@ -974,6 +974,59 @@ def test_help_still_prints_help_and_exits_0(capsys):
     assert run(capsys, "rank", "pal:n=2", "--cut", "2") == (0, "2 4\n", "")
 
 
+def test_the_parser_reads_the_terminal_width_once(monkeypatch, capsys):
+    # argparse reads it again for every formatter, one per add_argument
+    import shutil
+
+    calls = []
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
+    cli._help_width.cache_clear()
+    try:
+        build_parser()
+        for argv in (["--help"], ["rank", "--help"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        assert capsys.readouterr().out.count("usage: ncpoly") == 2
+        assert len(calls) <= 1
+    finally:
+        cli._help_width.cache_clear()
+
+
+@pytest.mark.parametrize("columns", ["60", "120"])
+def test_help_wraps_exactly_as_argparse_does(columns, monkeypatch, capsys):
+    # the stock formatter reads the terminal itself; ours reads it once
+    import argparse
+
+    monkeypatch.setenv("COLUMNS", columns)
+    cli._help_width.cache_clear()
+    try:
+        for argv in (["--help"], ["rank", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            ours = capsys.readouterr().out
+            with monkeypatch.context() as stock:
+                stock_formatter = argparse.ArgumentParser._get_formatter
+                stock.setattr(cli._ArgumentParser, "_get_formatter", stock_formatter)
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv)
+            assert ours == capsys.readouterr().out and ours.startswith("usage: ncpoly")
+    finally:
+        cli._help_width.cache_clear()
+
+
+def test_rank_ranks_each_distinct_cut_once(monkeypatch, capsys):
+    import ncpoly.abp
+
+    cuts = []
+    real = ncpoly.abp.hankel_block
+    monkeypatch.setattr(ncpoly.abp, "hankel_block", lambda f, cut: cuts.append(cut) or real(f, cut))
+    argv = ("rank", "pal:n=3", "--cut", "3", "--cut", "3", "--cut", "2")
+    assert run(capsys, *argv) == (0, "3 8\n3 8\n2 4\n", "")
+    assert run(capsys, "--format", "structured", *argv)[1] == "cut=3 rank=8\ncut=3 rank=8\ncut=2 rank=4\n"
+    assert cuts == [3, 2, 3, 2]
+
+
 def _outcome(capsys, argv):
     """Exit code, stdout without verify's wall time, stderr and the bytes
     of the --out file of one main call."""

@@ -221,7 +221,7 @@ def test_chi_parse_roundtrip():
     text = "2 1 -> 3/2\n1 2 -> 1\n"
     chi = ChiTable.parse(text, 2)
     assert chi.values[(2, 1)] == Fraction(3, 2)
-    assert ChiTable.parse(chi.format(), 2).values == chi.values
+    assert ChiTable.parse(corpus.format_chi(chi), 2).values == chi.values
 
 
 # -- hierarchy ---------------------------------------------------------------

@@ -28,6 +28,7 @@ BLOCKED = {
 # the reason it stays.
 MEMBERS_BLOCKED = {
     ("_ArgumentParser", "error"): "argparse calls it on a bad command line",
+    ("_ArgumentParser", "_get_formatter"): "argparse calls it for each argument and each help text",
 }
 
 # What the oracles may import from ncpoly: data types, and expand, the
